@@ -166,9 +166,11 @@ def validate(job: JobSpec) -> list[str]:
     mode = job.get("mode", "exhaustive")
     if mode not in ("exhaustive", "sampled"):
         diags.append(f"mode: expected exhaustive or sampled, got {mode!r}")
-    for key in ("trials", "seed", "monoid.window"):
+    if job.get("monoid.window") is not None:
+        diags.append("monoid.window: not supported")
+    for key in ("trials", "seed"):
         raw = job.get(key)
-        if raw is not None and key != "monoid.window":
+        if raw is not None:
             try:
                 int(raw)
             except ValueError:

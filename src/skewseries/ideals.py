@@ -9,8 +9,9 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .rings import FiniteRing
+from .rings import FiniteRing, additive_closure
 from .series import OmegaAction
 
 LEFT_IDEAL = "left-ideal"
@@ -21,11 +22,24 @@ PLAIN_SUBSET = "plain-subset"
 
 @dataclass(frozen=True)
 class IdealSet:
-    """A subset of a finite ring tagged with how much closure it enjoys."""
+    """A subset of a finite ring; ``flavor`` says how much closure it enjoys."""
 
     ring: FiniteRing
     members: frozenset[int]
-    flavor: str = PLAIN_SUBSET
+
+    @cached_property
+    def flavor(self) -> str:
+        """Two-sided, left, right or plain: computed on first read."""
+        ring, members = self.ring, self.members
+        left = all(ring.mul(r, a) in members for r in ring.elements() for a in members)
+        right = all(ring.mul(a, r) in members for r in ring.elements() for a in members)
+        if left and right:
+            return TWO_SIDED
+        if left:
+            return LEFT_IDEAL
+        if right:
+            return RIGHT_IDEAL
+        return PLAIN_SUBSET
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
@@ -45,9 +59,8 @@ class IdealSet:
 
     @classmethod
     def classified(cls, ring: FiniteRing, members) -> "IdealSet":
-        """Wrap a member set, detecting how much closure it actually has."""
-        members = frozenset(members)
-        return cls(ring, members, _classify(ring, members))
+        """Wrap any iterable of members; the flavor is detected on first read."""
+        return cls(ring, frozenset(members))
 
 
 @dataclass
@@ -59,24 +72,12 @@ class SUnitalResult:
     failing: int | None = None
 
 
-def _classify(ring: FiniteRing, members: frozenset[int]) -> str:
-    left = all(ring.mul(r, a) in members for r in ring.elements() for a in members)
-    right = all(ring.mul(a, r) in members for r in ring.elements() for a in members)
-    if left and right:
-        return TWO_SIDED
-    if left:
-        return LEFT_IDEAL
-    if right:
-        return RIGHT_IDEAL
-    return PLAIN_SUBSET
-
-
 def left_annihilator(xs, ring: FiniteRing) -> IdealSet:
     """{r : r*x == 0 for every x in xs}; the whole ring when xs is empty."""
     members = frozenset(
         r for r in ring.elements()
         if all(ring.mul(r, x) == ring.zero for x in xs))
-    return IdealSet(ring, members, _classify(ring, members))
+    return IdealSet(ring, members)
 
 
 def right_annihilator(xs, ring: FiniteRing) -> IdealSet:
@@ -84,34 +85,13 @@ def right_annihilator(xs, ring: FiniteRing) -> IdealSet:
     members = frozenset(
         r for r in ring.elements()
         if all(ring.mul(x, r) == ring.zero for x in xs))
-    return IdealSet(ring, members, _classify(ring, members))
-
-
-def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:
-    """Smallest addition-closed subset containing ``seed`` and zero.
-
-    In a finite ring this is automatically a subgroup (negatives are
-    repeated sums).
-    """
-    closed = {ring.zero} | set(seed)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in closed.copy():
-                s = ring.add(a, b)
-                if s not in closed:
-                    closed.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(closed)
+    return IdealSet(ring, members)
 
 
 def left_ideal_generated(gens, ring: FiniteRing) -> IdealSet:
     """The smallest left ideal containing ``gens``."""
     products = {ring.mul(r, a) for r in ring.elements() for a in gens}
-    members = additive_closure(ring, products)
-    return IdealSet(ring, members, _classify(ring, members))
+    return IdealSet(ring, additive_closure(ring, products))
 
 
 def orbit_ideal(gens, action: OmegaAction) -> IdealSet:
@@ -211,4 +191,4 @@ def all_left_ideals(ring: FiniteRing, size_cap: int = 16) -> list[IdealSet]:
                     nxt.append(j)
         frontier = nxt
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [IdealSet(ring, m, _classify(ring, m)) for m in ordered]
+    return [IdealSet(ring, m) for m in ordered]

@@ -109,7 +109,13 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
 
     Exhaustive for ``size <= exhaustive_cap`` (all triples), otherwise the
     triple-quantified axioms are checked on seeded random samples while the
-    identity and inverse laws stay exhaustive.
+    identity, inverse and commutativity laws stay exhaustive.
+
+    Tabled rings are checked on their tables: the sampled triples in one
+    pass, and exhaustively one block of triples (a, *, *) at a time, with
+    each axiom compared a whole row or column at once.  A failing block or
+    sample is rescanned triple by triple, so the message names the same
+    first failing triple and axiom as a plain scan in lexicographic order.
     """
     n = ring.size
     add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
@@ -120,16 +126,62 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
             raise RingAxiomError(f"additive inverse fails at {a}")
         if mul(one, a) != a or mul(a, one) != a:
             raise RingAxiomError(f"multiplicative identity fails at {a}")
-    for a in range(n):
-        for b in range(n):
-            if add(a, b) != add(b, a):
-                raise RingAxiomError(f"addition not commutative at ({a},{b})")
-    if n <= exhaustive_cap:
-        triples = product(range(n), repeat=3)
+    A, M = ring._add_rows, ring._mul_rows
+    if A is None:
+        # The first non-commuting pair in lexicographic order has a < b.
+        raw = ring._add
+        for a in range(n):
+            for b in range(a + 1, n):
+                if raw(a, b) != raw(b, a):
+                    raise RingAxiomError(f"addition not commutative at ({a},{b})")
     else:
+        for a, (row, col) in enumerate(zip(A, zip(*A))):
+            if tuple(row) != col:
+                b = next(b for b in range(n) if row[b] != col[b])
+                raise RingAxiomError(f"addition not commutative at ({a},{b})")
+    # Table entries outside 0..n-1 take the scalar scan, which indexes rows
+    # with them exactly as the ring's own add and mul do.
+    tabled = A is not None and all(0 <= min(row) and max(row) < n for row in A + M)
+    if n > exhaustive_cap:
         rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(samples)]
+        if not (tabled and all(
+                A[A[a][b]][c] == A[a][A[b][c]] and M[M[a][b]][c] == M[a][M[b][c]]
+                and M[a][A[b][c]] == A[M[a][b]][M[a][c]]
+                and M[A[a][b]][c] == A[M[a][c]][M[b][c]] for a, b, c in triples)):
+            _check_triples(ring, triples)
+    elif not tabled:
+        _check_triples(ring, product(range(n), repeat=3))
+    else:
+        # A tabled ring has at most TABLE_LIMIT = 256 elements, so rows and
+        # columns fit in bytes, and x.translate(t) is c -> t[x[c]], built and
+        # compared in C.  t is a row padded to the 256 entries translate
+        # wants: add_by[x] maps y to x+y, mul_by[x] maps y to x*y and
+        # by_mul[c] maps y to y*c.
+        pad = bytes(256 - n)
+        arow = [bytes(row) for row in A]
+        mrow = [bytes(row) for row in M]
+        mcol = [bytes(col) for col in zip(*M)]
+        add_by = [row + pad for row in arow]
+        mul_by = [row + pad for row in mrow]
+        by_mul = [col + pad for col in mcol]
+        for a in range(n):
+            Aa, Ma = A[a], M[a]
+            # over c for each b: (a+b)+c, (ab)c and a(b+c); over b for each
+            # c: (a+b)c
+            if not (all(arow[Aa[b]] == rb.translate(add_by[a])
+                        and mrow[Ma[b]] == mb.translate(mul_by[a])
+                        and rb.translate(mul_by[a]) == mrow[a].translate(add_by[Ma[b]])
+                        for b, (rb, mb) in enumerate(zip(arow, mrow)))
+                    and all(arow[a].translate(by_mul[c]) == mcol[c].translate(add_by[Ma[c]])
+                            for c in range(n))):
+                _check_triples(ring, product((a,), range(n), range(n)))
+
+
+def _check_triples(ring: FiniteRing, triples) -> None:
+    """The triple-quantified axioms, one triple and one axiom at a time."""
+    add, mul = ring.add, ring.mul
     for a, b, c in triples:
         if add(add(a, b), c) != add(a, add(b, c)):
             raise RingAxiomError(f"addition not associative at ({a},{b},{c})")
@@ -434,26 +486,35 @@ def _additive_order(ring: FiniteRing, a: int) -> int:
 def _additive_generators(ring: FiniteRing) -> list[int]:
     """A small additive generating set, starting with 1."""
     gens = [ring.one]
-    span = _additive_span(ring, gens)
+    span = additive_closure(ring, gens)
     for a in ring.elements():
         if a not in span:
             gens.append(a)
-            span = _additive_span(ring, gens)
+            span = additive_closure(ring, gens)
             if len(span) == ring.size:
                 break
     return gens
 
 
-def _additive_span(ring: FiniteRing, gens) -> set[int]:
+def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:
+    """Smallest addition-closed subset containing ``seed`` and zero.
+
+    In a finite ring this is the additive subgroup the seed generates
+    (negatives are repeated sums).  The span grows one seed at a time: a seed
+    g outside the span S extends it to S + <g>, the union of the cosets
+    S, S + g, ..., S + (m-1)g where m*g is the first multiple back in S.
+    """
     span = {ring.zero}
-    for g in gens:
-        cur = g
-        layer = set(span)
+    for g in seed:
+        if g in span:
+            continue
+        coset, grown, cur = list(span), set(span), g
         while cur not in span:
-            layer |= {ring.add(x, cur) for x in span}
+            coset = [ring.add(x, g) for x in coset]
+            grown.update(coset)
             cur = ring.add(cur, g)
-        span = layer
-    return span
+        span = grown
+    return frozenset(span)
 
 
 def automorphisms(ring: FiniteRing, cap: int = 64,

@@ -35,6 +35,7 @@ from .ideals import (
     is_right_s_unital,
     left_annihilator,
     orbit_ideal,
+    right_annihilator,
     tominaga_common_witness,
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
@@ -290,17 +291,12 @@ def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[in
     from itertools import combinations
 
     distinct = sorted(set(targets))
-    bottom = _right_ann_members(ring, distinct)
+    bottom = right_annihilator(distinct, ring).members
     for size in range(0, len(distinct) + 1):
         for combo in combinations(distinct, size):
-            if _right_ann_members(ring, combo) == bottom:
+            if right_annihilator(combo, ring).members == bottom:
                 return list(combo)
     return distinct
-
-
-def _right_ann_members(ring: FiniteRing, xs) -> frozenset[int]:
-    return frozenset(r for r in ring.elements()
-                     if all(ring.mul(x, r) == ring.zero for x in xs))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ purpose: these functions must not share code paths with the library
 operations they are used to verify.
 """
 
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 
 def dirichlet_value(ring, f_coeffs: dict, g_coeffs: dict, n: int) -> int:
@@ -80,3 +81,67 @@ def annihilates_through_random_middles(g, f, rng, samples: int = 50,
         if not convolve(convolve(g, h), f).is_zero():
             return False
     return True
+
+
+def validate_ring_oracle(ring, exhaustive_cap: int = 64, samples: int = 2000,
+                         seed: int = 0) -> None:
+    """The ring axioms one element, pair and triple at a time.
+
+    Raises ``RingAxiomError`` with the message ``validate_ring`` must give:
+    the first failing element, pair or triple in scan order and its first
+    failing axiom.  Triples are exhaustive up to ``exhaustive_cap`` elements
+    and seeded random samples above it.
+    """
+    from skewseries.rings import RingAxiomError
+
+    n = ring.size
+    add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
+    for a in range(n):
+        if add(zero, a) != a or add(a, zero) != a:
+            raise RingAxiomError(f"additive identity fails at {a}")
+        if add(a, ring.neg(a)) != zero:
+            raise RingAxiomError(f"additive inverse fails at {a}")
+        if mul(one, a) != a or mul(a, one) != a:
+            raise RingAxiomError(f"multiplicative identity fails at {a}")
+    for a in range(n):
+        for b in range(n):
+            if add(a, b) != add(b, a):
+                raise RingAxiomError(f"addition not commutative at ({a},{b})")
+    if n <= exhaustive_cap:
+        triples = product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(samples))
+    for a, b, c in triples:
+        if add(add(a, b), c) != add(a, add(b, c)):
+            raise RingAxiomError(f"addition not associative at ({a},{b},{c})")
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            raise RingAxiomError(f"multiplication not associative at ({a},{b},{c})")
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            raise RingAxiomError(f"left distributivity fails at ({a},{b},{c})")
+        if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
+            raise RingAxiomError(f"right distributivity fails at ({a},{b},{c})")
+
+
+def additive_closure_by_fixpoint(ring, seed) -> frozenset:
+    """Add every pair of {0} + seed until no new sum appears."""
+    current = {ring.zero} | set(seed)
+    while True:
+        grown = current | {ring.add(a, b) for a in current for b in current}
+        if grown == current:
+            return frozenset(current)
+        current = grown
+
+
+def closure_flavor(ring, members) -> str:
+    """Two-sided, left, right or plain, by scanning r*a and a*r for all r."""
+    left = all(ring.mul(r, a) in members for r in range(ring.size) for a in members)
+    right = all(ring.mul(a, r) in members for r in range(ring.size) for a in members)
+    if left and right:
+        return "two-sided"
+    if left:
+        return "left-ideal"
+    if right:
+        return "right-ideal"
+    return "plain-subset"

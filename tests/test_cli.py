@@ -81,6 +81,15 @@ def test_validate_accepts_well_formed_job():
     assert validate(JobSpec.from_text(Z4_JOB)) == []
 
 
+def test_monoid_window_is_rejected(tmp_path):
+    # no check reads a window, so a job that sets one is refused, not ignored
+    job = JobSpec.from_text(Z4_JOB + "monoid.window = 5\n")
+    assert validate(job) == ["monoid.window: not supported"]
+    buf = io.StringIO()
+    assert run_job(job, out_path=str(tmp_path / "r.json"), stream=buf) == 3
+    assert "monoid.window: not supported" in buf.getvalue()
+
+
 def test_ring_builders_from_spec():
     assert build_ring(JobSpec.from_text("ring.kind = cyclic\nring.n = 6")).size == 6
     assert build_ring(JobSpec.from_text(

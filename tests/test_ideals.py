@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from skewseries.ideals import (
     LEFT_IDEAL,
+    PLAIN_SUBSET,
+    RIGHT_IDEAL,
     TWO_SIDED,
+    IdealSet,
+    additive_closure,
     all_left_ideals,
     is_right_s_unital,
     left_annihilator,
@@ -25,7 +29,11 @@ from skewseries.rings import (
 )
 from skewseries.series import single_generator_action, trivial_action
 
-from oracles import smallest_left_ideal_containing
+from oracles import (
+    additive_closure_by_fixpoint,
+    closure_flavor,
+    smallest_left_ideal_containing,
+)
 
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
@@ -209,3 +217,27 @@ def test_left_ideal_count_in_triangular_ring():
 def test_left_ideal_enumeration_respects_cap():
     with pytest.raises(ValueError, match="capped"):
         all_left_ideals(cyclic_ring(32), size_cap=16)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_additive_closure_matches_fixpoint_oracle(data):
+    ring = data.draw(st.sampled_from(SMALL_RINGS + [product_ring(cyclic_ring(4), cyclic_ring(6))]))
+    seed = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=4))
+    assert additive_closure(ring, seed) == additive_closure_by_fixpoint(ring, seed)
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: r.name)
+def test_lazy_flavor_matches_eager_classification(ring):
+    sets = list(all_left_ideals(ring))
+    for a in ring.elements():
+        sets += [left_annihilator({a}, ring), right_annihilator({a}, ring),
+                 IdealSet.classified(ring, {ring.zero, a})]
+    seen = set()
+    for ideal in sets:
+        assert "flavor" not in vars(ideal)  # nothing classified at construction
+        assert ideal.flavor == closure_flavor(ring, ideal.members)
+        seen.add(ideal.flavor)
+    assert {LEFT_IDEAL, TWO_SIDED} & seen
+    if ring is T2:
+        assert seen == {LEFT_IDEAL, RIGHT_IDEAL, TWO_SIDED, PLAIN_SUBSET}

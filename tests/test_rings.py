@@ -1,6 +1,12 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewseries.rings import (
+    TABLE_LIMIT,
+    FiniteRing,
     RingAxiomError,
     automorphisms,
     cyclic_ring,
@@ -16,7 +22,7 @@ from skewseries.rings import (
     validate_ring,
 )
 
-from oracles import brute_force_automorphism_perms
+from oracles import brute_force_automorphism_perms, validate_ring_oracle
 
 
 def test_cyclic_ring_arithmetic():
@@ -204,3 +210,94 @@ def test_gf4_field_automorphisms_are_identity_and_squaring():
 def test_product_z4_z2_automorphisms_match_brute_force():
     R = product_ring(cyclic_ring(4), cyclic_ring(2))
     assert {a.perm for a in automorphisms(R)} == brute_force_automorphism_perms(R)
+
+
+# Rings whose tables get corrupted below: triples are exhaustive up to 64
+# elements and seeded samples above.
+CORRUPTIBLE = [
+    cyclic_ring(2),
+    cyclic_ring(5),
+    cyclic_ring(12),
+    cyclic_ring(64),
+    product_ring(cyclic_ring(2), cyclic_ring(3)),
+    product_ring(cyclic_ring(4), cyclic_ring(4)),
+    upper_triangular_ring(cyclic_ring(2), 2),
+    upper_triangular_ring(cyclic_ring(2), 3),
+    cyclic_ring(72),
+    product_ring(cyclic_ring(9), cyclic_ring(10)),
+]
+
+
+def _axiom_outcome(check, ring, seed):
+    """None when ``check`` accepts the ring, else the error's type and text."""
+    try:
+        check(ring, seed=seed)
+    except (RingAxiomError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
+    base = data.draw(st.sampled_from(CORRUPTIBLE), label="ring")
+    n = base.size
+    add = [[base.add(a, b) for b in range(n)] for a in range(n)]
+    mul = [[base.mul(a, b) for b in range(n)] for a in range(n)]
+    # Mostly entries in range; -1 wraps to the last row and n raises
+    # IndexError, in both checks alike.  Sums are corrupted in symmetric
+    # pairs so that commutativity, checked first, does not catch every change.
+    value = st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n]))
+    element = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        a, b, v = data.draw(element), data.draw(element), data.draw(value)
+        if data.draw(st.booleans(), label="sum"):
+            add[a][b] = add[b][a] = v
+        else:
+            mul[a][b] = v
+    ring = FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
+                      zero=base.zero, one=base.one, neg=base.neg, validate=False)
+    seed = data.draw(st.integers(0, 3), label="seed")
+    assert _axiom_outcome(validate_ring, ring, seed) == \
+        _axiom_outcome(validate_ring_oracle, ring, seed)
+
+
+@pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
+def test_closure_backed_commutativity_matches_oracle(pair):
+    n = TABLE_LIMIT + 44
+
+    def add(a, b):
+        return (a + b + ((a, b) == pair)) % n
+
+    ring = FiniteRing(n, add=add, mul=lambda a, b: a * b % n, neg=lambda a: -a % n,
+                      zero=0, one=1, validate=False)
+    expected = None if pair is None else \
+        ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
+    assert _axiom_outcome(validate_ring_oracle, ring, 0) == expected
+    assert _axiom_outcome(validate_ring, ring, 0) == expected
+
+
+def _near_ring(k: int, opposite: bool) -> FiniteRing:
+    """Every map Z_k -> Z_k under pointwise sum and composition.
+
+    With f*g = f after g this is a near-ring: every ring axiom holds except
+    left distributivity.  The opposite product breaks right distributivity
+    only.
+    """
+    maps = list(product(range(k), repeat=k))
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((x + y) % k for x, y in zip(f, g))] for g in maps] for f in maps]
+    mul = [[index[tuple(f[x] for x in g)] for g in maps] for f in maps]
+    if opposite:
+        mul = [list(col) for col in zip(*mul)]
+    return FiniteRing(len(maps), add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
+                      zero=index[(0,) * k], one=index[tuple(range(k))], validate=False)
+
+
+@pytest.mark.parametrize("k", [3, 4])  # 27 elements, exhaustive; 256, sampled
+@pytest.mark.parametrize("opposite, law", [(False, "left"), (True, "right")])
+def test_near_ring_fails_one_distributive_law_like_oracle(k, opposite, law):
+    ring = _near_ring(k, opposite)
+    expected = _axiom_outcome(validate_ring_oracle, ring, 0)
+    assert expected[1].startswith(f"{law} distributivity fails")
+    assert _axiom_outcome(validate_ring, ring, 0) == expected
