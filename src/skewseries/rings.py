@@ -1,17 +1,21 @@
 """Finite unital rings on element indices, with automorphism machinery.
 
 A ring is a set of element indices ``0..size-1`` together with addition and
-multiplication maps.  Small rings keep materialized operation tables; larger
-structured rings (matrix, product, triangular) evaluate arithmetic on demand
-through closures rendered to the same interface.  Every factory validates the
-ring axioms at construction: exhaustively up to a size cap, by seeded random
-sampling above it.
+multiplication maps.  Rings of up to ``TABLE_LIMIT`` elements keep their
+operation tables as lists of rows, which every factory builds from tables it
+already has: rotations of ``range(n)`` for Z_n, blocks of component rows for
+products, and for matrix and triangular rings the digitwise sum table plus,
+for each x, the additive map y -> x*y assembled from x times the high-digit
+and the low-digit parts of y.  Larger rings evaluate arithmetic on demand
+through closures; the matrix and triangular ones add through two half-digit
+tables.  Every factory validates the ring axioms at construction:
+exhaustively up to a size cap, by seeded random sampling above it.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, compress, product, repeat
 
 # Structured rings materialize full operation tables up to this size;
 # beyond it arithmetic stays closure-backed.
@@ -31,8 +35,11 @@ class RingAxiomError(ValueError):
 class FiniteRing:
     """A finite unital ring over element indices 0..size-1.
 
-    ``add``/``mul``/``neg`` operate on indices.  Instances are immutable
-    after construction and safe to share.
+    ``add``/``mul``/``neg`` operate on indices.  ``add`` and ``mul`` are
+    functions of two indices; a factory may pass the rows of a table instead,
+    for a ring of at most ``TABLE_LIMIT`` elements, and the ring then owns
+    those lists.  Without ``neg`` each negative is looked up in the addition
+    table.  Instances are immutable after construction and safe to share.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul", "_neg",
@@ -49,10 +56,10 @@ class FiniteRing:
         self.name = name
         self._repr_fn = element_repr
         if size <= TABLE_LIMIT:
-            rows = [[add(a, b) for b in range(size)] for a in range(size)]
-            mrows = [[mul(a, b) for b in range(size)] for a in range(size)]
-            self._add_rows = rows
-            self._mul_rows = mrows
+            self._add_rows = add if isinstance(add, list) else \
+                [[add(a, b) for b in range(size)] for a in range(size)]
+            self._mul_rows = mul if isinstance(mul, list) else \
+                [[mul(a, b) for b in range(size)] for a in range(size)]
             self._add = None
             self._mul = None
         else:
@@ -61,19 +68,13 @@ class FiniteRing:
             self._add = add
             self._mul = mul
         if neg is None:
-            neg_row = [self._find_negative(a) for a in range(size)]
+            self._neg_row = _negatives(self._add_rows or (
+                [add(a, b) for b in range(size)] for a in range(size)), zero)
         else:
-            neg_row = [neg(a) for a in range(size)]
-        self._neg_row = neg_row
+            self._neg_row = [neg(a) for a in range(size)]
         self._neg = None
         if validate:
             validate_ring(self, seed=seed)
-
-    def _find_negative(self, a: int) -> int:
-        for x in range(self.size):
-            if self.add(a, x) == self.zero:
-                return x
-        raise RingAxiomError(f"element {a} has no additive inverse")
 
     def add(self, a: int, b: int) -> int:
         if self._add_rows is not None:
@@ -101,6 +102,16 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, size={self.size})"
+
+
+def _negatives(rows, zero: int) -> list[int]:
+    """The first index of ``zero`` in each row of an addition table."""
+    out = []
+    for a, row in enumerate(rows):
+        if zero not in row:
+            raise RingAxiomError(f"element {a} has no additive inverse")
+        out.append(row.index(zero))
+    return out
 
 
 def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_CAP,
@@ -200,15 +211,35 @@ def cyclic_ring(n: int) -> FiniteRing:
     """The ring of integers modulo n.  n=1 gives the zero ring."""
     if n < 1:
         raise RingAxiomError("empty ring: modulus must be at least 1")
+    if n <= TABLE_LIMIT:
+        r = list(range(n))
+        add = [r[a:] + r[:a] for a in r]
+        mul = [[x % n for x in range(0, a * n, a)] if a else [0] * n for a in r]
+    else:
+        def add(a, b):
+            return (a + b) % n
+
+        def mul(a, b):
+            return (a * b) % n
     return FiniteRing(
         n,
-        add=lambda a, b: (a + b) % n,
-        mul=lambda a, b: (a * b) % n,
+        add=add,
+        mul=mul,
         neg=lambda a: (-a) % n,
         zero=0,
         one=1 % n,
         name=f"Z{n}",
     )
+
+
+def _product_rows(P, Q, qs: int) -> list[list[int]]:
+    """The table of a product from the component tables ``P`` and ``Q``.
+
+    Entry (i*qs + j, i2*qs + j2) is P[i][i2]*qs + Q[j][j2]: row i*qs + j is
+    the blocks P[i][i2]*qs + Q[j], in the order of i2.
+    """
+    return [list(chain.from_iterable([map((p * qs).__add__, Qj) for p in Pi]))
+            for Pi in P for Qj in Q]
 
 
 def product_ring(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -221,10 +252,19 @@ def product_ring(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP)
     def enc(i, j):
         return i * bs + j
 
+    if size <= TABLE_LIMIT:
+        add = _product_rows(a._add_rows, b._add_rows, bs)
+        mul = _product_rows(a._mul_rows, b._mul_rows, bs)
+    else:
+        def add(x, y):
+            return enc(a.add(x // bs, y // bs), b.add(x % bs, y % bs))
+
+        def mul(x, y):
+            return enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs))
     return FiniteRing(
         size,
-        add=lambda x, y: enc(a.add(x // bs, y // bs), b.add(x % bs, y % bs)),
-        mul=lambda x, y: enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs)),
+        add=add,
+        mul=mul,
         neg=lambda x: enc(a.neg(x // bs), b.neg(x % bs)),
         zero=enc(a.zero, b.zero),
         one=enc(a.one, b.one),
@@ -248,6 +288,59 @@ def _undigits(ds, base: int) -> int:
     return x
 
 
+def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
+               name: str, element_repr) -> FiniteRing:
+    """Vectors of ``ncells`` cells over ``base``, packed as base-``base.size``
+    digits with cell t the t-th least significant, under cellwise addition
+    and ``cell_product`` (a map of two cell lists to their product's).
+
+    The cells split into a low half of L values and a high half, so that
+    y = hi + lo with lo = y % L and hi = y - lo.  Addition adds the halves in
+    their own tables.  Left multiplication by x is additive, so
+    x*y = x*hi + x*lo, and the tabled row of x takes the L products x*lo and
+    the size/L products x*hi instead of size products.
+    """
+    bs = base.size
+    size = bs ** ncells
+    if base._add_rows is not None:
+        digit_sum = base._add_rows
+    else:
+        digit_sum = [[base.add(p, q) for q in range(bs)] for p in range(bs)]
+
+    def sums(count):
+        """The cellwise sum table of vectors of ``count`` cells."""
+        table = [[0]]
+        for _ in range(count):
+            table = _product_rows(digit_sum, table, len(table))
+        return table
+
+    low = ncells // 2
+    L = bs ** low
+    hi_sum, lo_sum = sums(ncells - low), sums(low)
+
+    def cell_mul(x, y):
+        return _undigits(cell_product(_digits(x, bs, ncells), _digits(y, bs, ncells)), bs)
+
+    if size <= TABLE_LIMIT:
+        add = _product_rows(hi_sum, lo_sum, L)
+        highs, lows = range(0, size, L), range(L)
+        mul = []
+        for x in range(size):
+            by_lo = [cell_mul(x, y) for y in lows]
+            mul.append(list(chain.from_iterable(
+                [map(add[cell_mul(x, y)].__getitem__, by_lo) for y in highs])))
+    else:
+        def add(x, y):
+            return hi_sum[x // L][y // L] * L + lo_sum[x % L][y % L]
+        mul = cell_mul
+
+    def neg(x):
+        return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
+
+    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=0,
+                      one=_undigits(one_cells, bs), name=name, element_repr=element_repr)
+
+
 def matrix_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """Full k-by-k matrix ring over ``base``; entries packed row-major."""
     ncells = k * k
@@ -256,12 +349,7 @@ def matrix_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> F
         raise RingAxiomError(f"size cap exceeded: {size} > {size_cap}")
     bs = base.size
 
-    def add(x, y):
-        xs, ys = _digits(x, bs, ncells), _digits(y, bs, ncells)
-        return _undigits([base.add(p, q) for p, q in zip(xs, ys)], bs)
-
-    def mul(x, y):
-        xs, ys = _digits(x, bs, ncells), _digits(y, bs, ncells)
+    def product_cells(xs, ys):
         out = []
         for i in range(k):
             for j in range(k):
@@ -269,10 +357,7 @@ def matrix_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> F
                 for t in range(k):
                     acc = base.add(acc, base.mul(xs[i * k + t], ys[t * k + j]))
                 out.append(acc)
-        return _undigits(out, bs)
-
-    def neg(x):
-        return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
+        return out
 
     one_cells = [base.one if i == j else base.zero for i in range(k) for j in range(k)]
 
@@ -282,9 +367,7 @@ def matrix_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> F
                 for i in range(k)]
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=0,
-                      one=_undigits(one_cells, bs),
-                      name=f"M{k}({base.name})", element_repr=mrepr)
+    return _cell_ring(base, ncells, product_cells, one_cells, f"M{k}({base.name})", mrepr)
 
 
 def upper_triangular_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -301,22 +384,14 @@ def upper_triangular_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE
         raise RingAxiomError(f"size cap exceeded: {size} > {size_cap}")
     bs = base.size
 
-    def add(x, y):
-        xs, ys = _digits(x, bs, ncells), _digits(y, bs, ncells)
-        return _undigits([base.add(p, q) for p, q in zip(xs, ys)], bs)
-
-    def mul(x, y):
-        xs, ys = _digits(x, bs, ncells), _digits(y, bs, ncells)
+    def product_cells(xs, ys):
         out = []
         for (i, j) in cells:
             acc = base.zero
             for t in range(i, j + 1):
                 acc = base.add(acc, base.mul(xs[pos[i, t]], ys[pos[t, j]]))
             out.append(acc)
-        return _undigits(out, bs)
-
-    def neg(x):
-        return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
+        return out
 
     one_cells = [base.one if i == j else base.zero for (i, j) in cells]
 
@@ -328,21 +403,32 @@ def upper_triangular_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE
             rows.append("[" + ",".join(row) + "]")
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=0,
-                      one=_undigits(one_cells, bs),
-                      name=f"T{k}({base.name})", element_repr=trepr)
+    return _cell_ring(base, ncells, product_cells, one_cells, f"T{k}({base.name})", trepr)
+
+
+def _check_entries(table, n: int, label: str) -> None:
+    """Raise RingAxiomError unless every entry of ``table`` is an element 0..n-1."""
+    for a, row in enumerate(table):
+        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
+            b, x = next((b, x) for b, x in enumerate(row)
+                        if not (isinstance(x, int) and 0 <= x < n))
+            raise RingAxiomError(
+                f"{label} entry {x!r} at ({a},{b}) is not an element 0..{n - 1}")
 
 
 def table_ring(add_table, mul_table, zero: int | None = None,
                one: int | None = None, name: str = "table") -> FiniteRing:
     """Build a ring from explicit operation tables, validating every axiom.
 
-    ``zero`` and ``one`` are located by scanning when not given.
+    Every entry must be an element index 0..n-1.  ``zero`` and ``one`` are
+    located by scanning when not given.
     """
     n = len(add_table)
     if n < 1 or any(len(row) != n for row in add_table) or \
             len(mul_table) != n or any(len(row) != n for row in mul_table):
         raise RingAxiomError("tables must be square and of matching size")
+    _check_entries(add_table, n, "add table")
+    _check_entries(mul_table, n, "mul table")
     if zero is None:
         zero = next((z for z in range(n)
                      if all(add_table[z][a] == a for a in range(n))), None)
@@ -353,10 +439,15 @@ def table_ring(add_table, mul_table, zero: int | None = None,
                     if all(mul_table[e][a] == a == mul_table[a][e] for a in range(n))), None)
         if one is None:
             raise RingAxiomError("no multiplicative identity found in table")
+    if n <= TABLE_LIMIT:
+        return FiniteRing(n, add=[list(row) for row in add_table],
+                          mul=[list(row) for row in mul_table],
+                          zero=zero, one=one, name=name)
     return FiniteRing(
         n,
         add=lambda a, b: add_table[a][b],
         mul=lambda a, b: mul_table[a][b],
+        neg=_negatives(add_table, zero).__getitem__,
         zero=zero,
         one=one,
         name=name,
@@ -371,22 +462,28 @@ def idempotents(ring: FiniteRing) -> list[int]:
     return [x for x in ring.elements() if ring.mul(x, x) == x]
 
 
+def _inverse(ring: FiniteRing, u: int) -> int | None:
+    """The v with u*v == 1 == v*u, or None.
+
+    The candidates v are the positions of 1 in the row of u, in order.
+    """
+    one, n = ring.one, ring.size
+    row = ring._mul_rows[u] if ring._mul_rows is not None else \
+        [ring.mul(u, v) for v in range(n)]
+    return next((v for v in compress(range(n), map(one.__eq__, row))
+                 if ring.mul(v, u) == one), None)
+
+
 def units(ring: FiniteRing) -> list[int]:
     """All two-sided invertible elements, ascending."""
-    out = []
-    for u in ring.elements():
-        for v in ring.elements():
-            if ring.mul(u, v) == ring.one and ring.mul(v, u) == ring.one:
-                out.append(u)
-                break
-    return out
+    return [u for u in ring.elements() if _inverse(ring, u) is not None]
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
-    for v in ring.elements():
-        if ring.mul(u, v) == ring.one and ring.mul(v, u) == ring.one:
-            return v
-    raise ValueError(f"element {u} is not a unit of {ring.name}")
+    v = _inverse(ring, u)
+    if v is None:
+        raise ValueError(f"element {u} is not a unit of {ring.name}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +501,28 @@ class RingAut:
             self.validate()
 
     def validate(self) -> None:
+        """Raise RingAxiomError unless ``perm`` is a ring automorphism.
+
+        A tabled ring is checked one row at a time: perm carries row a of
+        each table onto the row of perm[a], permuted by perm.  The first
+        failing row is rescanned pair by pair, so the message names the
+        first failing pair (a, b) and law, as a plain scan does.
+        """
         ring, perm = self.ring, self.perm
         n = ring.size
-        if len(perm) != n or len(set(perm)) != n:
+        if len(perm) != n or set(perm) != set(range(n)):
             raise RingAxiomError("automorphism image array is not a bijection")
         if perm[ring.one] != ring.one:
             raise RingAxiomError("automorphism does not fix 1")
-        for a in range(n):
+        A, M = ring._add_rows, ring._mul_rows
+        first = 0
+        if A is not None:
+            image = perm.__getitem__
+            first = next((a for a, p in enumerate(perm)
+                          if list(map(image, A[a])) != list(map(A[p].__getitem__, perm))
+                          or list(map(image, M[a])) != list(map(M[p].__getitem__, perm))),
+                         n)
+        for a in range(first, n):
             for b in range(n):
                 if perm[ring.add(a, b)] != ring.add(perm[a], perm[b]):
                     raise RingAxiomError(f"automorphism not additive at ({a},{b})")
@@ -537,8 +649,9 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
     gens = _additive_generators(ring)
     found: list[tuple[int, ...]] = []
 
-    # phi maps the current additive span; extended one generator at a time.
-    def extend(idx: int, phi: dict[int, int]):
+    # phi maps the current additive span, onto the images in used; extended
+    # one generator at a time.
+    def extend(idx: int, phi: dict[int, int], used: set[int]):
         if idx == len(gens):
             perm = tuple(phi[a] for a in ring.elements())
             for ga in gens:
@@ -561,21 +674,22 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
                 ym = ring.add(ym, y)
             if ym != target:
                 continue
-            ext = dict(phi)
+            ext, ext_used = dict(phi), set(used)
             ok = True
             for x, fx in phi.items():
                 cur_src, cur_dst = x, fx
                 for _ in range(1, m):
                     cur_src = ring.add(cur_src, g)
                     cur_dst = ring.add(cur_dst, y)
-                    if cur_src in ext or cur_dst in ext.values():
+                    if cur_src in ext or cur_dst in ext_used:
                         ok = False
                         break
                     ext[cur_src] = cur_dst
+                    ext_used.add(cur_dst)
                 if not ok:
                     break
             if ok:
-                extend(idx + 1, ext)
+                extend(idx + 1, ext, ext_used)
 
     base = {ring.zero: ring.zero}
     cur = ring.one
@@ -585,7 +699,7 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
     if len(base) == ring.size:
         found.append(tuple(range(ring.size)))
     else:
-        extend(1, base)
+        extend(1, base, set(base))
 
     perms = sorted(set(found))
     ident = tuple(range(ring.size))

@@ -145,3 +145,84 @@ def closure_flavor(ring, members) -> str:
     if right:
         return "right-ideal"
     return "plain-subset"
+
+
+def closure_tables(size: int, *ops) -> tuple:
+    """The table of each binary operation in ``ops``, one call per entry."""
+    elements = range(size)
+    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)
+
+
+def cyclic_ops(n: int):
+    """add, mul, neg, zero and one of Z_n, from the modular formulas."""
+    return (lambda a, b: (a + b) % n, lambda a, b: a * b % n,
+            lambda a: -a % n, 0, 1 % n)
+
+
+def product_ops(a, b):
+    """add, mul, neg, zero and one of a x b on indices i*b.size + j,
+    componentwise through the factors' own methods."""
+    bs = b.size
+    return (lambda x, y: a.add(x // bs, y // bs) * bs + b.add(x % bs, y % bs),
+            lambda x, y: a.mul(x // bs, y // bs) * bs + b.mul(x % bs, y % bs),
+            lambda x: a.neg(x // bs) * bs + b.neg(x % bs),
+            a.zero * bs + b.zero, a.one * bs + b.one)
+
+
+def matrix_ops(b: int, k: int, triangular: bool = False):
+    """add, mul, neg, zero and one of the k-by-k (upper triangular) matrices
+    over Z_b, on cells packed as base-b digits, least significant first."""
+    cells = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+    pos = {c: t for t, c in enumerate(cells)}
+    powers = [b ** t for t in range(len(cells))]
+
+    every_digits = [[x // p % b for p in powers] for x in range(b * powers[-1])]
+    digits = every_digits.__getitem__
+
+    def pack(ds):
+        return sum(d * p for d, p in zip(ds, powers))
+
+    def add(x, y):
+        return pack([(p + q) % b for p, q in zip(digits(x), digits(y))])
+
+    def mul(x, y):
+        xs, ys = digits(x), digits(y)
+        return pack([sum(xs[pos[i, t]] * ys[pos[t, j]] for t in range(k)
+                         if (i, t) in pos and (t, j) in pos) % b for i, j in cells])
+
+    def neg(x):
+        return pack([-d % b for d in digits(x)])
+
+    return add, mul, neg, 0, pack([1 % b if i == j else 0 for i, j in cells])
+
+
+def ring_aut_validate_oracle(aut) -> None:
+    """``RingAut.validate`` as a scan of every pair (a, b) in order.
+
+    Raises ``RingAxiomError`` with the message the library must give.
+    """
+    from skewseries.rings import RingAxiomError
+
+    ring, perm = aut.ring, aut.perm
+    n = ring.size
+    if len(perm) != n or set(perm) != set(range(n)):
+        raise RingAxiomError("automorphism image array is not a bijection")
+    if perm[ring.one] != ring.one:
+        raise RingAxiomError("automorphism does not fix 1")
+    for a in range(n):
+        for b in range(n):
+            if perm[ring.add(a, b)] != ring.add(perm[a], perm[b]):
+                raise RingAxiomError(f"automorphism not additive at ({a},{b})")
+            if perm[ring.mul(a, b)] != ring.mul(perm[a], perm[b]):
+                raise RingAxiomError(f"automorphism not multiplicative at ({a},{b})")
+
+
+def units_by_scan(ring) -> dict:
+    """Each unit u mapped to the first v with u*v == 1 == v*u, by a full scan."""
+    out = {}
+    for u in range(ring.size):
+        for v in range(ring.size):
+            if ring.mul(u, v) == ring.one and ring.mul(v, u) == ring.one:
+                out[u] = v
+                break
+    return out

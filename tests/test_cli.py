@@ -107,6 +107,20 @@ def test_ring_builders_from_spec():
     assert ring.size == 2
 
 
+def test_table_entry_outside_the_ring_is_a_spec_error(tmp_path):
+    text = """
+ring.kind = table
+ring.add_table = 0,1,2;1,2,0;2,0,1
+ring.mul_table = 0,0,0;0,1,2;0,2,3
+monoid.kind = NatAdd
+checks = left_app
+seed = 0
+"""
+    code, _, log = run_to_file(text, tmp_path)
+    assert code == 3
+    assert "mul table entry 3 at (2,2) is not an element 0..2" in log
+
+
 def test_series_literals_roundtrip():
     job = JobSpec.from_text("ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatAdd")
     ring = build_ring(job)
@@ -303,6 +317,11 @@ seed = 0
     not_multiplicative = text.replace("images:0,2,1,3", "images:0,1,3,2")
     code, _, log = run_to_file(not_multiplicative, tmp_path, name="nm.json")
     assert code == 3
+
+    outside = text.replace("images:0,2,1,3", "images:0,1,2,4")
+    code, _, log = run_to_file(outside, tmp_path, name="outside.json")
+    assert code == 3
+    assert "not a bijection" in log
 
 
 def test_cli_seed_override_reaches_report(tmp_path):

@@ -1,4 +1,5 @@
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from skewseries.rings import (
     TABLE_LIMIT,
     FiniteRing,
+    RingAut,
     RingAxiomError,
     automorphisms,
     cyclic_ring,
@@ -17,12 +19,23 @@ from skewseries.rings import (
     product_ring,
     swap_automorphism,
     table_ring,
+    unit_inverse,
     units,
     upper_triangular_ring,
     validate_ring,
 )
+from skewseries.gallery import gallery_names, gallery_ring
 
-from oracles import brute_force_automorphism_perms, validate_ring_oracle
+from oracles import (
+    brute_force_automorphism_perms,
+    closure_tables,
+    cyclic_ops,
+    matrix_ops,
+    product_ops,
+    ring_aut_validate_oracle,
+    units_by_scan,
+    validate_ring_oracle,
+)
 
 
 def test_cyclic_ring_arithmetic():
@@ -242,8 +255,7 @@ def _axiom_outcome(check, ring, seed):
 def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
     base = data.draw(st.sampled_from(CORRUPTIBLE), label="ring")
     n = base.size
-    add = [[base.add(a, b) for b in range(n)] for a in range(n)]
-    mul = [[base.mul(a, b) for b in range(n)] for a in range(n)]
+    add, mul = closure_tables(n, base.add, base.mul)
     # Mostly entries in range; -1 wraps to the last row and n raises
     # IndexError, in both checks alike.  Sums are corrupted in symmetric
     # pairs so that commutativity, checked first, does not catch every change.
@@ -301,3 +313,149 @@ def test_near_ring_fails_one_distributive_law_like_oracle(k, opposite, law):
     expected = _axiom_outcome(validate_ring_oracle, ring, 0)
     assert expected[1].startswith(f"{law} distributivity fails")
     assert _axiom_outcome(validate_ring, ring, 0) == expected
+
+
+def _small_product(*moduli):
+    ring = cyclic_ring(moduli[0])
+    for m in moduli[1:]:
+        ring = product_ring(ring, cyclic_ring(m))
+    return ring
+
+
+# (label, build, ops, whole): ops are the reference add, mul, neg, zero and
+# one; whole=False compares addition only, for rings whose multiplication is
+# the same closure as the reference's.
+FACTORY_CASES = [
+    *[(f"Z{n}", lambda n=n: cyclic_ring(n), lambda n=n: cyclic_ops(n), True)
+      for n in (*range(1, 9), 255, 256, 257)],
+    *[(f"Z{a}xZ{b}", lambda a=a, b=b: product_ring(cyclic_ring(a), cyclic_ring(b)),
+       lambda a=a, b=b: product_ops(cyclic_ring(a), cyclic_ring(b)), True)
+      for a, b in ((2, 3), (3, 2), (4, 2), (2, 4), (3, 5), (1, 7), (7, 1), (4, 64), (2, 129))],
+    ("(Z2xZ3)xZ4", lambda: product_ring(_small_product(2, 3), cyclic_ring(4)),
+     lambda: product_ops(_small_product(2, 3), cyclic_ring(4)), True),
+    ("Z5x(Z2xZ3)", lambda: product_ring(cyclic_ring(5), _small_product(2, 3)),
+     lambda: product_ops(cyclic_ring(5), _small_product(2, 3)), True),
+    *[(f"M{k}(Z{b})", lambda b=b, k=k: matrix_ring(cyclic_ring(b), k),
+       lambda b=b, k=k: matrix_ops(b, k), b ** (k * k) <= TABLE_LIMIT)
+      for b, k in ((1, 2), (2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (4, 2), (5, 2))],
+    *[(f"T{k}(Z{b})", lambda b=b, k=k: upper_triangular_ring(cyclic_ring(b), k),
+       lambda b=b, k=k: matrix_ops(b, k, triangular=True), b ** (k * (k + 1) // 2) <= TABLE_LIMIT)
+      for b, k in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3))],
+]
+
+
+@pytest.mark.parametrize("build, ops, whole", [c[1:] for c in FACTORY_CASES],
+                         ids=[c[0] for c in FACTORY_CASES])
+def test_factory_tables_match_closure_tables(build, ops, whole):
+    ring = build()
+    add, mul, neg, zero, one = ops()
+    n = ring.size
+    assert (ring._add_rows is not None) == (n <= TABLE_LIMIT)
+    if not whole:
+        assert closure_tables(n, ring.add) == closure_tables(n, add)
+    elif ring._add_rows is not None:
+        assert (ring._add_rows, ring._mul_rows) == closure_tables(n, add, mul)
+    else:
+        assert closure_tables(n, ring.add, ring.mul) == closure_tables(n, add, mul)
+    assert [ring.neg(a) for a in range(n)] == [neg(a) for a in range(n)]
+    assert (ring.zero, ring.one) == (zero, one)
+
+
+@pytest.mark.parametrize("which", ["add", "mul"])
+@pytest.mark.parametrize("bad", [3, -1, 1.0, "2"])
+def test_table_ring_rejects_entries_outside_the_ring(which, bad):
+    Z3 = cyclic_ring(3)
+    tables = dict(zip(("add", "mul"), closure_tables(3, Z3.add, Z3.mul)))
+    tables[which][2][1] = bad
+    with pytest.raises(RingAxiomError,
+                       match=rf"^{which} table entry {bad!r} at \(2,1\) is not an element 0..2$"):
+        table_ring(tables["add"], tables["mul"])
+
+
+def test_table_ring_owns_copies_of_its_rows():
+    Z3 = cyclic_ring(3)
+    add, mul = closure_tables(3, Z3.add, Z3.mul)
+    ring = table_ring(add, mul)
+    add[1][1], mul[2][2] = 0, 0
+    assert (ring.add(1, 1), ring.mul(2, 2)) == (2, 1)
+
+
+UNIT_RINGS = [*(gallery_ring(name) for name in gallery_names()),
+              matrix_ring(cyclic_ring(3), 2), matrix_ring(cyclic_ring(4), 2),
+              upper_triangular_ring(cyclic_ring(2), 3)]
+
+
+@pytest.mark.parametrize("ring", UNIT_RINGS, ids=lambda r: r.name)
+def test_units_and_inverses_match_scan(ring):
+    want = units_by_scan(ring)
+    assert units(ring) == sorted(want)
+    assert {u: unit_inverse(ring, u) for u in want} == want
+    non_unit = next((x for x in range(ring.size) if x not in want), None)
+    if non_unit is not None:
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_inverse(ring, non_unit)
+
+
+SMALL_RINGS = [
+    *(cyclic_ring(n) for n in range(1, 9)),
+    *(_small_product(*ms) for ms in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 2, 2))),
+    upper_triangular_ring(cyclic_ring(2), 2),
+    gf4(),
+    product_ring(cyclic_ring(2), gf4()),
+]
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: r.name)
+def test_automorphisms_match_brute_force_in_order(ring):
+    ident = tuple(range(ring.size))
+    found = brute_force_automorphism_perms(ring)
+    assert [a.perm for a in automorphisms(ring)] == [ident] + sorted(found - {ident})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_automorphisms_of_f2_power_are_the_coordinate_permutations(k):
+    assert len(automorphisms(_small_product(*[2] * k))) == factorial(k)
+
+
+AUT_RINGS = [
+    cyclic_ring(6),
+    product_ring(cyclic_ring(2), cyclic_ring(2)),
+    product_ring(cyclic_ring(3), cyclic_ring(3)),
+    upper_triangular_ring(cyclic_ring(2), 2),
+    matrix_ring(cyclic_ring(2), 2),
+    gf4(),
+    product_ring(cyclic_ring(2), gf4()),
+]
+AUT_GROUPS = {ring.name: automorphisms(ring) for ring in AUT_RINGS}
+
+
+def _aut_outcome(check, aut):
+    try:
+        check(aut)
+    except RingAxiomError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_automorphism_validation_matches_pair_scan(data):
+    ring = data.draw(st.sampled_from(AUT_RINGS), label="ring")
+    n = ring.size
+    perm = list(data.draw(st.sampled_from(AUT_GROUPS[ring.name])).perm)
+    element = st.integers(0, n - 1)
+    # Transpositions make non-automorphisms, some of which move 1; copying
+    # one image over another makes a non-bijection.
+    for _ in range(data.draw(st.integers(0, 2), label="swaps")):
+        a, b = data.draw(element), data.draw(element)
+        perm[a], perm[b] = perm[b], perm[a]
+    if data.draw(st.booleans(), label="copy"):
+        perm[data.draw(element)] = perm[data.draw(element)]
+    aut = RingAut(ring, perm)
+    assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 5), (0, 1, -1), (0, 1)])
+def test_automorphism_images_outside_the_ring_are_not_a_bijection(perm):
+    with pytest.raises(RingAxiomError, match="not a bijection"):
+        RingAut(cyclic_ring(3), perm, validate=True)
