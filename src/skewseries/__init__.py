@@ -52,7 +52,6 @@ from .ideals import (
     IdealSet,
     SUnitalResult,
     WitnessNotFoundError,
-    all_left_ideals,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,

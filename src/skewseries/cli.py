@@ -7,7 +7,10 @@ rerun with the same seed produces a byte-identical file.  Exit codes:
     0  every requested check passed / verdict true
     1  some property verdict is false (counterexample embedded in report)
     2  coherence alarm: a guaranteed conclusion failed to verify
-    3  spec error (unparseable, invalid, or budget exceeded)
+    3  spec error (unparseable or invalid)
+
+The ``mode`` key and ``--mode`` are accepted, and validated, for older job
+files; every subset quantifier is decided exactly, so they change nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +23,17 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .gallery import gallery_ring, list_gallery, named_automorphism
-from .ideals import is_right_s_unital, left_annihilator, left_ideal_generated
+from .ideals import (
+    is_right_s_unital,
+    left_annihilator,
+    left_ideal_generated,
+    right_annihilator,
+)
 from .monoids import OrderedMonoid, UnsupportedOrderError, make_monoid
 from .properties import (
     PropertyReport,
+    idempotent_generator_left,
+    idempotent_generator_right,
     is_left_app,
     is_left_pq_baer,
     is_quasi_baer,
@@ -36,7 +46,6 @@ from .rings import (
     RingAut,
     RingAxiomError,
     cyclic_ring,
-    idempotents,
     matrix_ring,
     product_ring,
     table_ring,
@@ -274,7 +283,7 @@ def parse_series(raw: str, action: OmegaAction) -> SkewSeries:
 # check execution
 
 def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
-               job: JobSpec, mode: str, trials: int, seed: int) -> PropertyReport:
+               job: JobSpec, trials: int, seed: int) -> PropertyReport:
     if check == "left_app":
         return is_left_app(ring)
     if check == "pq_baer":
@@ -286,14 +295,13 @@ def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
     if check == "reduced":
         return is_reduced(ring)
     if check == "orbit_condition":
-        return orbit_annihilators_s_unital(ring, action, mode=mode,
-                                           trials=trials, seed=seed)
+        return orbit_annihilators_s_unital(ring, action)
     if check == "obstructions":
         return annihilator_obstructions(ring, action)
     if check == "coefficientwise":
         return coefficientwise_harness(ring, action, pairs=trials, seed=seed)
     if check == "app_equivalence":
-        return app_equivalence_check(ring, action, pairs=trials, seed=seed, mode=mode)
+        return app_equivalence_check(ring, action, pairs=trials, seed=seed)
     if check == "witness_paths":
         return witness_paths_agree(ring, action, instances=trials, seed=seed)
     if check == "pair_annihilation":
@@ -312,8 +320,7 @@ def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
         alpha = _resolve_automorphism(ring, job.get("action.alpha", "identity"))
         beta = _resolve_automorphism(ring, job.get("action.beta", "identity"))
         try:
-            return run_preset(preset_by_name(check), ring, alpha, beta,
-                              mode=mode, seed=seed)
+            return run_preset(preset_by_name(check), ring, alpha, beta)
         except ValueError as exc:
             raise JobSpecError(f"preset {check}: {exc}")
     raise JobSpecError(f"unknown check: {check}")
@@ -325,9 +332,8 @@ def _series_terms(series: SkewSeries) -> list:
 
 
 def run_job(job: JobSpec, out_path: str | None = None,
-            mode_override: str | None = None, trials_override: int | None = None,
-            seed_override: int | None = None, record_timings: bool = False,
-            stream=None) -> int:
+            trials_override: int | None = None, seed_override: int | None = None,
+            record_timings: bool = False, stream=None) -> int:
     """Execute a job, write its report, and return the exit code."""
     stream = stream if stream is not None else sys.stdout
     diags = validate(job)
@@ -336,7 +342,6 @@ def run_job(job: JobSpec, out_path: str | None = None,
             print(f"spec error: {d}", file=stream)
         return 3
 
-    mode = mode_override or job.get("mode", "exhaustive")
     trials = trials_override if trials_override is not None else job.get_int("trials", 1000)
     seed = seed_override if seed_override is not None else job.get_int("seed", 0)
     out_path = out_path or job.get("out", "report.json")
@@ -357,7 +362,7 @@ def run_job(job: JobSpec, out_path: str | None = None,
     for check in job.checks():
         t0 = time.perf_counter()
         try:
-            report = _run_check(check, ring, action, job, mode, trials, seed)
+            report = _run_check(check, ring, action, job, trials, seed)
         except CoherenceAlarm as exc:
             alarm = f"{check}: {exc}"
             exit_code = 2
@@ -445,15 +450,12 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
             target = left_annihilator(frozenset(counter["ideal"]), ring)
         if target.sorted_members() != counter["annihilator"]:
             return False
-        return all(left_ideal_generated({e}, ring).members != target.members
-                   for e in idempotents(ring))
+        return idempotent_generator_left(ring, target.members) is None
     if check == "right_pp":
-        from .ideals import right_annihilator
         ann = right_annihilator({counter["element"]}, ring)
         if ann.sorted_members() != counter["annihilator"]:
             return False
-        return all(frozenset(ring.mul(e, r) for r in ring.elements()) != ann.members
-                   for e in idempotents(ring))
+        return idempotent_generator_right(ring, ann.members) is None
     if check == "reduced":
         a = counter["element"]
         return a != ring.zero and ring.mul(a, a) == ring.zero
@@ -497,7 +499,8 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="run the checks in a job spec")
     run_p.add_argument("spec", nargs="?", help="path to the job spec file")
-    run_p.add_argument("--mode", choices=["exhaustive", "sampled"])
+    run_p.add_argument("--mode", choices=["exhaustive", "sampled"],
+                       help="accepted for compatibility; changes nothing")
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", help="report output path")
@@ -544,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, JobSpecError) as exc:
         print(f"spec error: {exc}")
         return 3
-    return run_job(job, out_path=args.out, mode_override=args.mode,
+    return run_job(job, out_path=args.out,
                    trials_override=args.trials, seed_override=args.seed,
                    record_timings=args.record_timings)
 

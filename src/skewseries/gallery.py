@@ -98,8 +98,7 @@ def list_gallery() -> list[dict]:
 
 
 # The default batch of (ring name, automorphism name) contexts the test
-# harnesses sweep.  All rings here have at most 16 elements, so subset scans
-# stay exhaustive.
+# harnesses sweep.  All rings here have at most 16 elements.
 STANDARD_CONTEXTS: tuple[tuple[str, str], ...] = (
     ("Z2", "identity"),
     ("Z3", "identity"),

@@ -156,39 +156,3 @@ def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
             return x
     raise WitnessNotFoundError(
         f"no common witness in {ideal.describe()} for {sorted(subset)}")
-
-
-def principal_left_ideals(ring: FiniteRing) -> list[frozenset[int]]:
-    """Distinct member sets of R*a over all a, sorted for determinism."""
-    seen = {left_ideal_generated({a}, ring).members for a in ring.elements()}
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def _join(ring: FiniteRing, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    # sum of two additive subgroups is already closed: {x+y}
-    return frozenset(ring.add(x, y) for x in a for y in b)
-
-
-def all_left_ideals(ring: FiniteRing, size_cap: int = 16) -> list[IdealSet]:
-    """Every left ideal, via joins of principal left ideals.
-
-    Each left ideal is the sum of the principal ideals of its elements, so
-    closing the principal ideals under pairwise join enumerates them all.
-    """
-    if ring.size > size_cap:
-        raise ValueError(
-            f"{ring.name} has {ring.size} elements; left-ideal enumeration "
-            f"capped at {size_cap}")
-    found = set(principal_left_ideals(ring))
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(found):
-                j = _join(ring, a, b)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [IdealSet(ring, m) for m in ordered]

@@ -5,17 +5,20 @@ is left APP, left p.q.-Baer, quasi-Baer, right PP, or reduced, and whether
 the orbit annihilators of a twisted-series context are right s-unital for
 every subset of coefficients.  A false verdict always carries a concrete
 counterexample; a true verdict carries enough witness data to replay it.
+
+Both subset quantifiers reduce to finite families through one identity: the
+left annihilator of a sum of left ideals is the intersection of their left
+annihilators.  The quasi-Baer check closes {l(R*a)} under intersection.  The
+orbit condition needs only the singletons, because an intersection of
+two-sided right s-unital ideals is again right s-unital.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
 from .ideals import (
-    IdealSet,
-    all_left_ideals,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,
@@ -75,14 +78,16 @@ def is_left_app(ring: FiniteRing) -> PropertyReport:
                           time.perf_counter() - t0)
 
 
-def _idempotent_generator_left(ring: FiniteRing, target: frozenset[int]) -> int | None:
+def idempotent_generator_left(ring: FiniteRing, target: frozenset[int]) -> int | None:
+    """The first idempotent e with R*e == target, or None."""
     for e in idempotents(ring):
         if left_ideal_generated({e}, ring).members == target:
             return e
     return None
 
 
-def _idempotent_generator_right(ring: FiniteRing, target: frozenset[int]) -> int | None:
+def idempotent_generator_right(ring: FiniteRing, target: frozenset[int]) -> int | None:
+    """The first idempotent e with e*R == target, or None."""
     for e in idempotents(ring):
         generated = frozenset(ring.mul(e, r) for r in ring.elements())
         if generated == target:
@@ -96,7 +101,7 @@ def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
     gens = []
     for a in ring.elements():
         ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
-        e = _idempotent_generator_left(ring, ann.members)
+        e = idempotent_generator_left(ring, ann.members)
         if e is None:
             return PropertyReport(
                 ring.name, "is_left_pq_baer", False,
@@ -107,21 +112,34 @@ def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
                           {"idempotent_generators": gens}, time.perf_counter() - t0)
 
 
-def is_quasi_baer(ring: FiniteRing, size_cap: int = 16) -> PropertyReport:
+def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
     """Quasi-Baer: the left annihilator of every left ideal has an idempotent
-    generator.  Left ideals are fully enumerated, so the ring size is capped."""
+    generator.
+
+    For a left ideal I, l(I) is the intersection of l(R*a) over a in I
+    (a = 0 gives R), so the annihilators to check are the family {l(R*a)}
+    closed under intersection, taken in (size, members) order.  A failing
+    annihilator T is reported with the left ideal r(T), whose left
+    annihilator is T again.
+    """
     t0 = time.perf_counter()
+    principal = {left_annihilator(left_ideal_generated({a}, ring).members, ring).members
+                 for a in ring.elements()}
+    family = set(principal)
+    frontier = principal
+    while frontier:
+        frontier = {t & p for t in frontier for p in principal} - family
+        family |= frontier
     gens = []
-    for ideal in all_left_ideals(ring, size_cap=size_cap):
-        ann = left_annihilator(ideal.members, ring)
-        e = _idempotent_generator_left(ring, ann.members)
+    for ann in sorted(family, key=lambda s: (len(s), sorted(s))):
+        ideal = right_annihilator(ann, ring).sorted_members()
+        e = idempotent_generator_left(ring, ann)
         if e is None:
             return PropertyReport(
                 ring.name, "is_quasi_baer", False,
-                {"counterexample": {"ideal": ideal.sorted_members(),
-                                    "annihilator": ann.sorted_members()}},
+                {"counterexample": {"ideal": ideal, "annihilator": sorted(ann)}},
                 time.perf_counter() - t0)
-        gens.append([ideal.sorted_members(), e])
+        gens.append([ideal, e])
     return PropertyReport(ring.name, "is_quasi_baer", True,
                           {"idempotent_generators": gens}, time.perf_counter() - t0)
 
@@ -133,7 +151,7 @@ def is_right_pp(ring: FiniteRing) -> PropertyReport:
     gens = []
     for a in ring.elements():
         ann = right_annihilator({a}, ring)
-        e = _idempotent_generator_right(ring, ann.members)
+        e = idempotent_generator_right(ring, ann.members)
         if e is None:
             return PropertyReport(
                 ring.name, "is_right_pp", False,
@@ -159,141 +177,45 @@ def is_reduced(ring: FiniteRing) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # the subset-quantified orbit annihilator condition
 
-def _singleton_orbit_ideals(ring: FiniteRing, action: OmegaAction) -> list[frozenset[int]]:
-    return [orbit_ideal({a}, action).members for a in ring.elements()]
-
-
-def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction,
-                                mode: str = "exhaustive",
-                                subset_budget: int = 1 << 16,
-                                trials: int = 1000,
-                                seed: int = 0) -> PropertyReport:
+def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> PropertyReport:
     """Is l(sum over a in A of the orbit ideal of a) right s-unital for every
     nonempty subset A of the ring?
 
-    Exhaustive mode scans all 2^n - 1 subsets via dynamic programming on
-    bitmasks (the orbit-ideal sum of A is the join of the per-element orbit
-    ideals, and distinct joins are few).  Sampled mode covers all singletons,
-    all pairs, the full set, and ``trials`` seeded random subsets.
-
-    ``mode="singletons"`` restricts the quantifier to one-element subsets,
-    which is the hypothesis the coefficientwise-annihilation results need.
+    Scanning the singletons decides this exactly.  The annihilator of the sum
+    is the intersection of the annihilators l(O(a)), a in A, of the orbit
+    ideals O(a).  Each O(a) is a left ideal, so each l(O(a)) is two-sided,
+    and the intersection of two-sided right s-unital ideals I and J is right
+    s-unital: if b = b*x with x in I and b = b*y with y in J, then y*x lies
+    in both and b*(y*x) = b.  So every subset passes exactly when every
+    singleton does, and the least failing element gives the first failing
+    subset in bitmask order.
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     t0 = time.perf_counter()
-    n = ring.size
-    per_element = _singleton_orbit_ideals(ring, action)
-    check_cache: dict[frozenset[int], object] = {}
-
-    def check_ideal(members: frozenset[int]):
-        hit = check_cache.get(members)
+    checked: dict[frozenset[int], tuple] = {}
+    for a in ring.elements():
+        members = orbit_ideal({a}, action).members
+        hit = checked.get(members)
         if hit is None:
             ann = left_annihilator(members, ring)
-            hit = (ann, is_right_s_unital(ann))
-            check_cache[members] = hit
-        return hit
-
-    def fail_report(subset: list[int], ann: IdealSet, res) -> PropertyReport:
-        return PropertyReport(
-            ring.name, "orbit_annihilators_s_unital", False,
-            {"mode": mode,
-             "counterexample": {
-                 "subset": subset,
-                 "annihilator": ann.sorted_members(),
-                 "unwitnessed": res.failing,
-             }},
-            time.perf_counter() - t0)
-
-    def subsets_to_scan():
-        if mode == "singletons":
-            for a in ring.elements():
-                yield [a]
-            return
-        if mode != "sampled":
-            raise ValueError(f"unknown mode: {mode}")
-        for a in ring.elements():
-            yield [a]
-        for a in ring.elements():
-            for b in range(a + 1, n):
-                yield [a, b]
-        yield list(ring.elements())
-        rng = random.Random(seed)
-        for _ in range(trials):
-            size = rng.randint(1, n)
-            yield sorted(rng.sample(range(n), size))
-
-    if mode == "exhaustive":
-        if (1 << n) > subset_budget:
-            raise ValueError(
-                f"exhaustive mode needs 2^{n} subsets; budget is {subset_budget}")
-        interned: dict[frozenset[int], int] = {}
-        pool: list[frozenset[int]] = []
-
-        def intern(members: frozenset[int]) -> int:
-            idx = interned.get(members)
-            if idx is None:
-                idx = len(pool)
-                interned[members] = idx
-                pool.append(members)
-            return idx
-
-        zero_ideal = intern(frozenset({ring.zero}))
-        elem_ids = [intern(m) for m in per_element]
-        join_cache: dict[tuple[int, int], int] = {}
-
-        def join_ids(i: int, j: int) -> int:
-            if i > j:
-                i, j = j, i
-            hit = join_cache.get((i, j))
-            if hit is None:
-                a, b = pool[i], pool[j]
-                hit = intern(frozenset(ring.add(x, y) for x in a for y in b))
-                join_cache[(i, j)] = hit
-            return hit
-
-        ideal_of_mask = [zero_ideal] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            ideal_of_mask[mask] = join_ids(ideal_of_mask[mask ^ (1 << low)],
-                                           elem_ids[low])
-            ann, res = check_ideal(pool[ideal_of_mask[mask]])
-            if not res.holds:
-                subset = [i for i in range(n) if mask & (1 << i)]
-                return fail_report(subset, ann, res)
-        evidence = []
-        for members in sorted(interned, key=lambda s: (len(s), sorted(s))):
-            ann, res = check_ideal(members)
-            evidence.append({
-                "orbit_ideal": sorted(members),
-                "annihilator": ann.sorted_members(),
-                "witnesses": sorted([a, x] for a, x in res.witnesses.items()),
-            })
-        return PropertyReport(
-            ring.name, "orbit_annihilators_s_unital", True,
-            {"mode": mode, "subsets_scanned": (1 << n) - 1,
-             "distinct_orbit_ideals": evidence},
-            time.perf_counter() - t0)
-
-    scanned = 0
-    evidence = {}
-    for subset in subsets_to_scan():
-        members = frozenset({ring.zero})
-        for a in subset:
-            members = frozenset(ring.add(x, y) for x in members for y in per_element[a])
-        ann, res = check_ideal(members)
-        scanned += 1
+            hit = checked[members] = (ann, is_right_s_unital(ann))
+        ann, res = hit
         if not res.holds:
-            return fail_report(list(subset), ann, res)
-        key = tuple(sorted(members))
-        if key not in evidence:
-            evidence[key] = {
-                "orbit_ideal": sorted(members),
-                "annihilator": ann.sorted_members(),
-                "witnesses": sorted([a, x] for a, x in res.witnesses.items()),
-            }
+            return PropertyReport(
+                ring.name, "orbit_annihilators_s_unital", False,
+                {"counterexample": {
+                    "subset": [a],
+                    "annihilator": ann.sorted_members(),
+                    "unwitnessed": res.failing,
+                }},
+                time.perf_counter() - t0)
+    evidence = [{"orbit_ideal": sorted(members),
+                 "annihilator": ann.sorted_members(),
+                 "witnesses": sorted([b, x] for b, x in res.witnesses.items())}
+                for members, (ann, res) in sorted(
+                    checked.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
     return PropertyReport(
         ring.name, "orbit_annihilators_s_unital", True,
-        {"mode": mode, "subsets_scanned": scanned,
-         "distinct_orbit_ideals": [evidence[k] for k in sorted(evidence)]},
+        {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence},
         time.perf_counter() - t0)

@@ -295,8 +295,9 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     and ``cell_product`` (a map of two cell lists to their product's).
 
     The cells split into a low half of L values and a high half, so that
-    y = hi + lo with lo = y % L and hi = y - lo.  Addition adds the halves in
-    their own tables.  Left multiplication by x is additive, so
+    y = hi + lo, where hi keeps the high cells of y and lo the low ones, each
+    padded with the base's zero (which need not be index 0).  Addition adds
+    the halves in their own tables.  Left multiplication by x is additive, so
     x*y = x*hi + x*lo, and the tabled row of x takes the L products x*lo and
     the size/L products x*hi instead of size products.
     """
@@ -321,9 +322,11 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     def cell_mul(x, y):
         return _undigits(cell_product(_digits(x, bs, ncells), _digits(y, bs, ncells)), bs)
 
+    zero_lo = _undigits([base.zero] * low, bs)
+    zero_hi = _undigits([base.zero] * (ncells - low), bs) * L
     if size <= TABLE_LIMIT:
         add = _product_rows(hi_sum, lo_sum, L)
-        highs, lows = range(0, size, L), range(L)
+        highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
         mul = []
         for x in range(size):
             by_lo = [cell_mul(x, y) for y in lows]
@@ -337,7 +340,7 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     def neg(x):
         return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
 
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=0,
+    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
                       one=_undigits(one_cells, bs), name=name, element_repr=element_repr)
 
 

@@ -380,8 +380,7 @@ def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
 
 def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
                           pairs: int = 1000, max_support: int = 4,
-                          seed: int = 0, mode: str = "exhaustive",
-                          chain_search: bool = False) -> PropertyReport:
+                          seed: int = 0, chain_search: bool = False) -> PropertyReport:
     """Desk-scale rendering of the main equivalence for one context.
 
     When the orbit annihilator condition holds for all subsets, the witness
@@ -391,7 +390,7 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     otherwise the verdict mirrors the condition itself.
     """
     t0 = time.perf_counter()
-    condition = orbit_annihilators_s_unital(ring, action, mode=mode, seed=seed)
+    condition = orbit_annihilators_s_unital(ring, action)
     if condition.verdict:
         rng = random.Random(seed)
         witnesses_seen = set()
@@ -509,11 +508,11 @@ def preset_by_name(name: str) -> Preset:
 
 
 def run_preset(preset: Preset, ring: FiniteRing,
-               alpha: RingAut | None = None, beta: RingAut | None = None,
-               mode: str = "exhaustive", seed: int = 0) -> PropertyReport:
+               alpha: RingAut | None = None,
+               beta: RingAut | None = None) -> PropertyReport:
     """Check the subset orbit annihilator condition under a preset context."""
     _, action = preset.build(ring, alpha, beta)
-    report = orbit_annihilators_s_unital(ring, action, mode=mode, seed=seed)
+    report = orbit_annihilators_s_unital(ring, action)
     report.name = f"preset_{preset.name}"
     report.witnesses = {"preset": preset.name, **report.witnesses}
     return report

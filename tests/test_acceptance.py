@@ -15,7 +15,7 @@ import pytest
 
 from skewseries.cli import JobSpec, run_job
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
-from skewseries.ideals import all_left_ideals, is_right_s_unital
+from skewseries.ideals import is_right_s_unital
 from skewseries.monoids import make_monoid, sample_pool
 from skewseries.properties import is_left_app, orbit_annihilators_s_unital
 from skewseries.rings import cyclic_ring, identity_automorphism
@@ -36,7 +36,7 @@ from skewseries.theorems import (
     witness_paths_agree,
 )
 
-from oracles import dirichlet_value
+from oracles import all_left_ideals, dirichlet_value
 
 NAT = make_monoid("NatAdd")
 

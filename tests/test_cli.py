@@ -166,7 +166,7 @@ def test_run_invalid_spec_exits_three(tmp_path):
     assert "monoid.kind required" in buf.getvalue()
 
 
-def test_budget_exceeded_is_a_spec_error(tmp_path):
+def test_exhaustive_orbit_job_on_z32_replays(tmp_path):
     text = """
 ring.kind = gallery
 ring.name = Z32
@@ -174,9 +174,62 @@ monoid.kind = NatAdd
 checks = orbit_condition
 mode = exhaustive
 """
-    code, _, log = run_to_file(text, tmp_path)
+    code, out, _ = run_to_file(text, tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    assert tree["witnesses"][0]["counterexample"]["subset"] == [2]
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+    assert "counterexample confirmed" in buf.getvalue()
+
+
+def test_quasi_baer_counterexample_on_z32_replays(tmp_path):
+    text = """
+ring.kind = gallery
+ring.name = Z32
+monoid.kind = NatAdd
+checks = quasi_baer
+"""
+    code, out, _ = run_to_file(text, tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    assert tree["witnesses"][0]["counterexample"]["annihilator"] == [0, 16]
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+    assert "counterexample confirmed" in buf.getvalue()
+
+
+MODE_JOB = """
+ring.kind = gallery
+ring.name = M2F2
+monoid.kind = NatAdd
+action.alpha = inner:6
+checks = left_app, orbit_condition, app_equivalence, skew_power_series
+trials = 40
+seed = 77
+"""
+
+
+def test_mode_is_accepted_and_changes_nothing(tmp_path):
+    code, _, log = run_to_file(MODE_JOB + "mode = thorough\n", tmp_path, name="bad.json")
     assert code == 3
-    assert "budget" in log
+    assert "mode: expected exhaustive or sampled" in log
+
+    code, plain, _ = run_to_file(MODE_JOB, tmp_path, name="plain.json")
+    assert code == 0
+    for mode in ("exhaustive", "sampled"):
+        code, keyed, _ = run_to_file(MODE_JOB + f"mode = {mode}\n", tmp_path,
+                                     name=f"{mode}.json")
+        assert code == 0
+        tree = json.loads(keyed.read_text())
+        assert tree["job"].pop("mode") == mode
+        assert json.dumps(tree, sort_keys=True, indent=2) + "\n" == plain.read_text()
+
+    spec = tmp_path / "job.txt"
+    spec.write_text(MODE_JOB)
+    flagged = tmp_path / "flagged.json"
+    assert main(["run", str(spec), "--mode", "sampled", "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 def test_sampled_mode_handles_larger_rings(tmp_path):

@@ -11,7 +11,6 @@ from skewseries.ideals import (
     TWO_SIDED,
     IdealSet,
     additive_closure,
-    all_left_ideals,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,
@@ -31,6 +30,7 @@ from skewseries.series import single_generator_action, trivial_action
 
 from oracles import (
     additive_closure_by_fixpoint,
+    all_left_ideals,
     closure_flavor,
     smallest_left_ideal_containing,
 )

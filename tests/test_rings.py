@@ -361,6 +361,36 @@ def test_factory_tables_match_closure_tables(build, ops, whole):
     assert (ring.zero, ring.one) == (zero, one)
 
 
+def _relabelled_cyclic(b: int, perm: list[int]):
+    """Z_b with each x stored at index perm[x]."""
+    add_t = [[0] * b for _ in range(b)]
+    mul_t = [[0] * b for _ in range(b)]
+    for x in range(b):
+        for y in range(b):
+            add_t[perm[x]][perm[y]] = perm[(x + y) % b]
+            mul_t[perm[x]][perm[y]] = perm[x * y % b]
+    return table_ring(add_t, mul_t)
+
+
+@pytest.mark.parametrize("b, perm", [(2, [1, 0]), (3, [2, 0, 1]), (3, [1, 2, 0])])
+@pytest.mark.parametrize("triangular", [False, True])
+def test_cell_rings_over_a_base_whose_zero_is_not_index_0(b, perm, triangular):
+    base = _relabelled_cyclic(b, perm)
+    assert base.zero == perm[0] != 0
+    ring = (upper_triangular_ring if triangular else matrix_ring)(base, 2)
+    add, mul, neg, zero, one = matrix_ops(b, 2, triangular)
+    ncells = 3 if triangular else 4
+    n = ring.size
+    # the index in ``ring`` of the matrix packed as x over the cyclic Z_b
+    phi = [sum(perm[x // b ** t % b] * b ** t for t in range(ncells)) for x in range(n)]
+    assert (ring.zero, ring.one) == (phi[zero], phi[one])
+    for x in range(n):
+        assert ring.neg(phi[x]) == phi[neg(x)]
+        for y in range(n):
+            assert ring.add(phi[x], phi[y]) == phi[add(x, y)]
+            assert ring.mul(phi[x], phi[y]) == phi[mul(x, y)]
+
+
 @pytest.mark.parametrize("which", ["add", "mul"])
 @pytest.mark.parametrize("bad", [3, -1, 1.0, "2"])
 def test_table_ring_rejects_entries_outside_the_ring(which, bad):
