@@ -254,7 +254,11 @@ def build_action(job: JobSpec, monoid: OrderedMonoid, ring: FiniteRing) -> Omega
 
 
 def parse_series(raw: str, action: OmegaAction) -> SkewSeries:
-    """Series literal: 'exp:coeff; exp:coeff', pair exponents as m,n."""
+    """Series literal: 'exp:coeff; exp:coeff', pair exponents as m,n.
+
+    Each coeff is a ring element, an int in 0..n-1 for a ring of n elements.
+    """
+    n = action.ring.size
     terms = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -272,6 +276,9 @@ def parse_series(raw: str, action: OmegaAction) -> SkewSeries:
                 exp = int(exp_raw)
         except ValueError:
             raise JobSpecError(f"series term {chunk!r}: bad integers")
+        if not 0 <= coeff < n:
+            raise JobSpecError(f"series term {chunk!r}: coefficient {coeff} is not "
+                               f"an element of {action.ring.name} (0..{n - 1})")
         terms.append((exp, coeff))
     try:
         return from_terms(action, terms)
@@ -426,7 +433,11 @@ def replay(report_path: str, stream=None) -> int:
     for verdict in false_verdicts:
         check = verdict["check"]
         witness = tree["witnesses"][verdict["witness_ref"]]
-        ok = _replay_one(check, witness, ring, action, job)
+        try:
+            ok = _replay_one(check, witness, ring, action, job)
+        except JobSpecError as exc:
+            print(f"replay error: {exc}", file=stream)
+            return 3
         status = "confirmed" if ok else "NOT REPRODUCED"
         print(f"replay {check}: counterexample {status}", file=stream)
         if not ok:

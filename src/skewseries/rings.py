@@ -86,6 +86,14 @@ class FiniteRing:
             return self._mul_rows[a][b]
         return self._mul(a, b)
 
+    @property
+    def tables(self) -> tuple[list[list[int]], list[list[int]]] | None:
+        """The rows of the (addition, multiplication) tables, or None when
+        the ring computes through closures.  Callers must not modify them."""
+        if self._add_rows is None:
+            return None
+        return self._add_rows, self._mul_rows
+
     def neg(self, a: int) -> int:
         return self._neg_row[a]
 

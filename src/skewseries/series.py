@@ -10,6 +10,11 @@ finite supports every product is exact; no truncation is involved anywhere.
 
 Series are canonical (zero coefficients are never stored), so equality to
 zero is a structural test.
+
+``convolve`` multiplies term by term, except when the ring is tabled and the
+right factor has more terms than the ring has nonzero elements.  Then some
+coefficient value of g must repeat, and the product is formed once per
+coefficient class of g instead of once per term (see ``convolve``).
 """
 
 from __future__ import annotations
@@ -221,14 +226,42 @@ class SkewSeries:
 
 
 def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
-    """The exact twisted product of two finitely supported series."""
+    """The exact twisted product of two finitely supported series.
+
+    f(u) * w_u(g(v)) depends on v only through the value g(v).  So when the
+    ring is tabled and g has more terms than the ring has nonzero elements,
+    g's exponents are grouped by coefficient value c, and each u in supp(f)
+    makes one product t = f(u) * w_u(c) per group.  A zero t skips the whole
+    group; a nonzero t is added into the exponent op(u, v) of every v in the
+    group through row t of the addition table.  Below that size (where no
+    value need repeat) and over untabled rings, each pair of terms is
+    multiplied on its own.
+    """
     f._require_same_context(g)
     action = f.action
     ring = action.ring
-    op = action.monoid.op
     zero = ring.zero
-    add, mul = ring.add, ring.mul
     out: dict = {}
+    tables = ring.tables
+    if tables is not None and len(g.coeffs) >= ring.size:
+        plus, times = tables
+        shifts = action.monoid.shifts
+        groups: dict = {}
+        for v, gv in g.coeffs.items():
+            groups.setdefault(gv, []).append(v)
+        get = out.get
+        for u, fu in f.coeffs.items():
+            row = times[fu]
+            twist = action.automorphism(u).perm
+            for c, vs in groups.items():
+                t = row[twist[c]]
+                if t != zero:
+                    plus_t = plus[t]
+                    for s in shifts(u, vs):
+                        out[s] = plus_t[get(s, zero)]
+        return SkewSeries(action, out)
+    op = action.monoid.op
+    add, mul = ring.add, ring.mul
     for u, fu in f.coeffs.items():
         twist = action.automorphism(u).perm
         for v, gv in g.coeffs.items():

@@ -339,3 +339,44 @@ def quasi_baer_by_left_ideals(ring, size_cap: int = 16) -> tuple:
         for ideal in all_left_ideals(ring, size_cap)}
     generated = set(principal.values())
     return all(ann in generated for ann in annihilators), annihilators
+
+
+def convolve_by_terms(f, g):
+    """The twisted product, one term f(u) * w_u(g(v)) at a time."""
+    from skewseries.series import SkewSeries
+
+    action = f.action
+    ring = action.ring
+    op = action.monoid.op
+    out = {}
+    for u, fu in f.coeffs.items():
+        twist = action.automorphism(u).perm
+        for v, gv in g.coeffs.items():
+            term = ring.mul(fu, twist[gv])
+            if term == ring.zero:
+                continue
+            s = op(u, v)
+            acc = out.get(s)
+            out[s] = term if acc is None else ring.add(acc, term)
+    return SkewSeries(action, out)
+
+
+def coefficientwise_by_scan(g, f) -> dict:
+    """The witnesses of the coefficientwise conclusion, by scanning every
+    (u, v, s, r) in order: the first violation, or the products checked."""
+    action = g.action
+    ring = action.ring
+    reps = action.representatives()
+    checked = 0
+    for u, gu in g.coeffs.items():
+        twist_u = action.automorphism(u).perm
+        for v, fv in f.coeffs.items():
+            for s in reps:
+                fv_s = action.apply(s, fv)
+                for r in ring.elements():
+                    checked += 1
+                    if ring.mul(gu, twist_u[ring.mul(r, fv_s)]) != ring.zero:
+                        return {"failure": "conclusion",
+                                "violation": {"u": repr(u), "v": repr(v),
+                                              "s": repr(s), "r": r}}
+    return {"products_checked": checked}

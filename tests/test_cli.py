@@ -323,6 +323,36 @@ seed = 0
     assert "confirmed" in buf.getvalue()
 
 
+
+PAIR_JOB = """
+ring.kind = cyclic
+ring.n = 6
+monoid.kind = NatAdd
+checks = pair_annihilation
+series.g = 0:2; 1:4
+series.f = 0:3
+seed = 0
+"""
+
+
+@pytest.mark.parametrize("bad", ["7", "6", "-1"])
+def test_series_coefficient_outside_the_ring_is_a_spec_error(tmp_path, bad):
+    code, _, log = run_to_file(PAIR_JOB.replace("1:4", f"1:{bad}"), tmp_path)
+    assert code == 3
+    assert f"coefficient {bad} is not an element of Z6 (0..5)" in log
+
+
+def test_replay_of_a_series_coefficient_outside_the_ring_is_an_error(tmp_path):
+    # a report whose job carries a coefficient that no run accepts
+    code, out, _ = run_to_file(PAIR_JOB.replace("1:4", "1:1"), tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    tree["job"]["series.g"] = "0:2; 1:-1"
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert "replay error: series term '1:-1': coefficient -1" in buf.getvalue()
+
 def test_main_entrypoint_subcommands(tmp_path, capsys):
     spec = tmp_path / "job.txt"
     spec.write_text(Z4_JOB)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewseries.monoids import make_monoid, sample_pool
-from skewseries.rings import cyclic_ring, product_ring, swap_automorphism
+from skewseries.gallery import gallery_ring, named_automorphism
+from skewseries.monoids import KINDS, make_monoid, sample_pool
+from skewseries.rings import cyclic_ring, product_ring, swap_automorphism, table_ring
 from skewseries.series import (
     OmegaAction,
     SkewSeries,
@@ -21,7 +22,7 @@ from skewseries.series import (
     zero_series,
 )
 
-from oracles import annihilates_through_random_middles, dirichlet_value
+from oracles import annihilates_through_random_middles, convolve_by_terms, dirichlet_value
 
 F22 = product_ring(cyclic_ring(2), cyclic_ring(2))
 SWAP = swap_automorphism(F22)
@@ -273,3 +274,87 @@ def test_middle_annihilation_agrees_with_random_product_oracle(nat_swap_action):
             assert via_random  # representative test passing forces all products to vanish
         if not via_random:
             assert not via_reps
+
+
+# ---------------------------------------------------------------------------
+# convolve against the term-by-term oracle
+
+def _relabelled_z3():
+    """Z3 with each x stored at index (x + 2) % 3, so the zero is index 2."""
+    add_t = [[(x + y - 2) % 3 for y in range(3)] for x in range(3)]
+    mul_t = [[((x - 2) * (y - 2) + 2) % 3 for y in range(3)] for x in range(3)]
+    return table_ring(add_t, mul_t)
+
+
+Z3_RELABELLED = _relabelled_z3()
+# (ring, generator automorphism): twisted actions and a zero that is not index 0
+DIFF_CONTEXTS = {
+    "Z2": (cyclic_ring(2), None),
+    "Z6": (cyclic_ring(6), None),
+    "Z3 relabelled": (Z3_RELABELLED, None),
+    "F2xF2/swap": (F22, SWAP),
+    "M2F2/inner:6": (gallery_ring("M2F2"), named_automorphism(gallery_ring("M2F2"), "inner:6")),
+}
+
+
+def _action(kind, ring, aut):
+    monoid = make_monoid(kind)
+    if aut is None or kind == "NatMulDirichlet":
+        return trivial_action(monoid, ring)
+    if monoid.kind in ("NatAdd", "IntAdd"):
+        return single_generator_action(monoid, ring, aut)
+    return pair_action(monoid, ring, aut, aut)
+
+
+def test_relabelled_z3_has_its_zero_off_index_0():
+    assert Z3_RELABELLED.zero == 2 and Z3_RELABELLED.tables is not None
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["term_by_term", "grouped"])
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
+    ring, aut = DIFF_CONTEXTS[data.draw(st.sampled_from(sorted(DIFF_CONTEXTS)))]
+    action = _action(kind, ring, aut)
+    n = ring.size
+    # g with more terms than the ring has nonzero elements takes the grouped path
+    g_terms = data.draw(st.integers(n, 2 * n) if grouped else st.integers(0, n - 1))
+    pool = sample_pool(action.monoid, 6 if "Pair" in kind else 40)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+
+    def series(terms):
+        exps = data.draw(st.lists(st.sampled_from(pool), min_size=terms,
+                                  max_size=terms, unique=True))
+        return SkewSeries(action, {s: data.draw(st.sampled_from(nonzero)) for s in exps})
+
+    f, g = series(data.draw(st.integers(0, 12))), series(g_terms)
+    product = convolve(f, g)
+    assert product == convolve_by_terms(f, g)
+    assert ring.zero not in product.coeffs.values()
+
+
+def test_grouped_product_drops_sums_that_cancel():
+    Z2 = cyclic_ring(2)
+    act = trivial_action(make_monoid("NatAdd"), Z2)
+    one_plus_x = from_terms(act, [(0, 1), (1, 1)])  # two terms: the grouped path
+    square = convolve(one_plus_x, one_plus_x)
+    assert square.coeffs == {0: 1, 2: 1}  # 2x cancels and is not stored
+    assert square == convolve_by_terms(one_plus_x, one_plus_x)
+    act3 = trivial_action(make_monoid("NatAdd"), Z3_RELABELLED)
+    one, minus_one = 0, 1  # Z3 elements 1 and 2 sit at indices 0 and 1
+    f = from_terms(act3, [(0, one), (1, one)])
+    g = from_terms(act3, [(0, one), (1, minus_one), (2, one), (3, minus_one)])
+    product = convolve(f, g)
+    assert product == convolve_by_terms(f, g)
+    assert product.coeffs == {0: one, 4: minus_one}
+
+
+def test_untabled_ring_multiplies_term_by_term():
+    Z257 = cyclic_ring(257)
+    assert Z257.tables is None
+    rng = random.Random(3)
+    act = trivial_action(make_monoid("NatAdd"), Z257)
+    f = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 20)})
+    g = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 300)})
+    assert convolve(f, g) == convolve_by_terms(f, g)

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.monoids import make_monoid
 from skewseries.rings import cyclic_ring, identity_automorphism
 from skewseries.series import (
+    SkewSeries,
     annihilates_via_all_middles,
     constant,
     from_terms,
@@ -22,6 +24,7 @@ from skewseries.theorems import (
     coefficientwise_harness,
     construct_annihilator_witness,
     element_orbit_annihilator,
+    elementwise_condition_holds,
     extract_cascade_witnesses,
     preset_by_name,
     random_annihilating_pair,
@@ -29,6 +32,8 @@ from skewseries.theorems import (
     specialization_presets,
     witness_paths_agree,
 )
+
+from oracles import coefficientwise_by_scan
 
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
@@ -80,6 +85,80 @@ def test_coefficientwise_on_constructed_pairs():
             g, f = random_annihilating_pair(act, rng)
             report = check_coefficientwise_annihilation(g, f)
             assert report.verdict, report.witnesses
+
+
+def test_coefficientwise_matches_scan_on_standard_contexts():
+    rng = random.Random(4)
+    for ring, aut, name, aut_name in standard_contexts():
+        act = nat_action(ring, aut)
+        holds = elementwise_condition_holds(ring, act)
+        for _ in range(25):
+            g, f = random_annihilating_pair(act, rng)
+            report = check_coefficientwise_annihilation(g, f)
+            if not holds:
+                assert report.witnesses["failure"] == "hypothesis", (name, aut_name)
+                continue
+            assert report.verdict, (name, aut_name)
+            assert report.witnesses == coefficientwise_by_scan(g, f), (name, aut_name)
+
+
+# The pair_annihilation shapes of the long-series benchmark: over Z6, g takes
+# values in {2, 4} and f the value 3; a broken pair has 1 on both least exponents.
+PAIR_SHAPES = [("NatAdd", None, list(range(0, 1000))),
+               ("IntAdd", None, list(range(-500, 500))),
+               ("NatPair", "lex", [(i, j) for i in range(40) for j in range(40)]),
+               ("NatMulDirichlet", None, list(range(1, 2001)))]
+
+
+def _z6_pair(kind, order, pool, rng, terms, broken):
+    monoid = make_monoid(kind, order)
+    act = trivial_action(monoid, Z6)
+    g_exps = sorted(rng.sample(pool, terms), key=monoid.sort_key)
+    f_exps = sorted(rng.sample(pool, terms), key=monoid.sort_key)
+    g_coeffs = [rng.choice((2, 4)) for _ in g_exps]
+    f_coeffs = [3] * terms
+    if broken:
+        g_coeffs[0] = f_coeffs[0] = 1
+    return (from_terms(act, list(zip(g_exps, g_coeffs))),
+            from_terms(act, list(zip(f_exps, f_coeffs))))
+
+
+@pytest.mark.parametrize("kind, order, pool", PAIR_SHAPES, ids=[k for k, _, _ in PAIR_SHAPES])
+def test_coefficientwise_matches_scan_on_long_pairs(kind, order, pool, monkeypatch):
+    rng = random.Random(kind)
+    g, f = _z6_pair(kind, order, pool, rng, 200, broken=False)
+    report = check_coefficientwise_annihilation(g, f)
+    assert report.verdict
+    assert report.witnesses == coefficientwise_by_scan(g, f)
+    g, f = _z6_pair(kind, order, pool, rng, 200, broken=True)
+    assert check_coefficientwise_annihilation(g, f).witnesses == {
+        "failure": "hypothesis",
+        "detail": "the pair does not annihilate through all middles"}
+    # without the middle-annihilation hypothesis the conclusion check runs
+    # and must name the same first violation as the scan
+    monkeypatch.setattr(theorems, "annihilates_via_all_middles", lambda g, f: True)
+    report = check_coefficientwise_annihilation(g, f)
+    assert report.witnesses["failure"] == "conclusion"
+    assert report.witnesses == coefficientwise_by_scan(g, f)
+
+
+@pytest.mark.parametrize("ring_name, aut_name", [("Z6", "identity"), ("F2xF2", "swap"),
+                                                 ("M2F2", "inner:6")])
+def test_first_conclusion_violation_matches_scan(ring_name, aut_name, monkeypatch):
+    ring = gallery_ring(ring_name)
+    act = nat_action(ring, named_automorphism(ring, aut_name))
+    assert elementwise_condition_holds(ring, act)
+    monkeypatch.setattr(theorems, "annihilates_via_all_middles", lambda g, f: True)
+    rng = random.Random(ring_name)
+    failures = 0
+    for _ in range(60):
+        g, f = (SkewSeries(act, {s: rng.randrange(ring.size)
+                                 for s in rng.sample(range(8), rng.randint(1, 5))})
+                for _ in range(2))
+        report = check_coefficientwise_annihilation(g, f)
+        assert report.witnesses == coefficientwise_by_scan(g, f)
+        failures += report.witnesses.get("failure") == "conclusion"
+    assert failures > 10
 
 
 # ---------------------------------------------------------------------------
