@@ -242,9 +242,8 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     ring = action.ring
     zero = ring.zero
     out: dict = {}
-    tables = ring.tables
-    if tables is not None and len(g.coeffs) >= ring.size:
-        plus, times = tables
+    if len(g.coeffs) >= ring.size and ring.tables is not None:
+        plus, times = ring.tables
         shifts = action.monoid.shifts
         groups: dict = {}
         for v, gv in g.coeffs.items():
