@@ -438,6 +438,12 @@ def replay(report_path: str, stream=None) -> int:
         except JobSpecError as exc:
             print(f"replay error: {exc}", file=stream)
             return 3
+        except (KeyError, TypeError, IndexError) as exc:
+            # a witness that lacks a key the replay reads, or holds a value
+            # of the wrong shape
+            print(f"replay error: malformed {check} witness "
+                  f"({type(exc).__name__}: {exc})", file=stream)
+            return 3
         status = "confirmed" if ok else "NOT REPRODUCED"
         print(f"replay {check}: counterexample {status}", file=stream)
         if not ok:

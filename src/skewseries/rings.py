@@ -39,11 +39,13 @@ class FiniteRing:
     functions of two indices; a factory may pass the rows of a table instead,
     for a ring of at most ``TABLE_LIMIT`` elements, and the ring then owns
     those lists.  Without ``neg`` each negative is looked up in the addition
-    table.  Instances are immutable after construction and safe to share.
+    table.  Instances are immutable after construction and safe to share;
+    the one lazily filled slot, the additive generating set, is the same
+    tuple whoever fills it.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul", "_neg",
-                 "_add_rows", "_mul_rows", "_neg_row", "_repr_fn")
+                 "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens")
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
@@ -73,6 +75,7 @@ class FiniteRing:
         else:
             self._neg_row = [neg(a) for a in range(size)]
         self._neg = None
+        self._additive_gens = None
         if validate:
             validate_ring(self, seed=seed)
 
@@ -606,17 +609,19 @@ def _additive_order(ring: FiniteRing, a: int) -> int:
     return k
 
 
-def _additive_generators(ring: FiniteRing) -> list[int]:
-    """A small additive generating set, starting with 1."""
-    gens = [ring.one]
-    span = additive_closure(ring, gens)
-    for a in ring.elements():
-        if a not in span:
-            gens.append(a)
-            span = additive_closure(ring, gens)
-            if len(span) == ring.size:
-                break
-    return gens
+def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
+    """A small additive generating set, starting with 1; found once per ring."""
+    if ring._additive_gens is None:
+        gens = [ring.one]
+        span = additive_closure(ring, gens)
+        for a in ring.elements():
+            if a not in span:
+                gens.append(a)
+                span = additive_closure(ring, gens)
+                if len(span) == ring.size:
+                    break
+        ring._additive_gens = tuple(gens)
+    return ring._additive_gens
 
 
 def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:

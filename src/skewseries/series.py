@@ -11,6 +11,21 @@ finite supports every product is exact; no truncation is involved anywhere.
 Series are canonical (zero coefficients are never stored), so equality to
 zero is a structural test.
 
+Series are validated at the boundary.  The public ``SkewSeries(action,
+coeffs)`` checks every exponent against the monoid and every coefficient
+against the ring, and drops zero coefficients.  Paths inside the package
+whose terms are valid by construction build with ``SkewSeries._trusted``,
+which skips those checks and stores its dict as given: ``convolve``'s output
+(op(u, v) of checked exponents is an exponent, and zero sums are dropped
+first), the one-term middles below, and series sampled from ``sample_pool``
+with nonzero coefficients.
+
+The middle quantifier of ``annihilates_via_all_middles`` runs over an
+additive basis.  h -> g*h*f is additive, so g*(sum r_i x^s)*f equals
+sum g*(r_i x^s)*f, and g*(r x^s)*f vanishes for every r in R exactly when it
+vanishes for every r in an additive generating set G of R (one element for
+Z_n, two for F2xF2, four for M2(F2)).
+
 ``convolve`` multiplies term by term, except when the ring is tabled and the
 right factor has more terms than the ring has nonzero elements.  Then some
 coefficient value of g must repeat, and the product is formed once per
@@ -20,7 +35,7 @@ coefficient class of g instead of once per term (see ``convolve``).
 from __future__ import annotations
 
 from .monoids import OrderedMonoid, min_element
-from .rings import FiniteRing, RingAut, identity_automorphism
+from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
 
 
 class OmegaAction:
@@ -68,6 +83,7 @@ class OmegaAction:
             raise ValueError(f"unexpected generator keys for {kind}: {sorted(images)}")
         self._powers = [_power_table(a) for a in self._alphas]
         self._cache: dict = {}
+        self._closure: tuple | None = None
 
     def automorphism(self, s) -> RingAut:
         """The automorphism at exponent s."""
@@ -101,8 +117,14 @@ class OmegaAction:
         Returns (exponent, automorphism) pairs, deterministically ordered,
         covering the full set {w_s : s in S}.  Because every generator image
         has finite order, small nonnegative exponents already realize all
-        values, including those of negative powers.
+        values, including those of negative powers.  Computed once per
+        action; each call returns a fresh list.
         """
+        if self._closure is None:
+            self._closure = tuple(self._compute_closure())
+        return list(self._closure)
+
+    def _compute_closure(self) -> list[tuple]:
         m = self.monoid
         if not self._alphas:
             return [(m.zero, identity_automorphism(self.ring))]
@@ -149,19 +171,37 @@ def pair_action(monoid: OrderedMonoid, ring: FiniteRing,
 
 
 class SkewSeries:
-    """A finitely supported series; immutable once constructed."""
+    """A finitely supported series; immutable once constructed.
+
+    The constructor raises ValueError for an exponent outside the monoid or
+    a coefficient that is not an element index of the ring (an int in
+    0..size-1), and drops zero coefficients.
+    """
 
     __slots__ = ("action", "coeffs")
 
     def __init__(self, action: OmegaAction, coeffs: dict):
-        zero = action.ring.zero
+        ring = action.ring
+        zero, n = ring.zero, ring.size
         clean = {}
         for s, r in coeffs.items():
+            if not isinstance(r, int) or not 0 <= r < n:
+                raise ValueError(f"coefficient {r!r} at exponent {s!r} is not an "
+                                 f"element of {ring.name} (0..{n - 1})")
             if r != zero:
                 action.monoid.check_element(s)
                 clean[s] = r
         self.action = action
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, action: OmegaAction, coeffs: dict) -> "SkewSeries":
+        """A series that owns ``coeffs`` as given, unchecked: every exponent
+        must lie in the monoid and every coefficient be a nonzero element."""
+        series = object.__new__(cls)
+        series.action = action
+        series.coeffs = coeffs
+        return series
 
     @property
     def ring(self) -> FiniteRing:
@@ -258,19 +298,19 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
                     plus_t = plus[t]
                     for s in shifts(u, vs):
                         out[s] = plus_t[get(s, zero)]
-        return SkewSeries(action, out)
-    op = action.monoid.op
-    add, mul = ring.add, ring.mul
-    for u, fu in f.coeffs.items():
-        twist = action.automorphism(u).perm
-        for v, gv in g.coeffs.items():
-            term = mul(fu, twist[gv])
-            if term == zero:
-                continue
-            s = op(u, v)
-            acc = out.get(s)
-            out[s] = term if acc is None else add(acc, term)
-    return SkewSeries(action, out)
+    else:
+        op = action.monoid.op
+        add, mul = ring.add, ring.mul
+        for u, fu in f.coeffs.items():
+            twist = action.automorphism(u).perm
+            for v, gv in g.coeffs.items():
+                term = mul(fu, twist[gv])
+                if term == zero:
+                    continue
+                s = op(u, v)
+                acc = out.get(s)
+                out[s] = term if acc is None else add(acc, term)
+    return SkewSeries._trusted(action, {s: r for s, r in out.items() if r != zero})
 
 
 def zero_series(action: OmegaAction) -> SkewSeries:
@@ -305,11 +345,13 @@ def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries,
                                 s_representatives=None) -> bool:
     """Whether g * h * f == 0 for every series h over the same context.
 
-    By distributivity it is enough to test single-term middles h with
-    coefficient r at exponent s, for all ring elements r; and since the
-    product only depends on s through the automorphism w_s, exponent
+    By distributivity it is enough to test single-term middles h = r x^s.
+    The product depends on s only through the automorphism w_s, so exponent
     representatives covering every attainable automorphism value make the
-    quantifier over the whole monoid finite.
+    quantifier over the monoid finite.  And h -> g*h*f is additive:
+    g*(sum r_i x^s)*f == sum g*(r_i x^s)*f, so r need only run over an
+    additive generating set of R, not over every element.  The middles are
+    built unchecked; given representatives are checked against the monoid.
     """
     g._require_same_context(f)
     if g.is_zero() or f.is_zero():
@@ -317,9 +359,24 @@ def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries,
     action = g.action
     if s_representatives is None:
         s_representatives = action.representatives()
+    else:
+        for s in s_representatives:
+            action.monoid.check_element(s)
+    return _first_failing_middle(g, f, s_representatives,
+                                 _additive_generators(action.ring)) is None
+
+
+def _first_failing_middle(g: SkewSeries, f: SkewSeries, s_representatives,
+                          coefficients):
+    """The first (s, r), exponents outer, with g * (r x^s) * f != 0, or None.
+
+    Exponents must lie in the monoid and coefficients be ring elements.
+    """
+    action = g.action
+    zero = action.ring.zero
     for s in s_representatives:
-        for r in action.ring.elements():
-            mid = single_term(action, r, s)
-            if not convolve(convolve(g, mid), f).is_zero():
-                return False
-    return True
+        for r in coefficients:
+            if r != zero and convolve(convolve(g, SkewSeries._trusted(action, {s: r})),
+                                      f).coeffs:
+                return s, r
+    return None

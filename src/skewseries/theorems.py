@@ -40,16 +40,16 @@ from .ideals import (
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
 from .properties import PropertyReport, orbit_annihilators_s_unital
-from .rings import FiniteRing, RingAut, identity_automorphism
+from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
 from .series import (
     OmegaAction,
     SkewSeries,
+    _first_failing_middle,
     annihilates_via_all_middles,
     constant,
     convolve,
     pair_action,
     single_generator_action,
-    single_term,
     trivial_action,
 )
 
@@ -68,14 +68,16 @@ class CoherenceAlarm(RuntimeError):
 
 
 class _OrbitAnnihilators:
-    """What is cached per action: each element's orbit annihilator, and the
-    first element whose orbit annihilator is not right s-unital (None when
-    every one is), once that has been scanned for."""
+    """What is cached per action: each element's orbit annihilator, the
+    orbit annihilator of each set of elements asked for, and the first
+    element whose orbit annihilator is not right s-unital (None when every
+    one is), once that has been scanned for."""
 
-    __slots__ = ("by_element", "scanned", "first_failing")
+    __slots__ = ("by_element", "by_set", "scanned", "first_failing")
 
     def __init__(self):
         self.by_element: dict[int, IdealSet] = {}
+        self.by_set: dict[frozenset, IdealSet] = {}
         self.scanned = False
         self.first_failing: int | None = None
 
@@ -119,13 +121,17 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
 
     Annihilating a sum of left ideals means annihilating each summand, so
     this is the intersection of the per-element orbit annihilators; an empty
-    input gives the whole ring.
+    input gives the whole ring.  Cached per action and set of elements.
     """
-    ring = action.ring
-    members = frozenset(ring.elements())
-    for a in set(elements):
-        members &= element_orbit_annihilator(a, action).members
-    return IdealSet.classified(ring, members)
+    by_set = _orbit_annihilators(action).by_set
+    key = frozenset(elements)
+    hit = by_set.get(key)
+    if hit is None:
+        members = frozenset(action.ring.elements())
+        for a in key:
+            members &= element_orbit_annihilator(a, action).members
+        hit = by_set[key] = IdealSet.classified(action.ring, members)
+    return hit
 
 
 def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
@@ -133,6 +139,9 @@ def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     return _first_failing_element(action) is None
+
+
+_NOT_THROUGH_MIDDLES = "the pair does not annihilate through all middles"
 
 
 def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> PropertyReport:
@@ -160,8 +169,7 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     if not annihilates_via_all_middles(g, f):
         return PropertyReport(
             ring.name, "coefficientwise_annihilation", False,
-            {"failure": "hypothesis",
-             "detail": "the pair does not annihilate through all middles"},
+            {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES},
             time.perf_counter() - t0)
     # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
     # (g(u), w_u) and the value f(v): decide each (class, value) once.
@@ -314,13 +322,13 @@ def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
                 f"witness {witness} fails to reproduce twisted coefficient {y}")
 
     c_e = constant(action, witness)
-    for s in action.representatives():
-        for r in ring.elements():
-            mid = single_term(action, r, s)
-            if not convolve(convolve(c_e, mid), f).is_zero():
-                raise CoherenceAlarm(
-                    f"witness constant fails to annihilate f through middle "
-                    f"(r={r}, s={s!r})")
+    reps = action.representatives()
+    if _first_failing_middle(c_e, f, reps, _additive_generators(ring)) is not None:
+        # name the first failing middle over all of R, in (s, r) order
+        s, r = _first_failing_middle(c_e, f, reps, ring.elements())
+        raise CoherenceAlarm(
+            f"witness constant fails to annihilate f through middle "
+            f"(r={r}, s={s!r})")
     if convolve(g, c_e) != g:
         raise CoherenceAlarm(f"g * c_e differs from g for witness {witness}")
     return WitnessOutcome(
@@ -375,7 +383,8 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
     f = None
     ann_members: list[int] = []
     for _ in range(retries):
-        candidate = SkewSeries(action, {s: rng.choice(nonzero) for s in draw_support()})
+        candidate = SkewSeries._trusted(
+            action, {s: rng.choice(nonzero) for s in draw_support()})
         members = set_orbit_annihilator(candidate.coeffs.values(), action).members
         f = candidate
         ann_members = sorted(members)
@@ -413,10 +422,10 @@ def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
     nonzero_pairs = 0
     for i in range(pairs):
         g, f = random_annihilating_pair(action, rng, max_support=max_support)
-        if not annihilates_via_all_middles(g, f):
+        report = check_coefficientwise_annihilation(g, f)
+        if report.witnesses.get("detail") == _NOT_THROUGH_MIDDLES:
             raise CoherenceAlarm(
                 f"constructed pair {i} fails to annihilate through middles")
-        report = check_coefficientwise_annihilation(g, f)
         if not report.verdict:
             raise CoherenceAlarm(
                 f"coefficientwise annihilation failed on pair {i}: "

@@ -380,3 +380,22 @@ def coefficientwise_by_scan(g, f) -> dict:
                                 "violation": {"u": repr(u), "v": repr(v),
                                               "s": repr(s), "r": r}}
     return {"products_checked": checked}
+
+
+def first_failing_middle_by_scan(g, f):
+    """The first (s, r), exponent representatives outer and every ring
+    element r inner, with g * (r x^s) * f != 0; None when there is none."""
+    from skewseries.series import SkewSeries
+
+    action = g.action
+    for s in action.representatives():
+        for r in action.ring.elements():
+            middle = SkewSeries(action, {s: r})
+            if not convolve_by_terms(convolve_by_terms(g, middle), f).is_zero():
+                return s, r
+    return None
+
+
+def annihilates_via_all_middles_by_scan(g, f) -> bool:
+    """Whether g * (r x^s) * f == 0 for every representative s and every r."""
+    return first_failing_middle_by_scan(g, f) is None

@@ -279,6 +279,26 @@ def test_replay_detects_tampered_counterexample(tmp_path):
     assert "NOT REPRODUCED" in buf.getvalue()
 
 
+MALFORMED_Z4_COUNTEREXAMPLES = {
+    "empty": {},
+    "no_annihilator": {"element": 2},
+    "element_not_an_int": {"element": "2", "annihilator": [0, 2]},
+    "element_outside_the_ring": {"element": 9, "annihilator": [0, 2]},
+}
+
+
+@pytest.mark.parametrize("counterexample", list(MALFORMED_Z4_COUNTEREXAMPLES.values()),
+                         ids=list(MALFORMED_Z4_COUNTEREXAMPLES))
+def test_replay_of_a_malformed_witness_is_an_error(tmp_path, counterexample):
+    _, out, _ = run_to_file(Z4_JOB, tmp_path)
+    tree = json.loads(out.read_text())
+    tree["witnesses"][0]["counterexample"] = counterexample
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue().startswith("replay error: malformed left_app witness")
+
+
 def test_replay_with_nothing_to_do(tmp_path):
     _, out, _ = run_to_file(FIELD_JOB, tmp_path)
     buf = io.StringIO()

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewseries.gallery import gallery_ring, named_automorphism
+from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.monoids import KINDS, make_monoid, sample_pool
-from skewseries.rings import cyclic_ring, product_ring, swap_automorphism, table_ring
+from skewseries.rings import (
+    _additive_generators,
+    cyclic_ring,
+    product_ring,
+    swap_automorphism,
+    table_ring,
+)
 from skewseries.series import (
     OmegaAction,
     SkewSeries,
@@ -22,7 +28,14 @@ from skewseries.series import (
     zero_series,
 )
 
-from oracles import annihilates_through_random_middles, convolve_by_terms, dirichlet_value
+from skewseries.theorems import random_annihilating_pair
+
+from oracles import (
+    annihilates_through_random_middles,
+    annihilates_via_all_middles_by_scan,
+    convolve_by_terms,
+    dirichlet_value,
+)
 
 F22 = product_ring(cyclic_ring(2), cyclic_ring(2))
 SWAP = swap_automorphism(F22)
@@ -68,6 +81,31 @@ def test_omega_homomorphism_law_randomized(nat_swap_action):
         s, t = rng.randrange(12), rng.randrange(12)
         assert nat_swap_action.automorphism(m.op(s, t)) == \
             nat_swap_action.automorphism(s).compose(nat_swap_action.automorphism(t))
+
+
+def test_closure_callers_cannot_change_the_cached_values():
+    F22_two = pair_action(make_monoid("NatPairLex"), F22, SWAP, SWAP)
+    for act in (F22_two, single_generator_action(make_monoid("NatAdd"), F22, SWAP)):
+        first = act.closure()
+        expected = [(s, a.perm) for s, a in first]
+        first.clear()
+        act.closure().append((5, SWAP))
+        assert [(s, a.perm) for s, a in act.closure()] == expected
+        assert act.representatives() == [s for s, _ in expected]
+
+
+@pytest.mark.parametrize("bad", [7, 6, -1, 2.0, "1", None])
+def test_public_constructor_rejects_coefficients_outside_the_ring(bad):
+    act = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
+    with pytest.raises(ValueError, match=r"is not an element of Z6 \(0..5\)"):
+        SkewSeries(act, {0: 1, 1: bad})
+    assert SkewSeries(act, {0: 5, 1: 0}).coeffs == {0: 5}
+
+
+def test_public_constructor_rejects_exponents_outside_the_monoid():
+    act = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
+    with pytest.raises(ValueError, match="not an element of NatAdd"):
+        SkewSeries(act, {-1: 1})
 
 
 def test_noncommuting_pair_rejected():
@@ -331,6 +369,8 @@ def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
     f, g = series(data.draw(st.integers(0, 12))), series(g_terms)
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
+    # canonical: what the checked public constructor would store
+    assert product == SkewSeries(action, dict(product.coeffs))
     assert ring.zero not in product.coeffs.values()
 
 
@@ -348,6 +388,11 @@ def test_grouped_product_drops_sums_that_cancel():
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
     assert product.coeffs == {0: one, 4: minus_one}
+    # the term-by-term path (g shorter than Z6 has nonzero elements) too:
+    # (1 + x)(1 + 5x) = 1 + 5x^2
+    act6 = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
+    f, g = from_terms(act6, [(0, 1), (1, 1)]), from_terms(act6, [(0, 1), (1, 5)])
+    assert convolve(f, g).coeffs == {0: 1, 2: 5}
 
 
 def test_untabled_ring_multiplies_term_by_term():
@@ -358,3 +403,37 @@ def test_untabled_ring_multiplies_term_by_term():
     f = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 20)})
     g = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 300)})
     assert convolve(f, g) == convolve_by_terms(f, g)
+
+
+# ---------------------------------------------------------------------------
+# middles over an additive basis against the scan over every ring element
+
+MIDDLE_CONTEXTS = {f"{rn}/{an}": (ring, aut) for ring, aut, rn, an in standard_contexts()}
+
+
+def test_middle_contexts_include_rings_with_several_additive_generators():
+    for name in ("M2F2/inner:6", "T2F2/inner:7", "F2xF2/swap"):
+        assert len(_additive_generators(MIDDLE_CONTEXTS[name][0])) > 1
+
+
+@pytest.mark.parametrize("context", sorted(MIDDLE_CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_middles_over_an_additive_basis_match_the_full_scan(context, data):
+    ring, aut = MIDDLE_CONTEXTS[context]
+    action = _action(data.draw(st.sampled_from(KINDS)), ring, aut)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    g, f = random_annihilating_pair(action, rng)
+    pool = sample_pool(action.monoid, 6)
+
+    def bumped(series):
+        return series + single_term(action, rng.randrange(ring.size), rng.choice(pool))
+
+    shape = data.draw(st.sampled_from(["constructed", "g bumped", "f bumped", "random"]))
+    if shape == "g bumped":
+        g = bumped(g)
+    elif shape == "f bumped":
+        f = bumped(f)
+    elif shape == "random":
+        g, f = random_series(action, rng), random_series(action, rng)
+    assert annihilates_via_all_middles(g, f) == annihilates_via_all_middles_by_scan(g, f)

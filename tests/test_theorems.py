@@ -5,7 +5,7 @@ import pytest
 import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.monoids import make_monoid
-from skewseries.rings import cyclic_ring, identity_automorphism
+from skewseries.rings import _additive_generators, cyclic_ring, identity_automorphism
 from skewseries.series import (
     SkewSeries,
     annihilates_via_all_middles,
@@ -33,7 +33,7 @@ from skewseries.theorems import (
     witness_paths_agree,
 )
 
-from oracles import coefficientwise_by_scan
+from oracles import coefficientwise_by_scan, first_failing_middle_by_scan
 
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
@@ -265,6 +265,43 @@ def test_witness_construction_with_swap_action():
             assert outcome.witness == 0
 
 
+def test_witness_alarm_names_the_first_failing_middle_of_the_full_scan(monkeypatch):
+    """A wrong witness e (one with y*e == y for every twisted coefficient y,
+    but outside the annihilator) must raise the alarm for the first (s, r)
+    of the scan over every ring element, not the first over the additive
+    generators the check itself tries."""
+    handed_out = []
+
+    def wrong_witness(ann, targets):
+        ring = ann.ring
+        handed_out.append(next(e for e in ring.elements() if e not in ann.members
+                               and all(ring.mul(y, e) == y for y in targets)))
+        return handed_out[-1]
+
+    monkeypatch.setattr(theorems, "tominaga_common_witness", wrong_witness)
+    rng = random.Random(11)
+    alarms = off_generator_alarms = 0
+    for ring, aut, _, _ in standard_contexts():
+        for kind in ("NatAdd", "NatPairLex"):
+            monoid = make_monoid(kind)
+            act = (single_generator_action(monoid, ring, aut) if kind == "NatAdd"
+                   else pair_action(monoid, ring, aut, aut))
+            if not elementwise_condition_holds(ring, act):
+                continue
+            for _ in range(6):
+                g, f = random_annihilating_pair(act, rng)
+                if f.is_zero():
+                    continue
+                with pytest.raises(theorems.CoherenceAlarm) as alarm:
+                    construct_annihilator_witness(g, f)
+                s, r = first_failing_middle_by_scan(constant(act, handed_out[-1]), f)
+                assert str(alarm.value) == (f"witness constant fails to annihilate f "
+                                            f"through middle (r={r}, s={s!r})")
+                alarms += 1
+                off_generator_alarms += r not in _additive_generators(ring)
+    assert alarms > 50 and off_generator_alarms > 0
+
+
 def test_chain_search_selects_minimal_subset_and_verifies():
     act = nat_action(Z6)
     g = from_terms(act, [(0, 3), (1, 3), (2, 3)])
@@ -323,6 +360,22 @@ def test_coefficientwise_harness_not_applicable_on_z4():
     report = coefficientwise_harness(Z4, nat_action(Z4), pairs=10)
     assert report.verdict
     assert not report.witnesses["applicable"]
+
+
+def test_coefficientwise_harness_alarms(monkeypatch):
+    act = nat_action(Z6)
+    not_through_middles = (constant(act, 2), constant(act, 1))
+    monkeypatch.setattr(theorems, "random_annihilating_pair",
+                        lambda action, rng, max_support: not_through_middles)
+    with pytest.raises(theorems.CoherenceAlarm,
+                       match=r"^constructed pair 0 fails to annihilate through middles$"):
+        coefficientwise_harness(Z6, act, pairs=3)
+    # with the middle hypothesis granted, the conclusion alarm names the pair
+    monkeypatch.setattr(theorems, "annihilates_via_all_middles", lambda g, f: True)
+    with pytest.raises(theorems.CoherenceAlarm,
+                       match=r"^coefficientwise annihilation failed on pair 0: "
+                             r"\{'failure': 'conclusion'"):
+        coefficientwise_harness(Z6, act, pairs=3)
 
 
 def test_app_equivalence_true_side():
