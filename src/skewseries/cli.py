@@ -432,15 +432,15 @@ def replay(report_path: str, stream=None) -> int:
         return 0
     for verdict in false_verdicts:
         check = verdict["check"]
-        witness = tree["witnesses"][verdict["witness_ref"]]
         try:
+            witness = tree["witnesses"][verdict["witness_ref"]]
             ok = _replay_one(check, witness, ring, action, job)
         except JobSpecError as exc:
             print(f"replay error: {exc}", file=stream)
             return 3
         except (KeyError, TypeError, IndexError) as exc:
-            # a witness that lacks a key the replay reads, or holds a value
-            # of the wrong shape
+            # a missing witness, one that lacks a key the replay reads, or
+            # one holding a value of the wrong shape
             print(f"replay error: malformed {check} witness "
                   f"({type(exc).__name__}: {exc})", file=stream)
             return 3

@@ -182,12 +182,10 @@ class SkewSeries:
 
     def __init__(self, action: OmegaAction, coeffs: dict):
         ring = action.ring
-        zero, n = ring.zero, ring.size
+        zero = ring.zero
         clean = {}
         for s, r in coeffs.items():
-            if not isinstance(r, int) or not 0 <= r < n:
-                raise ValueError(f"coefficient {r!r} at exponent {s!r} is not an "
-                                 f"element of {ring.name} (0..{n - 1})")
+            _check_coefficient(ring, s, r)
             if r != zero:
                 action.monoid.check_element(s)
                 clean[s] = r
@@ -265,6 +263,12 @@ class SkewSeries:
         return f"SkewSeries({{{terms}}})"
 
 
+def _check_coefficient(ring: FiniteRing, s, r) -> None:
+    if not isinstance(r, int) or not 0 <= r < ring.size:
+        raise ValueError(f"coefficient {r!r} at exponent {s!r} is not an "
+                         f"element of {ring.name} (0..{ring.size - 1})")
+
+
 def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     """The exact twisted product of two finitely supported series.
 
@@ -333,10 +337,12 @@ def monomial(action: OmegaAction, s) -> SkewSeries:
 
 
 def from_terms(action: OmegaAction, terms) -> SkewSeries:
-    """Build a series from (exponent, coefficient) pairs; repeats are summed."""
+    """Build a series from (exponent, coefficient) pairs; repeats are summed.
+    Raises ValueError as ``SkewSeries`` does."""
     ring = action.ring
     out: dict = {}
     for s, r in terms:
+        _check_coefficient(ring, s, r)
         out[s] = ring.add(out.get(s, ring.zero), r)
     return SkewSeries(action, out)
 

@@ -299,6 +299,16 @@ def test_replay_of_a_malformed_witness_is_an_error(tmp_path, counterexample):
     assert buf.getvalue().startswith("replay error: malformed left_app witness")
 
 
+def test_replay_of_a_missing_witness_is_an_error(tmp_path):
+    _, out, _ = run_to_file(Z4_JOB, tmp_path)
+    tree = json.loads(out.read_text())
+    tree["witnesses"] = []
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue().startswith("replay error: malformed left_app witness (IndexError")
+
+
 def test_replay_with_nothing_to_do(tmp_path):
     _, out, _ = run_to_file(FIELD_JOB, tmp_path)
     buf = io.StringIO()

@@ -99,6 +99,8 @@ def test_public_constructor_rejects_coefficients_outside_the_ring(bad):
     act = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
     with pytest.raises(ValueError, match=r"is not an element of Z6 \(0..5\)"):
         SkewSeries(act, {0: 1, 1: bad})
+    with pytest.raises(ValueError, match=r"is not an element of Z6 \(0..5\)"):
+        from_terms(act, [(0, 1), (1, bad)])
     assert SkewSeries(act, {0: 5, 1: 0}).coeffs == {0: 5}
 
 
