@@ -24,16 +24,20 @@ from dataclasses import dataclass, field
 from . import __version__
 from .gallery import gallery_ring, list_gallery, named_automorphism
 from .ideals import (
+    _has_right_witness,
+    _left_annihilator_bits,
+    _left_generator,
+    _members,
+    _principal_annihilator,
+    _right_annihilator_bits,
+    _right_generator,
+    _unwitnessed,
     is_right_s_unital,
-    left_annihilator,
-    left_ideal_generated,
-    right_annihilator,
 )
 from .monoids import OrderedMonoid, UnsupportedOrderError, make_monoid
 from .properties import (
     PropertyReport,
-    idempotent_generator_left,
-    idempotent_generator_right,
+    _orbit_annihilator_bits,
     is_left_app,
     is_left_pq_baer,
     is_quasi_baer,
@@ -59,7 +63,6 @@ from .theorems import (
     app_equivalence_check,
     check_coefficientwise_annihilation,
     coefficientwise_harness,
-    element_orbit_annihilator,
     preset_by_name,
     run_preset,
     set_orbit_annihilator,
@@ -422,16 +425,21 @@ def replay(report_path: str, stream=None) -> int:
         ring = build_ring(job)
         monoid = build_monoid(job)
         action = build_action(job, monoid, ring)
-    except (OSError, KeyError, ValueError, JobSpecError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, JobSpecError) as exc:
         print(f"replay error: {exc}", file=stream)
         return 3
+    try:
+        false_verdicts = [(v["check"], v) for v in tree.get("verdicts", [])
+                          if not v["verdict"]]
+    except (KeyError, TypeError) as exc:
+        print(f"replay error: malformed verdict entry ({type(exc).__name__}: {exc})",
+              file=stream)
+        return 3
 
-    false_verdicts = [v for v in tree.get("verdicts", []) if not v["verdict"]]
     if not false_verdicts:
         print("nothing to replay: no false verdicts in report", file=stream)
         return 0
-    for verdict in false_verdicts:
-        check = verdict["check"]
+    for check, verdict in false_verdicts:
         try:
             witness = tree["witnesses"][verdict["witness_ref"]]
             ok = _replay_one(check, witness, ring, action, job)
@@ -455,24 +463,22 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 action: OmegaAction, job: JobSpec) -> bool:
     counter = witness.get("counterexample") or {}
     if check == "left_app":
-        a = counter["element"]
-        ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
-        return (ann.sorted_members() == counter["annihilator"]
-                and not is_right_s_unital(ann).holds)
+        ann = _principal_annihilator(ring, counter["element"])
+        return (_members(ann) == counter["annihilator"]
+                and _unwitnessed(ring, ann) is not None)
     if check in ("pq_baer", "quasi_baer"):
         if "element" in counter:
-            target = left_annihilator(
-                left_ideal_generated({counter["element"]}, ring).members, ring)
+            target = _principal_annihilator(ring, counter["element"])
         else:
-            target = left_annihilator(frozenset(counter["ideal"]), ring)
-        if target.sorted_members() != counter["annihilator"]:
+            target = _left_annihilator_bits(ring, frozenset(counter["ideal"]))
+        if _members(target) != counter["annihilator"]:
             return False
-        return idempotent_generator_left(ring, target.members) is None
+        return _left_generator(ring, target) is None
     if check == "right_pp":
-        ann = right_annihilator({counter["element"]}, ring)
-        if ann.sorted_members() != counter["annihilator"]:
+        ann = _right_annihilator_bits(ring, [counter["element"]])
+        if _members(ann) != counter["annihilator"]:
             return False
-        return idempotent_generator_right(ring, ann.members) is None
+        return _right_generator(ring, ann) is None
     if check == "reduced":
         a = counter["element"]
         return a != ring.zero and ring.mul(a, a) == ring.zero
@@ -482,18 +488,16 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 ring,
                 _resolve_automorphism(ring, job.get("action.alpha", "identity")),
                 _resolve_automorphism(ring, job.get("action.beta", "identity")))
-        subset = counter["subset"]
-        ann = set_orbit_annihilator(subset, action)
+        ann = set_orbit_annihilator(counter["subset"], action)
         return (ann.sorted_members() == counter["annihilator"]
                 and not is_right_s_unital(ann).holds)
     if check in ("obstructions", "app_equivalence"):
         pairs = witness.get("obstructions", [])
         for obs in pairs:
-            ann = element_orbit_annihilator(obs["element"], action)
-            if ann.sorted_members() != obs["annihilator"]:
+            ann = _orbit_annihilator_bits(action, obs["element"])
+            if _members(ann) != obs["annihilator"]:
                 return False
-            b = obs["blocked"]
-            if any(ring.mul(b, x) == b for x in ann.members):
+            if _has_right_witness(ring, obs["blocked"], ann):
                 return False
         return bool(pairs)
     if check == "pair_annihilation":

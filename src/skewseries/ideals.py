@@ -1,17 +1,40 @@
 """Annihilators, left ideals, orbit ideals, and the right s-unital test.
 
-Everything here works on explicit element sets of a finite ring, so each
-quantifier in the definitions becomes a finite scan.  Witness searches run in
-ascending element-index order and return the first hit, keeping results
-deterministic.
+Every quantifier here runs on one bitset kernel per ring.  For each element
+x the ring keeps four ints, bit i standing for element i, filled on first
+use from the rows and columns of the multiplication table (through
+``ring.mul`` one row or column at a time when the ring has no tables):
+
+    Zl[x] = {r : r*x == 0}      Zr[x] = {r : x*r == 0}
+    Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
+
+Three exact facts reduce the definitions to ANDs of these, with G an
+additive generating set of R (``rings._additive_generators``):
+
+(a) R*a is the additive span of {g*a : g in G}, since r = sum of multiples
+    of the g and r*a is additive in r.  So l(R*a) is the AND over g of
+    Zl[g*a], and the left ideal generated by S is the additive closure of
+    {g*s : g in G, s in S}.
+(b) b has a right s-unital witness in I exactly when Fr[b] & I is nonzero,
+    and its lowest bit is the x in I with b*x == b that an ascending scan of
+    I finds first.
+(c) For a left ideal I, the idempotents e with R*e == I are exactly
+    I & (AND over b in I of Fr[b]): such an e lies in I, so e*e == e and
+    I == I*e is inside R*e, which is inside I; conversely b = r*e gives
+    b*e == b.  The first such e is the lowest bit.  The mirror image, with
+    Fl, gives the idempotents e with e*R == J for a right ideal J.
+
+Every witness is the lowest-indexed hit, so results are deterministic and
+replayable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
-from .rings import FiniteRing, additive_closure
+from .rings import FiniteRing, _additive_generators, additive_closure
 from .series import OmegaAction
 
 LEFT_IDEAL = "left-ideal"
@@ -72,25 +95,163 @@ class SUnitalResult:
     failing: int | None = None
 
 
+# ---------------------------------------------------------------------------
+# the bitset kernel
+
+ZL, ZR, FR, FL = "Zl", "Zr", "Fr", "Fl"
+
+# bytes.translate table: byte 0 -> "0", byte 1 -> "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(values, x: int) -> int:
+    """The bitset {i : values[i] == x} of a row or column of products."""
+    if len(values) <= 256:
+        # a ring this small has every element in one byte
+        return int(bytes(values[::-1]).translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
+    return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
+
+
+def _bits(ring: FiniteRing, kind: str) -> list[int]:
+    """The bitsets ``kind`` (ZL, ZR, FR or FL) of every element, built on
+    first use and kept in the ring."""
+    kept = ring._ideal_bits
+    if kept is None:
+        kept = ring._ideal_bits = {}
+    hit = kept.get(kind)
+    if hit is None:
+        n, mul, tables = ring.size, ring.mul, ring.tables
+        if kind in (ZR, FR):  # row x: y -> x*y
+            lines = tables[1] if tables is not None else \
+                ([mul(x, y) for y in range(n)] for x in range(n))
+        else:  # column x: y -> y*x
+            lines = zip(*tables[1]) if tables is not None else \
+                ([mul(y, x) for y in range(n)] for x in range(n))
+        if kind in (ZL, ZR):
+            hit = [_mask(line, ring.zero) for line in lines]
+        else:
+            hit = [_mask(line, x) for x, line in enumerate(lines)]
+        kept[kind] = hit
+    return hit
+
+
+def _members(mask: int) -> list[int]:
+    """The elements of a bitset, ascending."""
+    digits = bin(mask)[:1:-1]  # lowest bit first
+    return list(compress(range(len(digits)), map("1".__eq__, digits)))
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _mask_of(ring: FiniteRing, members) -> int:
+    """The bitset of a set of elements."""
+    n = ring.size
+    digits = bytearray(b"0" * n)
+    for a in members:
+        digits[n - 1 - a] = 49  # "1"
+    return int(digits, 2)
+
+
+def _ideal(ring: FiniteRing, mask: int) -> IdealSet:
+    return IdealSet(ring, frozenset(_members(mask)))
+
+
+def _left_annihilator_bits(ring: FiniteRing, xs) -> int:
+    """l(xs): the AND of Zl[x] over xs, the whole ring when xs is empty."""
+    zl = _bits(ring, ZL)
+    mask = (1 << ring.size) - 1
+    for x in xs:
+        mask &= zl[x]
+    return mask
+
+
+def _right_annihilator_bits(ring: FiniteRing, xs) -> int:
+    """r(xs): the AND of Zr[x] over xs, the whole ring when xs is empty."""
+    zr = _bits(ring, ZR)
+    mask = (1 << ring.size) - 1
+    for x in xs:
+        mask &= zr[x]
+    return mask
+
+
+def _principal_annihilator(ring: FiniteRing, a: int) -> int:
+    """l(R*a), the AND of Zl[g*a] over the additive generators g (fact a)."""
+    return _left_annihilator_bits(ring, [ring.mul(g, a) for g in _additive_generators(ring)])
+
+
+def _orbit_annihilator(action: OmegaAction, a: int) -> int:
+    """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a)."""
+    ring = action.ring
+    images = {aut.perm[a] for _, aut in action.closure()}
+    return _left_annihilator_bits(
+        ring, {ring.mul(g, b) for b in images for g in _additive_generators(ring)})
+
+
+def _s_unital(ring: FiniteRing, mask: int) -> SUnitalResult:
+    """The right s-unital test of a set of elements, witnesses by fact (b)."""
+    fr = _bits(ring, FR)
+    witnesses: dict[int, int] = {}
+    for b in _members(mask):
+        hit = fr[b] & mask
+        if not hit:
+            return SUnitalResult(False, witnesses, failing=b)
+        witnesses[b] = _lowest(hit)
+    return SUnitalResult(True, witnesses)
+
+
+def _unwitnessed(ring: FiniteRing, mask: int) -> int | None:
+    """The first b in the set with no x in it such that b*x == b, or None."""
+    fr = _bits(ring, FR)
+    return next((b for b in _members(mask) if not fr[b] & mask), None)
+
+
+def _has_right_witness(ring: FiniteRing, b: int, mask: int) -> bool:
+    """Is b*x == b for some x in the set?"""
+    return bool(_bits(ring, FR)[b] & mask)
+
+
+def _common_generator(ring: FiniteRing, mask: int, kind: str) -> int | None:
+    """The lowest bit of mask & (AND over b in mask of kind[b]), or None."""
+    fixers = _bits(ring, kind)
+    common = mask
+    for b in _members(mask):
+        common &= fixers[b]
+        if not common:
+            return None
+    return _lowest(common)
+
+
+def _left_generator(ring: FiniteRing, mask: int) -> int | None:
+    """The first idempotent e with R*e equal to the left ideal ``mask``, or
+    None (fact c)."""
+    return _common_generator(ring, mask, FR)
+
+
+def _right_generator(ring: FiniteRing, mask: int) -> int | None:
+    """The first idempotent e with e*R equal to the right ideal ``mask``, or
+    None (fact c, mirrored)."""
+    return _common_generator(ring, mask, FL)
+
+
+# ---------------------------------------------------------------------------
+# the public functions, on the kernel
+
 def left_annihilator(xs, ring: FiniteRing) -> IdealSet:
     """{r : r*x == 0 for every x in xs}; the whole ring when xs is empty."""
-    members = frozenset(
-        r for r in ring.elements()
-        if all(ring.mul(r, x) == ring.zero for x in xs))
-    return IdealSet(ring, members)
+    return _ideal(ring, _left_annihilator_bits(ring, xs))
 
 
 def right_annihilator(xs, ring: FiniteRing) -> IdealSet:
     """{r : x*r == 0 for every x in xs}."""
-    members = frozenset(
-        r for r in ring.elements()
-        if all(ring.mul(x, r) == ring.zero for x in xs))
-    return IdealSet(ring, members)
+    return _ideal(ring, _right_annihilator_bits(ring, xs))
 
 
 def left_ideal_generated(gens, ring: FiniteRing) -> IdealSet:
-    """The smallest left ideal containing ``gens``."""
-    products = {ring.mul(r, a) for r in ring.elements() for a in gens}
+    """The smallest left ideal containing ``gens``: the additive closure of
+    {g*s : g in G, s in gens} (fact a)."""
+    products = {ring.mul(g, a) for a in gens for g in _additive_generators(ring)}
     return IdealSet(ring, additive_closure(ring, products))
 
 
@@ -113,16 +274,7 @@ def is_right_s_unital(ideal: IdealSet) -> SUnitalResult:
     left ideal (equivalently, of R/I being flat as a left module); no tensor
     computations are involved anywhere in this package.
     """
-    ring = ideal.ring
-    witnesses: dict[int, int] = {}
-    for a in ideal.sorted_members():
-        for x in ideal.sorted_members():
-            if ring.mul(a, x) == a:
-                witnesses[a] = x
-                break
-        else:
-            return SUnitalResult(False, witnesses, failing=a)
-    return SUnitalResult(True, witnesses)
+    return _s_unital(ideal.ring, _mask_of(ideal.ring, ideal.members))
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -135,7 +287,8 @@ class WitnessNotFoundError(RuntimeError):
 
 
 def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
-    """One x in I with a*x == a simultaneously for all listed a.
+    """One x in I with a*x == a simultaneously for all listed a: the lowest
+    bit of I & (AND over a of Fr[a]).
 
     Requires the ideal to be right s-unital; the empty subset gets witness 0.
     """
@@ -143,16 +296,20 @@ def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
     subset = list(finite_subset)
     if not subset:
         return ring.zero
-    check = is_right_s_unital(ideal)
-    if not check.holds:
+    mask = _mask_of(ring, ideal.members)
+    failing = _unwitnessed(ring, mask)
+    if failing is not None:
         raise ValueError(
             f"ideal {ideal.describe()} is not right s-unital (fails at "
-            f"{ring.element_repr(check.failing)})")
+            f"{ring.element_repr(failing)})")
     for a in subset:
         if a not in ideal.members:
             raise ValueError(f"{ring.element_repr(a)} is not in the ideal")
-    for x in ideal.sorted_members():
-        if all(ring.mul(a, x) == a for a in subset):
-            return x
+    fr = _bits(ring, FR)
+    common = mask
+    for a in subset:
+        common &= fr[a]
+    if common:
+        return _lowest(common)
     raise WitnessNotFoundError(
         f"no common witness in {ideal.describe()} for {sorted(subset)}")

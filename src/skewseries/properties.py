@@ -11,21 +11,34 @@ left annihilator of a sum of left ideals is the intersection of their left
 annihilators.  The quasi-Baer check closes {l(R*a)} under intersection.  The
 orbit condition needs only the singletons, because an intersection of
 two-sided right s-unital ideals is again right s-unital.
+
+Annihilators, s-unital witnesses and idempotent generators all come from the
+bitset kernel of ``ideals`` (its facts (a)-(c)), and each check tests each
+distinct annihilator once.  By fact (c) a left ideal is right s-unital
+exactly when it is R*e for an idempotent e, so on a finite ring left APP and
+left p.q.-Baer fail at the same first element.  The orbit condition is one
+scan per action, shared with ``theorems.elementwise_condition_holds``.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
-    is_right_s_unital,
-    left_annihilator,
-    left_ideal_generated,
+    IdealSet,
+    _left_generator,
+    _members,
+    _orbit_annihilator,
+    _principal_annihilator,
+    _right_annihilator_bits,
+    _right_generator,
+    _s_unital,
+    _unwitnessed,
     orbit_ideal,
-    right_annihilator,
 )
-from .rings import FiniteRing, idempotents
+from .rings import FiniteRing
 from .series import OmegaAction
 
 
@@ -51,8 +64,8 @@ class PropertyReport:
         return out
 
 
-def _sunital_evidence(result) -> dict:
-    return {"witnesses": sorted([a, x] for a, x in result.witnesses.items())}
+def _witness_pairs(result) -> list:
+    return [[a, x] for a, x in result.witnesses.items()]
 
 
 def is_left_app(ring: FiniteRing) -> PropertyReport:
@@ -60,52 +73,43 @@ def is_left_app(ring: FiniteRing) -> PropertyReport:
     right s-unital."""
     t0 = time.perf_counter()
     per_element = []
+    tested: dict[int, tuple] = {}
     for a in ring.elements():
-        ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
-        res = is_right_s_unital(ann)
+        ann = _principal_annihilator(ring, a)
+        hit = tested.get(ann)
+        if hit is None:
+            res = _s_unital(ring, ann)
+            hit = tested[ann] = (res, _witness_pairs(res))
+        res, pairs = hit
         if not res.holds:
             return PropertyReport(
                 ring.name, "is_left_app", False,
                 {"counterexample": {
                     "element": a,
-                    "annihilator": ann.sorted_members(),
+                    "annihilator": _members(ann),
                     "unwitnessed": res.failing,
                 }},
                 time.perf_counter() - t0)
-        per_element.append([a, sorted([x, w] for x, w in res.witnesses.items())])
+        per_element.append([a, pairs])
     return PropertyReport(ring.name, "is_left_app", True,
                           {"per_element_witnesses": per_element},
                           time.perf_counter() - t0)
-
-
-def idempotent_generator_left(ring: FiniteRing, target: frozenset[int]) -> int | None:
-    """The first idempotent e with R*e == target, or None."""
-    for e in idempotents(ring):
-        if left_ideal_generated({e}, ring).members == target:
-            return e
-    return None
-
-
-def idempotent_generator_right(ring: FiniteRing, target: frozenset[int]) -> int | None:
-    """The first idempotent e with e*R == target, or None."""
-    for e in idempotents(ring):
-        generated = frozenset(ring.mul(e, r) for r in ring.elements())
-        if generated == target:
-            return e
-    return None
 
 
 def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
     """Left p.q.-Baer: l(R*a) is generated, as a left ideal, by an idempotent."""
     t0 = time.perf_counter()
     gens = []
+    found: dict[int, int | None] = {}
     for a in ring.elements():
-        ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
-        e = idempotent_generator_left(ring, ann.members)
+        ann = _principal_annihilator(ring, a)
+        if ann not in found:
+            found[ann] = _left_generator(ring, ann)
+        e = found[ann]
         if e is None:
             return PropertyReport(
                 ring.name, "is_left_pq_baer", False,
-                {"counterexample": {"element": a, "annihilator": ann.sorted_members()}},
+                {"counterexample": {"element": a, "annihilator": _members(ann)}},
                 time.perf_counter() - t0)
         gens.append([a, e])
     return PropertyReport(ring.name, "is_left_pq_baer", True,
@@ -123,21 +127,21 @@ def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
     annihilator is T again.
     """
     t0 = time.perf_counter()
-    principal = {left_annihilator(left_ideal_generated({a}, ring).members, ring).members
-                 for a in ring.elements()}
+    principal = {_principal_annihilator(ring, a) for a in ring.elements()}
     family = set(principal)
     frontier = principal
     while frontier:
         frontier = {t & p for t in frontier for p in principal} - family
         family |= frontier
     gens = []
-    for ann in sorted(family, key=lambda s: (len(s), sorted(s))):
-        ideal = right_annihilator(ann, ring).sorted_members()
-        e = idempotent_generator_left(ring, ann)
+    for ann, members in sorted(((m, _members(m)) for m in family),
+                               key=lambda item: (len(item[1]), item[1])):
+        ideal = _members(_right_annihilator_bits(ring, members))
+        e = _left_generator(ring, ann)
         if e is None:
             return PropertyReport(
                 ring.name, "is_quasi_baer", False,
-                {"counterexample": {"ideal": ideal, "annihilator": sorted(ann)}},
+                {"counterexample": {"ideal": ideal, "annihilator": members}},
                 time.perf_counter() - t0)
         gens.append([ideal, e])
     return PropertyReport(ring.name, "is_quasi_baer", True,
@@ -149,13 +153,16 @@ def is_right_pp(ring: FiniteRing) -> PropertyReport:
     right ideal, by an idempotent."""
     t0 = time.perf_counter()
     gens = []
+    found: dict[int, int | None] = {}
     for a in ring.elements():
-        ann = right_annihilator({a}, ring)
-        e = idempotent_generator_right(ring, ann.members)
+        ann = _right_annihilator_bits(ring, (a,))
+        if ann not in found:
+            found[ann] = _right_generator(ring, ann)
+        e = found[ann]
         if e is None:
             return PropertyReport(
                 ring.name, "is_right_pp", False,
-                {"counterexample": {"element": a, "annihilator": ann.sorted_members()}},
+                {"counterexample": {"element": a, "annihilator": _members(ann)}},
                 time.perf_counter() - t0)
         gens.append([a, e])
     return PropertyReport(ring.name, "is_right_pp", True,
@@ -177,6 +184,65 @@ def is_reduced(ring: FiniteRing) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # the subset-quantified orbit annihilator condition
 
+class _OrbitAnnihilators:
+    """What is kept per action: the orbit annihilator of each element as a
+    bitset, the IdealSets handed out for elements and for sets of elements,
+    and the first element whose orbit annihilator is not right s-unital
+    (None when every one is), once that has been scanned for."""
+
+    __slots__ = ("masks", "by_element", "by_set", "scanned", "first_failing")
+
+    def __init__(self):
+        self.masks: dict[int, int] = {}
+        self.by_element: dict[int, IdealSet] = {}
+        self.by_set: dict[frozenset, IdealSet] = {}
+        self.scanned = False
+        self.first_failing: int | None = None
+
+
+# Orbit annihilators are queried thousands of times per harness run; keep
+# them per action (annihilators of sums are intersections of these).
+_orbit_ann_cache: "weakref.WeakKeyDictionary[OmegaAction, _OrbitAnnihilators]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _orbit_annihilators(action: OmegaAction) -> _OrbitAnnihilators:
+    kept = _orbit_ann_cache.get(action)
+    if kept is None:
+        kept = _orbit_ann_cache[action] = _OrbitAnnihilators()
+    return kept
+
+
+def _orbit_annihilator_bits(action: OmegaAction, a: int) -> int:
+    """l(O(a)) for the orbit ideal O(a) of a, as a bitset; kept per action."""
+    masks = _orbit_annihilators(action).masks
+    hit = masks.get(a)
+    if hit is None:
+        hit = masks[a] = _orbit_annihilator(action, a)
+    return hit
+
+
+def _first_failing_element(action: OmegaAction) -> int | None:
+    """The first element whose orbit annihilator is not right s-unital.
+
+    The one scan behind both forms of the orbit condition, done once per
+    action; each distinct annihilator is tested once.
+    """
+    kept = _orbit_annihilators(action)
+    if not kept.scanned:
+        ring = action.ring
+        failing: dict[int, bool] = {}
+        for a in ring.elements():
+            ann = _orbit_annihilator_bits(action, a)
+            if ann not in failing:
+                failing[ann] = _unwitnessed(ring, ann) is not None
+            if failing[ann]:
+                kept.first_failing = a
+                break
+        kept.scanned = True
+    return kept.first_failing
+
+
 def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> PropertyReport:
     """Is l(sum over a in A of the orbit ideal of a) right s-unital for every
     nonempty subset A of the ring?
@@ -193,28 +259,26 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     t0 = time.perf_counter()
-    checked: dict[frozenset[int], tuple] = {}
+    a = _first_failing_element(action)
+    if a is not None:
+        ann = _orbit_annihilator_bits(action, a)
+        return PropertyReport(
+            ring.name, "orbit_annihilators_s_unital", False,
+            {"counterexample": {
+                "subset": [a],
+                "annihilator": _members(ann),
+                "unwitnessed": _unwitnessed(ring, ann),
+            }},
+            time.perf_counter() - t0)
+    distinct: dict[frozenset[int], int] = {}
     for a in ring.elements():
-        members = orbit_ideal({a}, action).members
-        hit = checked.get(members)
-        if hit is None:
-            ann = left_annihilator(members, ring)
-            hit = checked[members] = (ann, is_right_s_unital(ann))
-        ann, res = hit
-        if not res.holds:
-            return PropertyReport(
-                ring.name, "orbit_annihilators_s_unital", False,
-                {"counterexample": {
-                    "subset": [a],
-                    "annihilator": ann.sorted_members(),
-                    "unwitnessed": res.failing,
-                }},
-                time.perf_counter() - t0)
+        distinct.setdefault(orbit_ideal({a}, action).members,
+                            _orbit_annihilator_bits(action, a))
     evidence = [{"orbit_ideal": sorted(members),
-                 "annihilator": ann.sorted_members(),
-                 "witnesses": sorted([b, x] for b, x in res.witnesses.items())}
-                for members, (ann, res) in sorted(
-                    checked.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+                 "annihilator": _members(ann),
+                 "witnesses": _witness_pairs(_s_unital(ring, ann))}
+                for members, ann in sorted(
+                    distinct.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
     return PropertyReport(
         ring.name, "orbit_annihilators_s_unital", True,
         {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence},

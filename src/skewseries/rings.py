@@ -40,12 +40,13 @@ class FiniteRing:
     for a ring of at most ``TABLE_LIMIT`` elements, and the ring then owns
     those lists.  Without ``neg`` each negative is looked up in the addition
     table.  Instances are immutable after construction and safe to share;
-    the one lazily filled slot, the additive generating set, is the same
-    tuple whoever fills it.
+    the lazily filled slots, the additive generating set and the bitsets of
+    the ``ideals`` kernel, hold the same values whoever fills them.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul", "_neg",
-                 "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens")
+                 "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens",
+                 "_ideal_bits")
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
@@ -76,6 +77,7 @@ class FiniteRing:
             self._neg_row = [neg(a) for a in range(size)]
         self._neg = None
         self._additive_gens = None
+        self._ideal_bits = None
         if validate:
             validate_ring(self, seed=seed)
 

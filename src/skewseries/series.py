@@ -62,7 +62,9 @@ class OmegaAction:
         for aut in images.values():
             if not isinstance(aut, RingAut) or aut.ring is not ring:
                 raise ValueError("generator images must be automorphisms of the same ring")
-            aut.validate()
+            # the identity map is an automorphism of every ring
+            if aut.perm != ident.perm:
+                aut.validate()
         kind = monoid.kind
         if kind in ("NatAdd", "IntAdd"):
             alpha = images.pop(1, ident)

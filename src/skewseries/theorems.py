@@ -27,19 +27,25 @@ from __future__ import annotations
 
 import random
 import time
-import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
     IdealSet,
-    is_right_s_unital,
-    left_annihilator,
-    orbit_ideal,
+    _has_right_witness,
+    _mask_of,
+    _members,
+    _unwitnessed,
     right_annihilator,
     tominaga_common_witness,
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
-from .properties import PropertyReport, orbit_annihilators_s_unital
+from .properties import (
+    PropertyReport,
+    _first_failing_element,
+    _orbit_annihilator_bits,
+    _orbit_annihilators,
+    orbit_annihilators_s_unital,
+)
 from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
 from .series import (
     OmegaAction,
@@ -67,53 +73,14 @@ class CoherenceAlarm(RuntimeError):
     """
 
 
-class _OrbitAnnihilators:
-    """What is cached per action: each element's orbit annihilator, the
-    orbit annihilator of each set of elements asked for, and the first
-    element whose orbit annihilator is not right s-unital (None when every
-    one is), once that has been scanned for."""
-
-    __slots__ = ("by_element", "by_set", "scanned", "first_failing")
-
-    def __init__(self):
-        self.by_element: dict[int, IdealSet] = {}
-        self.by_set: dict[frozenset, IdealSet] = {}
-        self.scanned = False
-        self.first_failing: int | None = None
-
-
-# Orbit annihilators are queried thousands of times per harness run; cache
-# them per action (annihilators of sums are intersections of these).
-_orbit_ann_cache: "weakref.WeakKeyDictionary[OmegaAction, _OrbitAnnihilators]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _orbit_annihilators(action: OmegaAction) -> _OrbitAnnihilators:
-    cached = _orbit_ann_cache.get(action)
-    if cached is None:
-        cached = _orbit_ann_cache[action] = _OrbitAnnihilators()
-    return cached
-
-
 def element_orbit_annihilator(a: int, action: OmegaAction) -> IdealSet:
     """l(sum over attained automorphisms s of R * w_s(a)) as an IdealSet."""
     by_element = _orbit_annihilators(action).by_element
     hit = by_element.get(a)
     if hit is None:
-        hit = left_annihilator(orbit_ideal({a}, action).members, action.ring)
-        by_element[a] = hit
+        hit = by_element[a] = IdealSet(
+            action.ring, frozenset(_members(_orbit_annihilator_bits(action, a))))
     return hit
-
-
-def _first_failing_element(action: OmegaAction) -> int | None:
-    """The first element whose orbit annihilator is not right s-unital."""
-    cached = _orbit_annihilators(action)
-    if not cached.scanned:
-        cached.first_failing = next(
-            (a for a in action.ring.elements()
-             if not is_right_s_unital(element_orbit_annihilator(a, action)).holds), None)
-        cached.scanned = True
-    return cached.first_failing
 
 
 def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
@@ -127,15 +94,16 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
     key = frozenset(elements)
     hit = by_set.get(key)
     if hit is None:
-        members = frozenset(action.ring.elements())
+        mask = (1 << action.ring.size) - 1
         for a in key:
-            members &= element_orbit_annihilator(a, action).members
-        hit = by_set[key] = IdealSet.classified(action.ring, members)
+            mask &= _orbit_annihilator_bits(action, a)
+        hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
     return hit
 
 
 def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
-    """Singleton form of the orbit annihilator condition."""
+    """The orbit annihilator condition, from the same per-action scan as
+    ``orbit_annihilators_s_unital(ring, action).verdict``."""
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     return _first_failing_element(action) is None
@@ -253,14 +221,16 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     """
     t0 = time.perf_counter()
     obstructions = []
+    blocked: dict[int, int | None] = {}
     for a in ring.elements():
-        ann = element_orbit_annihilator(a, action)
-        res = is_right_s_unital(ann)
-        if not res.holds:
+        ann = _orbit_annihilator_bits(action, a)
+        if ann not in blocked:
+            blocked[ann] = _unwitnessed(ring, ann)
+        if blocked[ann] is not None:
             obstructions.append({
                 "element": a,
-                "blocked": res.failing,
-                "annihilator": ann.sorted_members(),
+                "blocked": blocked[ann],
+                "annihilator": _members(ann),
             })
     return PropertyReport(
         ring.name, "annihilator_obstructions", not obstructions,
@@ -295,13 +265,22 @@ def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
     step the hypotheses guarantee does not verify.
     """
     action = g.action
-    ring = action.ring
-    if not skip_condition_check and not elementwise_condition_holds(ring, action):
+    if not skip_condition_check and not elementwise_condition_holds(action.ring, action):
         raise PreconditionError(
             "orbit annihilator condition fails; witness construction not licensed")
+    _require_middles(g, f)
+    return _build_witness(g, f, chain_search)
+
+
+def _require_middles(g: SkewSeries, f: SkewSeries) -> None:
     if not annihilates_via_all_middles(g, f):
         raise PreconditionError("pair does not annihilate through all middles")
 
+
+def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessOutcome:
+    """The witness construction for a pair whose preconditions hold."""
+    action = g.action
+    ring = action.ring
     ann = set_orbit_annihilator(f.coeffs.values(), action)
     targets = []
     for u, gu in g.coeffs.items():
@@ -445,8 +424,9 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
 
     When the orbit annihilator condition holds for all subsets, the witness
     construction must succeed and verify on every constructed annihilating
-    pair.  When the condition fails, at least one elementwise obstruction
-    pair (a, b) must exist.  Either guarantee failing raises CoherenceAlarm;
+    pair.  When the condition fails, each reported obstruction (a, b) must
+    have b in the orbit annihilator I of a with Fr[b] & I empty, i.e. no x
+    in I with b*x == b.  Either guarantee failing raises CoherenceAlarm;
     otherwise the verdict mirrors the condition itself.
     """
     t0 = time.perf_counter()
@@ -465,10 +445,13 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
              "distinct_witnesses": sorted(witnesses_seen), "seed": seed},
             time.perf_counter() - t0)
     obstructions = annihilator_obstructions(ring, action)
-    if obstructions.verdict:
-        raise CoherenceAlarm(
-            f"{ring.name}: subset condition fails but no elementwise "
-            f"obstruction exists; for a finite ring the two must agree")
+    for obs in obstructions.witnesses["obstructions"]:
+        b = obs["blocked"]
+        if b not in obs["annihilator"] or _has_right_witness(
+                ring, b, _mask_of(ring, obs["annihilator"])):
+            raise CoherenceAlarm(
+                f"{ring.name}: obstruction at element {obs['element']} names "
+                f"{b}, which is not blocked in its orbit annihilator")
     return PropertyReport(
         ring.name, "app_equivalence", False,
         {"condition": False,
@@ -496,9 +479,9 @@ def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
     differing = 0
     for _ in range(instances):
         g, f = random_annihilating_pair(action, rng, max_support=max_support)
-        full = construct_annihilator_witness(g, f, skip_condition_check=True)
-        chain = construct_annihilator_witness(
-            g, f, chain_search=True, skip_condition_check=True)
+        _require_middles(g, f)
+        full = _build_witness(g, f, chain_search=False)
+        chain = _build_witness(g, f, chain_search=True)
         if full.witness != chain.witness:
             differing += 1
     return PropertyReport(

@@ -309,6 +309,18 @@ def test_replay_of_a_missing_witness_is_an_error(tmp_path):
     assert buf.getvalue().startswith("replay error: malformed left_app witness (IndexError")
 
 
+@pytest.mark.parametrize("key", ["check", "verdict"])
+def test_replay_of_a_verdict_entry_without_its_check_is_an_error(tmp_path, key):
+    _, out, _ = run_to_file(Z4_JOB, tmp_path)
+    tree = json.loads(out.read_text())
+    del tree["verdicts"][0][key]
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue().startswith(
+        f"replay error: malformed verdict entry (KeyError: '{key}')")
+
+
 def test_replay_with_nothing_to_do(tmp_path):
     _, out, _ = run_to_file(FIELD_JOB, tmp_path)
     buf = io.StringIO()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.monoids import KINDS, make_monoid, sample_pool
 from skewseries.rings import (
+    RingAut,
+    RingAxiomError,
     _additive_generators,
     cyclic_ring,
     product_ring,
@@ -128,6 +130,25 @@ def a_ne(x, y):
 def test_dirichlet_only_trivial_action():
     with pytest.raises(ValueError, match="trivial"):
         OmegaAction(make_monoid("NatMulDirichlet"), F22, {2: SWAP})
+
+
+def test_only_images_other_than_the_identity_are_validated(monkeypatch):
+    validated = []
+    original = RingAut.validate
+    monkeypatch.setattr(RingAut, "validate",
+                        lambda aut: validated.append(aut.perm) or original(aut))
+    OmegaAction(make_monoid("NatAdd"), F22, {1: RingAut(F22, range(4))})
+    assert validated == []
+    OmegaAction(make_monoid("NatAdd"), F22, {1: SWAP})
+    assert validated == [SWAP.perm]
+
+
+@pytest.mark.parametrize("perm", [range(3), range(5), [0, 1, 2, 2], [1, 0, 2, 3]])
+def test_identity_like_images_of_the_wrong_shape_are_rejected(perm):
+    # identity prefixes and extensions, a non-bijection, and a bijection that
+    # moves zero: none is the identity of F2xF2, so each is validated
+    with pytest.raises(RingAxiomError):
+        OmegaAction(make_monoid("NatAdd"), F22, {1: RingAut(F22, perm)})
 
 
 def test_convolution_nilpotent_coefficients():

@@ -378,6 +378,44 @@ def test_coefficientwise_harness_alarms(monkeypatch):
         coefficientwise_harness(Z6, act, pairs=3)
 
 
+def test_app_equivalence_checks_each_reported_obstruction(monkeypatch):
+    report = app_equivalence_check(Z4, nat_action(Z4), pairs=5)
+    assert not report.verdict and report.witnesses["obstructions"]
+    real = theorems.annihilator_obstructions
+
+    def naming(blocked):
+        def obstructions(ring, action):
+            out = real(ring, action)
+            out.witnesses["obstructions"][0]["blocked"] = blocked
+            return out
+        return obstructions
+
+    # Z4's obstruction is b = 2 in the orbit annihilator {0, 2} of 2: the
+    # element 0 has the witness 0 there, and 1 lies outside it
+    for blocked in (0, 1):
+        monkeypatch.setattr(theorems, "annihilator_obstructions", naming(blocked))
+        with pytest.raises(theorems.CoherenceAlarm, match="not blocked"):
+            app_equivalence_check(Z4, nat_action(Z4), pairs=5)
+
+
+def test_witness_paths_check_the_middles_once_per_pair(monkeypatch):
+    calls = []
+    real = theorems.annihilates_via_all_middles
+    monkeypatch.setattr(theorems, "annihilates_via_all_middles",
+                        lambda g, f: calls.append(1) or real(g, f))
+    act = nat_action(Z6)
+    report = witness_paths_agree(Z6, act, instances=7, seed=1)
+    assert report.witnesses["applicable"] and len(calls) == 7
+
+
+def test_witness_paths_refuse_a_pair_outside_the_middles(monkeypatch):
+    act = nat_action(Z6)
+    monkeypatch.setattr(theorems, "random_annihilating_pair",
+                        lambda action, rng, max_support: (constant(act, 2), constant(act, 1)))
+    with pytest.raises(PreconditionError, match="does not annihilate through all middles"):
+        witness_paths_agree(Z6, act, instances=2)
+
+
 def test_app_equivalence_true_side():
     report = app_equivalence_check(Z6, nat_action(Z6), pairs=100, seed=2)
     assert report.verdict
