@@ -52,6 +52,7 @@ from .ideals import (
     IdealSet,
     SUnitalResult,
     WitnessNotFoundError,
+    idempotent_generator,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,

@@ -24,20 +24,15 @@ from dataclasses import dataclass, field
 from . import __version__
 from .gallery import gallery_ring, list_gallery, named_automorphism
 from .ideals import (
-    _has_right_witness,
-    _left_annihilator_bits,
-    _left_generator,
-    _members,
-    _principal_annihilator,
-    _right_annihilator_bits,
-    _right_generator,
-    _unwitnessed,
+    idempotent_generator,
     is_right_s_unital,
+    left_annihilator,
+    left_ideal_generated,
+    right_annihilator,
 )
 from .monoids import OrderedMonoid, UnsupportedOrderError, make_monoid
 from .properties import (
     PropertyReport,
-    _orbit_annihilator_bits,
     is_left_app,
     is_left_pq_baer,
     is_quasi_baer,
@@ -63,6 +58,7 @@ from .theorems import (
     app_equivalence_check,
     check_coefficientwise_annihilation,
     coefficientwise_harness,
+    element_orbit_annihilator,
     preset_by_name,
     run_preset,
     set_orbit_annihilator,
@@ -463,22 +459,24 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 action: OmegaAction, job: JobSpec) -> bool:
     counter = witness.get("counterexample") or {}
     if check == "left_app":
-        ann = _principal_annihilator(ring, counter["element"])
-        return (_members(ann) == counter["annihilator"]
-                and _unwitnessed(ring, ann) is not None)
+        a = counter["element"]
+        ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
+        return (ann.sorted_members() == counter["annihilator"]
+                and not is_right_s_unital(ann).holds)
     if check in ("pq_baer", "quasi_baer"):
         if "element" in counter:
-            target = _principal_annihilator(ring, counter["element"])
+            target = left_annihilator(
+                left_ideal_generated({counter["element"]}, ring).members, ring)
         else:
-            target = _left_annihilator_bits(ring, frozenset(counter["ideal"]))
-        if _members(target) != counter["annihilator"]:
+            target = left_annihilator(frozenset(counter["ideal"]), ring)
+        if target.sorted_members() != counter["annihilator"]:
             return False
-        return _left_generator(ring, target) is None
+        return idempotent_generator(target, "left") is None
     if check == "right_pp":
-        ann = _right_annihilator_bits(ring, [counter["element"]])
-        if _members(ann) != counter["annihilator"]:
+        ann = right_annihilator({counter["element"]}, ring)
+        if ann.sorted_members() != counter["annihilator"]:
             return False
-        return _right_generator(ring, ann) is None
+        return idempotent_generator(ann, "right") is None
     if check == "reduced":
         a = counter["element"]
         return a != ring.zero and ring.mul(a, a) == ring.zero
@@ -488,16 +486,18 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 ring,
                 _resolve_automorphism(ring, job.get("action.alpha", "identity")),
                 _resolve_automorphism(ring, job.get("action.beta", "identity")))
-        ann = set_orbit_annihilator(counter["subset"], action)
+        subset = counter["subset"]
+        ann = set_orbit_annihilator(subset, action)
         return (ann.sorted_members() == counter["annihilator"]
                 and not is_right_s_unital(ann).holds)
     if check in ("obstructions", "app_equivalence"):
         pairs = witness.get("obstructions", [])
         for obs in pairs:
-            ann = _orbit_annihilator_bits(action, obs["element"])
-            if _members(ann) != obs["annihilator"]:
+            ann = element_orbit_annihilator(obs["element"], action)
+            if ann.sorted_members() != obs["annihilator"]:
                 return False
-            if _has_right_witness(ring, obs["blocked"], ann):
+            b = obs["blocked"]
+            if any(ring.mul(b, x) == b for x in ann.members):
                 return False
         return bool(pairs)
     if check == "pair_annihilation":

@@ -30,6 +30,7 @@ replayable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -106,9 +107,6 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _mask(values, x: int) -> int:
     """The bitset {i : values[i] == x} of a row or column of products."""
-    if len(values) <= 256:
-        # a ring this small has every element in one byte
-        return int(bytes(values[::-1]).translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
     return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
 
 
@@ -181,14 +179,6 @@ def _principal_annihilator(ring: FiniteRing, a: int) -> int:
     return _left_annihilator_bits(ring, [ring.mul(g, a) for g in _additive_generators(ring)])
 
 
-def _orbit_annihilator(action: OmegaAction, a: int) -> int:
-    """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a)."""
-    ring = action.ring
-    images = {aut.perm[a] for _, aut in action.closure()}
-    return _left_annihilator_bits(
-        ring, {ring.mul(g, b) for b in images for g in _additive_generators(ring)})
-
-
 def _s_unital(ring: FiniteRing, mask: int) -> SUnitalResult:
     """The right s-unital test of a set of elements, witnesses by fact (b)."""
     fr = _bits(ring, FR)
@@ -201,23 +191,12 @@ def _s_unital(ring: FiniteRing, mask: int) -> SUnitalResult:
     return SUnitalResult(True, witnesses)
 
 
-def _unwitnessed(ring: FiniteRing, mask: int) -> int | None:
-    """The first b in the set with no x in it such that b*x == b, or None."""
-    fr = _bits(ring, FR)
-    return next((b for b in _members(mask) if not fr[b] & mask), None)
-
-
-def _has_right_witness(ring: FiniteRing, b: int, mask: int) -> bool:
-    """Is b*x == b for some x in the set?"""
-    return bool(_bits(ring, FR)[b] & mask)
-
-
-def _common_generator(ring: FiniteRing, mask: int, kind: str) -> int | None:
-    """The lowest bit of mask & (AND over b in mask of kind[b]), or None."""
+def _lowest_common(ring: FiniteRing, mask: int, xs, kind: str) -> int | None:
+    """The lowest bit of mask & (AND over x in xs of kind[x]), or None."""
     fixers = _bits(ring, kind)
     common = mask
-    for b in _members(mask):
-        common &= fixers[b]
+    for x in xs:
+        common &= fixers[x]
         if not common:
             return None
     return _lowest(common)
@@ -226,13 +205,75 @@ def _common_generator(ring: FiniteRing, mask: int, kind: str) -> int | None:
 def _left_generator(ring: FiniteRing, mask: int) -> int | None:
     """The first idempotent e with R*e equal to the left ideal ``mask``, or
     None (fact c)."""
-    return _common_generator(ring, mask, FR)
+    return _lowest_common(ring, mask, _members(mask), FR)
 
 
 def _right_generator(ring: FiniteRing, mask: int) -> int | None:
     """The first idempotent e with e*R equal to the right ideal ``mask``, or
     None (fact c, mirrored)."""
-    return _common_generator(ring, mask, FL)
+    return _lowest_common(ring, mask, _members(mask), FL)
+
+
+class _OrbitKernel:
+    """What is kept per action: the orbit annihilator of each element as a
+    bitset, and the first element whose orbit annihilator is not right
+    s-unital (None when every one is), once that has been scanned for."""
+
+    __slots__ = ("masks", "scanned", "first_failing")
+
+    def __init__(self):
+        self.masks: dict[int, int] = {}
+        self.scanned = False
+        self.first_failing: int | None = None
+
+
+# Orbit annihilators are queried thousands of times per harness run; keep
+# them per action (annihilators of sums are intersections of these).
+_orbit_kernels: "weakref.WeakKeyDictionary[OmegaAction, _OrbitKernel]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _orbit_kernel(action: OmegaAction) -> _OrbitKernel:
+    kept = _orbit_kernels.get(action)
+    if kept is None:
+        kept = _orbit_kernels[action] = _OrbitKernel()
+    return kept
+
+
+def _orbit_annihilator(action: OmegaAction, a: int) -> int:
+    """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a);
+    kept per action."""
+    masks = _orbit_kernel(action).masks
+    hit = masks.get(a)
+    if hit is None:
+        ring = action.ring
+        images = {aut.perm[a] for _, aut in action.closure()}
+        hit = masks[a] = _left_annihilator_bits(
+            ring, {ring.mul(g, b) for b in images for g in _additive_generators(ring)})
+    return hit
+
+
+def _first_orbit_failure(action: OmegaAction) -> int | None:
+    """The first element whose orbit annihilator is not right s-unital.
+
+    The one scan behind both forms of the orbit condition
+    (``properties.orbit_annihilators_s_unital`` and
+    ``theorems.elementwise_condition_holds``), done once per action; each
+    distinct annihilator is tested once.
+    """
+    kept = _orbit_kernel(action)
+    if not kept.scanned:
+        ring = action.ring
+        fails: dict[int, bool] = {}
+        for a in ring.elements():
+            ann = _orbit_annihilator(action, a)
+            if ann not in fails:
+                fails[ann] = not _s_unital(ring, ann).holds
+            if fails[ann]:
+                kept.first_failing = a
+                break
+        kept.scanned = True
+    return kept.first_failing
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +318,18 @@ def is_right_s_unital(ideal: IdealSet) -> SUnitalResult:
     return _s_unital(ideal.ring, _mask_of(ideal.ring, ideal.members))
 
 
+def idempotent_generator(ideal: IdealSet, side: str) -> int | None:
+    """The first idempotent e with R*e == I (side "left", for a left ideal
+    I) or e*R == I (side "right", for a right ideal I); None when I has no
+    idempotent generator on that side (fact c)."""
+    mask = _mask_of(ideal.ring, ideal.members)
+    if side == "left":
+        return _left_generator(ideal.ring, mask)
+    if side == "right":
+        return _right_generator(ideal.ring, mask)
+    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+
+
 class WitnessNotFoundError(RuntimeError):
     """A witness guaranteed by the finite-subset criterion was not found.
 
@@ -297,7 +350,7 @@ def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
     if not subset:
         return ring.zero
     mask = _mask_of(ring, ideal.members)
-    failing = _unwitnessed(ring, mask)
+    failing = _s_unital(ring, mask).failing
     if failing is not None:
         raise ValueError(
             f"ideal {ideal.describe()} is not right s-unital (fails at "
@@ -305,11 +358,8 @@ def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
     for a in subset:
         if a not in ideal.members:
             raise ValueError(f"{ring.element_repr(a)} is not in the ideal")
-    fr = _bits(ring, FR)
-    common = mask
-    for a in subset:
-        common &= fr[a]
-    if common:
-        return _lowest(common)
+    common = _lowest_common(ring, mask, subset, FR)
+    if common is not None:
+        return common
     raise WitnessNotFoundError(
         f"no common witness in {ideal.describe()} for {sorted(subset)}")

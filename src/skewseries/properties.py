@@ -16,18 +16,18 @@ Annihilators, s-unital witnesses and idempotent generators all come from the
 bitset kernel of ``ideals`` (its facts (a)-(c)), and each check tests each
 distinct annihilator once.  By fact (c) a left ideal is right s-unital
 exactly when it is R*e for an idempotent e, so on a finite ring left APP and
-left p.q.-Baer fail at the same first element.  The orbit condition is one
-scan per action, shared with ``theorems.elementwise_condition_holds``.
+left p.q.-Baer fail at the same first element.  The orbit condition is the
+one per-action scan of ``ideals``, shared with
+``theorems.elementwise_condition_holds``.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
-    IdealSet,
+    _first_orbit_failure,
     _left_generator,
     _members,
     _orbit_annihilator,
@@ -35,7 +35,6 @@ from .ideals import (
     _right_annihilator_bits,
     _right_generator,
     _s_unital,
-    _unwitnessed,
     orbit_ideal,
 )
 from .rings import FiniteRing
@@ -184,65 +183,6 @@ def is_reduced(ring: FiniteRing) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # the subset-quantified orbit annihilator condition
 
-class _OrbitAnnihilators:
-    """What is kept per action: the orbit annihilator of each element as a
-    bitset, the IdealSets handed out for elements and for sets of elements,
-    and the first element whose orbit annihilator is not right s-unital
-    (None when every one is), once that has been scanned for."""
-
-    __slots__ = ("masks", "by_element", "by_set", "scanned", "first_failing")
-
-    def __init__(self):
-        self.masks: dict[int, int] = {}
-        self.by_element: dict[int, IdealSet] = {}
-        self.by_set: dict[frozenset, IdealSet] = {}
-        self.scanned = False
-        self.first_failing: int | None = None
-
-
-# Orbit annihilators are queried thousands of times per harness run; keep
-# them per action (annihilators of sums are intersections of these).
-_orbit_ann_cache: "weakref.WeakKeyDictionary[OmegaAction, _OrbitAnnihilators]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _orbit_annihilators(action: OmegaAction) -> _OrbitAnnihilators:
-    kept = _orbit_ann_cache.get(action)
-    if kept is None:
-        kept = _orbit_ann_cache[action] = _OrbitAnnihilators()
-    return kept
-
-
-def _orbit_annihilator_bits(action: OmegaAction, a: int) -> int:
-    """l(O(a)) for the orbit ideal O(a) of a, as a bitset; kept per action."""
-    masks = _orbit_annihilators(action).masks
-    hit = masks.get(a)
-    if hit is None:
-        hit = masks[a] = _orbit_annihilator(action, a)
-    return hit
-
-
-def _first_failing_element(action: OmegaAction) -> int | None:
-    """The first element whose orbit annihilator is not right s-unital.
-
-    The one scan behind both forms of the orbit condition, done once per
-    action; each distinct annihilator is tested once.
-    """
-    kept = _orbit_annihilators(action)
-    if not kept.scanned:
-        ring = action.ring
-        failing: dict[int, bool] = {}
-        for a in ring.elements():
-            ann = _orbit_annihilator_bits(action, a)
-            if ann not in failing:
-                failing[ann] = _unwitnessed(ring, ann) is not None
-            if failing[ann]:
-                kept.first_failing = a
-                break
-        kept.scanned = True
-    return kept.first_failing
-
-
 def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> PropertyReport:
     """Is l(sum over a in A of the orbit ideal of a) right s-unital for every
     nonempty subset A of the ring?
@@ -259,21 +199,21 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     t0 = time.perf_counter()
-    a = _first_failing_element(action)
+    a = _first_orbit_failure(action)
     if a is not None:
-        ann = _orbit_annihilator_bits(action, a)
+        ann = _orbit_annihilator(action, a)
         return PropertyReport(
             ring.name, "orbit_annihilators_s_unital", False,
             {"counterexample": {
                 "subset": [a],
                 "annihilator": _members(ann),
-                "unwitnessed": _unwitnessed(ring, ann),
+                "unwitnessed": _s_unital(ring, ann).failing,
             }},
             time.perf_counter() - t0)
     distinct: dict[frozenset[int], int] = {}
     for a in ring.elements():
         distinct.setdefault(orbit_ideal({a}, action).members,
-                            _orbit_annihilator_bits(action, a))
+                            _orbit_annihilator(action, a))
     evidence = [{"orbit_ideal": sorted(members),
                  "annihilator": _members(ann),
                  "witnesses": _witness_pairs(_s_unital(ring, ann))}

@@ -27,25 +27,20 @@ from __future__ import annotations
 
 import random
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
     IdealSet,
-    _has_right_witness,
-    _mask_of,
+    _first_orbit_failure,
     _members,
-    _unwitnessed,
+    _orbit_annihilator,
+    _s_unital,
     right_annihilator,
     tominaga_common_witness,
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
-from .properties import (
-    PropertyReport,
-    _first_failing_element,
-    _orbit_annihilator_bits,
-    _orbit_annihilators,
-    orbit_annihilators_s_unital,
-)
+from .properties import PropertyReport, orbit_annihilators_s_unital
 from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
 from .series import (
     OmegaAction,
@@ -73,14 +68,15 @@ class CoherenceAlarm(RuntimeError):
     """
 
 
+# The IdealSets handed out for sets of elements, per action; the bitsets
+# they come from are kept by ``ideals``.
+_set_orbit_cache: "weakref.WeakKeyDictionary[OmegaAction, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
 def element_orbit_annihilator(a: int, action: OmegaAction) -> IdealSet:
     """l(sum over attained automorphisms s of R * w_s(a)) as an IdealSet."""
-    by_element = _orbit_annihilators(action).by_element
-    hit = by_element.get(a)
-    if hit is None:
-        hit = by_element[a] = IdealSet(
-            action.ring, frozenset(_members(_orbit_annihilator_bits(action, a))))
-    return hit
+    return set_orbit_annihilator((a,), action)
 
 
 def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
@@ -90,13 +86,15 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
     this is the intersection of the per-element orbit annihilators; an empty
     input gives the whole ring.  Cached per action and set of elements.
     """
-    by_set = _orbit_annihilators(action).by_set
+    by_set = _set_orbit_cache.get(action)
+    if by_set is None:
+        by_set = _set_orbit_cache[action] = {}
     key = frozenset(elements)
     hit = by_set.get(key)
     if hit is None:
         mask = (1 << action.ring.size) - 1
         for a in key:
-            mask &= _orbit_annihilator_bits(action, a)
+            mask &= _orbit_annihilator(action, a)
         hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
     return hit
 
@@ -106,7 +104,7 @@ def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
     ``orbit_annihilators_s_unital(ring, action).verdict``."""
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    return _first_failing_element(action) is None
+    return _first_orbit_failure(action) is None
 
 
 _NOT_THROUGH_MIDDLES = "the pair does not annihilate through all middles"
@@ -127,7 +125,7 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     t0 = time.perf_counter()
     action = g.action
     ring = action.ring
-    failing = _first_failing_element(action)
+    failing = _first_orbit_failure(action)
     if failing is not None:
         return PropertyReport(
             ring.name, "coefficientwise_annihilation", False,
@@ -223,9 +221,9 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     obstructions = []
     blocked: dict[int, int | None] = {}
     for a in ring.elements():
-        ann = _orbit_annihilator_bits(action, a)
+        ann = _orbit_annihilator(action, a)
         if ann not in blocked:
-            blocked[ann] = _unwitnessed(ring, ann)
+            blocked[ann] = _s_unital(ring, ann).failing
         if blocked[ann] is not None:
             obstructions.append({
                 "element": a,
@@ -424,10 +422,12 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
 
     When the orbit annihilator condition holds for all subsets, the witness
     construction must succeed and verify on every constructed annihilating
-    pair.  When the condition fails, each reported obstruction (a, b) must
-    have b in the orbit annihilator I of a with Fr[b] & I empty, i.e. no x
-    in I with b*x == b.  Either guarantee failing raises CoherenceAlarm;
-    otherwise the verdict mirrors the condition itself.
+    pair.  When the condition fails, at least one obstruction (a, b) must be
+    reported, and each must name a b in the orbit annihilator I of a with no
+    x in I such that b*x == b; this is checked with the ring's own
+    multiplication, not with the bitsets that found b.  Either guarantee
+    failing raises CoherenceAlarm; otherwise the verdict mirrors the
+    condition itself.
     """
     t0 = time.perf_counter()
     condition = orbit_annihilators_s_unital(ring, action)
@@ -445,10 +445,13 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
              "distinct_witnesses": sorted(witnesses_seen), "seed": seed},
             time.perf_counter() - t0)
     obstructions = annihilator_obstructions(ring, action)
+    if not obstructions.witnesses["obstructions"]:
+        raise CoherenceAlarm(
+            f"{ring.name}: the orbit annihilator condition fails but no "
+            f"obstruction is reported")
     for obs in obstructions.witnesses["obstructions"]:
-        b = obs["blocked"]
-        if b not in obs["annihilator"] or _has_right_witness(
-                ring, b, _mask_of(ring, obs["annihilator"])):
+        b, ann = obs["blocked"], obs["annihilator"]
+        if b not in ann or any(ring.mul(b, x) == b for x in ann):
             raise CoherenceAlarm(
                 f"{ring.name}: obstruction at element {obs['element']} names "
                 f"{b}, which is not blocked in its orbit annihilator")

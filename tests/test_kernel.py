@@ -14,6 +14,7 @@ from skewseries.ideals import (
     IdealSet,
     WitnessNotFoundError,
     _bits,
+    idempotent_generator,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,
@@ -49,6 +50,8 @@ from skewseries.theorems import (
 
 from oracles import (
     common_witness_by_scan,
+    idempotent_generator_left_by_scan,
+    idempotent_generator_right_by_scan,
     left_annihilator_by_scan,
     left_app_by_scan,
     left_ideal_by_products,
@@ -168,6 +171,25 @@ def test_common_witness_matches_the_scan(ideal, data):
             tominaga_common_witness(ideal, subset)
     else:
         assert tominaga_common_witness(ideal, subset) == expected
+
+
+@given(ring_and_subset(max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_idempotent_generators_match_the_scans(case):
+    ring, xs = case
+    for ideal in (left_annihilator(xs, ring), left_ideal_generated(xs, ring)):
+        assert idempotent_generator(ideal, "left") == \
+            idempotent_generator_left_by_scan(ring, ideal.members)
+    ideal = right_annihilator(xs, ring)
+    assert idempotent_generator(ideal, "right") == \
+        idempotent_generator_right_by_scan(ring, ideal.members)
+
+
+def test_idempotent_generator_names_its_side():
+    ideal = left_annihilator([], Z[4])
+    assert idempotent_generator(ideal, "left") == idempotent_generator(ideal, "right") == 1
+    with pytest.raises(ValueError, match="side must be"):
+        idempotent_generator(ideal, "two-sided")
 
 
 def test_non_ideal_subsets_can_lack_a_common_witness():

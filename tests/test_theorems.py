@@ -4,6 +4,7 @@ import pytest
 
 import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
+from skewseries.ideals import FR, _bits
 from skewseries.monoids import make_monoid
 from skewseries.rings import _additive_generators, cyclic_ring, identity_automorphism
 from skewseries.series import (
@@ -396,6 +397,29 @@ def test_app_equivalence_checks_each_reported_obstruction(monkeypatch):
         monkeypatch.setattr(theorems, "annihilator_obstructions", naming(blocked))
         with pytest.raises(theorems.CoherenceAlarm, match="not blocked"):
             app_equivalence_check(Z4, nat_action(Z4), pairs=5)
+
+
+def test_app_equivalence_alarms_on_a_false_condition_without_obstructions(monkeypatch):
+    real = theorems.annihilator_obstructions
+
+    def none_found(ring, action):
+        out = real(ring, action)
+        out.witnesses["obstructions"] = []
+        return out
+
+    monkeypatch.setattr(theorems, "annihilator_obstructions", none_found)
+    with pytest.raises(theorems.CoherenceAlarm, match="no obstruction is reported"):
+        app_equivalence_check(Z4, nat_action(Z4), pairs=5)
+
+
+def test_app_equivalence_alarm_catches_a_corrupt_kernel():
+    # with the bit of 0 cleared from Fr[0], the kernel finds 0 without a
+    # right witness in every orbit annihilator; the ring's multiplication
+    # says otherwise (0*0 == 0)
+    ring = cyclic_ring(4)
+    _bits(ring, FR)[0] = 0
+    with pytest.raises(theorems.CoherenceAlarm, match="names 0, which is not blocked"):
+        app_equivalence_check(ring, nat_action(ring), pairs=5)
 
 
 def test_witness_paths_check_the_middles_once_per_pair(monkeypatch):
