@@ -107,6 +107,10 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _mask(values, x: int) -> int:
     """The bitset {i : values[i] == x} of a row or column of products."""
+    if len(values) <= 256:
+        # every element fits in one byte, so one translate table does the
+        # compare; faster than the general form (pairs in BENCH_7.json)
+        return int(bytes(values[::-1]).translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
     return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
 
 
