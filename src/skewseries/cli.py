@@ -442,9 +442,9 @@ def replay(report_path: str, stream=None) -> int:
         except JobSpecError as exc:
             print(f"replay error: {exc}", file=stream)
             return 3
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             # a missing witness, one that lacks a key the replay reads, or
-            # one holding a value of the wrong shape
+            # one holding a value of the wrong shape or a non-element
             print(f"replay error: malformed {check} witness "
                   f"({type(exc).__name__}: {exc})", file=stream)
             return 3
@@ -479,6 +479,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
         return idempotent_generator(ann, "right") is None
     if check == "reduced":
         a = counter["element"]
+        ring.check_element(a)
         return a != ring.zero and ring.mul(a, a) == ring.zero
     if check in ("orbit_condition",) + PRESET_CHECKS:
         if check in PRESET_CHECKS:
@@ -497,6 +498,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
             if ann.sorted_members() != obs["annihilator"]:
                 return False
             b = obs["blocked"]
+            ring.check_element(b)
             if any(ring.mul(b, x) == b for x in ann.members):
                 return False
         return bool(pairs)

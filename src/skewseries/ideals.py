@@ -147,11 +147,19 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _elements(ring: FiniteRing, xs) -> list[int]:
+    """``xs`` as a list, after checking that each is an element index."""
+    xs = list(xs)
+    for x in xs:
+        ring.check_element(x)
+    return xs
+
+
 def _mask_of(ring: FiniteRing, members) -> int:
-    """The bitset of a set of elements."""
+    """The bitset of a set of elements; ValueError on a non-element."""
     n = ring.size
     digits = bytearray(b"0" * n)
-    for a in members:
+    for a in _elements(ring, members):
         digits[n - 1 - a] = 49  # "1"
     return int(digits, 2)
 
@@ -281,22 +289,24 @@ def _first_orbit_failure(action: OmegaAction) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# the public functions, on the kernel
+# the public functions, on the kernel; each raises ValueError on an element
+# that is not an index 0..n-1 of the ring
 
 def left_annihilator(xs, ring: FiniteRing) -> IdealSet:
     """{r : r*x == 0 for every x in xs}; the whole ring when xs is empty."""
-    return _ideal(ring, _left_annihilator_bits(ring, xs))
+    return _ideal(ring, _left_annihilator_bits(ring, _elements(ring, xs)))
 
 
 def right_annihilator(xs, ring: FiniteRing) -> IdealSet:
     """{r : x*r == 0 for every x in xs}."""
-    return _ideal(ring, _right_annihilator_bits(ring, xs))
+    return _ideal(ring, _right_annihilator_bits(ring, _elements(ring, xs)))
 
 
 def left_ideal_generated(gens, ring: FiniteRing) -> IdealSet:
     """The smallest left ideal containing ``gens``: the additive closure of
     {g*s : g in G, s in gens} (fact a)."""
-    products = {ring.mul(g, a) for a in gens for g in _additive_generators(ring)}
+    products = {ring.mul(g, a) for a in _elements(ring, gens)
+                for g in _additive_generators(ring)}
     return IdealSet(ring, additive_closure(ring, products))
 
 
@@ -308,7 +318,7 @@ def orbit_ideal(gens, action: OmegaAction) -> IdealSet:
     principal left ideals of the twisted generators.
     """
     ring = action.ring
-    orbit = {aut.perm[a] for _, aut in action.closure() for a in gens}
+    orbit = {aut.perm[a] for _, aut in action.closure() for a in _elements(ring, gens)}
     return left_ideal_generated(orbit, ring)
 
 
@@ -350,7 +360,7 @@ def tominaga_common_witness(ideal: IdealSet, finite_subset) -> int:
     Requires the ideal to be right s-unital; the empty subset gets witness 0.
     """
     ring = ideal.ring
-    subset = list(finite_subset)
+    subset = _elements(ring, finite_subset)
     if not subset:
         return ring.zero
     mask = _mask_of(ring, ideal.members)

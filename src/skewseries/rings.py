@@ -4,18 +4,20 @@ A ring is a set of element indices ``0..size-1`` together with addition and
 multiplication maps.  Rings of up to ``TABLE_LIMIT`` elements keep their
 operation tables as lists of rows, which every factory builds from tables it
 already has: rotations of ``range(n)`` for Z_n, blocks of component rows for
-products, and for matrix and triangular rings the digitwise sum table plus,
-for each x, the additive map y -> x*y assembled from x times the high-digit
-and the low-digit parts of y.  Larger rings evaluate arithmetic on demand
-through closures; the matrix and triangular ones add through two half-digit
-tables.  Every factory validates the ring axioms at construction:
-exhaustively up to a size cap, by seeded random sampling above it.
+products, and for matrix and triangular rings the digitwise sum table plus
+four tables of partial products between the high-digit and the low-digit
+parts of two elements, from which every product follows by additivity.
+Larger rings evaluate arithmetic on demand through closures; the matrix and
+triangular ones add through two half-digit tables and multiply through the
+partial products.  Every factory validates the ring axioms at construction:
+exactly on every tabled ring, by seeded random sampling of the triple axioms
+on larger ones.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, islice, product, repeat
 
 # Structured rings materialize full operation tables up to this size;
 # beyond it arithmetic stays closure-backed.
@@ -24,7 +26,9 @@ TABLE_LIMIT = 256
 # Factories refuse to build rings larger than this unless told otherwise.
 DEFAULT_SIZE_CAP = 4096
 
-# Axiom validation is exhaustive up to this size, sampled above.
+# Triples are validated exhaustively up to this size and on seeded samples
+# above it, on a ring without tables; a table of more elements that fails
+# the exact check is reported at its first failing sample, if one fails.
 EXHAUSTIVE_VALIDATION_CAP = 64
 
 
@@ -108,6 +112,12 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.size)
 
+    def check_element(self, a) -> None:
+        """Raise ValueError unless ``a`` is an element index, an int in
+        0..size-1 (a negative one would alias another element)."""
+        if not (isinstance(a, int) and 0 <= a < self.size):
+            raise ValueError(f"{a!r} is not an element of {self.name} (0..{self.size - 1})")
+
     def element_repr(self, a: int) -> str:
         if self._repr_fn is not None:
             return self._repr_fn(a)
@@ -131,15 +141,22 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
                   samples: int = 2000, seed: int = 0) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
-    Exhaustive for ``size <= exhaustive_cap`` (all triples), otherwise the
-    triple-quantified axioms are checked on seeded random samples while the
-    identity, inverse and commutativity laws stay exhaustive.
+    The identity, inverse and commutativity laws are always checked in
+    full.  The triple-quantified axioms (associativity of both operations
+    and both distributive laws) are checked exactly on every tabled ring,
+    that is every ring of at most ``TABLE_LIMIT`` elements.  A ring that
+    computes through closures is checked on every triple up to
+    ``exhaustive_cap`` elements and on ``samples`` seeded random triples
+    above it.
 
-    Tabled rings are checked on their tables: the sampled triples in one
-    pass, and exhaustively one block of triples (a, *, *) at a time, with
-    each axiom compared a whole row or column at once.  A failing block or
-    sample is rescanned triple by triple, so the message names the same
-    first failing triple and axiom as a plain scan in lexicographic order.
+    A table whose entries are elements is checked from a generating set of
+    its additive group (``_triple_axioms_hold``).  When that check fails,
+    the message is the one a plain scan gives: above ``exhaustive_cap``
+    elements the first failing sampled triple, otherwise (or when no sample
+    fails) the first failing triple in lexicographic order, each with its
+    first failing axiom.  The lexicographic scan runs one block of triples
+    (a, *, *) at a time and rescans the first failing block triple by
+    triple.
     """
     n = ring.size
     add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
@@ -163,44 +180,125 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
             if tuple(row) != col:
                 b = next(b for b in range(n) if row[b] != col[b])
                 raise RingAxiomError(f"addition not commutative at ({a},{b})")
-    # Table entries outside 0..n-1 take the scalar scan, which indexes rows
-    # with them exactly as the ring's own add and mul do.
-    tabled = A is not None and all(0 <= min(row) and max(row) < n for row in A + M)
+    tables = None if A is None else _byte_tables(A, M)
+    if tables is not None and _triple_axioms_hold(tables, zero):
+        return
     if n > exhaustive_cap:
-        rng = random.Random(seed)
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples)]
-        if not (tabled and all(
-                A[A[a][b]][c] == A[a][A[b][c]] and M[M[a][b]][c] == M[a][M[b][c]]
-                and M[a][A[b][c]] == A[M[a][b]][M[a][c]]
-                and M[A[a][b]][c] == A[M[a][c]][M[b][c]] for a, b, c in triples)):
-            _check_triples(ring, triples)
-    elif not tabled:
+        _check_triples(ring, _sample_triples(n, samples, seed))
+        if A is None:
+            return
+    if tables is None:
+        # Table entries outside 0..n-1 take the scalar scan, which indexes
+        # rows with them exactly as the ring's own add and mul do.
         _check_triples(ring, product(range(n), repeat=3))
     else:
-        # A tabled ring has at most TABLE_LIMIT = 256 elements, so rows and
-        # columns fit in bytes, and x.translate(t) is c -> t[x[c]], built and
-        # compared in C.  t is a row padded to the 256 entries translate
-        # wants: add_by[x] maps y to x+y, mul_by[x] maps y to x*y and
-        # by_mul[c] maps y to y*c.
-        pad = bytes(256 - n)
-        arow = [bytes(row) for row in A]
-        mrow = [bytes(row) for row in M]
-        mcol = [bytes(col) for col in zip(*M)]
-        add_by = [row + pad for row in arow]
-        mul_by = [row + pad for row in mrow]
-        by_mul = [col + pad for col in mcol]
-        for a in range(n):
-            Aa, Ma = A[a], M[a]
-            # over c for each b: (a+b)+c, (ab)c and a(b+c); over b for each
-            # c: (a+b)c
-            if not (all(arow[Aa[b]] == rb.translate(add_by[a])
-                        and mrow[Ma[b]] == mb.translate(mul_by[a])
-                        and rb.translate(mul_by[a]) == mrow[a].translate(add_by[Ma[b]])
-                        for b, (rb, mb) in enumerate(zip(arow, mrow)))
-                    and all(arow[a].translate(by_mul[c]) == mcol[c].translate(add_by[Ma[c]])
-                            for c in range(n))):
-                _check_triples(ring, product((a,), range(n), range(n)))
+        _check_blocks(ring, tables)
+
+
+def _byte_tables(A, M) -> tuple | None:
+    """The tables of a ring of at most 256 elements as bytes, or None when
+    an entry is not an element 0..n-1.
+
+    Returns the rows of A, the rows and the columns of M, and each of those
+    three lists padded to the 256 entries ``bytes.translate`` wants: with
+    ``add_by[x]`` mapping y to x+y, ``mul_by[x]`` y to x*y and ``by_mul[c]``
+    y to y*c, ``r.translate(t)`` is the row or column c -> t[r[c]], built
+    and compared in C.
+    """
+    n = len(A)
+    try:
+        flat = b"".join(map(bytes, A + M))
+    except ValueError:  # an entry outside 0..255
+        return None
+    if max(flat) >= n:
+        return None
+    arow = [flat[i:i + n] for i in range(0, n * n, n)]
+    mflat = flat[n * n:]
+    mrow = [mflat[i:i + n] for i in range(0, n * n, n)]
+    mcol = [mflat[c::n] for c in range(n)]
+    pad = bytes(256 - n)
+    return (arow, mrow, mcol, [row + pad for row in arow], [row + pad for row in mrow],
+            [col + pad for col in mcol])
+
+
+def _sum_generators(arow, zero: int) -> list[int]:
+    """A generating set of (R,+) read off an addition table: each element,
+    in index order, that the closure of {zero} under x -> x+g for the
+    generators g so far has not reached.  Terminates on any table."""
+    inside = bytearray(len(arow))
+    inside[zero] = 1
+    reached, gens = [zero], []
+    for a in range(len(arow)):
+        if inside[a]:
+            continue
+        gens.append(a)
+        todo = list(reached)
+        while todo:
+            row = arow[todo.pop()]
+            for g in gens:
+                y = row[g]
+                if not inside[y]:
+                    inside[y] = 1
+                    reached.append(y)
+                    todo.append(y)
+    return gens
+
+
+def _triple_axioms_hold(tables, zero: int) -> bool:
+    """Whether the triple axioms hold on a table, given the identity, inverse
+    and commutativity laws of +; exact, in O(|G|*n) row operations.
+
+    G is a generating set of (R,+), so every element is a sum of generators.
+    - + is associative when (x+g)+y == x+(g+y) for all x, y and g in G
+      (Light's test): the a with x+(a+y) == (x+a)+y for all x, y are closed
+      under +, and contain G.
+    - Then y -> a*y and y -> y*c are additive when a*(g+y) == a*g + a*y and
+      (g+y)*c == g*c + y*c for all a, c, y and g in G: the u with
+      a*(u+y) == a*u + a*y for all y are closed under +, and so on the right.
+    - Then (ab)c - a(bc) is additive in each of a, b and c, so it vanishes
+      when it vanishes on G^3.
+    """
+    arow, mrow, mcol, add_by, mul_by, by_mul = tables
+    gens = _sum_generators(arow, zero)
+    return (all(arow[ax[g]] == arow[g].translate(t)
+                for g in gens for ax, t in zip(arow, add_by))
+            and all(arow[g].translate(t) == ma.translate(add_by[ma[g]])
+                    for g in gens for ma, t in zip(mrow, mul_by))
+            and all(arow[g].translate(t) == mc.translate(add_by[mc[g]])
+                    for g in gens for mc, t in zip(mcol, by_mul))
+            and all(mrow[mrow[a][b]][c] == mrow[a][mrow[b][c]]
+                    for a in gens for b in gens for c in gens))
+
+
+def _check_blocks(ring: FiniteRing, tables) -> None:
+    """The triple axioms on every triple, in lexicographic order, one block
+    (a, *, *) at a time with each axiom compared a whole row or column at
+    once; the first failing block is rescanned triple by triple."""
+    arow, mrow, mcol, add_by, mul_by, by_mul = tables
+    n = len(arow)
+    for a in range(n):
+        Aa, Ma = arow[a], mrow[a]
+        # over c for each b: (a+b)+c, (ab)c and a(b+c); over b for each c:
+        # (a+b)c
+        if not (all(arow[Aa[b]] == rb.translate(add_by[a])
+                    and mrow[Ma[b]] == mb.translate(mul_by[a])
+                    and rb.translate(mul_by[a]) == Ma.translate(add_by[Ma[b]])
+                    for b, (rb, mb) in enumerate(zip(arow, mrow)))
+                and all(Aa.translate(by_mul[c]) == mcol[c].translate(add_by[Ma[c]])
+                        for c in range(n))):
+            _check_triples(ring, product((a,), range(n), range(n)))
+
+
+def _sample_triples(n: int, samples: int, seed: int):
+    """``samples`` seeded random triples of elements 0..n-1, drawn in C.
+
+    The draws are those of ``random.Random(seed).randrange(n)``, which takes
+    the first ``getrandbits(n.bit_length())`` value below n.
+    """
+    rng = random.Random(seed)
+    draws = islice(filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length()))),
+                   3 * samples)
+    return zip(draws, draws, draws)
 
 
 def _check_triples(ring: FiniteRing, triples) -> None:
@@ -308,11 +406,14 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     and ``cell_product`` (a map of two cell lists to their product's).
 
     The cells split into a low half of L values and a high half, so that
-    y = hi + lo, where hi keeps the high cells of y and lo the low ones, each
+    x = hi + lo, where hi keeps the high cells of x and lo the low ones, each
     padded with the base's zero (which need not be index 0).  Addition adds
-    the halves in their own tables.  Left multiplication by x is additive, so
-    x*y = x*hi + x*lo, and the tabled row of x takes the L products x*lo and
-    the size/L products x*hi instead of size products.
+    the halves in their own tables.  The product is additive in each factor,
+    so x*y = hi*hi' + hi*lo' + lo*hi' + lo*lo' for y = hi' + lo', and the
+    four tables of partial products, (L + size/L)**2 cell products in all,
+    give every product.  A tabled row of x is assembled from x*hi' and x*lo'
+    through the addition table; above ``TABLE_LIMIT`` a product is four
+    lookups and three additions.
     """
     bs = base.size
     size = bs ** ncells
@@ -332,23 +433,34 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     L = bs ** low
     hi_sum, lo_sum = sums(ncells - low), sums(low)
 
-    def cell_mul(x, y):
-        return _undigits(cell_product(_digits(x, bs, ncells), _digits(y, bs, ncells)), bs)
+    def products(xs, ys):
+        """The table of x*y for x in xs and y in ys, one cell product each."""
+        xds, yds = ([_digits(x, bs, ncells) for x in zs] for zs in (xs, ys))
+        return [[_undigits(cell_product(xd, yd), bs) for yd in yds] for xd in xds]
 
     zero_lo = _undigits([base.zero] * low, bs)
     zero_hi = _undigits([base.zero] * (ncells - low), bs) * L
+    # element i*L + l is highs[i] + lows[l]
+    highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
+    hh, hl = products(highs, highs), products(highs, lows)
+    lh, ll = products(lows, highs), products(lows, lows)
     if size <= TABLE_LIMIT:
         add = _product_rows(hi_sum, lo_sum, L)
-        highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
         mul = []
         for x in range(size):
-            by_lo = [cell_mul(x, y) for y in lows]
+            i, l = divmod(x, L)
+            by_hi = [add[p][q] for p, q in zip(hh[i], lh[l])]
+            by_lo = [add[p][q] for p, q in zip(hl[i], ll[l])]
             mul.append(list(chain.from_iterable(
-                [map(add[cell_mul(x, y)].__getitem__, by_lo) for y in highs])))
+                [map(add[p].__getitem__, by_lo) for p in by_hi])))
     else:
         def add(x, y):
             return hi_sum[x // L][y // L] * L + lo_sum[x % L][y % L]
-        mul = cell_mul
+
+        def mul(x, y):
+            i, l = divmod(x, L)
+            j, m = divmod(y, L)
+            return add(add(hh[i][j], hl[i][m]), add(lh[l][j], ll[l][m]))
 
     def neg(x):
         return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)

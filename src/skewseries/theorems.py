@@ -84,7 +84,8 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
 
     Annihilating a sum of left ideals means annihilating each summand, so
     this is the intersection of the per-element orbit annihilators; an empty
-    input gives the whole ring.  Cached per action and set of elements.
+    input gives the whole ring.  Cached per action and set of elements;
+    ValueError on an element that is not an index 0..n-1 of the ring.
     """
     by_set = _set_orbit_cache.get(action)
     if by_set is None:
@@ -94,6 +95,7 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
     if hit is None:
         mask = (1 << action.ring.size) - 1
         for a in key:
+            action.ring.check_element(a)
             mask &= _orbit_annihilator(action, a)
         hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
     return hit

@@ -5,6 +5,7 @@ purpose: these functions must not share code paths with the library
 operations they are used to verify.
 """
 
+import operator
 import random
 from itertools import permutations, product
 
@@ -176,19 +177,39 @@ def matrix_ops(b: int, k: int, triangular: bool = False):
     pos = {c: t for t, c in enumerate(cells)}
     powers = [b ** t for t in range(len(cells))]
 
-    every_digits = [[x // p % b for p in powers] for x in range(b * powers[-1])]
+    n = b * powers[-1]
+    every_digits = [[x // p % b for p in powers] for x in range(n)]
     digits = every_digits.__getitem__
+    # column[c][y] is cell c of y: each table row is computed cell by cell
+    # across every y at once
+    column = [[ds[c] for ds in every_digits] for c in range(len(cells))]
 
     def pack(ds):
         return sum(d * p for d, p in zip(ds, powers))
 
+    sums, products = [], []
+    for xs in every_digits:
+        # cellwise: X[c] + Y[c] mod b
+        row = [0] * n
+        for c, p in enumerate(powers):
+            row = [r + (xs[c] + d) % b * p for r, d in zip(row, column[c])]
+        sums.append(row)
+        # (XY)[i,j] = sum over t of X[i,t] * Y[t,j] mod b
+        row = [0] * n
+        for (i, j), p in zip(cells, powers):
+            entry = [0] * n
+            for t in range(k):
+                if (i, t) in pos and (t, j) in pos:
+                    entry = list(map(operator.add, entry,
+                                     map(xs[pos[i, t]].__mul__, column[pos[t, j]])))
+            row = [r + e % b * p for r, e in zip(row, entry)]
+        products.append(row)
+
     def add(x, y):
-        return pack([(p + q) % b for p, q in zip(digits(x), digits(y))])
+        return sums[x][y]
 
     def mul(x, y):
-        xs, ys = digits(x), digits(y)
-        return pack([sum(xs[pos[i, t]] * ys[pos[t, j]] for t in range(k)
-                         if (i, t) in pos and (t, j) in pos) % b for i, j in cells])
+        return products[x][y]
 
     def neg(x):
         return pack([-d % b for d in digits(x)])

@@ -284,6 +284,8 @@ MALFORMED_Z4_COUNTEREXAMPLES = {
     "no_annihilator": {"element": 2},
     "element_not_an_int": {"element": "2", "annihilator": [0, 2]},
     "element_outside_the_ring": {"element": 9, "annihilator": [0, 2]},
+    # -2 would alias element 2 and confirm the counterexample
+    "element_negative": {"element": -2, "annihilator": [0, 2]},
 }
 
 
@@ -297,6 +299,20 @@ def test_replay_of_a_malformed_witness_is_an_error(tmp_path, counterexample):
     buf = io.StringIO()
     assert replay(str(out), stream=buf) == 3
     assert buf.getvalue().startswith("replay error: malformed left_app witness")
+
+
+@pytest.mark.parametrize("check", ["left_app", "pq_baer", "right_pp", "reduced"])
+def test_replay_of_a_negative_element_is_an_error(tmp_path, check):
+    _, out, _ = run_to_file(Z4_JOB.replace("checks = left_app", f"checks = {check}"),
+                            tmp_path)
+    tree = json.loads(out.read_text())
+    assert tree["witnesses"][0]["counterexample"]["element"] == 2
+    tree["witnesses"][0]["counterexample"]["element"] = -2
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue().startswith(
+        f"replay error: malformed {check} witness (ValueError: -2 is not an element of Z4")
 
 
 def test_replay_of_a_missing_witness_is_an_error(tmp_path):

@@ -11,6 +11,7 @@ from skewseries.ideals import (
     TWO_SIDED,
     IdealSet,
     additive_closure,
+    idempotent_generator,
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,
@@ -27,6 +28,7 @@ from skewseries.rings import (
     upper_triangular_ring,
 )
 from skewseries.series import single_generator_action, trivial_action
+from skewseries.theorems import set_orbit_annihilator
 
 from oracles import (
     additive_closure_by_fixpoint,
@@ -241,3 +243,28 @@ def test_lazy_flavor_matches_eager_classification(ring):
     assert {LEFT_IDEAL, TWO_SIDED} & seen
     if ring is T2:
         assert seen == {LEFT_IDEAL, RIGHT_IDEAL, TWO_SIDED, PLAIN_SUBSET}
+
+
+# Each public function that takes elements, called with a set of them.
+ELEMENT_TAKERS = {
+    "left_annihilator": lambda xs: left_annihilator(xs, Z4),
+    "right_annihilator": lambda xs: right_annihilator(xs, Z4),
+    "left_ideal_generated": lambda xs: left_ideal_generated(xs, Z4),
+    "orbit_ideal": lambda xs: orbit_ideal(xs, trivial_action(make_monoid("NatAdd"), Z4)),
+    "is_right_s_unital": lambda xs: is_right_s_unital(IdealSet(Z4, frozenset(xs))),
+    "idempotent_generator": lambda xs: idempotent_generator(IdealSet(Z4, frozenset(xs)),
+                                                            "left"),
+    "tominaga_common_witness": lambda xs: tominaga_common_witness(
+        IdealSet(Z4, frozenset({0, 1, 2, 3})), xs),
+    "set_orbit_annihilator": lambda xs: set_orbit_annihilator(
+        xs, trivial_action(make_monoid("NatAdd"), Z4)),
+}
+
+
+@pytest.mark.parametrize("call", list(ELEMENT_TAKERS.values()), ids=list(ELEMENT_TAKERS))
+@pytest.mark.parametrize("bad", [-1, -3, 4, 2.0, "2"])
+def test_public_functions_reject_non_elements(call, bad):
+    # A negative index would otherwise alias element n + bad.
+    call({0, 2})  # elements are accepted
+    with pytest.raises(ValueError, match=rf"^{bad!r} is not an element of Z4 \(0\.\.3\)$"):
+        call({0, bad})

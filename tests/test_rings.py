@@ -1,8 +1,9 @@
+import random
 from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewseries.rings import (
@@ -24,6 +25,7 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
+from skewseries.rings import _byte_tables, _sample_triples, _triple_axioms_hold
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
@@ -225,8 +227,8 @@ def test_product_z4_z2_automorphisms_match_brute_force():
     assert {a.perm for a in automorphisms(R)} == brute_force_automorphism_perms(R)
 
 
-# Rings whose tables get corrupted below: triples are exhaustive up to 64
-# elements and seeded samples above.
+# Rings whose tables get corrupted below; above 64 elements a corruption the
+# seeded samples miss is still found, by the exact check.
 CORRUPTIBLE = [
     cyclic_ring(2),
     cyclic_ring(5),
@@ -241,37 +243,121 @@ CORRUPTIBLE = [
 ]
 
 
-def _axiom_outcome(check, ring, seed):
+def _axiom_outcome(check, ring, seed, **options):
     """None when ``check`` accepts the ring, else the error's type and text."""
     try:
-        check(ring, seed=seed)
+        check(ring, seed=seed, **options)
     except (RingAxiomError, IndexError) as exc:
         return type(exc).__name__, str(exc)
     return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
-    base = data.draw(st.sampled_from(CORRUPTIBLE), label="ring")
+def _corrupted(data, rings, values):
+    """A ring of ``rings`` with up to three table entries overwritten by
+    ``values(n)``, unvalidated, and its tables.  Sums are corrupted in
+    symmetric pairs so that commutativity, checked first, does not catch
+    every change."""
+    base = data.draw(st.sampled_from(rings), label="ring")
     n = base.size
     add, mul = closure_tables(n, base.add, base.mul)
-    # Mostly entries in range; -1 wraps to the last row and n raises
-    # IndexError, in both checks alike.  Sums are corrupted in symmetric
-    # pairs so that commutativity, checked first, does not catch every change.
-    value = st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n]))
     element = st.integers(0, n - 1)
     for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
-        a, b, v = data.draw(element), data.draw(element), data.draw(value)
+        a, b, v = data.draw(element), data.draw(element), data.draw(values(n))
         if data.draw(st.booleans(), label="sum"):
             add[a][b] = add[b][a] = v
         else:
             mul[a][b] = v
     ring = FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
                       zero=base.zero, one=base.one, neg=base.neg, validate=False)
+    return ring, add, mul
+
+
+# Exhaustive oracle outcomes by table contents: the uncorrupted tables of
+# the larger rings come up again and again.
+_EXHAUSTIVE_OUTCOMES: dict = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
+    # Mostly entries in range; -1 wraps to the last row and n raises
+    # IndexError, in both checks alike.
+    ring, add, mul = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
+        st.integers(0, n - 1), st.sampled_from([-1, n])))
     seed = data.draw(st.integers(0, 3), label="seed")
-    assert _axiom_outcome(validate_ring, ring, seed) == \
-        _axiom_outcome(validate_ring_oracle, ring, seed)
+    # A tabled ring is checked exactly: the sampled scan's error when it
+    # finds one (so every table rejected by sampling keeps its message),
+    # otherwise the first failing triple of all.
+    expected = _axiom_outcome(validate_ring_oracle, ring, seed)
+    if expected is None and ring.size > 64:
+        key = repr((add, mul))
+        if key not in _EXHAUSTIVE_OUTCOMES:
+            _EXHAUSTIVE_OUTCOMES[key] = _axiom_outcome(
+                validate_ring_oracle, ring, seed, exhaustive_cap=ring.size)
+        expected = _EXHAUSTIVE_OUTCOMES[key]
+    assert _axiom_outcome(validate_ring, ring, seed) == expected
+
+
+def test_tables_above_64_elements_are_checked_on_every_triple():
+    # One wrong product that none of the 2000 seeded samples meets.
+    Z = cyclic_ring(200)
+    add, mul = closure_tables(200, Z.add, Z.mul)
+    mul[150][151] = (mul[150][151] + 100) % 200
+    ring = FiniteRing(200, add=add, mul=mul, zero=0, one=1, validate=False)
+    assert _axiom_outcome(validate_ring_oracle, ring, 0) is None
+    expected = ("RingAxiomError", "right distributivity fails at (1,149,151)")
+    assert _axiom_outcome(validate_ring_oracle, ring, 0, exhaustive_cap=200) == expected
+    assert _axiom_outcome(validate_ring, ring, 0) == expected
+
+
+def _triple_laws_outcome(ring) -> bool | None:
+    """Whether every triple satisfies the triple axioms, by a scan of all
+    triples; None when a law checked before them already fails."""
+    outcome = _axiom_outcome(validate_ring_oracle, ring, 0, exhaustive_cap=ring.size)
+    if outcome is None:
+        return True
+    first_laws = ("additive identity", "additive inverse", "multiplicative identity",
+                  "addition not commutative")
+    return None if outcome[1].startswith(first_laws) else False
+
+
+def _fast_outcome(ring, add, mul) -> bool:
+    return _triple_axioms_hold(_byte_tables(add, mul), ring.zero)
+
+
+# Small enough for a scan of every triple; commutative and not.
+DIFFERENTIAL_RINGS = [
+    cyclic_ring(2),
+    cyclic_ring(9),
+    cyclic_ring(12),
+    product_ring(cyclic_ring(2), cyclic_ring(3)),
+    product_ring(cyclic_ring(2), product_ring(cyclic_ring(2), cyclic_ring(2))),
+    product_ring(cyclic_ring(3), cyclic_ring(3)),
+    product_ring(cyclic_ring(4), cyclic_ring(4)),
+    upper_triangular_ring(cyclic_ring(2), 2),
+    upper_triangular_ring(cyclic_ring(3), 2),
+    matrix_ring(cyclic_ring(2), 2),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_triple_check_matches_triple_scan_on_corrupted_tables(data):
+    ring, add, mul = _corrupted(data, DIFFERENTIAL_RINGS,
+                                lambda n: st.integers(0, n - 1))
+    expected = _triple_laws_outcome(ring)
+    assume(expected is not None)
+    assert _fast_outcome(ring, add, mul) == expected
+
+
+@pytest.mark.parametrize("n", [65, 100, 257, 1024, 4096])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_sampled_triples_are_those_of_randrange(n, seed):
+    # The triples are drawn from getrandbits in C; this pins them to the
+    # randrange calls they replace, so a change in the random module shows.
+    rng = random.Random(seed)
+    want = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    assert list(_sample_triples(n, 500, seed)) == want
 
 
 @pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
@@ -315,6 +401,60 @@ def test_near_ring_fails_one_distributive_law_like_oracle(k, opposite, law):
     assert _axiom_outcome(validate_ring, ring, 0) == expected
 
 
+def _unital_algebra(p: int, constants) -> FiniteRing:
+    """Z_p^d on base-p digits, with basis e_0 = 1, e_1, ..., e_(d-1) and
+    e_i * e_j = constants[i-1][j-1] (a digit vector) for i, j >= 1.
+
+    The product is bilinear with identity e_0, so every ring axiom holds
+    except, perhaps, associativity of the product.
+    """
+    d = len(constants) + 1
+    n = p ** d
+    unit = [[int(i == t) for t in range(d)] for i in range(d)]
+    # basis[i][j] = e_i * e_j; e_0 * e_j = e_j and e_i * e_0 = e_i
+    basis = [[unit[i + j] if i == 0 or j == 0 else constants[i - 1][j - 1]
+              for j in range(d)] for i in range(d)]
+    digits = [[x // p ** t % p for t in range(d)] for x in range(n)]
+
+    def pack(v):
+        return sum(c % p * p ** t for t, c in enumerate(v))
+
+    add = [[pack([u + v for u, v in zip(dx, dy)]) for dy in digits] for dx in digits]
+    mul = [[pack([sum(dx[i] * dy[j] * basis[i][j][t] for i in range(d) for j in range(d))
+                  for t in range(d)]) for dy in digits] for dx in digits]
+    return FiniteRing(n, add=add, mul=mul, zero=0, one=1, validate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_triple_check_matches_triple_scan_on_unital_algebras(data):
+    # Only associativity of the product can fail here: the check on G^3
+    # must catch it.
+    p, d = data.draw(st.sampled_from([(2, 3), (2, 4), (3, 3)]), label="p, d")
+    vector = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    constants = data.draw(st.lists(st.lists(vector, min_size=d - 1, max_size=d - 1),
+                                   min_size=d - 1, max_size=d - 1), label="constants")
+    ring = _unital_algebra(p, constants)
+    expected = _triple_laws_outcome(ring)
+    assert expected is not None
+    assert _fast_outcome(ring, *ring.tables) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("opposite", [False, True])
+def test_exact_triple_check_rejects_near_rings_like_triple_scan(k, opposite):
+    ring = _near_ring(k, opposite)
+    assert _triple_laws_outcome(ring) is False
+    assert _fast_outcome(ring, *ring.tables) is False
+
+
+@pytest.mark.parametrize("ring", [*CORRUPTIBLE, *DIFFERENTIAL_RINGS,
+                                  matrix_ring(cyclic_ring(3), 2), matrix_ring(cyclic_ring(4), 2)],
+                         ids=lambda r: r.name)
+def test_exact_triple_check_accepts_factory_rings(ring):
+    assert _fast_outcome(ring, *ring.tables)
+
+
 def _small_product(*moduli):
     ring = cyclic_ring(moduli[0])
     for m in moduli[1:]:
@@ -322,38 +462,34 @@ def _small_product(*moduli):
     return ring
 
 
-# (label, build, ops, whole): ops are the reference add, mul, neg, zero and
-# one; whole=False compares addition only, for rings whose multiplication is
-# the same closure as the reference's.
+# (label, build, ops): ops are the reference add, mul, neg, zero and one.
 FACTORY_CASES = [
-    *[(f"Z{n}", lambda n=n: cyclic_ring(n), lambda n=n: cyclic_ops(n), True)
+    *[(f"Z{n}", lambda n=n: cyclic_ring(n), lambda n=n: cyclic_ops(n))
       for n in (*range(1, 9), 255, 256, 257)],
     *[(f"Z{a}xZ{b}", lambda a=a, b=b: product_ring(cyclic_ring(a), cyclic_ring(b)),
-       lambda a=a, b=b: product_ops(cyclic_ring(a), cyclic_ring(b)), True)
+       lambda a=a, b=b: product_ops(cyclic_ring(a), cyclic_ring(b)))
       for a, b in ((2, 3), (3, 2), (4, 2), (2, 4), (3, 5), (1, 7), (7, 1), (4, 64), (2, 129))],
     ("(Z2xZ3)xZ4", lambda: product_ring(_small_product(2, 3), cyclic_ring(4)),
-     lambda: product_ops(_small_product(2, 3), cyclic_ring(4)), True),
+     lambda: product_ops(_small_product(2, 3), cyclic_ring(4))),
     ("Z5x(Z2xZ3)", lambda: product_ring(cyclic_ring(5), _small_product(2, 3)),
-     lambda: product_ops(cyclic_ring(5), _small_product(2, 3)), True),
+     lambda: product_ops(cyclic_ring(5), _small_product(2, 3))),
     *[(f"M{k}(Z{b})", lambda b=b, k=k: matrix_ring(cyclic_ring(b), k),
-       lambda b=b, k=k: matrix_ops(b, k), b ** (k * k) <= TABLE_LIMIT)
+       lambda b=b, k=k: matrix_ops(b, k))
       for b, k in ((1, 2), (2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (4, 2), (5, 2))],
     *[(f"T{k}(Z{b})", lambda b=b, k=k: upper_triangular_ring(cyclic_ring(b), k),
-       lambda b=b, k=k: matrix_ops(b, k, triangular=True), b ** (k * (k + 1) // 2) <= TABLE_LIMIT)
+       lambda b=b, k=k: matrix_ops(b, k, triangular=True))
       for b, k in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3))],
 ]
 
 
-@pytest.mark.parametrize("build, ops, whole", [c[1:] for c in FACTORY_CASES],
+@pytest.mark.parametrize("build, ops", [c[1:] for c in FACTORY_CASES],
                          ids=[c[0] for c in FACTORY_CASES])
-def test_factory_tables_match_closure_tables(build, ops, whole):
+def test_factory_tables_match_closure_tables(build, ops):
     ring = build()
     add, mul, neg, zero, one = ops()
     n = ring.size
     assert (ring._add_rows is not None) == (n <= TABLE_LIMIT)
-    if not whole:
-        assert closure_tables(n, ring.add) == closure_tables(n, add)
-    elif ring._add_rows is not None:
+    if ring._add_rows is not None:
         assert (ring._add_rows, ring._mul_rows) == closure_tables(n, add, mul)
     else:
         assert closure_tables(n, ring.add, ring.mul) == closure_tables(n, add, mul)
