@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 
 from .rings import FiniteRing, _additive_generators, additive_closure
 from .series import OmegaAction
@@ -148,10 +148,13 @@ def _lowest(mask: int) -> int:
 
 
 def _elements(ring: FiniteRing, xs) -> list[int]:
-    """``xs`` as a list, after checking that each is an element index."""
+    """``xs`` as a list, after checking that each is an element index (in C
+    when all are; otherwise the first that is not raises ValueError)."""
     xs = list(xs)
-    for x in xs:
-        ring.check_element(x)
+    if xs and not (all(map(isinstance, xs, repeat(int)))
+                   and 0 <= min(xs) and max(xs) < ring.size):
+        for x in xs:
+            ring.check_element(x)
     return xs
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from .ideals import (
     IdealSet,
+    _elements,
     _first_orbit_failure,
     _members,
     _orbit_annihilator,
@@ -94,8 +95,7 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
     hit = by_set.get(key)
     if hit is None:
         mask = (1 << action.ring.size) - 1
-        for a in key:
-            action.ring.check_element(a)
+        for a in _elements(action.ring, key):
             mask &= _orbit_annihilator(action, a)
         hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
     return hit
