@@ -715,14 +715,6 @@ def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
     return RingAut(ring, perm)
 
 
-def _additive_order(ring: FiniteRing, a: int) -> int:
-    k, acc = 1, a
-    while acc != ring.zero:
-        acc = ring.add(acc, a)
-        k += 1
-    return k
-
-
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
     """A small additive generating set, starting with 1; found once per ring."""
     if ring._additive_gens is None:
@@ -763,12 +755,17 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
                   generators: list[RingAut] | None = None) -> list[RingAut]:
     """The full automorphism group, identity first.
 
-    Exhaustive search up to ``cap`` elements: since any automorphism fixes 1
-    and is additive, it is determined by its images on additive generators;
-    candidates are extended additively with consistency pruning before the
-    multiplicative law is checked on generator pairs.  Above the cap a set of
-    generating automorphisms must be supplied and is closed under
-    composition.
+    Up to ``cap`` elements a closure-extension search grows a partial map
+    phi from phi(1) = 1.  Setting phi(x) = y forces phi(x + g) = y + phi(g)
+    and phi(x * g) = y * phi(g) for every mapped g of an additive generating
+    set G, and fails at the first image that differs from one already set or
+    is already taken.  The search branches only on the images of unmapped
+    generators, idempotents to idempotents.  It is exact: a map consistent
+    on every such edge is additive, since the y with
+    phi(x + y) = phi(x) + phi(y) for all x contain G and are closed under +,
+    and then multiplicative by the same argument for products.  Above the
+    cap a set of generating automorphisms must be supplied and is closed
+    under composition.
     """
     if generators is not None:
         return _close_automorphism_group(ring, generators)
@@ -776,65 +773,46 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
         raise ValueError(
             f"{ring.name} has {ring.size} elements; raise cap or supply generators")
 
+    n = ring.size
+    A, M = ring.tables or tuple([[op(a, b) for b in range(n)] for a in range(n)]
+                                for op in (ring.add, ring.mul))
     gens = _additive_generators(ring)
+    idempotent = [M[x][x] == x for x in range(n)]
     found: list[tuple[int, ...]] = []
 
-    # phi maps the current additive span, onto the images in used; extended
-    # one generator at a time.
-    def extend(idx: int, phi: dict[int, int], used: set[int]):
-        if idx == len(gens):
-            perm = tuple(phi[a] for a in ring.elements())
-            for ga in gens:
-                for gb in gens:
-                    if phi[ring.mul(ga, gb)] != ring.mul(phi[ga], phi[gb]):
-                        return
-            found.append(perm)
-            return
-        g = gens[idx]
-        m = 1
-        acc = g
-        while acc not in phi:
-            acc = ring.add(acc, g)
-            m += 1
-        target = phi[acc]  # image of m*g is forced
-        for y in ring.elements():
-            # m*y must hit the forced image
-            ym = ring.zero
-            for _ in range(m):
-                ym = ring.add(ym, y)
-            if ym != target:
+    def assign(phi: list, taken: list, x: int, y: int) -> bool:
+        """Set phi(x) = y and every image it forces; False on a clash."""
+        todo = [(x, y)]
+        while todo:
+            x, y = todo.pop()
+            if phi[x] == y:
                 continue
-            ext, ext_used = dict(phi), set(used)
-            ok = True
-            for x, fx in phi.items():
-                cur_src, cur_dst = x, fx
-                for _ in range(1, m):
-                    cur_src = ring.add(cur_src, g)
-                    cur_dst = ring.add(cur_dst, y)
-                    if cur_src in ext or cur_dst in ext_used:
-                        ok = False
-                        break
-                    ext[cur_src] = cur_dst
-                    ext_used.add(cur_dst)
-                if not ok:
-                    break
-            if ok:
-                extend(idx + 1, ext, ext_used)
+            if phi[x] is not None or taken[y]:
+                return False
+            phi[x], taken[y] = y, True
+            edges = [(g, phi[g], x, y) for g in gens if phi[g] is not None]
+            if x in gens:
+                edges += [(x, y, z, w) for z, w in enumerate(phi) if w is not None]
+            for g, h, z, w in edges:
+                todo += ((A[z][g], A[w][h]), (M[z][g], M[w][h]))
+        return True
 
-    base = {ring.zero: ring.zero}
-    cur = ring.one
-    while cur != ring.zero:
-        base[cur] = cur  # span of 1 is fixed pointwise: phi(k*1) = k*phi(1) = k*1
-        cur = ring.add(cur, ring.one)
-    if len(base) == ring.size:
-        found.append(tuple(range(ring.size)))
-    else:
-        extend(1, base, set(base))
+    def search(phi: list, taken: list) -> None:
+        g = next((g for g in gens if phi[g] is None), None)
+        if g is None:
+            found.append(tuple(phi))
+            return
+        for y in range(n):
+            if not taken[y] and idempotent[y] == idempotent[g]:
+                branch, branch_taken = phi.copy(), taken.copy()
+                if assign(branch, branch_taken, g, y):
+                    search(branch, branch_taken)
 
-    perms = sorted(set(found))
-    ident = tuple(range(ring.size))
-    ordered = [ident] + [p for p in perms if p != ident]
-    return [RingAut(ring, p) for p in ordered]
+    phi, taken = [None] * n, [False] * n
+    assign(phi, taken, ring.one, ring.one)
+    search(phi, taken)
+    ident = tuple(range(n))
+    return [RingAut(ring, p) for p in [ident] + sorted(p for p in found if p != ident)]
 
 
 def _close_automorphism_group(ring: FiniteRing, generators: list[RingAut]) -> list[RingAut]:

@@ -248,8 +248,7 @@ class WitnessOutcome:
 
 
 def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
-                                  chain_search: bool = False,
-                                  skip_condition_check: bool = False) -> WitnessOutcome:
+                                  chain_search: bool = False) -> WitnessOutcome:
     """Build e with g == g * c_e and c_e * h * f == 0 for all middles h.
 
     Let Y collect the twisted coefficients w_u^{-1}(g(u)) over supp(g); each
@@ -265,7 +264,7 @@ def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
     step the hypotheses guarantee does not verify.
     """
     action = g.action
-    if not skip_condition_check and not elementwise_condition_holds(action.ring, action):
+    if not elementwise_condition_holds(action.ring, action):
         raise PreconditionError(
             "orbit annihilator condition fails; witness construction not licensed")
     _require_middles(g, f)
@@ -438,9 +437,8 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
         witnesses_seen = set()
         for i in range(pairs):
             g, f = random_annihilating_pair(action, rng, max_support=max_support)
-            outcome = construct_annihilator_witness(
-                g, f, chain_search=chain_search, skip_condition_check=True)
-            witnesses_seen.add(outcome.witness)
+            _require_middles(g, f)
+            witnesses_seen.add(_build_witness(g, f, chain_search).witness)
         return PropertyReport(
             ring.name, "app_equivalence", True,
             {"condition": True, "pairs": pairs,

@@ -48,6 +48,71 @@ def brute_force_automorphism_perms(ring) -> set:
     return found
 
 
+def automorphism_perms_by_additive_extension(ring) -> list:
+    """Every automorphism's image tuple, identity first, then sorted.
+
+    The search ``rings.automorphisms`` used before its closure extension:
+    the span of 1 is fixed pointwise, each further additive generator g gets
+    every image y with m*y equal to the forced image of m*g (m the first
+    multiple of g already mapped), the map is extended additively over the
+    cosets of g, and the product law is checked on generator pairs only
+    once every generator is mapped.
+    """
+    from skewseries.rings import _additive_generators
+
+    gens = _additive_generators(ring)
+    found = []
+
+    def extend(idx, phi, used):
+        if idx == len(gens):
+            for ga in gens:
+                for gb in gens:
+                    if phi[ring.mul(ga, gb)] != ring.mul(phi[ga], phi[gb]):
+                        return
+            found.append(tuple(phi[a] for a in ring.elements()))
+            return
+        g = gens[idx]
+        m, acc = 1, g
+        while acc not in phi:
+            acc = ring.add(acc, g)
+            m += 1
+        target = phi[acc]
+        for y in ring.elements():
+            ym = ring.zero
+            for _ in range(m):
+                ym = ring.add(ym, y)
+            if ym != target:
+                continue
+            ext, ext_used = dict(phi), set(used)
+            ok = True
+            for x, fx in phi.items():
+                cur_src, cur_dst = x, fx
+                for _ in range(1, m):
+                    cur_src = ring.add(cur_src, g)
+                    cur_dst = ring.add(cur_dst, y)
+                    if cur_src in ext or cur_dst in ext_used:
+                        ok = False
+                        break
+                    ext[cur_src] = cur_dst
+                    ext_used.add(cur_dst)
+                if not ok:
+                    break
+            if ok:
+                extend(idx + 1, ext, ext_used)
+
+    base = {ring.zero: ring.zero}
+    cur = ring.one
+    while cur != ring.zero:
+        base[cur] = cur
+        cur = ring.add(cur, ring.one)
+    if len(base) == ring.size:
+        found.append(tuple(range(ring.size)))
+    else:
+        extend(1, base, set(base))
+    ident = tuple(range(ring.size))
+    return [ident] + [p for p in sorted(set(found)) if p != ident]
+
+
 def smallest_left_ideal_containing(ring, gens) -> frozenset:
     """Grow {0} + gens under addition and left multiplication to a fixpoint."""
     current = {ring.zero} | set(gens)

@@ -29,6 +29,7 @@ from skewseries.rings import _byte_tables, _sample_triples, _triple_axioms_hold
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
+    automorphism_perms_by_additive_extension,
     brute_force_automorphism_perms,
     closure_tables,
     cyclic_ops,
@@ -578,9 +579,41 @@ def test_automorphisms_match_brute_force_in_order(ring):
     assert [a.perm for a in automorphisms(ring)] == [ident] + sorted(found - {ident})
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_automorphisms_of_f2_power_are_the_coordinate_permutations(k):
     assert len(automorphisms(_small_product(*[2] * k))) == factorial(k)
+
+
+DIFFERENTIAL_AUT_RINGS = [
+    *SMALL_RINGS,
+    product_ring(_small_product(2, 2), _small_product(2, 2)),
+    matrix_ring(cyclic_ring(2), 2),
+    upper_triangular_ring(cyclic_ring(3), 2),
+    upper_triangular_ring(cyclic_ring(4), 2),
+    _small_product(8, 8),
+    product_ring(_small_product(2, 2), _small_product(3, 3)),
+]
+
+
+@pytest.mark.parametrize("ring", DIFFERENTIAL_AUT_RINGS, ids=lambda r: r.name)
+def test_automorphisms_match_the_additive_extension_search(ring):
+    assert [a.perm for a in automorphisms(ring)] == \
+        automorphism_perms_by_additive_extension(ring)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: upper_triangular_ring(cyclic_ring(2), 3), 8),
+    (lambda: product_ring(matrix_ring(cyclic_ring(2), 2), cyclic_ring(2)), 6),
+])
+def test_automorphism_group_orders_of_64_and_32_element_rings(build, order):
+    assert len(automorphisms(build())) == order
+
+
+def test_automorphisms_above_the_table_limit_search_closure_rows():
+    ring = _small_product(17, 17)
+    assert ring.size > TABLE_LIMIT and ring.tables is None
+    assert automorphisms(ring, cap=ring.size) == \
+        [identity_automorphism(ring), swap_automorphism(ring)]
 
 
 AUT_RINGS = [
