@@ -268,6 +268,16 @@ def _orbit_annihilator(action: OmegaAction, a: int) -> int:
     return hit
 
 
+def _set_orbit_annihilator(action: OmegaAction, elements) -> int:
+    """The AND of the orbit annihilators of ``elements``, which the caller
+    knows to be indices of the ring: l of the sum of their orbit ideals."""
+    masks = _orbit_kernel(action).masks
+    mask = (1 << action.ring.size) - 1
+    for a in elements:
+        mask &= masks[a] if a in masks else _orbit_annihilator(action, a)
+    return mask
+
+
 def _first_orbit_failure(action: OmegaAction) -> int | None:
     """The first element whose orbit annihilator is not right s-unital.
 

@@ -26,10 +26,10 @@ TABLE_LIMIT = 256
 # Factories refuse to build rings larger than this unless told otherwise.
 DEFAULT_SIZE_CAP = 4096
 
-# Triples are validated exhaustively up to this size and on seeded samples
-# above it, on a ring without tables; a table of more elements that fails
-# the exact check is reported at its first failing sample, if one fails.
-EXHAUSTIVE_VALIDATION_CAP = 64
+# A ring above TABLE_LIMIT elements has its triple axioms checked on this
+# many triples, drawn from random.Random(VALIDATION_SEED).
+VALIDATION_SAMPLES = 2000
+VALIDATION_SEED = 0
 
 
 class RingAxiomError(ValueError):
@@ -54,7 +54,7 @@ class FiniteRing:
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
-                 validate: bool = True, seed: int = 0):
+                 validate: bool = True):
         if size < 1:
             raise RingAxiomError("empty ring: size must be at least 1")
         self.size = size
@@ -83,7 +83,7 @@ class FiniteRing:
         self._additive_gens = None
         self._ideal_bits = None
         if validate:
-            validate_ring(self, seed=seed)
+            validate_ring(self)
 
     def add(self, a: int, b: int) -> int:
         if self._add_rows is not None:
@@ -137,28 +137,26 @@ def _negatives(rows, zero: int) -> list[int]:
     return out
 
 
-def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_CAP,
-                  samples: int = 2000, seed: int = 0) -> None:
+def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
-    The identity, inverse and commutativity laws are always checked in
-    full.  The triple-quantified axioms (associativity of both operations
-    and both distributive laws) are checked exactly on every tabled ring,
-    that is every ring of at most ``TABLE_LIMIT`` elements.  A ring that
-    computes through closures is checked on every triple up to
-    ``exhaustive_cap`` elements and on ``samples`` seeded random triples
-    above it.
+    A tabled ring, one of at most ``TABLE_LIMIT`` elements, is checked
+    exactly.  Every table entry must be an element 0..n-1; the first that is
+    not is named, in row-major order with the addition table first.  Then the
+    identity, inverse and commutativity laws are checked in full, and the
+    triple-quantified axioms (associativity of both operations and both
+    distributive laws) from a generating set of the additive group
+    (``_triple_axioms_hold``).  A table that fails those is reported at its
+    first failing triple in lexicographic order, with its first failing
+    axiom (``_check_blocks``).
 
-    A table whose entries are elements is checked from a generating set of
-    its additive group (``_triple_axioms_hold``).  When that check fails,
-    the message is the one a plain scan gives: above ``exhaustive_cap``
-    elements the first failing sampled triple, otherwise (or when no sample
-    fails) the first failing triple in lexicographic order, each with its
-    first failing axiom.  The lexicographic scan runs one block of triples
-    (a, *, *) at a time and rescans the first failing block triple by
-    triple.
+    A ring that computes through closures gets the identity, inverse and
+    commutativity laws in full and the triple axioms on
+    ``VALIDATION_SAMPLES`` triples drawn from seed ``VALIDATION_SEED``.
     """
     n = ring.size
+    A, M = ring._add_rows, ring._mul_rows
+    tables = None if A is None else _byte_tables(A, M)
     add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
     for a in range(n):
         if add(zero, a) != a or add(a, zero) != a:
@@ -167,7 +165,6 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
             raise RingAxiomError(f"additive inverse fails at {a}")
         if mul(one, a) != a or mul(a, one) != a:
             raise RingAxiomError(f"multiplicative identity fails at {a}")
-    A, M = ring._add_rows, ring._mul_rows
     if A is None:
         # The first non-commuting pair in lexicographic order has a < b.
         raw = ring._add
@@ -175,29 +172,20 @@ def validate_ring(ring: FiniteRing, exhaustive_cap: int = EXHAUSTIVE_VALIDATION_
             for b in range(a + 1, n):
                 if raw(a, b) != raw(b, a):
                     raise RingAxiomError(f"addition not commutative at ({a},{b})")
-    else:
-        for a, (row, col) in enumerate(zip(A, zip(*A))):
-            if tuple(row) != col:
-                b = next(b for b in range(n) if row[b] != col[b])
-                raise RingAxiomError(f"addition not commutative at ({a},{b})")
-    tables = None if A is None else _byte_tables(A, M)
-    if tables is not None and _triple_axioms_hold(tables, zero):
+        _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
         return
-    if n > exhaustive_cap:
-        _check_triples(ring, _sample_triples(n, samples, seed))
-        if A is None:
-            return
-    if tables is None:
-        # Table entries outside 0..n-1 take the scalar scan, which indexes
-        # rows with them exactly as the ring's own add and mul do.
-        _check_triples(ring, product(range(n), repeat=3))
-    else:
+    for a, (row, col) in enumerate(zip(A, zip(*A))):
+        if tuple(row) != col:
+            b = next(b for b in range(n) if row[b] != col[b])
+            raise RingAxiomError(f"addition not commutative at ({a},{b})")
+    if not _triple_axioms_hold(tables, _additive_generators(ring)):
         _check_blocks(ring, tables)
 
 
-def _byte_tables(A, M) -> tuple | None:
-    """The tables of a ring of at most 256 elements as bytes, or None when
-    an entry is not an element 0..n-1.
+def _byte_tables(A, M) -> tuple:
+    """The tables of a ring of at most 256 elements as bytes, after checking
+    that every entry is an element 0..n-1 (``_check_entries`` names the
+    first that is not).
 
     Returns the rows of A, the rows and the columns of M, and each of those
     three lists padded to the 256 entries ``bytes.translate`` wants: with
@@ -208,10 +196,12 @@ def _byte_tables(A, M) -> tuple | None:
     n = len(A)
     try:
         flat = b"".join(map(bytes, A + M))
-    except ValueError:  # an entry outside 0..255
-        return None
-    if max(flat) >= n:
-        return None
+    except (TypeError, ValueError):  # an entry that is not a byte
+        flat = None
+    # deleting every byte 0..n-1 leaves the entries that are not elements
+    if flat is None or flat.translate(None, bytes(range(n))):
+        _check_entries(A, n, "add table")
+        _check_entries(M, n, "mul table")
     arow = [flat[i:i + n] for i in range(0, n * n, n)]
     mflat = flat[n * n:]
     mrow = [mflat[i:i + n] for i in range(0, n * n, n)]
@@ -221,34 +211,12 @@ def _byte_tables(A, M) -> tuple | None:
             [col + pad for col in mcol])
 
 
-def _sum_generators(arow, zero: int) -> list[int]:
-    """A generating set of (R,+) read off an addition table: each element,
-    in index order, that the closure of {zero} under x -> x+g for the
-    generators g so far has not reached.  Terminates on any table."""
-    inside = bytearray(len(arow))
-    inside[zero] = 1
-    reached, gens = [zero], []
-    for a in range(len(arow)):
-        if inside[a]:
-            continue
-        gens.append(a)
-        todo = list(reached)
-        while todo:
-            row = arow[todo.pop()]
-            for g in gens:
-                y = row[g]
-                if not inside[y]:
-                    inside[y] = 1
-                    reached.append(y)
-                    todo.append(y)
-    return gens
-
-
-def _triple_axioms_hold(tables, zero: int) -> bool:
+def _triple_axioms_hold(tables, gens) -> bool:
     """Whether the triple axioms hold on a table, given the identity, inverse
-    and commutativity laws of +; exact, in O(|G|*n) row operations.
+    and commutativity laws of + and a set ``gens`` whose sums reach every
+    element; exact, in O(|G|*n) row operations.
 
-    G is a generating set of (R,+), so every element is a sum of generators.
+    G generates (R,+), so every element is a sum of generators.
     - + is associative when (x+g)+y == x+(g+y) for all x, y and g in G
       (Light's test): the a with x+(a+y) == (x+a)+y for all x, y are closed
       under +, and contain G.
@@ -259,7 +227,6 @@ def _triple_axioms_hold(tables, zero: int) -> bool:
       when it vanishes on G^3.
     """
     arow, mrow, mcol, add_by, mul_by, by_mul = tables
-    gens = _sum_generators(arow, zero)
     return (all(arow[ax[g]] == arow[g].translate(t)
                 for g in gens for ax, t in zip(arow, add_by))
             and all(arow[g].translate(t) == ma.translate(add_by[ma[g]])
@@ -716,16 +683,31 @@ def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
-    """A small additive generating set, starting with 1; found once per ring."""
+    """A small additive generating set, found once per ring: 1, then each
+    element, in index order, that sums of the generators so far do not reach.
+
+    The sums are found breadth-first from zero through x -> x + g, each
+    element meeting each generator once, so the search ends on any addition
+    table, a ring's or not.
+    """
     if ring._additive_gens is None:
-        gens = [ring.one]
-        span = additive_closure(ring, gens)
-        for a in ring.elements():
-            if a not in span:
-                gens.append(a)
-                span = additive_closure(ring, gens)
-                if len(span) == ring.size:
-                    break
+        add = ring.add
+        inside = bytearray(ring.size)
+        inside[ring.zero] = 1
+        reached, gens, a = [ring.zero], [], ring.one
+        while a >= 0:
+            gens.append(a)
+            # what is reached already meets a; a new sum meets every generator
+            todo = [(x, (a,)) for x in reached]
+            while todo:
+                x, step = todo.pop()
+                for g in step:
+                    y = add(x, g)
+                    if not inside[y]:
+                        inside[y] = 1
+                        reached.append(y)
+                        todo.append((y, gens))
+            a = inside.find(0)
         ring._additive_gens = tuple(gens)
     return ring._additive_gens
 
@@ -751,8 +733,7 @@ def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:
     return frozenset(span)
 
 
-def automorphisms(ring: FiniteRing, cap: int = 64,
-                  generators: list[RingAut] | None = None) -> list[RingAut]:
+def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
     """The full automorphism group, identity first.
 
     Up to ``cap`` elements a closure-extension search grows a partial map
@@ -763,15 +744,11 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
     generators, idempotents to idempotents.  It is exact: a map consistent
     on every such edge is additive, since the y with
     phi(x + y) = phi(x) + phi(y) for all x contain G and are closed under +,
-    and then multiplicative by the same argument for products.  Above the
-    cap a set of generating automorphisms must be supplied and is closed
-    under composition.
+    and then multiplicative by the same argument for products.  A ring of
+    more than ``cap`` elements raises ValueError.
     """
-    if generators is not None:
-        return _close_automorphism_group(ring, generators)
     if ring.size > cap:
-        raise ValueError(
-            f"{ring.name} has {ring.size} elements; raise cap or supply generators")
+        raise ValueError(f"{ring.name} has {ring.size} elements; raise cap")
 
     n = ring.size
     A, M = ring.tables or tuple([[op(a, b) for b in range(n)] for a in range(n)]
@@ -814,21 +791,3 @@ def automorphisms(ring: FiniteRing, cap: int = 64,
     ident = tuple(range(n))
     return [RingAut(ring, p) for p in [ident] + sorted(p for p in found if p != ident)]
 
-
-def _close_automorphism_group(ring: FiniteRing, generators: list[RingAut]) -> list[RingAut]:
-    ident = identity_automorphism(ring)
-    for g in generators:
-        g.validate()
-    seen = {ident.perm: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                c = a.compose(g)
-                if c.perm not in seen:
-                    seen[c.perm] = c
-                    nxt.append(c)
-        frontier = nxt
-    perms = sorted(seen)
-    return [ident] + [seen[p] for p in perms if p != ident.perm]

@@ -31,12 +31,16 @@ import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
+    FR,
     IdealSet,
     _elements,
     _first_orbit_failure,
+    _ideal,
+    _lowest_common,
     _members,
     _orbit_annihilator,
     _s_unital,
+    _set_orbit_annihilator,
     right_annihilator,
     tominaga_common_witness,
 )
@@ -94,9 +98,7 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
     key = frozenset(elements)
     hit = by_set.get(key)
     if hit is None:
-        mask = (1 << action.ring.size) - 1
-        for a in _elements(action.ring, key):
-            mask &= _orbit_annihilator(action, a)
+        mask = _set_orbit_annihilator(action, _elements(action.ring, key))
         hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
     return hit
 
@@ -280,20 +282,23 @@ def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessO
     """The witness construction for a pair whose preconditions hold."""
     action = g.action
     ring = action.ring
-    ann = set_orbit_annihilator(f.coeffs.values(), action)
+    ann = _set_orbit_annihilator(action, f.coeffs.values())
     targets = []
     for u, gu in g.coeffs.items():
         y = action.automorphism(u).inverse().perm[gu]
-        if y not in ann.members:
+        if not ann >> y & 1:
             raise CoherenceAlarm(
                 f"twisted coefficient {y} at exponent {u!r} is outside the "
-                f"orbit annihilator {ann.describe()}")
+                f"orbit annihilator {_ideal(ring, ann).describe()}")
         targets.append(y)
 
     selected = targets
     if chain_search and targets:
         selected = _minimal_annihilator_subset(ring, targets)
-    witness = tominaga_common_witness(ann, selected)
+    witness = _lowest_common(ring, ann, selected, FR) if selected else ring.zero
+    if witness is None:
+        raise CoherenceAlarm(
+            f"no common witness in {_ideal(ring, ann).describe()} for {sorted(selected)}")
     for y in targets:
         if ring.mul(y, witness) != y:
             raise CoherenceAlarm(
@@ -313,7 +318,7 @@ def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessO
         witness=witness,
         twisted_coefficients=sorted(set(targets)),
         selected_subset=sorted(set(selected)),
-        annihilator=ann.sorted_members(),
+        annihilator=_members(ann),
     )
 
 
@@ -358,17 +363,13 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
         k = rng.randint(1, max_support)
         return rng.sample(pool, min(k, len(pool)))
 
-    f = None
-    ann_members: list[int] = []
+    f, ann = None, 0
     for _ in range(retries):
-        candidate = SkewSeries._trusted(
-            action, {s: rng.choice(nonzero) for s in draw_support()})
-        members = set_orbit_annihilator(candidate.coeffs.values(), action).members
-        f = candidate
-        ann_members = sorted(members)
-        if len(members) > 1:
+        f = SkewSeries._trusted(action, {s: rng.choice(nonzero) for s in draw_support()})
+        ann = _set_orbit_annihilator(action, f.coeffs.values())
+        if ann & (ann - 1):  # more than one member
             break
-    choices = [b for b in ann_members if b != ring.zero] or [ring.zero]
+    choices = [b for b in _members(ann) if b != ring.zero] or [ring.zero]
     g_coeffs = {}
     for u in draw_support():
         b = rng.choice(choices)

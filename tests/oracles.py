@@ -639,3 +639,43 @@ def orbit_condition_by_scan(ring, action) -> tuple:
                 for members, (ann, res) in sorted(
                     checked.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
     return True, {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence}
+
+
+def additive_generators_by_span(ring) -> tuple:
+    """1, then each element, in index order, outside the additive span of
+    the generators so far (``rings.additive_closure``), recomputed after
+    each one is added."""
+    from skewseries.rings import additive_closure
+
+    gens = [ring.one]
+    span = additive_closure(ring, gens)
+    for a in ring.elements():
+        if a not in span:
+            gens.append(a)
+            span = additive_closure(ring, gens)
+            if len(span) == ring.size:
+                break
+    return tuple(gens)
+
+
+def sum_generators_of_table(arow, zero: int) -> list:
+    """A generating set of (R,+) read off the rows of an addition table:
+    each element, in index order, that the closure of {zero} under x -> x+g
+    for the generators g so far has not reached.  Terminates on any table."""
+    inside = bytearray(len(arow))
+    inside[zero] = 1
+    reached, gens = [zero], []
+    for a in range(len(arow)):
+        if inside[a]:
+            continue
+        gens.append(a)
+        todo = list(reached)
+        while todo:
+            row = arow[todo.pop()]
+            for g in gens:
+                y = row[g]
+                if not inside[y]:
+                    inside[y] = 1
+                    reached.append(y)
+                    todo.append(y)
+    return gens

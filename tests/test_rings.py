@@ -25,10 +25,12 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
-from skewseries.rings import _byte_tables, _sample_triples, _triple_axioms_hold
+from skewseries.rings import (_additive_generators, _byte_tables, _sample_triples,
+                              _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
+    additive_generators_by_span,
     automorphism_perms_by_additive_extension,
     brute_force_automorphism_perms,
     closure_tables,
@@ -36,6 +38,7 @@ from oracles import (
     matrix_ops,
     product_ops,
     ring_aut_validate_oracle,
+    sum_generators_of_table,
     units_by_scan,
     validate_ring_oracle,
 )
@@ -183,13 +186,9 @@ def test_automorphisms_permute_idempotents(build):
         assert {aut.apply(e) for e in idem} == idem
 
 
-def test_automorphism_cap_requires_generators():
-    with pytest.raises(ValueError, match="generators"):
+def test_automorphism_cap_is_enforced():
+    with pytest.raises(ValueError, match="Z6 has 6 elements; raise cap"):
         automorphisms(cyclic_ring(6), cap=4)
-    # supplying generators works above the cap
-    auts = automorphisms(cyclic_ring(6), cap=4,
-                         generators=[identity_automorphism(cyclic_ring(6))])
-    assert len(auts) == 1
 
 
 def test_swap_requires_square_product():
@@ -228,8 +227,7 @@ def test_product_z4_z2_automorphisms_match_brute_force():
     assert {a.perm for a in automorphisms(R)} == brute_force_automorphism_perms(R)
 
 
-# Rings whose tables get corrupted below; above 64 elements a corruption the
-# seeded samples miss is still found, by the exact check.
+# Rings whose tables get corrupted below, at most 64 elements and more.
 CORRUPTIBLE = [
     cyclic_ring(2),
     cyclic_ring(5),
@@ -244,10 +242,10 @@ CORRUPTIBLE = [
 ]
 
 
-def _axiom_outcome(check, ring, seed, **options):
+def _axiom_outcome(check, ring, **options):
     """None when ``check`` accepts the ring, else the error's type and text."""
     try:
-        check(ring, seed=seed, **options)
+        check(ring, **options)
     except (RingAxiomError, IndexError) as exc:
         return type(exc).__name__, str(exc)
     return None
@@ -278,25 +276,36 @@ def _corrupted(data, rings, values):
 _EXHAUSTIVE_OUTCOMES: dict = {}
 
 
+def _entry_outcome(add, mul):
+    """The error for the first table entry that is not an element, in
+    row-major order with the addition table first; None when all are."""
+    n = len(add)
+    for label, table in (("add table", add), ("mul table", mul)):
+        for a, row in enumerate(table):
+            for b, x in enumerate(row):
+                if not 0 <= x < n:
+                    return ("RingAxiomError",
+                            f"{label} entry {x!r} at ({a},{b}) is not an element 0..{n - 1}")
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
-    # Mostly entries in range; -1 wraps to the last row and n raises
-    # IndexError, in both checks alike.
+    # Mostly entries in range; -1 and n are named as entries that are not
+    # elements.
     ring, add, mul = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
         st.integers(0, n - 1), st.sampled_from([-1, n])))
-    seed = data.draw(st.integers(0, 3), label="seed")
-    # A tabled ring is checked exactly: the sampled scan's error when it
-    # finds one (so every table rejected by sampling keeps its message),
-    # otherwise the first failing triple of all.
-    expected = _axiom_outcome(validate_ring_oracle, ring, seed)
-    if expected is None and ring.size > 64:
+    # A table with entries in range is checked exactly, at every size: the
+    # first failing triple of all.
+    expected = _entry_outcome(add, mul)
+    if expected is None:
         key = repr((add, mul))
         if key not in _EXHAUSTIVE_OUTCOMES:
             _EXHAUSTIVE_OUTCOMES[key] = _axiom_outcome(
-                validate_ring_oracle, ring, seed, exhaustive_cap=ring.size)
+                validate_ring_oracle, ring, exhaustive_cap=ring.size)
         expected = _EXHAUSTIVE_OUTCOMES[key]
-    assert _axiom_outcome(validate_ring, ring, seed) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
 
 
 def test_tables_above_64_elements_are_checked_on_every_triple():
@@ -305,16 +314,42 @@ def test_tables_above_64_elements_are_checked_on_every_triple():
     add, mul = closure_tables(200, Z.add, Z.mul)
     mul[150][151] = (mul[150][151] + 100) % 200
     ring = FiniteRing(200, add=add, mul=mul, zero=0, one=1, validate=False)
-    assert _axiom_outcome(validate_ring_oracle, ring, 0) is None
+    assert _axiom_outcome(validate_ring_oracle, ring) is None
     expected = ("RingAxiomError", "right distributivity fails at (1,149,151)")
-    assert _axiom_outcome(validate_ring_oracle, ring, 0, exhaustive_cap=200) == expected
-    assert _axiom_outcome(validate_ring, ring, 0) == expected
+    assert _axiom_outcome(validate_ring_oracle, ring, exhaustive_cap=200) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
+
+
+def test_tables_above_64_elements_report_their_first_failing_triple():
+    # Every product by 90 but 90*1 is off by one.  A seeded sample meets a
+    # failing triple before the first one in lexicographic order; the table
+    # is reported at the latter.
+    Z = cyclic_ring(100)
+    add, mul = closure_tables(100, Z.add, Z.mul)
+    mul[90] = [(x + (c != 1)) % 100 for c, x in enumerate(mul[90])]
+    ring = FiniteRing(100, add=add, mul=mul, zero=0, one=1, validate=False)
+    assert _axiom_outcome(validate_ring_oracle, ring) == \
+        ("RingAxiomError", "multiplication not associative at (68,90,77)")
+    expected = ("RingAxiomError", "right distributivity fails at (1,89,0)")
+    assert _axiom_outcome(validate_ring_oracle, ring, exhaustive_cap=100) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 300, 1.0, None])
+def test_validate_ring_names_the_first_entry_that_is_not_an_element(bad):
+    Z3 = cyclic_ring(3)
+    add, mul = closure_tables(3, Z3.add, Z3.mul)
+    # the addition table is scanned first, row by row
+    mul[1][2], add[2][1], add[2][2] = bad, bad, bad
+    ring = FiniteRing(3, add=add, mul=mul, zero=0, one=1, neg=Z3.neg, validate=False)
+    assert _axiom_outcome(validate_ring, ring) == \
+        ("RingAxiomError", f"add table entry {bad!r} at (2,1) is not an element 0..2")
 
 
 def _triple_laws_outcome(ring) -> bool | None:
     """Whether every triple satisfies the triple axioms, by a scan of all
     triples; None when a law checked before them already fails."""
-    outcome = _axiom_outcome(validate_ring_oracle, ring, 0, exhaustive_cap=ring.size)
+    outcome = _axiom_outcome(validate_ring_oracle, ring, exhaustive_cap=ring.size)
     if outcome is None:
         return True
     first_laws = ("additive identity", "additive inverse", "multiplicative identity",
@@ -323,7 +358,13 @@ def _triple_laws_outcome(ring) -> bool | None:
 
 
 def _fast_outcome(ring, add, mul) -> bool:
-    return _triple_axioms_hold(_byte_tables(add, mul), ring.zero)
+    """The exact check from the ring's additive generators, which must agree
+    with the check from the generating set validation used before them."""
+    tables = _byte_tables(add, mul)
+    outcome = _triple_axioms_hold(tables, _additive_generators(ring))
+    assert _triple_axioms_hold(tables, sum_generators_of_table(tables[0], ring.zero)) \
+        == outcome
+    return outcome
 
 
 # Small enough for a scan of every triple; commutative and not.
@@ -372,8 +413,8 @@ def test_closure_backed_commutativity_matches_oracle(pair):
                       zero=0, one=1, validate=False)
     expected = None if pair is None else \
         ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
-    assert _axiom_outcome(validate_ring_oracle, ring, 0) == expected
-    assert _axiom_outcome(validate_ring, ring, 0) == expected
+    assert _axiom_outcome(validate_ring_oracle, ring) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
 
 
 def _near_ring(k: int, opposite: bool) -> FiniteRing:
@@ -393,13 +434,13 @@ def _near_ring(k: int, opposite: bool) -> FiniteRing:
                       zero=index[(0,) * k], one=index[tuple(range(k))], validate=False)
 
 
-@pytest.mark.parametrize("k", [3, 4])  # 27 elements, exhaustive; 256, sampled
+@pytest.mark.parametrize("k", [3, 4])  # 27 and 256 elements
 @pytest.mark.parametrize("opposite, law", [(False, "left"), (True, "right")])
 def test_near_ring_fails_one_distributive_law_like_oracle(k, opposite, law):
     ring = _near_ring(k, opposite)
-    expected = _axiom_outcome(validate_ring_oracle, ring, 0)
+    expected = _axiom_outcome(validate_ring_oracle, ring, exhaustive_cap=ring.size)
     assert expected[1].startswith(f"{law} distributivity fails")
-    assert _axiom_outcome(validate_ring, ring, 0) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
 
 
 def _unital_algebra(p: int, constants) -> FiniteRing:
@@ -496,6 +537,24 @@ def test_factory_tables_match_closure_tables(build, ops):
         assert closure_tables(n, ring.add, ring.mul) == closure_tables(n, add, mul)
     assert [ring.neg(a) for a in range(n)] == [neg(a) for a in range(n)]
     assert (ring.zero, ring.one) == (zero, one)
+
+
+# The closure-backed rings of test_kernel.
+KERNEL_LARGE_RINGS = [product_ring(cyclic_ring(2), cyclic_ring(129)),
+                      product_ring(cyclic_ring(4), cyclic_ring(65)),
+                      product_ring(gallery_ring("T2F2"), cyclic_ring(33))]
+
+
+@pytest.mark.parametrize("build", [
+    *(c[1] for c in FACTORY_CASES),
+    *(lambda name=name: gallery_ring(name) for name in gallery_names()),
+    *(lambda ring=ring: ring for ring in KERNEL_LARGE_RINGS),
+], ids=[*(c[0] for c in FACTORY_CASES), *gallery_names(),
+        *(r.name for r in KERNEL_LARGE_RINGS)])
+def test_additive_generators_are_those_of_the_span_search(build):
+    # FACTORY_CASES includes Z1, whose one is its zero.
+    ring = build()
+    assert _additive_generators(ring) == additive_generators_by_span(ring)
 
 
 def _relabelled_cyclic(b: int, perm: list[int]):

@@ -273,13 +273,12 @@ def test_witness_alarm_names_the_first_failing_middle_of_the_full_scan(monkeypat
     generators the check itself tries."""
     handed_out = []
 
-    def wrong_witness(ann, targets):
-        ring = ann.ring
-        handed_out.append(next(e for e in ring.elements() if e not in ann.members
+    def wrong_witness(ring, ann, targets, kind):
+        handed_out.append(next(e for e in ring.elements() if not ann >> e & 1
                                and all(ring.mul(y, e) == y for y in targets)))
         return handed_out[-1]
 
-    monkeypatch.setattr(theorems, "tominaga_common_witness", wrong_witness)
+    monkeypatch.setattr(theorems, "_lowest_common", wrong_witness)
     rng = random.Random(11)
     alarms = off_generator_alarms = 0
     for ring, aut, _, _ in standard_contexts():
@@ -291,7 +290,8 @@ def test_witness_alarm_names_the_first_failing_middle_of_the_full_scan(monkeypat
                 continue
             for _ in range(6):
                 g, f = random_annihilating_pair(act, rng)
-                if f.is_zero():
+                # g == 0 takes the witness 0 without a search
+                if f.is_zero() or g.is_zero():
                     continue
                 with pytest.raises(theorems.CoherenceAlarm) as alarm:
                     construct_annihilator_witness(g, f)
@@ -301,6 +301,16 @@ def test_witness_alarm_names_the_first_failing_middle_of_the_full_scan(monkeypat
                 alarms += 1
                 off_generator_alarms += r not in _additive_generators(ring)
     assert alarms > 50 and off_generator_alarms > 0
+
+
+def test_missing_common_witness_raises_the_alarm(monkeypatch):
+    monkeypatch.setattr(theorems, "_lowest_common", lambda ring, mask, xs, kind: None)
+    act = nat_action(Z6)
+    rng = random.Random(3)
+    g, f = next(pair for pair in (random_annihilating_pair(act, rng) for _ in range(50))
+                if not pair[0].is_zero())
+    with pytest.raises(theorems.CoherenceAlarm, match="^no common witness in "):
+        construct_annihilator_witness(g, f)
 
 
 def test_chain_search_selects_minimal_subset_and_verifies():
