@@ -82,15 +82,6 @@ class OrderedMonoid:
             return s * t
         return s + t
 
-    def shifts(self, u, vs) -> list:
-        """[op(u, v) for v in vs], computed without a call per element."""
-        if self._pair:
-            a, b = u
-            return [(a + x, b + y) for x, y in vs]
-        if self._mul:
-            return [u * v for v in vs]
-        return [u + v for v in vs]
-
     def sort_key(self, s):
         if self.kind.endswith("RevLex"):
             return (s[1], s[0])

@@ -44,13 +44,14 @@ class FiniteRing:
     for a ring of at most ``TABLE_LIMIT`` elements, and the ring then owns
     those lists.  Without ``neg`` each negative is looked up in the addition
     table.  Instances are immutable after construction and safe to share;
-    the lazily filled slots, the additive generating set and the bitsets of
-    the ``ideals`` kernel, hold the same values whoever fills them.
+    the lazily filled slots, the additive generating set, its coordinates
+    and the bitsets of the ``ideals`` kernel, hold the same values whoever
+    fills them.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul", "_neg",
                  "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens",
-                 "_ideal_bits")
+                 "_additive_coords", "_ideal_bits")
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
@@ -81,6 +82,7 @@ class FiniteRing:
             self._neg_row = [neg(a) for a in range(size)]
         self._neg = None
         self._additive_gens = None
+        self._additive_coords = None
         self._ideal_bits = None
         if validate:
             validate_ring(self)
@@ -710,6 +712,50 @@ def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
             a = inside.find(0)
         ring._additive_gens = tuple(gens)
     return ring._additive_gens
+
+
+def _additive_coordinates(ring: FiniteRing) -> tuple:
+    """(orders, coordinates, elements, products, term_bound) of a tabled
+    ring over its additive generators g_0..g_{K-1}, found once per ring.
+
+    g_k has additive order orders[k] = d_k.  coordinates[k][r] is x_k(r),
+    where x(r) is the first vector, in mixed-radix order, with
+    0 <= x_k(r) < d_k and sum_k x_k(r) * g_k = r; each coordinate table is
+    padded to the 256 bytes ``bytes.translate`` wants.  elements[sum_k a_k * P_k],
+    P_k = d_0 * ... * d_{k-1}, is sum_k a_k * g_k for every such vector a.
+    The generators need not be a direct-sum basis, so a vector is not
+    unique and d_0 * ... * d_{K-1} may exceed the ring's size.
+    products[i][j] is the coordinate vector x(g_i * g_j), and term_bound is
+    max_k sum_{i,j} x_k(g_i * g_j) * (d_i - 1) * (d_j - 1), the most that
+    sum_{i,j} x_i(a) x_j(b) x_k(g_i * g_j) reaches over elements a, b.
+    """
+    if ring._additive_coords is None:
+        plus = ring.tables[0]
+        zero = ring.zero
+        orders, elements = [], bytes([zero])
+        for g in _additive_generators(ring):
+            multiples = [zero]
+            while (m := plus[multiples[-1]][g]) != zero:
+                multiples.append(m)
+            orders.append(len(multiples))
+            # block a holds the sums so far plus a * g
+            elements = b"".join(elements.translate(bytes(plus[m]).ljust(256, b"\0"))
+                                for m in multiples)
+        first = [elements.find(r) for r in range(ring.size)]
+        coordinates, stride = [], 1
+        for d in orders:
+            coordinates.append(bytes(first[r] // stride % d
+                                     for r in range(ring.size)).ljust(256, b"\0"))
+            stride *= d
+        gens, times = _additive_generators(ring), ring.tables[1]
+        products = tuple(tuple(tuple(c[times[a][b]] for c in coordinates) for b in gens)
+                         for a in gens)
+        term_bound = max(sum(x[k] * (orders[i] - 1) * (orders[j] - 1)
+                             for i, row in enumerate(products) for j, x in enumerate(row))
+                         for k in range(len(orders)))
+        ring._additive_coords = (tuple(orders), tuple(coordinates), elements, products,
+                                 term_bound)
+    return ring._additive_coords
 
 
 def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:

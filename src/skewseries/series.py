@@ -26,16 +26,31 @@ sum g*(r_i x^s)*f, and g*(r x^s)*f vanishes for every r in R exactly when it
 vanishes for every r in an additive generating set G of R (one element for
 Z_n, two for F2xF2, four for M2(F2)).
 
-``convolve`` multiplies term by term, except when the ring is tabled and the
-right factor has more terms than the ring has nonzero elements.  Then some
-coefficient value of g must repeat, and the product is formed once per
-coefficient class of g instead of once per term (see ``convolve``).
+``convolve`` takes one of three paths, all exact and giving the same dict.
+Over an untabled ring (above 256 elements), or when the right factor g has
+fewer terms than the ring has elements, it multiplies term by term.
+Otherwise some coefficient value of g must repeat, and:
+
+* over NatAdd, IntAdd and the four pair kinds, exponents add, so the product
+  is a sum of integer polynomial products over the additive coordinates of
+  R.  Each polynomial is packed into one Python int (Kronecker
+  substitution) and CPython multiplies them.  The slots are 8, 16, 32 or 64
+  bits wide, the least width above the exact bound
+  min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1) on a
+  coefficient before reduction, where g_k are the additive generators of R,
+  d_k their orders and x_k the coordinates (see ``_kronecker``);
+* over NatMulDirichlet, exponents multiply, and the product is formed once
+  per coefficient class of g instead of once per term.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .monoids import OrderedMonoid, min_element
-from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
+from .rings import (FiniteRing, RingAut, _additive_coordinates, _additive_generators,
+                    identity_automorphism)
 
 
 class OmegaAction:
@@ -274,26 +289,33 @@ def _check_coefficient(ring: FiniteRing, s, r) -> None:
 def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     """The exact twisted product of two finitely supported series.
 
-    f(u) * w_u(g(v)) depends on v only through the value g(v).  So when the
-    ring is tabled and g has more terms than the ring has nonzero elements,
-    g's exponents are grouped by coefficient value c, and each u in supp(f)
-    makes one product t = f(u) * w_u(c) per group.  A zero t skips the whole
-    group; a nonzero t is added into the exponent op(u, v) of every v in the
-    group through row t of the addition table.  Below that size (where no
-    value need repeat) and over untabled rings, each pair of terms is
-    multiplied on its own.
+    Three paths give the same dict.  Over an untabled ring, or when g has
+    fewer terms than the ring has elements, each pair of terms is multiplied
+    on its own.  Otherwise some value of g repeats, and:
+
+    * over NatAdd, IntAdd and the pair kinds, ``_kronecker`` forms the
+      product as integer polynomial products over the ring's additive
+      coordinates, each packed into one Python int with slots of 8, 16, 32
+      or 64 bits, the least width above the exact bound
+      min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1);
+    * over NatMulDirichlet, g's exponents are grouped by coefficient value
+      c, and each u in supp(f) makes one product t = f(u) * w_u(c) per
+      group.  A zero t skips the whole group; a nonzero t is added into the
+      exponent u * v of every v in the group through row t of the addition
+      table.
     """
     f._require_same_context(g)
     action = f.action
     ring = action.ring
     zero = ring.zero
-    out: dict = {}
     if len(g.coeffs) >= ring.size and ring.tables is not None:
+        if not action.monoid._mul:
+            return _kronecker(f, g)
         plus, times = ring.tables
-        shifts = action.monoid.shifts
         groups: dict = {}
         for v, gv in g.coeffs.items():
             groups.setdefault(gv, []).append(v)
+        out: dict = {}
         get = out.get
         for u, fu in f.coeffs.items():
             row = times[fu]
@@ -302,11 +324,13 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
                 t = row[twist[c]]
                 if t != zero:
                     plus_t = plus[t]
-                    for s in shifts(u, vs):
+                    for v in vs:
+                        s = u * v
                         out[s] = plus_t[get(s, zero)]
     else:
         op = action.monoid.op
         add, mul = ring.add, ring.mul
+        out = {}
         for u, fu in f.coeffs.items():
             twist = action.automorphism(u).perm
             for v, gv in g.coeffs.items():
@@ -317,6 +341,124 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
                 acc = out.get(s)
                 out[s] = term if acc is None else add(acc, term)
     return SkewSeries._trusted(action, {s: r for s, r in out.items() if r != zero})
+
+
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries:
+    """f * g over an additive exponent monoid and a tabled ring, by
+    Kronecker substitution.
+
+    Write r = sum_k x_k(r) g_k over the additive generators g_k of R, of
+    orders d_k (``rings._additive_coordinates``).  Multiplication is
+    Z-bilinear, so f(u) * w_u(c) = sum_{i,j} x_i(f(u)) x_j(w_u(c)) g_i g_j,
+    and coordinate k of (f*g)(s) is, modulo d_k,
+
+        A_k(s) = sum_{i,j} x_k(g_i g_j) * sum_{u+v=s} x_i(f(u)) x_j(w_u(g(v))).
+
+    For each automorphism rho attained on supp(f), the inner sums over the u
+    with w_u = rho are the coefficients of a product of two integer
+    polynomials, F_{rho,i} * G_{rho,j}.  Each polynomial is packed into one
+    int, coefficient e at bit w*e (``_pack``), so CPython multiplies it.
+    Every A_k(s) is nonnegative and at most
+
+        min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1),
+
+    since at most min(|f|, |g|) pairs (u, v) meet at s; the maximum is the
+    ring's ``term_bound``.  The slot width w
+    is the least of 8, 16, 32 or 64 bits above that bound, so no slot
+    carries into the next and each A_k(s) reads back from its slot.
+    Exponents map to slots by ``_exponent_keys``.
+    """
+    if not f.coeffs:
+        return SkewSeries._trusted(f.action, {})
+    action = f.action
+    ring = action.ring
+    zero = ring.zero
+    orders, coords, elements, consts, term_bound = _additive_coordinates(ring)
+    bound = min(len(f.coeffs), len(g.coeffs)) * term_bound
+    width = 1
+    while bound >> (8 * width):
+        width *= 2
+    key, decode = _exponent_keys(action.monoid, f, g)
+
+    by_twist: dict = {}
+    for u, fu in f.coeffs.items():
+        by_twist.setdefault(action.automorphism(u).perm, []).append((key(u), fu))
+    f_len = max(map(key, f.coeffs)) + 1
+    g_len = max(map(key, g.coeffs)) + 1
+    g_dense = bytearray([zero]) * g_len
+    for v, gv in g.coeffs.items():
+        g_dense[key(v)] = gv
+
+    acc = [0] * len(orders)
+    for perm, terms in by_twist.items():
+        f_dense = bytearray([zero]) * f_len
+        for e, fu in terms:
+            f_dense[e] = fu
+        g_twisted = g_dense.translate(bytes(perm).ljust(256, b"\0"))
+        fs = [_pack(f_dense.translate(c), width) for c in coords]
+        gs = [_pack(g_twisted.translate(c), width) for c in coords]
+        for i, fi in enumerate(fs):
+            if fi:
+                for j, gj in enumerate(gs):
+                    if gj and any(consts[i][j]):
+                        p = fi * gj
+                        for k, c in enumerate(consts[i][j]):
+                            if c:
+                                acc[k] += c * p
+
+    # index of the reduced coordinate vector of every slot into ``elements``
+    out_len = f_len + g_len - 1
+    code = _SLOT_CODES[width]
+    index = [0] * out_len
+    stride = 1
+    for a, d in zip(acc, orders):
+        slots = array(code, a.to_bytes(out_len * width, "little"))
+        if sys.byteorder == "big":
+            slots.byteswap()
+        index = [i + stride * (x % d) for i, x in zip(index, slots)]
+        stride *= d
+    out = {}
+    for e, i in enumerate(index):
+        r = elements[i]
+        if r != zero:
+            out[decode(e)] = r
+    return SkewSeries._trusted(action, out)
+
+
+def _pack(slots: bytes, width: int) -> int:
+    """The int with byte slots[e] at bit 8 * width * e."""
+    if width > 1:
+        spread = bytearray(len(slots) * width)
+        spread[::width] = slots
+        slots = spread
+    return int.from_bytes(slots, "little")
+
+
+def _exponent_keys(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries):
+    """(key, decode): key maps the exponents of f and g to slots 0, 1, ...
+    with key(u) + key(v) a slot of the product, and decode maps a product
+    slot back to op(u, v).
+
+    Integer exponents shift by the least exponent s0 of f and g.  A pair
+    (i, j) takes slot (i - i0) * W + (j - j0), with i0, j0 the least
+    components and W = 2 * (max j - j0) + 1, so the j-parts of two keys add
+    below W and never carry into the i-part.
+    """
+    exps = [*f.coeffs, *g.coeffs]
+    if not monoid._pair:
+        s0 = min(exps)
+        return (lambda s: s - s0), (lambda e: e + 2 * s0)
+    i0 = min(s[0] for s in exps)
+    j0 = min(s[1] for s in exps)
+    w = 2 * (max(s[1] for s in exps) - j0) + 1
+
+    def decode(e):
+        i, j = divmod(e, w)
+        return (i + 2 * i0, j + 2 * j0)
+    return (lambda s: (s[0] - i0) * w + s[1] - j0), decode
 
 
 def zero_series(action: OmegaAction) -> SkewSeries:

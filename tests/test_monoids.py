@@ -12,7 +12,6 @@ from skewseries.monoids import (
     decompositions,
     make_monoid,
     min_element,
-    sample_pool,
 )
 
 from oracles import decomposition_pairs_by_double_loop
@@ -188,13 +187,3 @@ def test_positive_ordering_flags():
     assert not make_monoid("IntAdd").positively_ordered
     assert not make_monoid("IntPairLex").positively_ordered
 
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_shifts_agree_with_op(kind):
-    m = make_monoid(kind)
-    pool = sample_pool(m, 12)
-    rng = random.Random(kind)
-    for u in rng.sample(pool, 8):
-        vs = rng.sample(pool, 10)
-        assert m.shifts(u, vs) == [m.op(u, v) for v in vs]
-    assert m.shifts(m.zero, []) == []

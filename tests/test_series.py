@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,15 @@ from skewseries.monoids import KINDS, make_monoid, sample_pool
 from skewseries.rings import (
     RingAut,
     RingAxiomError,
+    _additive_coordinates,
     _additive_generators,
     cyclic_ring,
+    inner_automorphism,
     product_ring,
     swap_automorphism,
     table_ring,
+    units,
+    upper_triangular_ring,
 )
 from skewseries.series import (
     OmegaAction,
@@ -347,14 +352,27 @@ def _relabelled_z3():
     return table_ring(add_t, mul_t)
 
 
+def _first_nontrivial_inner(ring):
+    return next(a for a in (inner_automorphism(ring, u) for u in units(ring))
+                if not a.is_identity())
+
+
 Z3_RELABELLED = _relabelled_z3()
-# (ring, generator automorphism): twisted actions and a zero that is not index 0
+T2Z4 = upper_triangular_ring(cyclic_ring(4), 2)
+# (ring, generator automorphism): twisted actions, a zero that is not index
+# 0, and additive generating sets that are not direct-sum bases (Z2xZ4,
+# Z6xZ4, Z12xZ18), one of them with more than 256 coordinate vectors
 DIFF_CONTEXTS = {
     "Z2": (cyclic_ring(2), None),
     "Z6": (cyclic_ring(6), None),
+    "Z12": (cyclic_ring(12), None),
     "Z3 relabelled": (Z3_RELABELLED, None),
+    "Z2xZ4": (product_ring(cyclic_ring(2), cyclic_ring(4)), None),
+    "Z6xZ4": (product_ring(cyclic_ring(6), cyclic_ring(4)), None),
+    "Z12xZ18": (product_ring(cyclic_ring(12), cyclic_ring(18)), None),
     "F2xF2/swap": (F22, SWAP),
     "M2F2/inner:6": (gallery_ring("M2F2"), named_automorphism(gallery_ring("M2F2"), "inner:6")),
+    "T2(Z4)/inner": (T2Z4, _first_nontrivial_inner(T2Z4)),
 }
 
 
@@ -371,17 +389,36 @@ def test_relabelled_z3_has_its_zero_off_index_0():
     assert Z3_RELABELLED.zero == 2 and Z3_RELABELLED.tables is not None
 
 
+@pytest.mark.parametrize("name, vectors", [("Z2xZ4", 16), ("Z6xZ4", 48), ("Z12xZ18", 648)])
+def test_diff_contexts_include_generating_sets_that_are_not_bases(name, vectors):
+    ring = DIFF_CONTEXTS[name][0]
+    orders, coords, elements, products, _ = _additive_coordinates(ring)
+    assert len(elements) == vectors > ring.size
+    # every element is the sum its coordinate vector names
+    strides = [1]
+    for d in orders:
+        strides.append(strides[-1] * d)
+    for r in ring.elements():
+        assert elements[sum(c[r] * p for c, p in zip(coords, strides))] == r
+    gens = _additive_generators(ring)
+    for a, row in zip(gens, products):
+        for b, x in zip(gens, row):
+            assert elements[sum(c * p for c, p in zip(x, strides))] == ring.mul(a, b)
+
+
 @pytest.mark.parametrize("grouped", [False, True], ids=["term_by_term", "grouped"])
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
     ring, aut = DIFF_CONTEXTS[data.draw(st.sampled_from(sorted(DIFF_CONTEXTS)))]
     action = _action(kind, ring, aut)
     n = ring.size
-    # g with more terms than the ring has nonzero elements takes the grouped path
+    # g with more terms than the ring has nonzero elements takes the grouped
+    # path (NatMulDirichlet) or the Kronecker kernel (every other kind)
     g_terms = data.draw(st.integers(n, 2 * n) if grouped else st.integers(0, n - 1))
-    pool = sample_pool(action.monoid, 6 if "Pair" in kind else 40)
+    pool = sample_pool(action.monoid,
+                       max(6, isqrt(2 * n)) if "Pair" in kind else max(40, 2 * n))
     nonzero = [r for r in ring.elements() if r != ring.zero]
 
     def series(terms):
@@ -426,6 +463,73 @@ def test_untabled_ring_multiplies_term_by_term():
     f = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 20)})
     g = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 300)})
     assert convolve(f, g) == convolve_by_terms(f, g)
+
+
+ADDITIVE_KINDS = [k for k in KINDS if k != "NatMulDirichlet"]
+
+
+@pytest.mark.parametrize("kind", ["NatAdd", "IntAdd"])
+def test_kronecker_widest_slot_bound_is_exact(kind):
+    # every coefficient 255 = -1 in Z256 on the dense window 0..299: the
+    # middle slots collect 300 * 255 * 255, the bound the slot width follows
+    Z256 = cyclic_ring(256)
+    act = trivial_action(make_monoid(kind), Z256)
+    f = SkewSeries(act, {s: 255 for s in range(300)})
+    g = SkewSeries(act, {s: 255 for s in range(-20 if kind == "IntAdd" else 0, 280)})
+    product = convolve(f, g)
+    assert product == convolve_by_terms(f, g)
+    # (sum x^i)^2 has coefficient min(s, ...) + 1 at s, so 1 at both ends
+    assert product.coefficient(min(product.coeffs)) == 1
+
+
+@pytest.mark.parametrize("kind", ["IntPairLex", "IntPairRevLex"])
+def test_kronecker_pair_corners_do_not_carry(kind):
+    # terms at the four corners of the window and on its edges: the j-part of
+    # a product key reaches 2 * (max j - j0), one below the row width W
+    act = pair_action(make_monoid(kind), F22, SWAP, SWAP)
+    lo, hi = -7, 9
+    corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
+    edges = [(lo, 0), (0, hi), (hi, 1), (2, lo)]
+    one = F22.one
+    f = SkewSeries(act, {s: c for s, c in zip(corners, (one, 2, 1, one))})
+    g = SkewSeries(act, {s: c for s, c in zip(corners + edges, (one, 1, 2, one, 1, 3, 2, 1))})
+    for left in (f, g):
+        product = convolve(left, g)
+        assert product == convolve_by_terms(left, g)
+        # one pair of terms meets at each outer corner, with 1 * w(1) = 1
+        assert product.coefficient((2 * lo, 2 * lo)) == one
+        assert product.coefficient((2 * hi, 2 * hi)) == one
+
+
+@pytest.mark.parametrize("kind", ADDITIVE_KINDS)
+def test_kronecker_products_that_vanish(kind):
+    # over Z6, 2 and 4 times 3 are 0: every slot sums to 0 mod 6 (0, 6, ...)
+    Z6 = cyclic_ring(6)
+    act = trivial_action(make_monoid(kind), Z6)
+    pool = sample_pool(act.monoid, 9)
+    g = SkewSeries(act, {s: 3 for s in pool[:8]})
+    f = SkewSeries(act, {s: 2 + 2 * (i % 2) for i, s in enumerate(pool[3:9])})
+    assert len(g.coeffs) >= Z6.size
+    for left in (zero_series(act), f):
+        product = convolve(left, g)
+        assert product.is_zero() and product == convolve_by_terms(left, g)
+
+
+def test_kronecker_kernel_runs_for_the_additive_kinds(monkeypatch):
+    from skewseries import series
+    calls = []
+    kernel = series._kronecker
+    monkeypatch.setattr(series, "_kronecker", lambda f, g: calls.append(f) or kernel(f, g))
+    for kind in KINDS:
+        act = trivial_action(make_monoid(kind), F22)
+        pool = sample_pool(act.monoid, 3)
+        f, g = SkewSeries(act, {pool[1]: 1}), SkewSeries(act, {s: 3 for s in pool[:4]})
+        calls.clear()
+        convolve(f, g)
+        assert len(calls) == (kind != "NatMulDirichlet"), kind
+        calls.clear()
+        convolve(g, f)  # three terms fewer than F2xF2's size: term by term
+        assert not calls
 
 
 # ---------------------------------------------------------------------------
