@@ -726,8 +726,8 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
     The generators need not be a direct-sum basis, so a vector is not
     unique and d_0 * ... * d_{K-1} may exceed the ring's size.
     products[i][j] is the coordinate vector x(g_i * g_j), and term_bound is
-    max_k sum_{i,j} x_k(g_i * g_j) * (d_i - 1) * (d_j - 1), the most that
-    sum_{i,j} x_i(a) x_j(b) x_k(g_i * g_j) reaches over elements a, b.
+    max_k sum_{i,j} x_k(g_i * g_j) * (d_i - 1) * (d_j - 1), a bound on
+    sum_{i,j} x_i(a) x_j(b) x_k(g_i * g_j) over all elements a, b and all k.
     """
     if ring._additive_coords is None:
         plus = ring.tables[0]

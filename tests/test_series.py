@@ -470,15 +470,16 @@ ADDITIVE_KINDS = [k for k in KINDS if k != "NatMulDirichlet"]
 
 @pytest.mark.parametrize("kind", ["NatAdd", "IntAdd"])
 def test_kronecker_widest_slot_bound_is_exact(kind):
-    # every coefficient 255 = -1 in Z256 on the dense window 0..299: the
-    # middle slots collect 300 * 255 * 255, the bound the slot width follows
+    # every coefficient 255 = -1 in Z256 on dense windows of 300 exponents:
+    # the slot where all 300 pairs meet collects 300 * 255 * 255, the bound
+    # the slot width follows
     Z256 = cyclic_ring(256)
     act = trivial_action(make_monoid(kind), Z256)
     f = SkewSeries(act, {s: 255 for s in range(300)})
     g = SkewSeries(act, {s: 255 for s in range(-20 if kind == "IntAdd" else 0, 280)})
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
-    # (sum x^i)^2 has coefficient min(s, ...) + 1 at s, so 1 at both ends
+    # one pair meets at the least exponent: (-1) * (-1) = 1
     assert product.coefficient(min(product.coeffs)) == 1
 
 
