@@ -308,6 +308,7 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     action = f.action
     ring = action.ring
     zero = ring.zero
+    out: dict = {}
     if len(g.coeffs) >= ring.size and ring.tables is not None:
         if not action.monoid._mul:
             return _kronecker(f, g)
@@ -315,7 +316,6 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
         groups: dict = {}
         for v, gv in g.coeffs.items():
             groups.setdefault(gv, []).append(v)
-        out: dict = {}
         get = out.get
         for u, fu in f.coeffs.items():
             row = times[fu]
@@ -330,7 +330,6 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     else:
         op = action.monoid.op
         add, mul = ring.add, ring.mul
-        out = {}
         for u, fu in f.coeffs.items():
             twist = action.automorphism(u).perm
             for v, gv in g.coeffs.items():
