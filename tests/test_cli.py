@@ -381,6 +381,27 @@ seed = 0
     assert "confirmed" in buf.getvalue()
 
 
+@pytest.mark.parametrize("kind, far", [("NatAdd", "10000000000"),
+                                       ("IntPairLex", "10000000000,-10000000000")])
+def test_pair_annihilation_with_exponents_far_apart(tmp_path, kind, far):
+    # (1 + x^far)^2 = 1 + x^(2 far) over F2: the products have two terms
+    # 10^10 apart and are multiplied term by term, not on a packed window
+    text = f"""
+ring.kind = cyclic
+ring.n = 2
+monoid.kind = {kind}
+checks = pair_annihilation
+series.g = {"0" if kind == "NatAdd" else "0,0"}:1; {far}:1
+series.f = {"0" if kind == "NatAdd" else "0,0"}:1; {far}:1
+seed = 0
+"""
+    code, out, _ = run_to_file(text, tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    assert tree["verdicts"][0]["verdict"] is False
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+
 
 PAIR_JOB = """
 ring.kind = cyclic

@@ -23,6 +23,7 @@ from skewseries.rings import (
 from skewseries.series import (
     OmegaAction,
     SkewSeries,
+    _kronecker,
     annihilates_via_all_middles,
     constant,
     convolve,
@@ -468,6 +469,14 @@ def test_untabled_ring_multiplies_term_by_term():
 ADDITIVE_KINDS = [k for k in KINDS if k != "NatMulDirichlet"]
 
 
+def _kernel_product(f, g):
+    """convolve(f, g), checked to be the Kronecker kernel's product."""
+    product = _kronecker(f, g)
+    assert product is not None
+    assert convolve(f, g) == product
+    return product
+
+
 @pytest.mark.parametrize("kind", ["NatAdd", "IntAdd"])
 def test_kronecker_widest_slot_bound_is_exact(kind):
     # every coefficient 255 = -1 in Z256 on dense windows of 300 exponents:
@@ -477,7 +486,7 @@ def test_kronecker_widest_slot_bound_is_exact(kind):
     act = trivial_action(make_monoid(kind), Z256)
     f = SkewSeries(act, {s: 255 for s in range(300)})
     g = SkewSeries(act, {s: 255 for s in range(-20 if kind == "IntAdd" else 0, 280)})
-    product = convolve(f, g)
+    product = _kernel_product(f, g)
     assert product == convolve_by_terms(f, g)
     # one pair meets at the least exponent: (-1) * (-1) = 1
     assert product.coefficient(min(product.coeffs)) == 1
@@ -485,17 +494,23 @@ def test_kronecker_widest_slot_bound_is_exact(kind):
 
 @pytest.mark.parametrize("kind", ["IntPairLex", "IntPairRevLex"])
 def test_kronecker_pair_corners_do_not_carry(kind):
-    # terms at the four corners of the window and on its edges: the j-part of
-    # a product key reaches 2 * (max j - j0), one below the row width W
+    # terms at the four corners of the window and on its edges, the rest of
+    # the window about half filled so the kernel takes the product: the j-part
+    # of a product key reaches the j-spans of f and g added, one below the
+    # row width W
     act = pair_action(make_monoid(kind), F22, SWAP, SWAP)
     lo, hi = -7, 9
     corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
     edges = [(lo, 0), (0, hi), (hi, 1), (2, lo)]
     one = F22.one
-    f = SkewSeries(act, {s: c for s, c in zip(corners, (one, 2, 1, one))})
-    g = SkewSeries(act, {s: c for s, c in zip(corners + edges, (one, 1, 2, one, 1, 3, 2, 1))})
+    rng = random.Random(5)
+    inner = [(i, j) for i in range(lo + 1, hi) for j in range(lo + 1, hi) if rng.random() < 0.5]
+    f = SkewSeries(act, {s: c for s, c in zip(corners, (one, 2, 1, one))}
+                   | {s: rng.randrange(1, 4) for s in inner})
+    g = SkewSeries(act, {s: c for s, c in zip(corners + edges, (one, 1, 2, one, 1, 3, 2, 1))}
+                   | {s: rng.randrange(1, 4) for s in inner[::2]})
     for left in (f, g):
-        product = convolve(left, g)
+        product = _kernel_product(left, g)
         assert product == convolve_by_terms(left, g)
         # one pair of terms meets at each outer corner, with 1 * w(1) = 1
         assert product.coefficient((2 * lo, 2 * lo)) == one
@@ -514,23 +529,69 @@ def test_kronecker_products_that_vanish(kind):
     for left in (zero_series(act), f):
         product = convolve(left, g)
         assert product.is_zero() and product == convolve_by_terms(left, g)
+    assert _kernel_product(f, g).is_zero()
 
 
 def test_kronecker_kernel_runs_for_the_additive_kinds(monkeypatch):
     from skewseries import series
-    calls = []
+    products = []
     kernel = series._kronecker
-    monkeypatch.setattr(series, "_kronecker", lambda f, g: calls.append(f) or kernel(f, g))
+
+    def recorded(f, g):
+        products.append(kernel(f, g))
+        return products[-1]
+    monkeypatch.setattr(series, "_kronecker", recorded)
     for kind in KINDS:
         act = trivial_action(make_monoid(kind), F22)
         pool = sample_pool(act.monoid, 3)
         f, g = SkewSeries(act, {pool[1]: 1}), SkewSeries(act, {s: 3 for s in pool[:4]})
-        calls.clear()
-        convolve(f, g)
-        assert len(calls) == (kind != "NatMulDirichlet"), kind
-        calls.clear()
+        products.clear()
+        product = convolve(f, g)
+        if kind == "NatMulDirichlet":
+            assert not products
+        else:
+            assert products == [product], kind
+        products.clear()
         convolve(g, f)  # three terms fewer than F2xF2's size: term by term
-        assert not calls
+        assert not products
+
+
+SPARSE_CONTEXTS = {"Z2": (cyclic_ring(2), None), "M2F2/inner:6": DIFF_CONTEXTS["M2F2/inner:6"]}
+
+
+@pytest.mark.parametrize("context", sorted(SPARSE_CONTEXTS))
+@pytest.mark.parametrize("kind", ADDITIVE_KINDS)
+def test_sparse_windows_are_multiplied_term_by_term(kind, context):
+    # exponents 10^12 apart: the packed window would have about 10^12 slots,
+    # so the kernel declines before allocating and convolve goes term by term
+    ring, aut = SPARSE_CONTEXTS[context]
+    action = _action(kind, ring, aut)
+    far = 10 ** 12
+    lo = -far if kind.startswith("Int") else 0
+    exps = ([lo, 0, 1, far, far + 3] if "Pair" not in kind else
+            [(lo, 0), (0, lo), (0, 0), (far, 1), (1, far), (far, far)])
+    rng = random.Random(len(exps) + ring.size)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    pool = list(dict.fromkeys(exps + sample_pool(action.monoid, ring.size)))[:ring.size + 2]
+    g = SkewSeries(action, {s: rng.choice(nonzero) for s in pool})
+    f = SkewSeries(action, {s: rng.choice(nonzero) for s in exps[::2]})
+    assert len(g.coeffs) >= ring.size
+    for left in (f, g):
+        assert _kronecker(left, g) is None
+        assert convolve(left, g) == convolve_by_terms(left, g)
+
+
+def test_kernel_takes_a_dense_block_of_a_sparse_support():
+    # 200 terms on a window of 400 slots, then one term 10^9 away: the
+    # same terms take the kernel until that last one is added
+    act = trivial_action(make_monoid("NatAdd"), cyclic_ring(2))
+    rng = random.Random(11)
+    f = SkewSeries(act, {s: 1 for s in rng.sample(range(400), 200)})
+    g = SkewSeries(act, {s: 1 for s in rng.sample(range(400), 200)})
+    assert _kronecker(f, g) == convolve_by_terms(f, g)
+    far = SkewSeries(act, dict(g.coeffs) | {10 ** 9: 1})
+    assert _kronecker(f, far) is None
+    assert convolve(f, far) == convolve_by_terms(f, far)
 
 
 # ---------------------------------------------------------------------------
