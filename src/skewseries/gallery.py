@@ -8,7 +8,6 @@ from functools import lru_cache
 from .rings import (
     FiniteRing,
     RingAut,
-    automorphisms,
     cyclic_ring,
     identity_automorphism,
     inner_automorphism,
@@ -129,19 +128,3 @@ def standard_contexts() -> list[tuple[FiniteRing, RingAut, str, str]]:
         out.append((ring, named_automorphism(ring, aut_name), ring_name, aut_name))
     return out
 
-
-def gallery_rings_upto(max_size: int) -> list[FiniteRing]:
-    """Distinct standard-context rings with at most ``max_size`` elements."""
-    seen = []
-    names = []
-    for ring_name, _ in STANDARD_CONTEXTS:
-        if ring_name not in names:
-            ring = gallery_ring(ring_name)
-            if ring.size <= max_size:
-                names.append(ring_name)
-                seen.append(ring)
-    return seen
-
-
-def automorphism_group(name: str) -> list[RingAut]:
-    return automorphisms(gallery_ring(name))

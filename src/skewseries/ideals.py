@@ -26,11 +26,15 @@ additive generating set of R (``rings._additive_generators``):
 
 Every witness is the lowest-indexed hit, so results are deterministic and
 replayable.
+
+The bitsets above depend on the ring alone and are kept in the ring.  The
+orbit annihilator of each element depends on an action too, and is kept in
+the ``OmegaAction``, with the result of the one scan for the first element
+whose orbit annihilator is not right s-unital.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -229,36 +233,10 @@ def _right_generator(ring: FiniteRing, mask: int) -> int | None:
     return _lowest_common(ring, mask, _members(mask), FL)
 
 
-class _OrbitKernel:
-    """What is kept per action: the orbit annihilator of each element as a
-    bitset, and the first element whose orbit annihilator is not right
-    s-unital (None when every one is), once that has been scanned for."""
-
-    __slots__ = ("masks", "scanned", "first_failing")
-
-    def __init__(self):
-        self.masks: dict[int, int] = {}
-        self.scanned = False
-        self.first_failing: int | None = None
-
-
-# Orbit annihilators are queried thousands of times per harness run; keep
-# them per action (annihilators of sums are intersections of these).
-_orbit_kernels: "weakref.WeakKeyDictionary[OmegaAction, _OrbitKernel]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _orbit_kernel(action: OmegaAction) -> _OrbitKernel:
-    kept = _orbit_kernels.get(action)
-    if kept is None:
-        kept = _orbit_kernels[action] = _OrbitKernel()
-    return kept
-
-
 def _orbit_annihilator(action: OmegaAction, a: int) -> int:
     """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a);
-    kept per action."""
-    masks = _orbit_kernel(action).masks
+    kept in the action."""
+    masks = action._orbit_masks
     hit = masks.get(a)
     if hit is None:
         ring = action.ring
@@ -271,7 +249,7 @@ def _orbit_annihilator(action: OmegaAction, a: int) -> int:
 def _set_orbit_annihilator(action: OmegaAction, elements) -> int:
     """The AND of the orbit annihilators of ``elements``, which the caller
     knows to be indices of the ring: l of the sum of their orbit ideals."""
-    masks = _orbit_kernel(action).masks
+    masks = action._orbit_masks
     mask = (1 << action.ring.size) - 1
     for a in elements:
         mask &= masks[a] if a in masks else _orbit_annihilator(action, a)
@@ -286,19 +264,19 @@ def _first_orbit_failure(action: OmegaAction) -> int | None:
     ``theorems.elementwise_condition_holds``), done once per action; each
     distinct annihilator is tested once.
     """
-    kept = _orbit_kernel(action)
-    if not kept.scanned:
+    if action._orbit_failure == -1:  # not scanned yet
         ring = action.ring
+        first = None
         fails: dict[int, bool] = {}
         for a in ring.elements():
             ann = _orbit_annihilator(action, a)
             if ann not in fails:
                 fails[ann] = not _s_unital(ring, ann).holds
             if fails[ann]:
-                kept.first_failing = a
+                first = a
                 break
-        kept.scanned = True
-    return kept.first_failing
+        action._orbit_failure = first
+    return action._orbit_failure
 
 
 # ---------------------------------------------------------------------------

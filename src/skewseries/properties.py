@@ -51,17 +51,6 @@ class PropertyReport:
     witnesses: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
-            "ring": self.ring,
-            "name": self.name,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-        }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
-
 
 def _witness_pairs(result) -> list:
     return [[a, x] for a, x in result.witnesses.items()]

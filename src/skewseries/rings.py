@@ -49,7 +49,7 @@ class FiniteRing:
     fills them.
     """
 
-    __slots__ = ("size", "zero", "one", "name", "_add", "_mul", "_neg",
+    __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
                  "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens",
                  "_additive_coords", "_ideal_bits")
 
@@ -80,7 +80,6 @@ class FiniteRing:
                 [add(a, b) for b in range(size)] for a in range(size)), zero)
         else:
             self._neg_row = [neg(a) for a in range(size)]
-        self._neg = None
         self._additive_gens = None
         self._additive_coords = None
         self._ideal_bits = None

@@ -68,6 +68,13 @@ class OmegaAction:
 
     Evaluations are memoized; since the automorphism group is finite the set
     of values {w_s} is finite and has concrete exponent representatives.
+
+    An action also carries the state of the ``ideals`` kernel that depends
+    on it: ``_orbit_masks`` maps each element a, on first use, to its orbit
+    annihilator l(sum_s R*w_s(a)) as a bitset, and ``_orbit_failure`` is the
+    first element whose orbit annihilator is not right s-unital, None when
+    every one is, and -1 until that has been scanned for.
+
     Cache inserts are idempotent, so concurrent readers are safe as long as
     writes come from one thread at a time.
     """
@@ -105,6 +112,8 @@ class OmegaAction:
         self._powers = [_power_table(a) for a in self._alphas]
         self._cache: dict = {}
         self._closure: tuple | None = None
+        self._orbit_masks: dict[int, int] = {}
+        self._orbit_failure: int | None = -1
 
     def automorphism(self, s) -> RingAut:
         """The automorphism at exponent s."""
@@ -128,9 +137,6 @@ class OmegaAction:
     def apply(self, s, r: int) -> int:
         """Apply the automorphism at exponent s to ring element r."""
         return self.automorphism(s).perm[r]
-
-    def is_trivial(self) -> bool:
-        return all(a.is_identity() for a in self._alphas)
 
     def closure(self) -> list[tuple]:
         """Every automorphism value the action attains, with one exponent each.
@@ -520,8 +526,7 @@ def from_terms(action: OmegaAction, terms) -> SkewSeries:
     return SkewSeries(action, out)
 
 
-def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries,
-                                s_representatives=None) -> bool:
+def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries) -> bool:
     """Whether g * h * f == 0 for every series h over the same context.
 
     By distributivity it is enough to test single-term middles h = r x^s.
@@ -530,30 +535,24 @@ def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries,
     quantifier over the monoid finite.  And h -> g*h*f is additive:
     g*(sum r_i x^s)*f == sum g*(r_i x^s)*f, so r need only run over an
     additive generating set of R, not over every element.  The middles are
-    built unchecked; given representatives are checked against the monoid.
+    built unchecked.
     """
     g._require_same_context(f)
     if g.is_zero() or f.is_zero():
         return True
     action = g.action
-    if s_representatives is None:
-        s_representatives = action.representatives()
-    else:
-        for s in s_representatives:
-            action.monoid.check_element(s)
-    return _first_failing_middle(g, f, s_representatives,
+    return _first_failing_middle(g, f, action.representatives(),
                                  _additive_generators(action.ring)) is None
 
 
-def _first_failing_middle(g: SkewSeries, f: SkewSeries, s_representatives,
-                          coefficients):
+def _first_failing_middle(g: SkewSeries, f: SkewSeries, exponents, coefficients):
     """The first (s, r), exponents outer, with g * (r x^s) * f != 0, or None.
 
     Exponents must lie in the monoid and coefficients be ring elements.
     """
     action = g.action
     zero = action.ring.zero
-    for s in s_representatives:
+    for s in exponents:
         for r in coefficients:
             if r != zero and convolve(convolve(g, SkewSeries._trusted(action, {s: r})),
                                       f).coeffs:

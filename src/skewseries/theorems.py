@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 import time
-import weakref
 from dataclasses import dataclass, field
 
 from .ideals import (
@@ -73,12 +72,6 @@ class CoherenceAlarm(RuntimeError):
     """
 
 
-# The IdealSets handed out for sets of elements, per action; the bitsets
-# they come from are kept by ``ideals``.
-_set_orbit_cache: "weakref.WeakKeyDictionary[OmegaAction, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
 def element_orbit_annihilator(a: int, action: OmegaAction) -> IdealSet:
     """l(sum over attained automorphisms s of R * w_s(a)) as an IdealSet."""
     return set_orbit_annihilator((a,), action)
@@ -89,18 +82,11 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
 
     Annihilating a sum of left ideals means annihilating each summand, so
     this is the intersection of the per-element orbit annihilators; an empty
-    input gives the whole ring.  Cached per action and set of elements;
-    ValueError on an element that is not an index 0..n-1 of the ring.
+    input gives the whole ring.  ValueError on an element that is not an
+    index 0..n-1 of the ring.
     """
-    by_set = _set_orbit_cache.get(action)
-    if by_set is None:
-        by_set = _set_orbit_cache[action] = {}
-    key = frozenset(elements)
-    hit = by_set.get(key)
-    if hit is None:
-        mask = _set_orbit_annihilator(action, _elements(action.ring, key))
-        hit = by_set[key] = IdealSet.classified(action.ring, _members(mask))
-    return hit
+    mask = _set_orbit_annihilator(action, _elements(action.ring, elements))
+    return IdealSet.classified(action.ring, _members(mask))
 
 
 def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
@@ -126,6 +112,7 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     |supp g| * |supp f| * |exponent representatives| * |R|, although each
     distinct (g(u), w_u, f(v)) is tested only once.
     """
+    g._require_same_context(f)
     t0 = time.perf_counter()
     action = g.action
     ring = action.ring
@@ -190,6 +177,7 @@ def extract_cascade_witnesses(g: SkewSeries, f: SkewSeries, w) -> list[int]:
     these witnesses one at a time is what reduces a sum of n products to its
     last summand.  Returns n-1 witnesses; a single decomposition needs none.
     """
+    g._require_same_context(f)
     action = g.action
     ring = action.ring
     monoid = action.monoid
@@ -221,6 +209,8 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     its witness coefficient at the neutral exponent.  Verdict True means no
     obstruction exists.
     """
+    if action.ring is not ring:
+        raise ValueError("action was built over a different ring instance")
     t0 = time.perf_counter()
     obstructions = []
     blocked: dict[int, int | None] = {}
@@ -344,9 +334,15 @@ def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[in
 # ---------------------------------------------------------------------------
 # constructive generation of annihilating pairs
 
+# Random pairs take their exponents from ``sample_pool(monoid, _PAIR_SPAN)``,
+# and f is redrawn up to _PAIR_DRAWS times while its orbit annihilator has
+# fewer than two members.
+_PAIR_SPAN = 6
+_PAIR_DRAWS = 8
+
+
 def random_annihilating_pair(action: OmegaAction, rng: random.Random,
-                             max_support: int = 4, span: int = 6,
-                             retries: int = 8) -> tuple[SkewSeries, SkewSeries]:
+                             max_support: int = 4) -> tuple[SkewSeries, SkewSeries]:
     """A seeded random pair (g, f) with g * T * f == 0, built constructively.
 
     Rejection sampling almost never finds annihilating pairs, so f is drawn
@@ -356,7 +352,7 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
     only possible g is the zero series.
     """
     ring = action.ring
-    pool = sample_pool(action.monoid, span)
+    pool = sample_pool(action.monoid, _PAIR_SPAN)
     nonzero = [r for r in ring.elements() if r != ring.zero]
 
     def draw_support():
@@ -364,7 +360,7 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
         return rng.sample(pool, min(k, len(pool)))
 
     f, ann = None, 0
-    for _ in range(retries):
+    for _ in range(_PAIR_DRAWS):
         f = SkewSeries._trusted(action, {s: rng.choice(nonzero) for s in draw_support()})
         ann = _set_orbit_annihilator(action, f.coeffs.values())
         if ann & (ann - 1):  # more than one member
@@ -419,7 +415,7 @@ def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
 
 def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
                           pairs: int = 1000, max_support: int = 4,
-                          seed: int = 0, chain_search: bool = False) -> PropertyReport:
+                          seed: int = 0) -> PropertyReport:
     """Desk-scale rendering of the main equivalence for one context.
 
     When the orbit annihilator condition holds for all subsets, the witness
@@ -439,7 +435,7 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
         for i in range(pairs):
             g, f = random_annihilating_pair(action, rng, max_support=max_support)
             _require_middles(g, f)
-            witnesses_seen.add(_build_witness(g, f, chain_search).witness)
+            witnesses_seen.add(_build_witness(g, f, chain_search=False).witness)
         return PropertyReport(
             ring.name, "app_equivalence", True,
             {"condition": True, "pairs": pairs,

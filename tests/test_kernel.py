@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewseries.gallery import gallery_ring, standard_contexts
+from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.ideals import (
     FL,
     FR,
@@ -32,11 +32,15 @@ from skewseries.properties import (
 )
 from skewseries.rings import (
     TABLE_LIMIT,
+    RingAut,
     automorphisms,
     cyclic_ring,
+    identity_automorphism,
     inner_automorphism,
     matrix_ring,
     product_ring,
+    swap_automorphism,
+    table_ring,
     units,
     upper_triangular_ring,
 )
@@ -272,3 +276,63 @@ def test_orbit_kernel_matches_the_scans(name, action):
         assert ann == left_annihilator_by_scan(ring, orbit_ideal_by_products(
             action, {obs["element"]}))
         assert s_unital_by_scan(ring, ann)[2] == obs["blocked"]
+
+
+def _named_pair(build, first, second):
+    def pair():
+        ring = build()
+        return ring, named_automorphism(ring, first), named_automorphism(ring, second)
+    return pair
+
+
+def _relabelled_z4_squared():
+    # Z4xZ4 with the labels of (0,1) and (2,1) traded, and its coordinate
+    # swap: the orbit condition fails first at element 1, (2,1), without a
+    # twist, and at element 2 under the swap, where (2,1) passes
+    base = product_ring(Z[4], Z[4])
+    p = list(range(16))
+    p[1], p[9] = 9, 1
+    ring = table_ring(*([[p[op(p[a], p[b])] for b in range(16)] for a in range(16)]
+                        for op in (base.add, base.mul)))
+    swap = swap_automorphism(base).perm
+    return ring, identity_automorphism(ring), RingAut(ring, [p[swap[p[a]]] for a in range(16)])
+
+
+ORBIT_STATE_PAIRS = {
+    "F2xF2/identity,swap": _named_pair(lambda: product_ring(Z[2], Z[2]), "identity", "swap"),
+    "M2F2/identity,inner:6": _named_pair(lambda: matrix_ring(Z[2], 2), "identity", "inner:6"),
+    "relabelled-Z4xZ4/identity,swap": _relabelled_z4_squared,
+}
+
+
+@pytest.mark.parametrize("build", ORBIT_STATE_PAIRS.values(), ids=ORBIT_STATE_PAIRS)
+def test_orbit_state_is_kept_per_action(build):
+    # two actions over one ring, queried in turn, answer as actions over a
+    # fresh copy of the ring do
+    nat = make_monoid("NatAdd")
+
+    def report(act):
+        out = orbit_annihilators_s_unital(act.ring, act)
+        return out.verdict, out.witnesses
+
+    def orbit_annihilator_of(xs):
+        return lambda act: set_orbit_annihilator(xs, act).members
+
+    ring, *auts = build()
+    n = ring.size
+    queries = ([lambda act: elementwise_condition_holds(act.ring, act), report]
+               + [orbit_annihilator_of([a]) for a in range(n)]
+               + [orbit_annihilator_of([a, b]) for a in range(n) for b in range(a + 1, n)])
+    acts = [single_generator_action(nat, ring, aut) for aut in auts]
+    got = ([], [])
+    for query in queries:
+        for out, act in zip(got, acts):
+            out.append(query(act))
+
+    def fresh(which, query):
+        ring, *auts = build()
+        return query(single_generator_action(nat, ring, auts[which]))
+
+    want = tuple([fresh(which, query) for query in queries] for which in (0, 1))
+    assert got == want
+    assert want[0] != want[1]

@@ -6,6 +6,7 @@ import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
 from skewseries.ideals import FR, _bits
 from skewseries.monoids import make_monoid
+from skewseries.properties import orbit_annihilators_s_unital
 from skewseries.rings import _additive_generators, cyclic_ring, identity_automorphism
 from skewseries.series import (
     SkewSeries,
@@ -198,6 +199,17 @@ def test_cascade_three_term_over_product_ring():
         assert F22.mul(idx_01, e) == idx_01
 
 
+def test_pair_checks_refuse_series_over_different_contexts():
+    # Z4's orbit condition fails, so the hypothesis test would answer first
+    g = constant(nat_action(Z4), 2)
+    f = constant(nat_action(Z6), 3)
+    match = "^series built over different ring/action contexts$"
+    with pytest.raises(ValueError, match=match):
+        check_coefficientwise_annihilation(g, f)
+    with pytest.raises(ValueError, match=match):
+        extract_cascade_witnesses(g, f, 0)
+
+
 def test_cascade_flags_hypothesis_violation_upstream():
     act = nat_action(Z6)
     g = from_terms(act, [(0, 1), (1, 3)])  # coefficient 1 escapes the annihilator
@@ -214,6 +226,14 @@ def test_obstructions_z4():
     assert not report.verdict
     assert report.witnesses["obstructions"] == [
         {"element": 2, "blocked": 2, "annihilator": [0, 2]}]
+
+
+@pytest.mark.parametrize("check", [annihilator_obstructions, elementwise_condition_holds,
+                                   orbit_annihilators_s_unital])
+@pytest.mark.parametrize("ring", [cyclic_ring(2), cyclic_ring(4)], ids=["Z2", "Z4-copy"])
+def test_ring_checks_refuse_an_action_over_another_ring(check, ring):
+    with pytest.raises(ValueError, match="^action was built over a different ring instance$"):
+        check(ring, nat_action(Z4))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
