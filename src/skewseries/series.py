@@ -26,7 +26,7 @@ sum g*(r_i x^s)*f, and g*(r x^s)*f vanishes for every r in R exactly when it
 vanishes for every r in an additive generating set G of R (one element for
 Z_n, two for F2xF2, four for M2(F2)).
 
-``convolve`` takes one of three paths, all exact and giving the same dict.
+``convolve`` takes one of four paths, all exact and giving the same map.
 Over an untabled ring (above 256 elements), or when the right factor g has
 fewer terms than the ring has elements, it multiplies term by term.
 Otherwise some coefficient value of g must repeat, and:
@@ -42,14 +42,21 @@ Otherwise some coefficient value of g must repeat, and:
   packed window spans the exponents, not the terms, so when it is too
   sparse for the integer products to beat the term loop, the product is
   taken term by term instead;
-* over NatMulDirichlet, exponents multiply, and the product is formed once
-  per coefficient class of g instead of once per term.
+* over NatMulDirichlet, exponents multiply and the action is trivial, so row
+  u of the product, f(u) * g(v) at u * v, is a strided slice of a dense
+  byte window over the exponents up to max supp(f) * max supp(g).  Each row
+  is one ``bytes.translate`` of g through the multiplication table, added
+  into the window coordinate by coordinate (see ``_dirichlet``).  Where the
+  ring's coordinates do not fit a byte or the window is too sparse, the
+  product is formed once per coefficient class of g instead of once per
+  term.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 from math import isqrt
 
 from .monoids import OrderedMonoid, min_element
@@ -299,7 +306,7 @@ def _check_coefficient(ring: FiniteRing, s, r) -> None:
 def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     """The exact twisted product of two finitely supported series.
 
-    Three paths give the same dict.  Over an untabled ring, or when g has
+    Four paths give the same map.  Over an untabled ring, or when g has
     fewer terms than the ring has elements, each pair of terms is multiplied
     on its own.  Otherwise some value of g repeats, and:
 
@@ -310,11 +317,14 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
       min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1).
       A window too sparse for that to pay (see ``_kronecker``) goes term
       by term instead;
-    * over NatMulDirichlet, g's exponents are grouped by coefficient value
-      c, and each u in supp(f) makes one product t = f(u) * w_u(c) per
-      group.  A zero t skips the whole group; a nonzero t is added into the
-      exponent u * v of every v in the group through row t of the addition
-      table.
+    * over NatMulDirichlet, ``_dirichlet`` adds row u of the product,
+      f(u) * g(v) at u * v, into a strided slice of a dense byte window, one
+      additive coordinate of R at a time.  Where it declines (an additive
+      order above 128, more than 256 coordinate vectors, or a window too
+      sparse to pay), g's exponents are grouped by coefficient value c, and
+      each u in supp(f) makes one product t = f(u) * w_u(c) per group.  A
+      zero t skips the whole group; a nonzero t is added into the exponent
+      u * v of every v in the group through row t of the addition table.
     """
     f._require_same_context(g)
     action = f.action
@@ -322,8 +332,8 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     zero = ring.zero
     out: dict = {}
     tabled = len(g.coeffs) >= ring.size and ring.tables is not None
-    if tabled and not action.monoid._mul and f.coeffs:
-        product = _kronecker(f, g)
+    if tabled and f.coeffs:
+        product = (_dirichlet if action.monoid._mul else _kronecker)(f, g)
         if product is not None:
             return product
     if tabled and action.monoid._mul:
@@ -462,6 +472,81 @@ def _pack(slots: bytes, width: int) -> int:
 # kernel and the term-by-term loop took about the same time in CPython 3.11
 # on products of 16 to 1000 terms over Z2, Z6, F2xF2 and M2(F2).
 _KRONECKER_COST = 12_000
+
+
+def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
+    """f * g over NatMulDirichlet and a tabled ring, on dense byte windows;
+    None when the ring's coordinates do not fit a byte slot or the window is
+    too sparse for that to pay.  f must not be zero.
+
+    The action is trivial, so with V = max supp(g), row u of the product,
+    f(u) * g(v) at exponent u * v for v = 1..V, is the strided slice
+    [u : u*V + 1 : u] of a window with a slot for every exponent up to
+    max supp(f) * V.  The row is one ``bytes.translate`` of g's dense
+    coefficients through f(u)'s row of the multiplication table, and is
+    added into the window coordinate by coordinate
+    (``rings._additive_coordinates``): coordinate k of every slot is kept in
+    0..d_k - 1 in its own bytearray, and a row is added by adding the two
+    slices as ints, which cannot carry while 2 * (d_k - 1) <= 255, then
+    reducing each byte mod d_k through a translate table.  At the end the
+    coordinates of a slot index into ``elements``, which needs at most 256
+    coordinate vectors.
+
+    The kernel's work is K slices of V bytes for each term of f and a few
+    C passes over the window; the grouped loop's is about one dict update
+    per term pair.  So the kernel returns None, before allocating anything,
+    when window + _DIRICHLET_ROW * K * |f| > _DIRICHLET_PAIR * |f| * |g|.
+    """
+    ring = f.action.ring
+    zero = ring.zero
+    orders, coords, elements, _, _ = _additive_coordinates(ring)
+    top = max(g.coeffs)
+    window = max(f.coeffs) * top + 1
+    if (max(orders) > 128 or len(elements) > 256
+            or window + _DIRICHLET_ROW * len(orders) * len(f.coeffs)
+            > _DIRICHLET_PAIR * len(f.coeffs) * len(g.coeffs)):
+        return None
+    g_dense = bytearray([zero]) * top
+    for v, gv in g.coeffs.items():
+        g_dense[v - 1] = gv
+    times = ring.tables[1]
+    reduce = [(bytes(range(d)) * (256 // d + 1))[:256] for d in orders]
+    acc = [bytearray(window) for _ in orders]
+    rows: dict = {}
+    for u, fu in f.coeffs.items():
+        row = rows.get(fu)
+        if row is None:
+            products = g_dense.translate(bytes(times[fu]).ljust(256, b"\0"))
+            row = rows[fu] = [int.from_bytes(products.translate(c), "little") for c in coords]
+        at = slice(u, u * top + 1, u)
+        for a, x, mod in zip(acc, row, reduce):
+            if x:
+                total = int.from_bytes(a[at], "little") + x
+                a[at] = total.to_bytes(top, "little").translate(mod)
+
+    # element index of every slot: its coordinate vector in mixed radix,
+    # below len(elements) <= 256, so no slot carries into the next
+    index, stride = 0, 1
+    for a, d in zip(acc, orders):
+        index += stride * int.from_bytes(a, "little")
+        stride *= d
+    out = index.to_bytes(window, "little").translate(elements.ljust(256, b"\0"))
+    nonzero = bytearray(b"\1") * 256
+    nonzero[zero] = 0
+    exponents = compress(range(window), out.translate(nonzero))
+    values = out.translate(None, bytes([zero]))  # the nonzero bytes, in order
+    return SkewSeries._trusted(f.action, dict(zip(exponents, values)))
+
+
+# The costs of ``_dirichlet``'s rule in window slots, which take about 15 ns
+# each in CPython 3.11 on a shared 2-core host: a term pair of the grouped
+# loop costs about 4 slots, the kernel's work per term of f and coordinate
+# about 64.  Over 380 random products of 1 to 400 terms at 1 to 16 slots per
+# term pair, over Z2, Z6, Z8, Z64, F2xF2 and M2(F2), the kernel took no
+# product it made more than 5% slower, and the grouped loop ran the ones it
+# declined at most 1.16x slower than the kernel would have.
+_DIRICHLET_PAIR = 4
+_DIRICHLET_ROW = 64
 
 
 def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:

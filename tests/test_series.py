@@ -23,6 +23,7 @@ from skewseries.rings import (
 from skewseries.series import (
     OmegaAction,
     SkewSeries,
+    _dirichlet,
     _kronecker,
     annihilates_via_all_middles,
     constant,
@@ -415,11 +416,18 @@ def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
     ring, aut = DIFF_CONTEXTS[data.draw(st.sampled_from(sorted(DIFF_CONTEXTS)))]
     action = _action(kind, ring, aut)
     n = ring.size
-    # g with more terms than the ring has nonzero elements takes the grouped
-    # path (NatMulDirichlet) or the Kronecker kernel (every other kind)
-    g_terms = data.draw(st.integers(n, 2 * n) if grouped else st.integers(0, n - 1))
-    pool = sample_pool(action.monoid,
-                       max(6, isqrt(2 * n)) if "Pair" in kind else max(40, 2 * n))
+    # g with more terms than the ring has nonzero elements takes the Kronecker
+    # kernel (the additive kinds) or the Dirichlet kernel (NatMulDirichlet),
+    # each falling back where it declines.  The Dirichlet kernel pays only
+    # where f and g fill most of a dense window, so those draws are longer,
+    # and half of them add a term at 10^6, where it declines and the grouped
+    # loop runs
+    dense = kind == "NatMulDirichlet" and grouped
+    span = max(100, 2 * n) if dense else max(40, 2 * n)
+    g_terms = data.draw(st.integers(max(n, span - 20), span) if dense else
+                        st.integers(n, 2 * n) if grouped else st.integers(0, n - 1))
+    f_terms = data.draw(st.integers(0, span) if dense else st.integers(0, 12))
+    pool = sample_pool(action.monoid, max(6, isqrt(2 * n)) if "Pair" in kind else span)
     nonzero = [r for r in ring.elements() if r != ring.zero]
 
     def series(terms):
@@ -427,7 +435,9 @@ def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
                                   max_size=terms, unique=True))
         return SkewSeries(action, {s: data.draw(st.sampled_from(nonzero)) for s in exps})
 
-    f, g = series(data.draw(st.integers(0, 12))), series(g_terms)
+    f, g = series(f_terms), series(g_terms)
+    if dense and data.draw(st.booleans()):
+        g = SkewSeries(action, g.coeffs | {10 ** 6: data.draw(st.sampled_from(nonzero))})
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
     # canonical: what the checked public constructor would store
@@ -534,26 +544,40 @@ def test_kronecker_products_that_vanish(kind):
 
 def test_kronecker_kernel_runs_for_the_additive_kinds(monkeypatch):
     from skewseries import series
-    products = []
-    kernel = series._kronecker
+    calls = []  # (kernel, its return value) of every kernel call
 
-    def recorded(f, g):
-        products.append(kernel(f, g))
-        return products[-1]
-    monkeypatch.setattr(series, "_kronecker", recorded)
+    def record(name):
+        kernel = getattr(series, name)
+
+        def recorded(f, g):
+            calls.append((name, kernel(f, g)))
+            return calls[-1][1]
+        monkeypatch.setattr(series, name, recorded)
+    record("_kronecker")
+    record("_dirichlet")
     for kind in KINDS:
         act = trivial_action(make_monoid(kind), F22)
         pool = sample_pool(act.monoid, 3)
         f, g = SkewSeries(act, {pool[1]: 1}), SkewSeries(act, {s: 3 for s in pool[:4]})
-        products.clear()
+        calls.clear()
         product = convolve(f, g)
         if kind == "NatMulDirichlet":
-            assert not products
+            assert not calls  # g = 3 (x + x^2 + x^3) is too short
         else:
-            assert products == [product], kind
-        products.clear()
+            assert calls == [("_kronecker", product)], kind
+        calls.clear()
         convolve(g, f)  # three terms fewer than F2xF2's size: term by term
-        assert not products
+        assert not calls
+    # a series filling 1..60 is dense enough for the Dirichlet kernel; one
+    # more term at 10^6 makes the window too sparse, and the grouped loop runs
+    act = trivial_action(make_monoid("NatMulDirichlet"), F22)
+    dense = SkewSeries(act, {s: 1 + s % 3 for s in range(1, 61)})
+    calls.clear()
+    product = convolve(dense, dense)
+    assert calls == [("_dirichlet", product)] and not product.is_zero()
+    calls.clear()
+    convolve(SkewSeries(act, dense.coeffs | {10 ** 6: 1}), dense)
+    assert calls == [("_dirichlet", None)]
 
 
 SPARSE_CONTEXTS = {"Z2": (cyclic_ring(2), None), "M2F2/inner:6": DIFF_CONTEXTS["M2F2/inner:6"]}
@@ -592,6 +616,81 @@ def test_kernel_takes_a_dense_block_of_a_sparse_support():
     far = SkewSeries(act, dict(g.coeffs) | {10 ** 9: 1})
     assert _kronecker(f, far) is None
     assert convolve(f, far) == convolve_by_terms(f, far)
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet kernel against the term-by-term oracle
+
+def _dirichlet_product(f, g):
+    """convolve(f, g), checked to be the Dirichlet kernel's product."""
+    product = _dirichlet(f, g)
+    assert product is not None
+    assert convolve(f, g) == product
+    return product
+
+
+# every DIFF_CONTEXTS ring whose additive coordinates fit a byte slot
+@pytest.mark.parametrize("context", sorted(set(DIFF_CONTEXTS) - {"Z12xZ18"}))
+def test_dirichlet_kernel_matches_the_oracle_on_dense_windows(context):
+    ring = DIFF_CONTEXTS[context][0]
+    act = trivial_action(make_monoid("NatMulDirichlet"), ring)
+    rng = random.Random(ring.size)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    for _ in range(3):
+        f = SkewSeries(act, {s: rng.choice(nonzero) for s in rng.sample(range(1, 121), 110)})
+        g = SkewSeries(act, {s: rng.choice(nonzero) for s in rng.sample(range(1, 121), 115)})
+        product = _dirichlet_product(f, g)
+        assert product == convolve_by_terms(f, g)
+        assert ring.zero not in product.coeffs.values()
+        assert list(product.coeffs) == sorted(product.coeffs)
+
+
+def test_dirichlet_kernel_on_rows_that_vanish_and_sums_that_cancel():
+    Z6 = cyclic_ring(6)
+    act = trivial_action(make_monoid("NatMulDirichlet"), Z6)
+    rng = random.Random(6)
+    g = SkewSeries(act, {s: rng.choice((2, 4)) for s in range(1, 101)})
+    # 3 times every coefficient of g is 0: each row of f(u) = 3 is zero
+    f = SkewSeries(act, {s: rng.choice((1, 3, 5)) for s in range(1, 101)})
+    assert _dirichlet_product(f, g) == convolve_by_terms(f, g)
+    assert _dirichlet_product(SkewSeries(act, {s: 3 for s in range(1, 101)}), g).is_zero()
+    # over M2(F2), (a x + b x^2)(c x + d x^2) = ac x + (ad + bc) x^2 + bd x^4
+    # vanishes with ad = bc nonzero for a = d = E11, b = E12, c = E21; times
+    # zeta on 1..100 (central coefficients), f and g are dense and f * g = 0
+    M2F2 = gallery_ring("M2F2")
+    act = trivial_action(make_monoid("NatMulDirichlet"), M2F2)
+    by_repr = {M2F2.element_repr(r): r for r in M2F2.elements()}
+    a, b, c = by_repr["[[1,0],[0,0]]"], by_repr["[[0,1],[0,0]]"], by_repr["[[0,0],[1,0]]"]
+    zeta = SkewSeries(act, {s: M2F2.one for s in range(1, 101)})
+    f = convolve_by_terms(SkewSeries(act, {1: a, 2: b}), zeta)
+    g = convolve_by_terms(SkewSeries(act, {1: c, 2: a}), zeta)
+    assert any(M2F2.mul(fu, gv) != M2F2.zero for fu in f.coeffs.values()
+               for gv in g.coeffs.values())
+    assert _dirichlet_product(f, g).is_zero()
+    assert convolve_by_terms(f, g).is_zero()
+
+
+@pytest.mark.parametrize("case", ["sparse window", "Z256", "Z12xZ18"])
+def test_dirichlet_kernel_declines(case, monkeypatch):
+    from skewseries import series
+    # a window of 4 * 10^7 slots for 1640 term pairs; an additive order of
+    # 256, whose coordinate sums carry out of a byte; 648 coordinate vectors,
+    # more than a byte indexes
+    ring = {"sparse window": cyclic_ring(6), "Z256": cyclic_ring(256),
+            "Z12xZ18": DIFF_CONTEXTS["Z12xZ18"][0]}[case]
+    act = trivial_action(make_monoid("NatMulDirichlet"), ring)
+    rng = random.Random(ring.size)
+    span = max(40, ring.size + 20)
+    g = SkewSeries(act, {s: rng.randrange(1, ring.size) for s in range(1, span + 1)})
+    f = SkewSeries(act, {s: rng.randrange(1, ring.size)
+                         for s in rng.sample(range(1, span + 1), 40)})
+    if case == "sparse window":
+        f = SkewSeries(act, f.coeffs | {10 ** 6: 1})
+    else:
+        # with the window rule switched off, the ring alone must decline
+        monkeypatch.setattr(series, "_DIRICHLET_PAIR", 10 ** 9)
+    assert _dirichlet(f, g) is None
+    assert convolve(f, g) == convolve_by_terms(f, g)
 
 
 # ---------------------------------------------------------------------------
