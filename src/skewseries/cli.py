@@ -214,7 +214,10 @@ def build_ring(job: JobSpec) -> FiniteRing:
 
 def _parse_table(raw: str) -> list[list[int]]:
     rows = [r.strip() for r in raw.split(";") if r.strip()]
-    return [[int(c) for c in row.split(",")] for row in rows]
+    try:
+        return [[int(c) for c in row.split(",")] for row in rows]
+    except ValueError as exc:
+        raise JobSpecError(f"ring: table entry is not an integer ({exc})")
 
 
 def build_monoid(job: JobSpec) -> OrderedMonoid:
@@ -237,17 +240,16 @@ def _resolve_automorphism(ring: FiniteRing, spec: str) -> RingAut:
         raise JobSpecError(f"action: {exc}")
 
 
+def _images(job: JobSpec, ring: FiniteRing) -> tuple[RingAut, RingAut]:
+    """The job's ``action.alpha`` and ``action.beta``, the identity when unset."""
+    return tuple(_resolve_automorphism(ring, job.get(key, "identity"))
+                 for key in ("action.alpha", "action.beta"))
+
+
 def build_action(job: JobSpec, monoid: OrderedMonoid, ring: FiniteRing) -> OmegaAction:
-    alpha = _resolve_automorphism(ring, job.get("action.alpha", "identity"))
-    beta = _resolve_automorphism(ring, job.get("action.beta", "identity"))
+    images = _images(job, ring)
     try:
-        if monoid.kind in ("NatAdd", "IntAdd"):
-            return OmegaAction(monoid, ring, {1: alpha})
-        if monoid.kind == "NatMulDirichlet":
-            if not alpha.is_identity() or not beta.is_identity():
-                raise JobSpecError("action: NatMulDirichlet only supports the trivial action")
-            return OmegaAction(monoid, ring)
-        return OmegaAction(monoid, ring, {(1, 0): alpha, (0, 1): beta})
+        return OmegaAction(monoid, ring, *images)
     except ValueError as exc:
         raise JobSpecError(f"action: {exc}")
 
@@ -323,10 +325,9 @@ def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
                             **report.witnesses}
         return report
     if check in PRESET_CHECKS:
-        alpha = _resolve_automorphism(ring, job.get("action.alpha", "identity"))
-        beta = _resolve_automorphism(ring, job.get("action.beta", "identity"))
+        images = _images(job, ring)
         try:
-            return run_preset(preset_by_name(check), ring, alpha, beta)
+            return run_preset(preset_by_name(check), ring, *images)
         except ValueError as exc:
             raise JobSpecError(f"preset {check}: {exc}")
     raise JobSpecError(f"unknown check: {check}")
@@ -483,10 +484,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
         return a != ring.zero and ring.mul(a, a) == ring.zero
     if check in ("orbit_condition",) + PRESET_CHECKS:
         if check in PRESET_CHECKS:
-            _, action = preset_by_name(check).build(
-                ring,
-                _resolve_automorphism(ring, job.get("action.alpha", "identity")),
-                _resolve_automorphism(ring, job.get("action.beta", "identity")))
+            _, action = preset_by_name(check).build(ring, *_images(job, ring))
         subset = counter["subset"]
         ann = set_orbit_annihilator(subset, action)
         return (ann.sorted_members() == counter["annihilator"]

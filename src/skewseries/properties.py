@@ -19,11 +19,13 @@ exactly when it is R*e for an idempotent e, so on a finite ring left APP and
 left p.q.-Baer fail at the same first element.  The orbit condition is the
 one per-action scan of ``ideals``, shared with
 ``theorems.elementwise_condition_holds``.
+
+A ``PropertyReport`` holds the ring, the check, the verdict and its
+witnesses, never a time: ``cli.run_job`` times each check.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .ideals import (
@@ -49,7 +51,6 @@ class PropertyReport:
     name: str
     verdict: bool
     witnesses: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
 
 def _witness_pairs(result) -> list:
@@ -59,7 +60,6 @@ def _witness_pairs(result) -> list:
 def is_left_app(ring: FiniteRing) -> PropertyReport:
     """Left APP: the left annihilator of each principal left ideal R*a is
     right s-unital."""
-    t0 = time.perf_counter()
     per_element = []
     tested: dict[int, tuple] = {}
     for a in ring.elements():
@@ -76,17 +76,14 @@ def is_left_app(ring: FiniteRing) -> PropertyReport:
                     "element": a,
                     "annihilator": _members(ann),
                     "unwitnessed": res.failing,
-                }},
-                time.perf_counter() - t0)
+                }})
         per_element.append([a, pairs])
     return PropertyReport(ring.name, "is_left_app", True,
-                          {"per_element_witnesses": per_element},
-                          time.perf_counter() - t0)
+                          {"per_element_witnesses": per_element})
 
 
 def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
     """Left p.q.-Baer: l(R*a) is generated, as a left ideal, by an idempotent."""
-    t0 = time.perf_counter()
     gens = []
     found: dict[int, int | None] = {}
     for a in ring.elements():
@@ -97,11 +94,10 @@ def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
         if e is None:
             return PropertyReport(
                 ring.name, "is_left_pq_baer", False,
-                {"counterexample": {"element": a, "annihilator": _members(ann)}},
-                time.perf_counter() - t0)
+                {"counterexample": {"element": a, "annihilator": _members(ann)}})
         gens.append([a, e])
     return PropertyReport(ring.name, "is_left_pq_baer", True,
-                          {"idempotent_generators": gens}, time.perf_counter() - t0)
+                          {"idempotent_generators": gens})
 
 
 def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
@@ -114,7 +110,6 @@ def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
     annihilator T is reported with the left ideal r(T), whose left
     annihilator is T again.
     """
-    t0 = time.perf_counter()
     principal = {_principal_annihilator(ring, a) for a in ring.elements()}
     family = set(principal)
     frontier = principal
@@ -129,17 +124,15 @@ def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
         if e is None:
             return PropertyReport(
                 ring.name, "is_quasi_baer", False,
-                {"counterexample": {"ideal": ideal, "annihilator": members}},
-                time.perf_counter() - t0)
+                {"counterexample": {"ideal": ideal, "annihilator": members}})
         gens.append([ideal, e])
     return PropertyReport(ring.name, "is_quasi_baer", True,
-                          {"idempotent_generators": gens}, time.perf_counter() - t0)
+                          {"idempotent_generators": gens})
 
 
 def is_right_pp(ring: FiniteRing) -> PropertyReport:
     """Right PP: the right annihilator of each element is generated, as a
     right ideal, by an idempotent."""
-    t0 = time.perf_counter()
     gens = []
     found: dict[int, int | None] = {}
     for a in ring.elements():
@@ -150,23 +143,19 @@ def is_right_pp(ring: FiniteRing) -> PropertyReport:
         if e is None:
             return PropertyReport(
                 ring.name, "is_right_pp", False,
-                {"counterexample": {"element": a, "annihilator": _members(ann)}},
-                time.perf_counter() - t0)
+                {"counterexample": {"element": a, "annihilator": _members(ann)}})
         gens.append([a, e])
     return PropertyReport(ring.name, "is_right_pp", True,
-                          {"idempotent_generators": gens}, time.perf_counter() - t0)
+                          {"idempotent_generators": gens})
 
 
 def is_reduced(ring: FiniteRing) -> PropertyReport:
     """Reduced: no nonzero element squares to zero."""
-    t0 = time.perf_counter()
     for a in ring.elements():
         if a != ring.zero and ring.mul(a, a) == ring.zero:
             return PropertyReport(ring.name, "is_reduced", False,
-                                  {"counterexample": {"element": a}},
-                                  time.perf_counter() - t0)
-    return PropertyReport(ring.name, "is_reduced", True, {},
-                          time.perf_counter() - t0)
+                                  {"counterexample": {"element": a}})
+    return PropertyReport(ring.name, "is_reduced", True, {})
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +176,6 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    t0 = time.perf_counter()
     a = _first_orbit_failure(action)
     if a is not None:
         ann = _orbit_annihilator(action, a)
@@ -197,8 +185,7 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
                 "subset": [a],
                 "annihilator": _members(ann),
                 "unwitnessed": _s_unital(ring, ann).failing,
-            }},
-            time.perf_counter() - t0)
+            }})
     distinct: dict[frozenset[int], int] = {}
     for a in ring.elements():
         distinct.setdefault(orbit_ideal({a}, action).members,
@@ -210,5 +197,4 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
                     distinct.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
     return PropertyReport(
         ring.name, "orbit_annihilators_s_unital", True,
-        {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence},
-        time.perf_counter() - t0)
+        {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence})

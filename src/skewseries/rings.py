@@ -290,6 +290,8 @@ def cyclic_ring(n: int) -> FiniteRing:
     """The ring of integers modulo n.  n=1 gives the zero ring."""
     if n < 1:
         raise RingAxiomError("empty ring: modulus must be at least 1")
+    if n > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
     if n <= TABLE_LIMIT:
         r = list(range(n))
         add = [r[a:] + r[:a] for a in r]

@@ -7,6 +7,9 @@ Multiplication twists the right factor through a monoid action on the ring:
 
 where w_u is the automorphism the action assigns to the exponent u.  With
 finite supports every product is exact; no truncation is involved anywhere.
+``OmegaAction`` decides which generator images, alpha and beta, a monoid
+kind takes; ``single_generator_action`` and ``pair_action`` add their own
+stricter kind check before they forward to it.
 
 Series are canonical (zero coefficients are never stored), so equality to
 zero is a structural test.
@@ -67,11 +70,15 @@ from .rings import (FiniteRing, RingAut, _additive_coordinates, _additive_genera
 class OmegaAction:
     """A monoid homomorphism from exponents into the ring's automorphisms.
 
-    The action is specified by images of the monoid generators:
+    The action is fixed by the images of the monoid generators, and the
+    monoid kind decides which images it takes (None means the identity):
 
-      NatAdd / IntAdd    one automorphism, the image of 1
-      pair kinds         commuting images of (1,0) and (0,1)
-      NatMulDirichlet    trivial only (the identity on every exponent)
+      NatAdd / IntAdd    ``alpha``, the image of 1; ``beta`` must be the identity
+      pair kinds         ``alpha`` and ``beta``, the images of (1,0) and (0,1),
+                         which must commute
+      NatMulDirichlet    neither (the identity on every exponent)
+
+    An image that does not fit the kind raises ValueError.
 
     Evaluations are memoized; since the automorphism group is finite the set
     of values {w_s} is finite and has concrete exponent representatives.
@@ -87,35 +94,30 @@ class OmegaAction:
     """
 
     def __init__(self, monoid: OrderedMonoid, ring: FiniteRing,
-                 generator_images: dict | None = None):
+                 alpha: RingAut | None = None, beta: RingAut | None = None):
         self.monoid = monoid
         self.ring = ring
         ident = identity_automorphism(ring)
-        images = dict(generator_images or {})
-        for aut in images.values():
+        alpha, beta = (ident if aut is None else aut for aut in (alpha, beta))
+        for aut in (alpha, beta):
             if not isinstance(aut, RingAut) or aut.ring is not ring:
                 raise ValueError("generator images must be automorphisms of the same ring")
             # the identity map is an automorphism of every ring
             if aut.perm != ident.perm:
                 aut.validate()
         kind = monoid.kind
-        if kind in ("NatAdd", "IntAdd"):
-            alpha = images.pop(1, ident)
-            self._alphas = (alpha,)
-        elif monoid._pair:
-            alpha = images.pop((1, 0), ident)
-            beta = images.pop((0, 1), ident)
+        if monoid._pair:
             if alpha.compose(beta) != beta.compose(alpha):
                 raise ValueError("pair-monoid generator images must commute")
             self._alphas = (alpha, beta)
-        else:  # NatMulDirichlet admits only the trivial action
-            for aut in images.values():
-                if not aut.is_identity():
-                    raise ValueError(f"{kind} only supports the trivial action")
-            images.clear()
+        elif kind == "NatMulDirichlet":
+            if not (alpha.is_identity() and beta.is_identity()):
+                raise ValueError(f"{kind} only supports the trivial action")
             self._alphas = ()
-        if images:
-            raise ValueError(f"unexpected generator keys for {kind}: {sorted(images)}")
+        else:
+            if not beta.is_identity():
+                raise ValueError(f"{kind} takes one generator image; beta must be the identity")
+            self._alphas = (alpha,)
         self._powers = [_power_table(a) for a in self._alphas]
         self._cache: dict = {}
         self._closure: tuple | None = None
@@ -194,14 +196,14 @@ def single_generator_action(monoid: OrderedMonoid, ring: FiniteRing,
                             alpha: RingAut) -> OmegaAction:
     if monoid.kind not in ("NatAdd", "IntAdd"):
         raise ValueError(f"{monoid.kind} does not take a single generator image")
-    return OmegaAction(monoid, ring, {1: alpha})
+    return OmegaAction(monoid, ring, alpha)
 
 
 def pair_action(monoid: OrderedMonoid, ring: FiniteRing,
                 alpha: RingAut, beta: RingAut) -> OmegaAction:
     if not monoid._pair:
         raise ValueError(f"{monoid.kind} does not take a generator pair")
-    return OmegaAction(monoid, ring, {(1, 0): alpha, (0, 1): beta})
+    return OmegaAction(monoid, ring, alpha, beta)
 
 
 class SkewSeries:

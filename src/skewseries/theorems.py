@@ -21,12 +21,16 @@ The central facts being checked, stated operationally:
 Functions here raise CoherenceAlarm when a fact that must hold under verified
 hypotheses fails to verify; that is an alarm condition, distinct from an
 honest ``verdict=False`` about a ring that simply lacks a property.
+
+A preset names an exponent monoid and nothing else: its action is
+``OmegaAction(monoid, ring, alpha, beta)``, so it takes exactly the images
+its monoid kind takes.  Reports carry no timing; ``cli.run_job`` times each
+check.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from .ideals import (
@@ -45,7 +49,7 @@ from .ideals import (
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
 from .properties import PropertyReport, orbit_annihilators_s_unital
-from .rings import FiniteRing, RingAut, _additive_generators, identity_automorphism
+from .rings import FiniteRing, RingAut, _additive_generators
 from .series import (
     OmegaAction,
     SkewSeries,
@@ -53,9 +57,6 @@ from .series import (
     annihilates_via_all_middles,
     constant,
     convolve,
-    pair_action,
-    single_generator_action,
-    trivial_action,
 )
 
 
@@ -113,7 +114,6 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     distinct (g(u), w_u, f(v)) is tested only once.
     """
     g._require_same_context(f)
-    t0 = time.perf_counter()
     action = g.action
     ring = action.ring
     failing = _first_orbit_failure(action)
@@ -121,13 +121,10 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
         return PropertyReport(
             ring.name, "coefficientwise_annihilation", False,
             {"failure": "hypothesis",
-             "detail": f"orbit annihilator of element {failing} is not right s-unital"},
-            time.perf_counter() - t0)
+             "detail": f"orbit annihilator of element {failing} is not right s-unital"})
     if not annihilates_via_all_middles(g, f):
-        return PropertyReport(
-            ring.name, "coefficientwise_annihilation", False,
-            {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES},
-            time.perf_counter() - t0)
+        return PropertyReport(ring.name, "coefficientwise_annihilation", False,
+                              {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
     # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
     # (g(u), w_u) and the value f(v): decide each (class, value) once.
     reps = action.representatives()
@@ -159,12 +156,10 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
         return PropertyReport(
             ring.name, "coefficientwise_annihilation", False,
             {"failure": "conclusion",
-             "violation": {"u": repr(u), "v": repr(v), "s": repr(s), "r": r}},
-            time.perf_counter() - t0)
+             "violation": {"u": repr(u), "v": repr(v), "s": repr(s), "r": r}})
     checked = len(g.coeffs) * len(f.coeffs) * len(reps) * ring.size
     return PropertyReport(ring.name, "coefficientwise_annihilation", True,
-                          {"products_checked": checked},
-                          time.perf_counter() - t0)
+                          {"products_checked": checked})
 
 
 def extract_cascade_witnesses(g: SkewSeries, f: SkewSeries, w) -> list[int]:
@@ -211,7 +206,6 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    t0 = time.perf_counter()
     obstructions = []
     blocked: dict[int, int | None] = {}
     for a in ring.elements():
@@ -224,9 +218,8 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
                 "blocked": blocked[ann],
                 "annihilator": _members(ann),
             })
-    return PropertyReport(
-        ring.name, "annihilator_obstructions", not obstructions,
-        {"obstructions": obstructions}, time.perf_counter() - t0)
+    return PropertyReport(ring.name, "annihilator_obstructions", not obstructions,
+                          {"obstructions": obstructions})
 
 
 @dataclass
@@ -335,14 +328,15 @@ def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[in
 # constructive generation of annihilating pairs
 
 # Random pairs take their exponents from ``sample_pool(monoid, _PAIR_SPAN)``,
-# and f is redrawn up to _PAIR_DRAWS times while its orbit annihilator has
-# fewer than two members.
+# each series has 1 to _PAIR_TERMS terms, and f is redrawn up to _PAIR_DRAWS
+# times while its orbit annihilator has fewer than two members.
 _PAIR_SPAN = 6
+_PAIR_TERMS = 4
 _PAIR_DRAWS = 8
 
 
-def random_annihilating_pair(action: OmegaAction, rng: random.Random,
-                             max_support: int = 4) -> tuple[SkewSeries, SkewSeries]:
+def random_annihilating_pair(action: OmegaAction,
+                             rng: random.Random) -> tuple[SkewSeries, SkewSeries]:
     """A seeded random pair (g, f) with g * T * f == 0, built constructively.
 
     Rejection sampling almost never finds annihilating pairs, so f is drawn
@@ -356,7 +350,7 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
     nonzero = [r for r in ring.elements() if r != ring.zero]
 
     def draw_support():
-        k = rng.randint(1, max_support)
+        k = rng.randint(1, _PAIR_TERMS)
         return rng.sample(pool, min(k, len(pool)))
 
     f, ann = None, 0
@@ -378,25 +372,22 @@ def random_annihilating_pair(action: OmegaAction, rng: random.Random,
 # batch harnesses over one (ring, action) context
 
 def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
-                            pairs: int = 1000, max_support: int = 4,
-                            seed: int = 0) -> PropertyReport:
+                            pairs: int = 1000, seed: int = 0) -> PropertyReport:
     """Run the coefficientwise-annihilation check on constructed pairs.
 
     Contexts that do not satisfy the elementwise hypothesis are reported as
     not applicable (vacuously true) rather than failed.  A conclusion
     violation on a valid pair raises CoherenceAlarm.
     """
-    t0 = time.perf_counter()
     if not elementwise_condition_holds(ring, action):
         return PropertyReport(
             ring.name, "coefficientwise_harness", True,
             {"applicable": False,
-             "detail": "elementwise orbit annihilator condition fails"},
-            time.perf_counter() - t0)
+             "detail": "elementwise orbit annihilator condition fails"})
     rng = random.Random(seed)
     nonzero_pairs = 0
     for i in range(pairs):
-        g, f = random_annihilating_pair(action, rng, max_support=max_support)
+        g, f = random_annihilating_pair(action, rng)
         report = check_coefficientwise_annihilation(g, f)
         if report.witnesses.get("detail") == _NOT_THROUGH_MIDDLES:
             raise CoherenceAlarm(
@@ -410,12 +401,11 @@ def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
     return PropertyReport(
         ring.name, "coefficientwise_harness", True,
         {"applicable": True, "pairs": pairs, "nonzero_pairs": nonzero_pairs,
-         "seed": seed}, time.perf_counter() - t0)
+         "seed": seed})
 
 
 def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
-                          pairs: int = 1000, max_support: int = 4,
-                          seed: int = 0) -> PropertyReport:
+                          pairs: int = 1000, seed: int = 0) -> PropertyReport:
     """Desk-scale rendering of the main equivalence for one context.
 
     When the orbit annihilator condition holds for all subsets, the witness
@@ -427,20 +417,18 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     failing raises CoherenceAlarm; otherwise the verdict mirrors the
     condition itself.
     """
-    t0 = time.perf_counter()
     condition = orbit_annihilators_s_unital(ring, action)
     if condition.verdict:
         rng = random.Random(seed)
         witnesses_seen = set()
         for i in range(pairs):
-            g, f = random_annihilating_pair(action, rng, max_support=max_support)
+            g, f = random_annihilating_pair(action, rng)
             _require_middles(g, f)
             witnesses_seen.add(_build_witness(g, f, chain_search=False).witness)
         return PropertyReport(
             ring.name, "app_equivalence", True,
             {"condition": True, "pairs": pairs,
-             "distinct_witnesses": sorted(witnesses_seen), "seed": seed},
-            time.perf_counter() - t0)
+             "distinct_witnesses": sorted(witnesses_seen), "seed": seed})
     obstructions = annihilator_obstructions(ring, action)
     if not obstructions.witnesses["obstructions"]:
         raise CoherenceAlarm(
@@ -457,28 +445,23 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
         {"condition": False,
          "condition_counterexample": condition.witnesses.get("counterexample"),
          "obstructions": obstructions.witnesses["obstructions"],
-         "seed": seed},
-        time.perf_counter() - t0)
+         "seed": seed})
 
 
 def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
-                        instances: int = 200, max_support: int = 4,
-                        seed: int = 0) -> PropertyReport:
+                        instances: int = 200, seed: int = 0) -> PropertyReport:
     """Both witness-construction paths verify on the same constructed pairs.
 
     The full-set path and the minimal-subset chain search may pick different
     witnesses; each must still satisfy both product identities (the
     construction itself verifies them and alarms otherwise).
     """
-    t0 = time.perf_counter()
     if not elementwise_condition_holds(ring, action):
-        return PropertyReport(
-            ring.name, "witness_paths", True,
-            {"applicable": False}, time.perf_counter() - t0)
+        return PropertyReport(ring.name, "witness_paths", True, {"applicable": False})
     rng = random.Random(seed)
     differing = 0
     for _ in range(instances):
-        g, f = random_annihilating_pair(action, rng, max_support=max_support)
+        g, f = random_annihilating_pair(action, rng)
         _require_middles(g, f)
         full = _build_witness(g, f, chain_search=False)
         chain = _build_witness(g, f, chain_search=True)
@@ -487,8 +470,7 @@ def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
     return PropertyReport(
         ring.name, "witness_paths", True,
         {"applicable": True, "instances": instances,
-         "witness_disagreements": differing, "seed": seed},
-        time.perf_counter() - t0)
+         "witness_disagreements": differing, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -496,46 +478,26 @@ def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
 
 @dataclass(frozen=True)
 class Preset:
-    """A named (monoid, action shape) bundle for a classical series ring."""
+    """A named exponent monoid for a classical series ring; the monoid kind
+    decides which generator images its action takes."""
 
     name: str
     monoid_kind: str
-    generators: int  # how many automorphism images the action takes (0, 1, 2)
-    description: str
 
     def build(self, ring: FiniteRing, alpha: RingAut | None = None,
               beta: RingAut | None = None) -> tuple[OrderedMonoid, OmegaAction]:
         monoid = make_monoid(self.monoid_kind)
-        if self.generators == 0:
-            if (alpha is not None and not alpha.is_identity()) or \
-                    (beta is not None and not beta.is_identity()):
-                raise ValueError(f"preset {self.name} only supports the trivial action")
-            return monoid, trivial_action(monoid, ring)
-        if self.generators == 1:
-            a = alpha if alpha is not None else identity_automorphism(ring)
-            return monoid, single_generator_action(monoid, ring, a)
-        a = alpha if alpha is not None else identity_automorphism(ring)
-        b = beta if beta is not None else identity_automorphism(ring)
-        if a.compose(b) != b.compose(a):
-            raise ValueError(f"preset {self.name} needs commuting automorphisms")
-        return monoid, pair_action(monoid, ring, a, b)
+        return monoid, OmegaAction(monoid, ring, alpha, beta)
 
 
 PRESETS = (
-    Preset("skew_power_series", "NatAdd", 1,
-           "one-variable twisted power series"),
-    Preset("skew_laurent_series", "IntAdd", 1,
-           "one-variable twisted Laurent series"),
-    Preset("two_variable_lex", "NatPairLex", 2,
-           "two commuting variables, lexicographic exponents"),
-    Preset("two_variable_revlex", "NatPairRevLex", 2,
-           "two commuting variables, reverse lexicographic exponents"),
-    Preset("two_variable_laurent_lex", "IntPairLex", 2,
-           "two commuting Laurent variables, lexicographic exponents"),
-    Preset("two_variable_laurent_revlex", "IntPairRevLex", 2,
-           "two commuting Laurent variables, reverse lexicographic exponents"),
-    Preset("arithmetic_functions", "NatMulDirichlet", 0,
-           "ring-valued arithmetic functions under Dirichlet convolution"),
+    Preset("skew_power_series", "NatAdd"),
+    Preset("skew_laurent_series", "IntAdd"),
+    Preset("two_variable_lex", "NatPairLex"),
+    Preset("two_variable_revlex", "NatPairRevLex"),
+    Preset("two_variable_laurent_lex", "IntPairLex"),
+    Preset("two_variable_laurent_revlex", "IntPairRevLex"),
+    Preset("arithmetic_functions", "NatMulDirichlet"),
 )
 
 

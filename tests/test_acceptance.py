@@ -160,8 +160,7 @@ def test_criterion_5_coefficientwise_annihilation_harness():
         if not elementwise_condition_holds(ring, action):
             continue
         applicable += 1
-        report = coefficientwise_harness(ring, action, pairs=1000,
-                                         max_support=4, seed=11)
+        report = coefficientwise_harness(ring, action, pairs=1000, seed=11)
         assert report.verdict and report.witnesses["applicable"], (name, aut_name)
         assert report.witnesses["pairs"] == 1000
     assert applicable >= 8

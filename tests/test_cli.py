@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,11 @@ from skewseries.cli import (
     run_job,
     validate,
 )
+from skewseries.gallery import gallery_ring, named_automorphism
+from skewseries.monoids import make_monoid
+from skewseries.rings import cyclic_ring, identity_automorphism, product_ring
+from skewseries.series import OmegaAction
+from skewseries.theorems import PRESETS
 
 Z4_JOB = """
 # reproduce the annihilator counterexample
@@ -157,6 +163,27 @@ def test_run_field_job_exits_zero(tmp_path):
 def test_run_dirichlet_preset_job(tmp_path):
     code, out, _ = run_to_file(DIRICHLET_JOB, tmp_path)
     assert code == 0
+
+
+def test_non_integer_table_entry_is_a_spec_error(tmp_path):
+    text = """
+ring.kind = table
+ring.add_table = 0,1;1,x
+ring.mul_table = 0,0;0,1
+monoid.kind = NatAdd
+checks = left_app
+"""
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log.startswith("spec error: ring: table entry is not an integer")
+    assert "'x'" in log
+
+
+def test_cyclic_ring_above_the_size_cap_is_a_spec_error(tmp_path):
+    text = "ring.kind = cyclic\nring.n = 8192\nmonoid.kind = NatAdd\nchecks = reduced\n"
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log == "spec error: ring: size cap exceeded: 8192 > 4096\n"
 
 
 def test_run_invalid_spec_exits_three(tmp_path):
@@ -491,3 +518,111 @@ def test_cli_seed_override_reaches_report(tmp_path):
     out = tmp_path / "seeded.json"
     run_job(job, out_path=str(out), seed_override=123, stream=io.StringIO())
     assert json.loads(out.read_text())["seed"] == 123
+
+
+# ---------------------------------------------------------------------------
+# the images an action takes are decided by OmegaAction alone
+
+# One context per monoid kind, with the number of automorphisms its action
+# attains.  In M2(F2) the units 7 and 14 are inverse and of order 3, so their
+# inner automorphisms commute; 6 and 11 have order 2 and commute with neither.
+ACTION_CONTEXTS = {
+    "NatAdd": ("F2xF2", "swap", "identity", 2),
+    "IntAdd": ("M2F2", "inner:7", "identity", 3),
+    "NatPairLex": ("M2F2", "inner:7", "inner:14", 3),
+    "NatPairRevLex": ("F2xF2", "swap", "identity", 2),
+    "IntPairLex": ("M2F2", "identity", "inner:14", 3),
+    "IntPairRevLex": ("M2F2", "inner:7", "inner:7", 3),
+    "NatMulDirichlet": ("M2F2", "identity", "identity", 1),
+}
+
+
+def _action_job(kind, ring, alpha, beta, checks="left_app"):
+    return (f"ring.kind = gallery\nring.name = {ring}\nmonoid.kind = {kind}\n"
+            f"action.alpha = {alpha}\naction.beta = {beta}\nchecks = {checks}\n")
+
+
+def _closure_perms(action):
+    return [(s, aut.perm) for s, aut in action.closure()]
+
+
+def test_each_preset_has_its_own_monoid_kind():
+    assert sorted(p.monoid_kind for p in PRESETS) == sorted(ACTION_CONTEXTS)
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.monoid_kind)
+def test_cli_presets_and_the_constructor_build_the_same_action(preset):
+    ring_name, alpha_name, beta_name, attained = ACTION_CONTEXTS[preset.monoid_kind]
+    job = JobSpec.from_text(_action_job(preset.monoid_kind, ring_name, alpha_name, beta_name))
+    ring = build_ring(job)
+    alpha = named_automorphism(ring, alpha_name)
+    beta = named_automorphism(ring, beta_name)
+    monoid = make_monoid(preset.monoid_kind)
+    expected = _closure_perms(OmegaAction(monoid, ring, alpha, beta))
+    assert len(expected) == attained
+    assert _closure_perms(build_action(job, build_monoid(job), ring)) == expected
+    assert _closure_perms(preset.build(ring, alpha, beta)[1]) == expected
+    # None stands for the identity
+    none = [None if aut.is_identity() else aut for aut in (alpha, beta)]
+    assert _closure_perms(OmegaAction(monoid, ring, *none)) == expected
+    assert _closure_perms(preset.build(ring, *none)[1]) == expected
+
+
+REJECTED_ACTIONS = [
+    ("NatMulDirichlet", "F2xF2", "swap", "identity",
+     "NatMulDirichlet only supports the trivial action"),
+    ("NatMulDirichlet", "M2F2", "identity", "inner:7",
+     "NatMulDirichlet only supports the trivial action"),
+    ("NatPairLex", "M2F2", "inner:6", "inner:7", "pair-monoid generator images must commute"),
+    ("IntPairRevLex", "M2F2", "inner:14", "inner:11",
+     "pair-monoid generator images must commute"),
+    ("NatAdd", "F2xF2", "identity", "swap",
+     "NatAdd takes one generator image; beta must be the identity"),
+    ("IntAdd", "M2F2", "inner:6", "inner:6",
+     "IntAdd takes one generator image; beta must be the identity"),
+]
+
+
+@pytest.mark.parametrize("kind, ring_name, alpha, beta, message", REJECTED_ACTIONS)
+def test_images_that_do_not_fit_the_monoid_kind_are_rejected(tmp_path, kind, ring_name,
+                                                             alpha, beta, message):
+    ring = gallery_ring(ring_name)
+    images = named_automorphism(ring, alpha), named_automorphism(ring, beta)
+    preset = next(p for p in PRESETS if p.monoid_kind == kind)
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        OmegaAction(make_monoid(kind), ring, *images)
+    with pytest.raises(ValueError, match=exact):
+        preset.build(ring, *images)
+    code, out, log = run_to_file(_action_job(kind, ring_name, alpha, beta), tmp_path)
+    assert code == 3 and not out.exists()
+    assert log == f"spec error: action: {message}\n"
+
+
+def test_an_automorphism_of_another_ring_is_rejected(tmp_path):
+    ring = gallery_ring("F2xF2")
+    swap = named_automorphism(ring, "swap")
+    ident = identity_automorphism(ring)
+    # an equal ring built again is another instance
+    for target in (product_ring(cyclic_ring(2), cyclic_ring(2)), cyclic_ring(4)):
+        for kind, images in (("NatAdd", (swap,)), ("IntAdd", (None, ident)),
+                             ("NatPairLex", (None, swap)), ("NatMulDirichlet", (ident,))):
+            with pytest.raises(ValueError, match="automorphisms of the same ring"):
+                OmegaAction(make_monoid(kind), target, *images)
+    # a job reads its images against its own ring: F2xF2's swap, written out
+    # as an image list, is no automorphism of Z4
+    text = ("ring.kind = cyclic\nring.n = 4\nmonoid.kind = NatAdd\n"
+            "action.alpha = images:0,2,1,3\nchecks = left_app\n")
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log.startswith("spec error: action: bad image list")
+
+
+def test_a_single_generator_preset_in_a_pair_action_job_exits_three(tmp_path):
+    text = _action_job("NatPairLex", "F2xF2", "swap", "swap",
+                       checks="two_variable_lex, skew_power_series")
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log.startswith("pass two_variable_lex on Z2xZ2")
+    assert log.endswith("spec error: preset skew_power_series: NatAdd takes one "
+                        "generator image; beta must be the identity\n")

@@ -102,6 +102,12 @@ def test_size_cap_enforced():
         matrix_ring(cyclic_ring(3), 2, size_cap=50)
 
 
+def test_cyclic_ring_size_cap():
+    # refused before any table or closure is built, like the other factories
+    with pytest.raises(RingAxiomError, match=r"^size cap exceeded: 8192 > 4096$"):
+        cyclic_ring(8192)
+
+
 def test_table_ring_roundtrip():
     Z3 = cyclic_ring(3)
     add = [[Z3.add(a, b) for b in range(3)] for a in range(3)]

@@ -136,7 +136,7 @@ def a_ne(x, y):
 
 def test_dirichlet_only_trivial_action():
     with pytest.raises(ValueError, match="trivial"):
-        OmegaAction(make_monoid("NatMulDirichlet"), F22, {2: SWAP})
+        OmegaAction(make_monoid("NatMulDirichlet"), F22, SWAP)
 
 
 def test_only_images_other_than_the_identity_are_validated(monkeypatch):
@@ -144,9 +144,9 @@ def test_only_images_other_than_the_identity_are_validated(monkeypatch):
     original = RingAut.validate
     monkeypatch.setattr(RingAut, "validate",
                         lambda aut: validated.append(aut.perm) or original(aut))
-    OmegaAction(make_monoid("NatAdd"), F22, {1: RingAut(F22, range(4))})
+    OmegaAction(make_monoid("NatAdd"), F22, RingAut(F22, range(4)))
     assert validated == []
-    OmegaAction(make_monoid("NatAdd"), F22, {1: SWAP})
+    OmegaAction(make_monoid("NatAdd"), F22, SWAP)
     assert validated == [SWAP.perm]
 
 
@@ -155,7 +155,7 @@ def test_identity_like_images_of_the_wrong_shape_are_rejected(perm):
     # identity prefixes and extensions, a non-bijection, and a bijection that
     # moves zero: none is the identity of F2xF2, so each is validated
     with pytest.raises(RingAxiomError):
-        OmegaAction(make_monoid("NatAdd"), F22, {1: RingAut(F22, perm)})
+        OmegaAction(make_monoid("NatAdd"), F22, RingAut(F22, perm))
 
 
 def test_convolution_nilpotent_coefficients():

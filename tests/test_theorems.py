@@ -397,7 +397,7 @@ def test_coefficientwise_harness_alarms(monkeypatch):
     act = nat_action(Z6)
     not_through_middles = (constant(act, 2), constant(act, 1))
     monkeypatch.setattr(theorems, "random_annihilating_pair",
-                        lambda action, rng, max_support: not_through_middles)
+                        lambda action, rng: not_through_middles)
     with pytest.raises(theorems.CoherenceAlarm,
                        match=r"^constructed pair 0 fails to annihilate through middles$"):
         coefficientwise_harness(Z6, act, pairs=3)
@@ -465,7 +465,7 @@ def test_witness_paths_check_the_middles_once_per_pair(monkeypatch):
 def test_witness_paths_refuse_a_pair_outside_the_middles(monkeypatch):
     act = nat_action(Z6)
     monkeypatch.setattr(theorems, "random_annihilating_pair",
-                        lambda action, rng, max_support: (constant(act, 2), constant(act, 1)))
+                        lambda action, rng: (constant(act, 2), constant(act, 1)))
     with pytest.raises(PreconditionError, match="does not annihilate through all middles"):
         witness_paths_agree(Z6, act, instances=2)
 
