@@ -23,7 +23,7 @@ from itertools import chain, compress, islice, product, repeat
 # beyond it arithmetic stays closure-backed.
 TABLE_LIMIT = 256
 
-# Factories refuse to build rings larger than this unless told otherwise.
+# Every factory refuses to build a ring larger than this.
 DEFAULT_SIZE_CAP = 4096
 
 # A ring above TABLE_LIMIT elements has its triple axioms checked on this
@@ -323,11 +323,11 @@ def _product_rows(P, Q, qs: int) -> list[list[int]]:
             for Pi in P for Qj in Q]
 
 
-def product_ring(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     """Direct product with componentwise operations; index = i*b.size + j."""
     size = a.size * b.size
-    if size > size_cap:
-        raise RingAxiomError(f"size cap exceeded: {size} > {size_cap}")
+    if size > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {size} > {DEFAULT_SIZE_CAP}")
     bs = b.size
 
     def enc(i, j):
@@ -369,11 +369,15 @@ def _undigits(ds, base: int) -> int:
     return x
 
 
-def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
-               name: str, element_repr) -> FiniteRing:
-    """Vectors of ``ncells`` cells over ``base``, packed as base-``base.size``
-    digits with cell t the t-th least significant, under cellwise addition
-    and ``cell_product`` (a map of two cell lists to their product's).
+def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
+    """The k-by-k matrices over ``base`` whose entries off ``cells`` are zero,
+    under the matrix operations; ``cells`` lists positions (i, j) closed
+    under the matrix product and must hold the diagonal.
+
+    An element packs its entries as base-``base.size`` digits, the entry at
+    ``cells[t]`` the t-th least significant.  Entry (i, j) of a product is
+    the sum of x[i,t]*y[t,j] over the t, ascending, with both cells present;
+    an entry off ``cells`` prints as 0.
 
     The cells split into a low half of L values and a high half, so that
     x = hi + lo, where hi keeps the high cells of x and lo the low ones, each
@@ -385,12 +389,15 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     through the addition table; above ``TABLE_LIMIT`` a product is four
     lookups and three additions.
     """
-    bs = base.size
+    bs, ncells = base.size, len(cells)
     size = bs ** ncells
-    if base._add_rows is not None:
-        digit_sum = base._add_rows
-    else:
-        digit_sum = [[base.add(p, q) for q in range(bs)] for p in range(bs)]
+    if size > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {size} > {DEFAULT_SIZE_CAP}")
+    pos = {c: t for t, c in enumerate(cells)}
+    terms = [[(pos[i, t], pos[t, j]) for t in range(k) if (i, t) in pos and (t, j) in pos]
+             for i, j in cells]
+    digit_sum, digit_product = base.tables or (
+        [[op(p, q) for q in range(bs)] for p in range(bs)] for op in (base.add, base.mul))
 
     def sums(count):
         """The cellwise sum table of vectors of ``count`` cells."""
@@ -403,10 +410,19 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     L = bs ** low
     hi_sum, lo_sum = sums(ncells - low), sums(low)
 
+    def cell_product(xd, yd):
+        out = []
+        for ts in terms:
+            acc = base.zero
+            for p, q in ts:
+                acc = digit_sum[acc][digit_product[xd[p]][yd[q]]]
+            out.append(acc)
+        return _undigits(out, bs)
+
     def products(xs, ys):
         """The table of x*y for x in xs and y in ys, one cell product each."""
         xds, yds = ([_digits(x, bs, ncells) for x in zs] for zs in (xs, ys))
-        return [[_undigits(cell_product(xd, yd), bs) for yd in yds] for xd in xds]
+        return [[cell_product(xd, yd) for yd in yds] for xd in xds]
 
     zero_lo = _undigits([base.zero] * low, bs)
     zero_hi = _undigits([base.zero] * (ncells - low), bs) * L
@@ -435,73 +451,31 @@ def _cell_ring(base: FiniteRing, ncells: int, cell_product, one_cells,
     def neg(x):
         return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
 
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
-                      one=_undigits(one_cells, bs), name=name, element_repr=element_repr)
-
-
-def matrix_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Full k-by-k matrix ring over ``base``; entries packed row-major."""
-    ncells = k * k
-    size = base.size ** ncells
-    if size > size_cap:
-        raise RingAxiomError(f"size cap exceeded: {size} > {size_cap}")
-    bs = base.size
-
-    def product_cells(xs, ys):
-        out = []
-        for i in range(k):
-            for j in range(k):
-                acc = base.zero
-                for t in range(k):
-                    acc = base.add(acc, base.mul(xs[i * k + t], ys[t * k + j]))
-                out.append(acc)
-        return out
-
-    one_cells = [base.one if i == j else base.zero for i in range(k) for j in range(k)]
-
-    def mrepr(x):
+    def element_repr(x):
         ds = _digits(x, bs, ncells)
-        rows = ["[" + ",".join(base.element_repr(ds[i * k + j]) for j in range(k)) + "]"
-                for i in range(k)]
-        return "[" + ",".join(rows) + "]"
+        return "[" + ",".join(
+            "[" + ",".join(base.element_repr(ds[pos[i, j]]) if (i, j) in pos else "0"
+                           for j in range(k)) + "]"
+            for i in range(k)) + "]"
 
-    return _cell_ring(base, ncells, product_cells, one_cells, f"M{k}({base.name})", mrepr)
+    one = _undigits([base.one if i == j else base.zero for i, j in cells], bs)
+    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
+                      one=one, name=name, element_repr=element_repr)
 
 
-def upper_triangular_ring(base: FiniteRing, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
+    """Full k-by-k matrix ring over ``base``; entries packed row-major."""
+    return _cell_ring(base, k, list(product(range(k), repeat=2)), f"M{k}({base.name})")
+
+
+def upper_triangular_ring(base: FiniteRing, k: int) -> FiniteRing:
     """Upper triangular k-by-k matrices over ``base``.
 
     Cells (i,j) with i <= j are packed in row-major order of the upper
     triangle, so size = base.size ** (k*(k+1)/2).
     """
-    cells = [(i, j) for i in range(k) for j in range(i, k)]
-    pos = {c: t for t, c in enumerate(cells)}
-    ncells = len(cells)
-    size = base.size ** ncells
-    if size > size_cap:
-        raise RingAxiomError(f"size cap exceeded: {size} > {size_cap}")
-    bs = base.size
-
-    def product_cells(xs, ys):
-        out = []
-        for (i, j) in cells:
-            acc = base.zero
-            for t in range(i, j + 1):
-                acc = base.add(acc, base.mul(xs[pos[i, t]], ys[pos[t, j]]))
-            out.append(acc)
-        return out
-
-    one_cells = [base.one if i == j else base.zero for (i, j) in cells]
-
-    def trepr(x):
-        ds = _digits(x, bs, ncells)
-        rows = []
-        for i in range(k):
-            row = [base.element_repr(ds[pos[i, j]]) if j >= i else "0" for j in range(k)]
-            rows.append("[" + ",".join(row) + "]")
-        return "[" + ",".join(rows) + "]"
-
-    return _cell_ring(base, ncells, product_cells, one_cells, f"T{k}({base.name})", trepr)
+    return _cell_ring(base, k, [(i, j) for i in range(k) for j in range(i, k)],
+                      f"T{k}({base.name})")
 
 
 def _check_entries(table, n: int, label: str) -> None:
@@ -642,14 +616,6 @@ class RingAut:
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
-
-    def order(self) -> int:
-        k, acc = 1, self
-        ident = identity_automorphism(self.ring)
-        while acc.perm != ident.perm:
-            acc = acc.compose(self)
-            k += 1
-        return k
 
     def __eq__(self, other):
         return isinstance(other, RingAut) and self.perm == other.perm

@@ -7,9 +7,9 @@ Multiplication twists the right factor through a monoid action on the ring:
 
 where w_u is the automorphism the action assigns to the exponent u.  With
 finite supports every product is exact; no truncation is involved anywhere.
-``OmegaAction`` decides which generator images, alpha and beta, a monoid
-kind takes; ``single_generator_action`` and ``pair_action`` add their own
-stricter kind check before they forward to it.
+``OmegaAction`` alone decides which generator images, alpha and beta, a
+monoid kind takes; ``trivial_action``, ``single_generator_action`` and
+``pair_action`` are plain calls to it.
 
 Series are canonical (zero coefficients are never stored), so equality to
 zero is a structural test.
@@ -194,15 +194,11 @@ def trivial_action(monoid: OrderedMonoid, ring: FiniteRing) -> OmegaAction:
 
 def single_generator_action(monoid: OrderedMonoid, ring: FiniteRing,
                             alpha: RingAut) -> OmegaAction:
-    if monoid.kind not in ("NatAdd", "IntAdd"):
-        raise ValueError(f"{monoid.kind} does not take a single generator image")
     return OmegaAction(monoid, ring, alpha)
 
 
 def pair_action(monoid: OrderedMonoid, ring: FiniteRing,
                 alpha: RingAut, beta: RingAut) -> OmegaAction:
-    if not monoid._pair:
-        raise ValueError(f"{monoid.kind} does not take a generator pair")
     return OmegaAction(monoid, ring, alpha, beta)
 
 

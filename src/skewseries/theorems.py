@@ -114,9 +114,8 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     distinct (g(u), w_u, f(v)) is tested only once.
     """
     g._require_same_context(f)
-    action = g.action
-    ring = action.ring
-    failing = _first_orbit_failure(action)
+    ring = g.action.ring
+    failing = _first_orbit_failure(g.action)
     if failing is not None:
         return PropertyReport(
             ring.name, "coefficientwise_annihilation", False,
@@ -125,6 +124,14 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     if not annihilates_via_all_middles(g, f):
         return PropertyReport(ring.name, "coefficientwise_annihilation", False,
                               {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
+    return _coefficientwise_conclusion(g, f)
+
+
+def _coefficientwise_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
+    """The conclusion half of ``check_coefficientwise_annihilation``, for a
+    pair whose hypotheses hold."""
+    action = g.action
+    ring = action.ring
     # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
     # (g(u), w_u) and the value f(v): decide each (class, value) once.
     reps = action.representatives()
@@ -343,7 +350,8 @@ def random_annihilating_pair(action: OmegaAction,
     first and g's coefficients are taken as w_u(b) for elements b of the
     orbit annihilator of f's coefficients; every product term then vanishes
     individually.  When that annihilator is zero (as in any prime ring) the
-    only possible g is the zero series.
+    only possible g is the zero series.  f's annihilator lies inside its
+    coefficients', so f is drawn once when every nonzero element's is zero.
     """
     ring = action.ring
     pool = sample_pool(action.monoid, _PAIR_SPAN)
@@ -353,8 +361,10 @@ def random_annihilating_pair(action: OmegaAction,
         k = rng.randint(1, _PAIR_TERMS)
         return rng.sample(pool, min(k, len(pool)))
 
+    draws = _PAIR_DRAWS if any(
+        ann & (ann - 1) for ann in (_orbit_annihilator(action, r) for r in nonzero)) else 1
     f, ann = None, 0
-    for _ in range(_PAIR_DRAWS):
+    for _ in range(draws):
         f = SkewSeries._trusted(action, {s: rng.choice(nonzero) for s in draw_support()})
         ann = _set_orbit_annihilator(action, f.coeffs.values())
         if ann & (ann - 1):  # more than one member
@@ -371,27 +381,34 @@ def random_annihilating_pair(action: OmegaAction,
 # ---------------------------------------------------------------------------
 # batch harnesses over one (ring, action) context
 
+def _vetted_pairs(action: OmegaAction, count: int, seed: int):
+    """``count`` pairs from ``random_annihilating_pair`` on
+    ``random.Random(seed)``, each checked to annihilate through all middles;
+    a constructed pair that does not is an internal fault."""
+    rng = random.Random(seed)
+    for i in range(count):
+        g, f = random_annihilating_pair(action, rng)
+        if not annihilates_via_all_middles(g, f):
+            raise CoherenceAlarm(f"constructed pair {i} fails to annihilate through middles")
+        yield g, f
+
+
 def coefficientwise_harness(ring: FiniteRing, action: OmegaAction,
                             pairs: int = 1000, seed: int = 0) -> PropertyReport:
     """Run the coefficientwise-annihilation check on constructed pairs.
 
     Contexts that do not satisfy the elementwise hypothesis are reported as
-    not applicable (vacuously true) rather than failed.  A conclusion
-    violation on a valid pair raises CoherenceAlarm.
+    not applicable (vacuously true) rather than failed.  A constructed pair
+    that fails the middles or the conclusion raises CoherenceAlarm.
     """
     if not elementwise_condition_holds(ring, action):
         return PropertyReport(
             ring.name, "coefficientwise_harness", True,
             {"applicable": False,
              "detail": "elementwise orbit annihilator condition fails"})
-    rng = random.Random(seed)
     nonzero_pairs = 0
-    for i in range(pairs):
-        g, f = random_annihilating_pair(action, rng)
-        report = check_coefficientwise_annihilation(g, f)
-        if report.witnesses.get("detail") == _NOT_THROUGH_MIDDLES:
-            raise CoherenceAlarm(
-                f"constructed pair {i} fails to annihilate through middles")
+    for i, (g, f) in enumerate(_vetted_pairs(action, pairs, seed)):
+        report = _coefficientwise_conclusion(g, f)
         if not report.verdict:
             raise CoherenceAlarm(
                 f"coefficientwise annihilation failed on pair {i}: "
@@ -419,12 +436,8 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     """
     condition = orbit_annihilators_s_unital(ring, action)
     if condition.verdict:
-        rng = random.Random(seed)
-        witnesses_seen = set()
-        for i in range(pairs):
-            g, f = random_annihilating_pair(action, rng)
-            _require_middles(g, f)
-            witnesses_seen.add(_build_witness(g, f, chain_search=False).witness)
+        witnesses_seen = {_build_witness(g, f, chain_search=False).witness
+                          for g, f in _vetted_pairs(action, pairs, seed)}
         return PropertyReport(
             ring.name, "app_equivalence", True,
             {"condition": True, "pairs": pairs,
@@ -458,15 +471,9 @@ def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
     """
     if not elementwise_condition_holds(ring, action):
         return PropertyReport(ring.name, "witness_paths", True, {"applicable": False})
-    rng = random.Random(seed)
-    differing = 0
-    for _ in range(instances):
-        g, f = random_annihilating_pair(action, rng)
-        _require_middles(g, f)
-        full = _build_witness(g, f, chain_search=False)
-        chain = _build_witness(g, f, chain_search=True)
-        if full.witness != chain.witness:
-            differing += 1
+    differing = sum(_build_witness(g, f, chain_search=False).witness
+                    != _build_witness(g, f, chain_search=True).witness
+                    for g, f in _vetted_pairs(action, instances, seed))
     return PropertyReport(
         ring.name, "witness_paths", True,
         {"applicable": True, "instances": instances,

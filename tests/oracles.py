@@ -282,6 +282,48 @@ def matrix_ops(b: int, k: int, triangular: bool = False):
     return add, mul, neg, 0, pack([1 % b if i == j else 0 for i, j in cells])
 
 
+def cell_ring_tables_by_digits(base, k: int, triangular: bool = False) -> tuple:
+    """The (addition, multiplication) tables of the k-by-k (upper triangular)
+    matrices over any ring ``base``, on cells packed as base-``base.size``
+    digits in row-major order, least significant first.
+
+    Each element is a full k-by-k matrix whose entries off the cells are
+    ``base.zero``; a product is the matrix product through the base's own
+    ``add`` and ``mul``, and every entry it has off the cells must be
+    ``base.zero``.  As in ``matrix_ops``, each table row is computed entry by
+    entry across every y at once.
+    """
+    b, zero = base.size, base.zero
+    plus = [[base.add(p, q) for q in range(b)] for p in range(b)]
+    times = [[base.mul(p, q) for q in range(b)] for p in range(b)]
+    cells = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+    powers = {c: b ** t for t, c in enumerate(cells)}
+    n = b ** len(cells)
+    # entry[i, j][y] is entry (i, j) of y as a full matrix
+    entry = {(i, j): [y // powers[i, j] % b if (i, j) in powers else zero for y in range(n)]
+             for i in range(k) for j in range(k)}
+    sums, products = [], []
+    for x in range(n):
+        row = [0] * n
+        for c, p in powers.items():
+            by = plus[entry[c][x]]
+            row = [r + by[v] * p for r, v in zip(row, entry[c])]
+        sums.append(row)
+        row = [0] * n
+        for i in range(k):
+            for j in range(k):
+                acc = [zero] * n
+                for t in range(k):
+                    by = times[entry[i, t][x]]
+                    acc = [plus[a][by[v]] for a, v in zip(acc, entry[t, j])]
+                if (i, j) in powers:
+                    row = [r + a * powers[i, j] for r, a in zip(row, acc)]
+                else:
+                    assert acc == [zero] * n, (x, i, j)
+        products.append(row)
+    return sums, products
+
+
 def ring_aut_validate_oracle(aut) -> None:
     """``RingAut.validate`` as a scan of every pair (a, b) in order.
 

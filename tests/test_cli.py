@@ -16,10 +16,11 @@ from skewseries.cli import (
     run_job,
     validate,
 )
+import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism
 from skewseries.monoids import make_monoid
 from skewseries.rings import cyclic_ring, identity_automorphism, product_ring
-from skewseries.series import OmegaAction
+from skewseries.series import OmegaAction, constant
 from skewseries.theorems import PRESETS
 
 Z4_JOB = """
@@ -184,6 +185,17 @@ def test_cyclic_ring_above_the_size_cap_is_a_spec_error(tmp_path):
     code, out, log = run_to_file(text, tmp_path)
     assert code == 3 and not out.exists()
     assert log == "spec error: ring: size cap exceeded: 8192 > 4096\n"
+
+
+@pytest.mark.parametrize("check", ["coefficientwise", "app_equivalence", "witness_paths"])
+def test_a_constructed_pair_outside_the_middles_exits_two(check, tmp_path, monkeypatch):
+    monkeypatch.setattr(theorems, "random_annihilating_pair",
+                        lambda action, rng: (constant(action, 2), constant(action, 1)))
+    text = f"ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatAdd\nchecks = {check}\n"
+    code, _, log = run_to_file(text, tmp_path)
+    assert code == 2
+    assert log.startswith(
+        f"ALARM {check}: constructed pair 0 fails to annihilate through middles\n")
 
 
 def test_run_invalid_spec_exits_three(tmp_path):

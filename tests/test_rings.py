@@ -98,8 +98,9 @@ def test_product_ring_isomorphic_to_z6():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(RingAxiomError, match="size cap"):
-        matrix_ring(cyclic_ring(3), 2, size_cap=50)
+    # 3**9 elements, refused with the message cyclic_ring gives
+    with pytest.raises(RingAxiomError, match=r"^size cap exceeded: 19683 > 4096$"):
+        matrix_ring(cyclic_ring(3), 3)
 
 
 def test_cyclic_ring_size_cap():

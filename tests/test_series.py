@@ -13,6 +13,7 @@ from skewseries.rings import (
     _additive_coordinates,
     _additive_generators,
     cyclic_ring,
+    identity_automorphism,
     inner_automorphism,
     product_ring,
     swap_automorphism,
@@ -137,6 +138,28 @@ def a_ne(x, y):
 def test_dirichlet_only_trivial_action():
     with pytest.raises(ValueError, match="trivial"):
         OmegaAction(make_monoid("NatMulDirichlet"), F22, SWAP)
+
+
+def _built(build):
+    """The closure of the action ``build()`` returns, or its error text."""
+    try:
+        action = build()
+    except ValueError as exc:
+        return str(exc)
+    return [(e, aut.perm) for e, aut in action.closure()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_forwards_build_what_the_constructor_builds(kind):
+    # OmegaAction alone decides which images a kind takes
+    monoid, ident = make_monoid(kind), identity_automorphism(F22)
+    assert _built(lambda: trivial_action(monoid, F22)) == _built(
+        lambda: OmegaAction(monoid, F22))
+    assert _built(lambda: single_generator_action(monoid, F22, SWAP)) == _built(
+        lambda: OmegaAction(monoid, F22, SWAP))
+    for beta in (ident, SWAP):
+        assert _built(lambda: pair_action(monoid, F22, SWAP, beta)) == _built(
+            lambda: OmegaAction(monoid, F22, SWAP, beta))
 
 
 def test_only_images_other_than_the_identity_are_validated(monkeypatch):

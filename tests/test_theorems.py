@@ -299,10 +299,12 @@ def test_witness_alarm_names_the_first_failing_middle_of_the_full_scan(monkeypat
         return handed_out[-1]
 
     monkeypatch.setattr(theorems, "_lowest_common", wrong_witness)
-    rng = random.Random(11)
     alarms = off_generator_alarms = 0
-    for ring, aut, _, _ in standard_contexts():
+    for ring, aut, name, aut_name in standard_contexts():
         for kind in ("NatAdd", "NatPairLex"):
+            # one stream per context, so that how many draws one context
+            # takes does not move the pairs of the next
+            rng = random.Random(f"11:{name}/{aut_name}:{kind}")
             monoid = make_monoid(kind)
             act = (single_generator_action(monoid, ring, aut) if kind == "NatAdd"
                    else pair_action(monoid, ring, aut, aut))
@@ -452,22 +454,49 @@ def test_app_equivalence_alarm_catches_a_corrupt_kernel():
         app_equivalence_check(ring, nat_action(ring), pairs=5)
 
 
-def test_witness_paths_check_the_middles_once_per_pair(monkeypatch):
+@pytest.mark.parametrize("harness", [coefficientwise_harness, app_equivalence_check,
+                                     witness_paths_agree], ids=lambda h: h.__name__)
+def test_harnesses_check_the_middles_once_per_pair(harness, monkeypatch):
     calls = []
     real = theorems.annihilates_via_all_middles
     monkeypatch.setattr(theorems, "annihilates_via_all_middles",
                         lambda g, f: calls.append(1) or real(g, f))
     act = nat_action(Z6)
-    report = witness_paths_agree(Z6, act, instances=7, seed=1)
-    assert report.witnesses["applicable"] and len(calls) == 7
+    assert harness(Z6, act, 7, 1).verdict and len(calls) == 7
 
 
 def test_witness_paths_refuse_a_pair_outside_the_middles(monkeypatch):
+    # a constructed pair that fails the middles is an internal fault, as in
+    # the other two harnesses
     act = nat_action(Z6)
     monkeypatch.setattr(theorems, "random_annihilating_pair",
                         lambda action, rng: (constant(act, 2), constant(act, 1)))
-    with pytest.raises(PreconditionError, match="does not annihilate through all middles"):
-        witness_paths_agree(Z6, act, instances=2)
+    for harness in (witness_paths_agree, app_equivalence_check):
+        with pytest.raises(theorems.CoherenceAlarm,
+                           match=r"^constructed pair 0 fails to annihilate through middles$"):
+            harness(Z6, act, 2)
+
+
+@pytest.mark.parametrize("ring_name, aut_name", [("Z5", "identity"), ("M2F2", "inner:6")])
+def test_f_is_drawn_once_where_every_orbit_annihilator_is_zero(ring_name, aut_name,
+                                                               monkeypatch):
+    ring = gallery_ring(ring_name)
+    act = nat_action(ring, named_automorphism(ring, aut_name))
+    calls = []
+    real = theorems._set_orbit_annihilator
+    monkeypatch.setattr(theorems, "_set_orbit_annihilator",
+                        lambda action, elements: calls.append(1) or real(action, elements))
+    rng = random.Random(5)
+    for _ in range(20):
+        g, f = random_annihilating_pair(act, rng)
+        assert g.is_zero() and not f.is_zero()
+    assert len(calls) == 20
+    # where some element has a nonzero orbit annihilator, f is redrawn
+    calls.clear()
+    z4 = nat_action(Z4)
+    for _ in range(20):
+        random_annihilating_pair(z4, rng)
+    assert len(calls) > 20
 
 
 def test_app_equivalence_true_side():
