@@ -9,9 +9,12 @@ four tables of partial products between the high-digit and the low-digit
 parts of two elements, from which every product follows by additivity.
 Larger rings evaluate arithmetic on demand through closures; the matrix and
 triangular ones add through two half-digit tables and multiply through the
-partial products.  Every factory validates the ring axioms at construction:
-exactly on every tabled ring, by seeded random sampling of the triple axioms
-on larger ones.
+partial products.  Every factory validates the ring axioms at construction,
+exactly: a tabled ring from its tables, a larger one from the parts its
+closures read (nothing more for Z_n, the two factors of a product, the six
+half tables of a matrix or triangular ring).  Only rings given to
+``FiniteRing`` as raw closures, which ``table_ring`` builds above
+``TABLE_LIMIT``, have their triple axioms checked by seeded random sampling.
 """
 
 from __future__ import annotations
@@ -46,12 +49,14 @@ class FiniteRing:
     table.  Instances are immutable after construction and safe to share;
     the lazily filled slots, the additive generating set, its coordinates
     and the bitsets of the ``ideals`` kernel, hold the same values whoever
-    fills them.
+    fills them.  A factory that builds a closure-backed ring records in
+    ``_parts``, before validating it, what its closures read (see
+    ``validate_ring``); it is None on every other ring.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
                  "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens",
-                 "_additive_coords", "_ideal_bits")
+                 "_additive_coords", "_ideal_bits", "_parts")
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
@@ -83,6 +88,7 @@ class FiniteRing:
         self._additive_gens = None
         self._additive_coords = None
         self._ideal_bits = None
+        self._parts = None
         if validate:
             validate_ring(self)
 
@@ -151,13 +157,29 @@ def validate_ring(ring: FiniteRing) -> None:
     first failing triple in lexicographic order, with its first failing
     axiom (``_check_blocks``).
 
-    A ring that computes through closures gets the identity, inverse and
-    commutativity laws in full and the triple axioms on
-    ``VALIDATION_SAMPLES`` triples drawn from seed ``VALIDATION_SEED``.
+    A ring that computes through closures gets the additive identity,
+    inverse and multiplicative identity laws in full.  When a factory built
+    it, the rest is decided from the parts its closures read, recorded in
+    ``ring._parts``:
+    - Z_n, parts (): + and * mod n, so nothing more.
+    - a product, parts (a, b): it is a ring exactly when both factors are,
+      so each is validated in turn.
+    - a matrix or triangular ring, the six tables of ``_cell_ring``: their
+      entries are range-checked first, before any closure reads them, and
+      the axioms follow from the tables (``_check_cell_tables``).
+    Any other closure-backed ring gets commutativity in full and the triple
+    axioms on ``VALIDATION_SAMPLES`` triples drawn from seed
+    ``VALIDATION_SEED``.
     """
     n = ring.size
-    A, M = ring._add_rows, ring._mul_rows
+    A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
     tables = None if A is None else _byte_tables(A, M)
+    cell_ring = parts is not None and len(parts) == 6
+    if cell_ring:
+        H, L = len(parts[0]), len(parts[1])
+        for name, table, bound in zip(("hi_sum", "lo_sum", "hh", "hl", "lh", "ll"), parts,
+                                      (H, L, n, n, n, n)):
+            _check_entries(table, bound, f"cell table {name}")
     add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
     for a in range(n):
         if add(zero, a) != a or add(a, zero) != a:
@@ -166,7 +188,12 @@ def validate_ring(ring: FiniteRing) -> None:
             raise RingAxiomError(f"additive inverse fails at {a}")
         if mul(one, a) != a or mul(a, one) != a:
             raise RingAxiomError(f"multiplicative identity fails at {a}")
-    if A is None:
+    if cell_ring:
+        _check_cell_tables(ring, *parts)
+    elif parts is not None:
+        for factor in parts:
+            validate_ring(factor)
+    elif A is None:
         # The first non-commuting pair in lexicographic order has a < b.
         raw = ring._add
         for a in range(n):
@@ -174,13 +201,72 @@ def validate_ring(ring: FiniteRing) -> None:
                 if raw(a, b) != raw(b, a):
                     raise RingAxiomError(f"addition not commutative at ({a},{b})")
         _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
-        return
-    for a, (row, col) in enumerate(zip(A, zip(*A))):
+    else:
+        _check_commutative(A, "addition")
+        if not _triple_axioms_hold(tables, _additive_generators(ring)):
+            _check_blocks(ring, tables)
+
+
+def _check_commutative(S, label: str) -> None:
+    """Raise RingAxiomError at the first (x, y) in row-major order with
+    S[x][y] != S[y][x]."""
+    for x, (row, col) in enumerate(zip(S, zip(*S))):
         if tuple(row) != col:
-            b = next(b for b in range(n) if row[b] != col[b])
-            raise RingAxiomError(f"addition not commutative at ({a},{b})")
-    if not _triple_axioms_hold(tables, _additive_generators(ring)):
-        _check_blocks(ring, tables)
+            y = next(y for y, (p, q) in enumerate(zip(row, col)) if p != q)
+            raise RingAxiomError(f"{label} not commutative at ({x},{y})")
+
+
+def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None:
+    """The triple axioms of a closure-backed ``_cell_ring`` from the six
+    tables its closures read, given entries in range and the identity and
+    inverse laws; exact, in O(|G|*n) table lookups and additions.
+
+    Element x = i*L + l is the pair (i, l): x + y is
+    (hi_sum[i][j], lo_sum[l][m]) and x*y is
+    hh[i][j] + hl[i][m] + lh[l][j] + ll[l][m] for y = j*L + m.
+    - (R,+) is the product of the half groups.  Each half sum table is
+      commutative in full and associative by Light's test on the half's
+      generators, as in ``_triple_axioms_hold``.
+    - Each partial-product table T, whose rows and columns are indexed by
+      halves, is additive in each argument: T[i+g][j] == T[i][j] + T[g][j]
+      for every generator g of the row half, and so on the right.  The g
+      that pass are closed under +, so they make up the whole half.  The
+      product is then additive in each factor: both distributive laws hold.
+    - Then (ab)c - a(bc) is additive in each of a, b and c, so it vanishes
+      when it vanishes on G^3, where G is the high generators on the low
+      zero and the low generators on the high zero, which generate (R,+).
+    Reports the first failure, checked in that order, by table.
+    """
+    L = len(lo_sum)
+    zi, zl = divmod(ring.zero, L)
+    halves = {}  # "h" and "l": the half's sum table and generators
+    for name, S, z in (("hi_sum", hi_sum, zi), ("lo_sum", lo_sum, zl)):
+        label = f"cell table {name}"
+        _check_commutative(S, label)
+        gens = _sum_generators(lambda x, g, S=S: S[x][g], len(S), z,
+                               next((x for x in range(len(S)) if x != z), -1))
+        halves[name[0]] = S, gens
+        for g in gens:
+            for x, Sx in enumerate(S):
+                left, right = S[Sx[g]], list(map(Sx.__getitem__, S[g]))
+                if left != right:
+                    y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
+                    raise RingAxiomError(f"{label} not associative at ({x},{g},{y})")
+    add = ring._add
+    for name, T in zip(("hh", "hl", "lh", "ll"), (hh, hl, lh, ll)):
+        # on the right, T is additive where its transpose is on the left
+        for side, U, (S, gens) in (("left", T, halves[name[0]]),
+                                   ("right", [list(c) for c in zip(*T)], halves[name[1]])):
+            for g in gens:
+                for i, Si in enumerate(S):
+                    if U[Si[g]] != list(map(add, U[i], U[g])):
+                        j = next(j for j, (p, q, r) in enumerate(zip(U[Si[g]], U[i], U[g]))
+                                 if p != add(q, r))
+                        at = f"({i},{g},{j})" if side == "left" else f"({j},{i},{g})"
+                        raise RingAxiomError(
+                            f"cell table {name} not additive in its {side} argument at {at}")
+    G = [g * L + zl for g in halves["h"][1]] + [zi * L + l for l in halves["l"][1]]
+    _check_triples(ring, product(G, repeat=3))
 
 
 def _byte_tables(A, M) -> tuple:
@@ -296,13 +382,15 @@ def cyclic_ring(n: int) -> FiniteRing:
         r = list(range(n))
         add = [r[a:] + r[:a] for a in r]
         mul = [[x % n for x in range(0, a * n, a)] if a else [0] * n for a in r]
+        parts = None
     else:
         def add(a, b):
             return (a + b) % n
 
         def mul(a, b):
             return (a * b) % n
-    return FiniteRing(
+        parts = ()
+    ring = FiniteRing(
         n,
         add=add,
         mul=mul,
@@ -310,7 +398,11 @@ def cyclic_ring(n: int) -> FiniteRing:
         zero=0,
         one=1 % n,
         name=f"Z{n}",
+        validate=False,
     )
+    ring._parts = parts
+    validate_ring(ring)
+    return ring
 
 
 def _product_rows(P, Q, qs: int) -> list[list[int]]:
@@ -336,13 +428,15 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     if size <= TABLE_LIMIT:
         add = _product_rows(a._add_rows, b._add_rows, bs)
         mul = _product_rows(a._mul_rows, b._mul_rows, bs)
+        parts = None
     else:
         def add(x, y):
             return enc(a.add(x // bs, y // bs), b.add(x % bs, y % bs))
 
         def mul(x, y):
             return enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs))
-    return FiniteRing(
+        parts = (a, b)
+    ring = FiniteRing(
         size,
         add=add,
         mul=mul,
@@ -351,7 +445,11 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         one=enc(a.one, b.one),
         name=f"{a.name}x{b.name}",
         element_repr=lambda x: f"({a.element_repr(x // bs)},{b.element_repr(x % bs)})",
+        validate=False,
     )
+    ring._parts = parts
+    validate_ring(ring)
+    return ring
 
 
 def _digits(x: int, base: int, count: int) -> list[int]:
@@ -439,6 +537,7 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
             by_lo = [add[p][q] for p, q in zip(hl[i], ll[l])]
             mul.append(list(chain.from_iterable(
                 [map(add[p].__getitem__, by_lo) for p in by_hi])))
+        parts = None
     else:
         def add(x, y):
             return hi_sum[x // L][y // L] * L + lo_sum[x % L][y % L]
@@ -447,6 +546,7 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
             i, l = divmod(x, L)
             j, m = divmod(y, L)
             return add(add(hh[i][j], hl[i][m]), add(lh[l][j], ll[l][m]))
+        parts = (hi_sum, lo_sum, hh, hl, lh, ll)
 
     def neg(x):
         return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
@@ -459,8 +559,11 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
             for i in range(k)) + "]"
 
     one = _undigits([base.one if i == j else base.zero for i, j in cells], bs)
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
-                      one=one, name=name, element_repr=element_repr)
+    ring = FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
+                      one=one, name=name, element_repr=element_repr, validate=False)
+    ring._parts = parts
+    validate_ring(ring)
+    return ring
 
 
 def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -653,32 +756,38 @@ def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
 
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
     """A small additive generating set, found once per ring: 1, then each
-    element, in index order, that sums of the generators so far do not reach.
-
-    The sums are found breadth-first from zero through x -> x + g, each
-    element meeting each generator once, so the search ends on any addition
-    table, a ring's or not.
-    """
+    element, in index order, that sums of the generators so far do not reach
+    (``_sum_generators``)."""
     if ring._additive_gens is None:
-        add = ring.add
-        inside = bytearray(ring.size)
-        inside[ring.zero] = 1
-        reached, gens, a = [ring.zero], [], ring.one
-        while a >= 0:
-            gens.append(a)
-            # what is reached already meets a; a new sum meets every generator
-            todo = [(x, (a,)) for x in reached]
-            while todo:
-                x, step = todo.pop()
-                for g in step:
-                    y = add(x, g)
-                    if not inside[y]:
-                        inside[y] = 1
-                        reached.append(y)
-                        todo.append((y, gens))
-            a = inside.find(0)
-        ring._additive_gens = tuple(gens)
+        ring._additive_gens = _sum_generators(ring.add, ring.size, ring.zero, ring.one)
     return ring._additive_gens
+
+
+def _sum_generators(add, size: int, zero: int, first: int) -> tuple[int, ...]:
+    """``first`` (none when -1), then each element of 0..size-1, in index
+    order, that sums of the generators so far do not reach.
+
+    The sums are found breadth-first from ``zero`` through x -> add(x, g),
+    each element meeting each generator once, so the search ends on any
+    addition table, a ring's or not.
+    """
+    inside = bytearray(size)
+    inside[zero] = 1
+    reached, gens, a = [zero], [], first
+    while a >= 0:
+        gens.append(a)
+        # what is reached already meets a; a new sum meets every generator
+        todo = [(x, (a,)) for x in reached]
+        while todo:
+            x, step = todo.pop()
+            for g in step:
+                y = add(x, g)
+                if not inside[y]:
+                    inside[y] = 1
+                    reached.append(y)
+                    todo.append((y, gens))
+        a = inside.find(0)
+    return tuple(gens)
 
 
 def _additive_coordinates(ring: FiniteRing) -> tuple:

@@ -5,7 +5,6 @@ purpose: these functions must not share code paths with the library
 operations they are used to verify.
 """
 
-import operator
 import random
 from itertools import permutations, product
 
@@ -213,10 +212,12 @@ def closure_flavor(ring, members) -> str:
     return "plain-subset"
 
 
-def closure_tables(size: int, *ops) -> tuple:
-    """The table of each binary operation in ``ops``, one call per entry."""
+def closure_tables(size: int, *ops, rows=None) -> tuple:
+    """The table of each binary operation in ``ops``, one call per entry;
+    only the rows of the elements in ``rows``, in that order, when given."""
     elements = range(size)
-    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)
+    return tuple([[op(a, b) for b in elements] for a in (elements if rows is None else rows)]
+                 for op in ops)
 
 
 def cyclic_ops(n: int):
@@ -237,61 +238,29 @@ def product_ops(a, b):
 
 def matrix_ops(b: int, k: int, triangular: bool = False):
     """add, mul, neg, zero and one of the k-by-k (upper triangular) matrices
-    over Z_b, on cells packed as base-b digits, least significant first."""
+    over Z_b, on cells packed as base-b digits, least significant first:
+    the tables of ``cell_ring_tables_by_digits`` over ``cyclic_ring(b)``,
+    each negative found in its row of the sum table."""
+    from skewseries.rings import cyclic_ring
+
+    sums, products = cell_ring_tables_by_digits(cyclic_ring(b), k, triangular)
     cells = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
-    pos = {c: t for t, c in enumerate(cells)}
-    powers = [b ** t for t in range(len(cells))]
-
-    n = b * powers[-1]
-    every_digits = [[x // p % b for p in powers] for x in range(n)]
-    digits = every_digits.__getitem__
-    # column[c][y] is cell c of y: each table row is computed cell by cell
-    # across every y at once
-    column = [[ds[c] for ds in every_digits] for c in range(len(cells))]
-
-    def pack(ds):
-        return sum(d * p for d, p in zip(ds, powers))
-
-    sums, products = [], []
-    for xs in every_digits:
-        # cellwise: X[c] + Y[c] mod b
-        row = [0] * n
-        for c, p in enumerate(powers):
-            row = [r + (xs[c] + d) % b * p for r, d in zip(row, column[c])]
-        sums.append(row)
-        # (XY)[i,j] = sum over t of X[i,t] * Y[t,j] mod b
-        row = [0] * n
-        for (i, j), p in zip(cells, powers):
-            entry = [0] * n
-            for t in range(k):
-                if (i, t) in pos and (t, j) in pos:
-                    entry = list(map(operator.add, entry,
-                                     map(xs[pos[i, t]].__mul__, column[pos[t, j]])))
-            row = [r + e % b * p for r, e in zip(row, entry)]
-        products.append(row)
-
-    def add(x, y):
-        return sums[x][y]
-
-    def mul(x, y):
-        return products[x][y]
-
-    def neg(x):
-        return pack([-d % b for d in digits(x)])
-
-    return add, mul, neg, 0, pack([1 % b if i == j else 0 for i, j in cells])
+    negatives = [row.index(0) for row in sums]
+    return (lambda x, y: sums[x][y], lambda x, y: products[x][y], negatives.__getitem__,
+            0, sum(1 % b * b ** t for t, (i, j) in enumerate(cells) if i == j))
 
 
-def cell_ring_tables_by_digits(base, k: int, triangular: bool = False) -> tuple:
+def cell_ring_tables_by_digits(base, k: int, triangular: bool = False, rows=None) -> tuple:
     """The (addition, multiplication) tables of the k-by-k (upper triangular)
     matrices over any ring ``base``, on cells packed as base-``base.size``
-    digits in row-major order, least significant first.
+    digits in row-major order, least significant first; only the rows of
+    the elements in ``rows``, in that order, when given.
 
     Each element is a full k-by-k matrix whose entries off the cells are
     ``base.zero``; a product is the matrix product through the base's own
     ``add`` and ``mul``, and every entry it has off the cells must be
-    ``base.zero``.  As in ``matrix_ops``, each table row is computed entry by
-    entry across every y at once.
+    ``base.zero``.  Each table row is computed entry by entry across every
+    y at once.
     """
     b, zero = base.size, base.zero
     plus = [[base.add(p, q) for q in range(b)] for p in range(b)]
@@ -302,8 +271,11 @@ def cell_ring_tables_by_digits(base, k: int, triangular: bool = False) -> tuple:
     # entry[i, j][y] is entry (i, j) of y as a full matrix
     entry = {(i, j): [y // powers[i, j] % b if (i, j) in powers else zero for y in range(n)]
              for i in range(k) for j in range(k)}
+    # column[xi, j][y] is entry (i, j) of x*y, which depends only on row i
+    # of x, xi
+    column = {}
     sums, products = [], []
-    for x in range(n):
+    for x in range(n) if rows is None else rows:
         row = [0] * n
         for c, p in powers.items():
             by = plus[entry[c][x]]
@@ -311,11 +283,15 @@ def cell_ring_tables_by_digits(base, k: int, triangular: bool = False) -> tuple:
         sums.append(row)
         row = [0] * n
         for i in range(k):
+            xi = tuple(entry[i, t][x] for t in range(k))
             for j in range(k):
-                acc = [zero] * n
-                for t in range(k):
-                    by = times[entry[i, t][x]]
-                    acc = [plus[a][by[v]] for a, v in zip(acc, entry[t, j])]
+                if (xi, j) not in column:
+                    acc = [zero] * n
+                    for t, d in enumerate(xi):
+                        by = times[d]
+                        acc = [plus[a][by[v]] for a, v in zip(acc, entry[t, j])]
+                    column[xi, j] = acc
+                acc = column[xi, j]
                 if (i, j) in powers:
                     row = [r + a * powers[i, j] for r, a in zip(row, acc)]
                 else:

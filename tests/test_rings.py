@@ -33,6 +33,7 @@ from oracles import (
     additive_generators_by_span,
     automorphism_perms_by_additive_extension,
     brute_force_automorphism_perms,
+    cell_ring_tables_by_digits,
     closure_tables,
     cyclic_ops,
     matrix_ops,
@@ -42,6 +43,7 @@ from oracles import (
     units_by_scan,
     validate_ring_oracle,
 )
+from strategies import matrix_subrings
 
 
 def test_cyclic_ring_arithmetic():
@@ -544,6 +546,100 @@ def test_factory_tables_match_closure_tables(build, ops):
         assert closure_tables(n, ring.add, ring.mul) == closure_tables(n, add, mul)
     assert [ring.neg(a) for a in range(n)] == [neg(a) for a in range(n)]
     assert (ring.zero, ring.one) == (zero, one)
+
+
+# Closure-backed factory rings, each validated from the parts its closures
+# read, with the reference rows of a few of their elements.  Z257, M2(Z5) and
+# T3(Z3) are compared in full in FACTORY_CASES.
+LARGE_FACTORY_CASES = [
+    ("Z4096", lambda: cyclic_ring(4096),
+     lambda xs: closure_tables(4096, *cyclic_ops(4096)[:2], rows=xs)),
+    *[(f"Z{a}xZ{b}", lambda a=a, b=b: product_ring(cyclic_ring(a), cyclic_ring(b)),
+       lambda xs, a=a, b=b: closure_tables(
+           a * b, *product_ops(cyclic_ring(a), cyclic_ring(b))[:2], rows=xs))
+      # Z300 is itself closure-backed
+      for a, b in ((16, 32), (2, 300), (64, 64))],
+    ("M2(Z8)", lambda: matrix_ring(cyclic_ring(8), 2),
+     lambda xs: cell_ring_tables_by_digits(cyclic_ring(8), 2, rows=xs)),
+]
+
+
+@pytest.mark.parametrize("build, reference", [c[1:] for c in LARGE_FACTORY_CASES],
+                         ids=[c[0] for c in LARGE_FACTORY_CASES])
+def test_closure_factory_rings_match_reference_rows(build, reference):
+    ring = build()
+    n = ring.size
+    assert n > TABLE_LIMIT and ring._parts is not None
+    xs = [ring.zero, ring.one, *random.Random(n).sample(range(n), 6)]
+    assert closure_tables(n, ring.add, ring.mul, rows=xs) == reference(xs)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(matrix_subrings(8).filter(lambda base: base.size >= 5), st.data())
+def test_matrix_rings_over_relabelled_bases_match_reference_rows(base, data):
+    ring = matrix_ring(base, 2)
+    n = ring.size
+    assert n > TABLE_LIMIT and ring._parts is not None
+    xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="rows")
+    assert closure_tables(n, ring.add, ring.mul, rows=xs) == \
+        cell_ring_tables_by_digits(base, 2, rows=xs)
+
+
+def _swap(T, a, b):
+    """Swap the entries of T at positions a and b."""
+    (i, j), (k, l) = a, b
+    T[i][j], T[k][l] = T[k][l], T[i][j]
+
+
+# (ring, table, mutation in place, message): one mutation of each of the six
+# tables a closure-backed cell ring reads, in the order of its _parts
+CELL_TABLE_MUTATIONS = [
+    ("M2(Z5)", "hi_sum", lambda T: _swap(T, (1, 1), (1, 2)),
+     "cell table hi_sum not commutative at (1,2)"),
+    ("M2(Z5)", "lo_sum", lambda T: T[1].__setitem__(1, 3),
+     "cell table lo_sum not associative at (1,1,2)"),
+    ("M2(Z5)", "hh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
+     "cell table hh not additive in its left argument at (1,1,3)"),
+    ("M2(Z5)", "hh", lambda T: T[0].__setitem__(0, 625),
+     "cell table hh entry 625 at (0,0) is not an element 0..624"),
+    # swapping two columns keeps each column additive, and the row of 1 in
+    # hl is zero, so only additivity on the right fails
+    ("M2(Z5)", "hl", lambda T: [_swap(T, (i, 2), (i, 3)) for i in range(len(T))],
+     "cell table hl not additive in its right argument at (1,1,1)"),
+    ("M2(Z5)", "lh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
+     "cell table lh not additive in its left argument at (1,1,3)"),
+    # a transposed lows x lows table once passed sampled validation
+    ("M2(Z5)", "ll", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
+     "multiplicative identity fails at 5"),
+    # still additive in each argument, but not associative
+    ("T3(Z3)", "hh", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
+     "multiplication not associative at (3,27,81)"),
+]
+CELL_BUILDS = {"M2(Z5)": lambda: matrix_ring(cyclic_ring(5), 2),
+               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3)}
+CELL_TABLE_NAMES = ("hi_sum", "lo_sum", "hh", "hl", "lh", "ll")
+
+
+@pytest.mark.parametrize("label, table, mutate, message", CELL_TABLE_MUTATIONS,
+                         ids=[f"{c[0]}-{c[1]}" for c in CELL_TABLE_MUTATIONS])
+def test_cell_table_mutations_are_rejected(label, table, mutate, message):
+    ring = CELL_BUILDS[label]()
+    # the closures read these very lists, so the mutation changes the ring
+    mutate(ring._parts[CELL_TABLE_NAMES.index(table)])
+    assert _axiom_outcome(validate_ring, ring) == ("RingAxiomError", message)
+
+
+def test_products_validate_their_factors():
+    Z3 = cyclic_ring(3)
+    add, mul = ([list(row) for row in table] for table in Z3.tables)
+    mul[2][2] = 2
+    broken = FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+    message = "right distributivity fails at (1,1,2)"
+    assert _axiom_outcome(validate_ring, broken) == ("RingAxiomError", message)
+    # Z3 x Z100 is closure-backed: its factors are validated in turn
+    with pytest.raises(RingAxiomError) as raised:
+        product_ring(broken, cyclic_ring(100))
+    assert str(raised.value) == message
 
 
 # The closure-backed rings of test_kernel.
