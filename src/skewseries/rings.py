@@ -12,15 +12,22 @@ triangular ones add through two half-digit tables and multiply through the
 partial products.  Every factory validates the ring axioms at construction,
 exactly: a tabled ring from its tables, a larger one from the parts its
 closures read (nothing more for Z_n, the two factors of a product, the six
-half tables of a matrix or triangular ring).  Only rings given to
-``FiniteRing`` as raw closures, which ``table_ring`` builds above
-``TABLE_LIMIT``, have their triple axioms checked by seeded random sampling.
+half tables of a matrix or triangular ring).  Only ``table_ring`` above
+``TABLE_LIMIT``, whose commutativity is read off its add table, and rings
+given to ``FiniteRing`` as raw closures have their triple axioms checked by
+seeded random sampling.
+
+A ring map is an automorphism when it respects + and * on the rows of an
+additive generating set: the elements whose rows it respects are closed
+under +.  ``RingAut.validate`` and ``automorphisms`` use that argument, so
+a closure-backed ring costs |G|*n products, not n^2.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, compress, islice, product, repeat
+from functools import partial
+from itertools import chain, islice, product, repeat
 
 # Structured rings materialize full operation tables up to this size;
 # beyond it arithmetic stays closure-backed.
@@ -167,9 +174,11 @@ def validate_ring(ring: FiniteRing) -> None:
     - a matrix or triangular ring, the six tables of ``_cell_ring``: their
       entries are range-checked first, before any closure reads them, and
       the axioms follow from the tables (``_check_cell_tables``).
-    Any other closure-backed ring gets commutativity in full and the triple
-    axioms on ``VALIDATION_SAMPLES`` triples drawn from seed
-    ``VALIDATION_SEED``.
+    - ``table_ring`` above ``TABLE_LIMIT``, parts (add_table, mul_table):
+      commutativity is read off the add table in C (``_check_commutative``).
+    A ring given as raw closures gets commutativity by a scan of every pair.
+    Both of the last two get the triple axioms on ``VALIDATION_SAMPLES``
+    triples drawn from seed ``VALIDATION_SEED``.
     """
     n = ring.size
     A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
@@ -190,16 +199,19 @@ def validate_ring(ring: FiniteRing) -> None:
             raise RingAxiomError(f"multiplicative identity fails at {a}")
     if cell_ring:
         _check_cell_tables(ring, *parts)
-    elif parts is not None:
+    elif parts is not None and all(isinstance(p, FiniteRing) for p in parts):
         for factor in parts:
             validate_ring(factor)
     elif A is None:
-        # The first non-commuting pair in lexicographic order has a < b.
-        raw = ring._add
-        for a in range(n):
-            for b in range(a + 1, n):
-                if raw(a, b) != raw(b, a):
-                    raise RingAxiomError(f"addition not commutative at ({a},{b})")
+        if parts is not None:
+            _check_commutative(parts[0], "addition")
+        else:
+            # The first non-commuting pair in lexicographic order has a < b.
+            raw = ring._add
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if raw(a, b) != raw(b, a):
+                        raise RingAxiomError(f"addition not commutative at ({a},{b})")
         _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
     else:
         _check_commutative(A, "addition")
@@ -209,7 +221,8 @@ def validate_ring(ring: FiniteRing) -> None:
 
 def _check_commutative(S, label: str) -> None:
     """Raise RingAxiomError at the first (x, y) in row-major order with
-    S[x][y] != S[y][x]."""
+    S[x][y] != S[y][x]; it has x < y, since (y, x) fails too.  Each row is
+    compared with its column in C."""
     for x, (row, col) in enumerate(zip(S, zip(*S))):
         if tuple(row) != col:
             y = next(y for y, (p, q) in enumerate(zip(row, col)) if p != q)
@@ -219,7 +232,7 @@ def _check_commutative(S, label: str) -> None:
 def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None:
     """The triple axioms of a closure-backed ``_cell_ring`` from the six
     tables its closures read, given entries in range and the identity and
-    inverse laws; exact, in O(|G|*n) table lookups and additions.
+    inverse laws; exact, in a pass over each table per half generator.
 
     Element x = i*L + l is the pair (i, l): x + y is
     (hi_sum[i][j], lo_sum[l][m]) and x*y is
@@ -228,14 +241,24 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
       commutative in full and associative by Light's test on the half's
       generators, as in ``_triple_axioms_hold``.
     - Each partial-product table T, whose rows and columns are indexed by
-      halves, is additive in each argument: T[i+g][j] == T[i][j] + T[g][j]
-      for every generator g of the row half, and so on the right.  The g
-      that pass are closed under +, so they make up the whole half.  The
-      product is then additive in each factor: both distributive laws hold.
+      halves, is additive in each argument.  Each row is additive:
+      T[i][g+j] == T[i][j] + T[i][g] for every generator g of the column
+      half; the g that pass are closed under +, so they make up the whole
+      half.  Then for a generator g of the row half, the defect
+      j -> T[i+g][j] - T[i][j] - T[g][j] is additive, so it vanishes when
+      it does on the column generators: T is additive on the left when its
+      columns at those generators are (its one column, when the column
+      half is trivial), by the same closure argument.  The product is then
+      additive in each factor: both distributive laws hold.
     - Then (ab)c - a(bc) is additive in each of a, b and c, so it vanishes
       when it vanishes on G^3, where G is the high generators on the low
       zero and the low generators on the high zero, which generate (R,+).
-    Reports the first failure, checked in that order, by table.
+    Reports the first failure, checked in that order, by table.  A
+    partial-product table that fails is rescanned as a whole, on the left
+    and then on the right, so the message names the first failing triple
+    of that scan.  When L == 1, as with a single cell, the high half is all
+    of R and x + y is hi_sum[x][y], so a row is added by lookups in C
+    instead of closure calls.
     """
     L = len(lo_sum)
     zi, zl = divmod(ring.zero, L)
@@ -253,10 +276,24 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
                     y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
                     raise RingAxiomError(f"{label} not associative at ({x},{g},{y})")
     add = ring._add
+
+    def additive(c, S, g):
+        """Whether c[g + i] == c[g] + c[i] for every i, with g + i = S[g][i];
+        with L == 1, x + y is hi_sum[x][y], a row of lookups in C."""
+        plus = hi_sum[c[g]].__getitem__ if L == 1 else partial(add, c[g])
+        return list(map(c.__getitem__, S[g])) == list(map(plus, c))
+
     for name, T in zip(("hh", "hl", "lh", "ll"), (hh, hl, lh, ll)):
-        # on the right, T is additive where its transpose is on the left
-        for side, U, (S, gens) in (("left", T, halves[name[0]]),
-                                   ("right", [list(c) for c in zip(*T)], halves[name[1]])):
+        (Sl, Gl), (Sr, Gr) = halves[name[0]], halves[name[1]]
+        # a trivial column half has no generators but one column to check
+        if all(additive(row, Sr, g) for g in Gr for row in T) and \
+                all(additive([row[j] for row in T], Sl, g)
+                    for j in Gr or range(len(Sr)) for g in Gl):
+            continue
+        # rescan in the order of the message: left, then right (T is
+        # additive on the right where its transpose is on the left)
+        for side, U, (S, gens) in (("left", T, (Sl, Gl)),
+                                   ("right", [list(c) for c in zip(*T)], (Sr, Gr))):
             for g in gens:
                 for i, Si in enumerate(S):
                     if U[Si[g]] != list(map(add, U[i], U[g])):
@@ -583,8 +620,10 @@ def upper_triangular_ring(base: FiniteRing, k: int) -> FiniteRing:
 
 def _check_entries(table, n: int, label: str) -> None:
     """Raise RingAxiomError unless every entry of ``table`` is an element 0..n-1."""
+    elements = frozenset(range(n))
     for a, row in enumerate(table):
-        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
+        # an int is an element when it is one of 0..n-1, tested by hashing
+        if not (all(map(isinstance, row, repeat(int))) and elements.issuperset(row)):
             b, x = next((b, x) for b, x in enumerate(row)
                         if not (isinstance(x, int) and 0 <= x < n))
             raise RingAxiomError(
@@ -618,7 +657,7 @@ def table_ring(add_table, mul_table, zero: int | None = None,
         return FiniteRing(n, add=[list(row) for row in add_table],
                           mul=[list(row) for row in mul_table],
                           zero=zero, one=one, name=name)
-    return FiniteRing(
+    ring = FiniteRing(
         n,
         add=lambda a, b: add_table[a][b],
         mul=lambda a, b: mul_table[a][b],
@@ -626,7 +665,11 @@ def table_ring(add_table, mul_table, zero: int | None = None,
         zero=zero,
         one=one,
         name=name,
+        validate=False,
     )
+    ring._parts = (add_table, mul_table)
+    validate_ring(ring)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +681,22 @@ def idempotents(ring: FiniteRing) -> list[int]:
 
 
 def _inverse(ring: FiniteRing, u: int) -> int | None:
-    """The v with u*v == 1 == v*u, or None.
+    """The first v with u*v == 1 == v*u, or None.
 
-    The candidates v are the positions of 1 in the row of u, in order.
+    The candidates v are the positions of 1 in the row of u, in order,
+    found by ``list.count`` and ``list.index`` in C; a closure-backed ring
+    computes the row through ``mul`` first.  Each candidate is tested for
+    v*u == 1.
     """
     one, n = ring.one, ring.size
     row = ring._mul_rows[u] if ring._mul_rows is not None else \
-        [ring.mul(u, v) for v in range(n)]
-    return next((v for v in compress(range(n), map(one.__eq__, row))
-                 if ring.mul(v, u) == one), None)
+        list(map(ring._mul, repeat(u, n), range(n)))
+    v = -1
+    for _ in range(row.count(one)):
+        v = row.index(one, v + 1)
+        if ring.mul(v, u) == one:
+            return v
+    return None
 
 
 def units(ring: FiniteRing) -> list[int]:
@@ -678,10 +728,18 @@ class RingAut:
     def validate(self) -> None:
         """Raise RingAxiomError unless ``perm`` is a ring automorphism.
 
-        A tabled ring is checked one row at a time: perm carries row a of
-        each table onto the row of perm[a], permuted by perm.  The first
-        failing row is rescanned pair by pair, so the message names the
-        first failing pair (a, b) and law, as a plain scan does.
+        Row a holds when perm carries row a of each table onto the row of
+        perm[a], permuted by perm: phi(a+b) == phi(a)+phi(b) and
+        phi(ab) == phi(a)phi(b) for every b.  Only the rows a in
+        G = ``_additive_generators(ring)`` are tested, which is exact: the a
+        whose additive row holds are closed under + and contain G, so they
+        are all of R; given additivity, so are the a whose multiplicative
+        row holds.  A tabled ring compares its table rows in C; a
+        closure-backed one computes each row through ``add``/``mul``, |G|*n
+        pairs instead of n^2.  Only when a generator row fails are the rows
+        scanned in order, and the first failing row pair by pair, so the
+        message names the first failing pair (a, b) and law, as a plain scan
+        does; that failure path costs the n^2 it always has.
         """
         ring, perm = self.ring, self.perm
         n = ring.size
@@ -689,20 +747,25 @@ class RingAut:
             raise RingAxiomError("automorphism image array is not a bijection")
         if perm[ring.one] != ring.one:
             raise RingAxiomError("automorphism does not fix 1")
-        A, M = ring._add_rows, ring._mul_rows
-        first = 0
-        if A is not None:
-            image = perm.__getitem__
-            first = next((a for a, p in enumerate(perm)
-                          if list(map(image, A[a])) != list(map(A[p].__getitem__, perm))
-                          or list(map(image, M[a])) != list(map(M[p].__getitem__, perm))),
-                         n)
-        for a in range(first, n):
-            for b in range(n):
-                if perm[ring.add(a, b)] != ring.add(perm[a], perm[b]):
-                    raise RingAxiomError(f"automorphism not additive at ({a},{b})")
-                if perm[ring.mul(a, b)] != ring.mul(perm[a], perm[b]):
-                    raise RingAxiomError(f"automorphism not multiplicative at ({a},{b})")
+        if ring.tables is not None:
+            rows = [T.__getitem__ for T in ring.tables]
+        else:
+            rows = [lambda x, op=op: list(map(op, repeat(x, n), range(n)))
+                    for op in (ring._add, ring._mul)]
+        image = perm.__getitem__
+
+        def row_holds(a):
+            return all(list(map(image, row(a))) == list(map(row(perm[a]).__getitem__, perm))
+                       for row in rows)
+
+        if all(map(row_holds, _additive_generators(ring))):
+            return
+        a = next(a for a in range(n) if not row_holds(a))
+        for b in range(n):
+            if perm[ring.add(a, b)] != ring.add(perm[a], perm[b]):
+                raise RingAxiomError(f"automorphism not additive at ({a},{b})")
+            if perm[ring.mul(a, b)] != ring.mul(perm[a], perm[b]):
+                raise RingAxiomError(f"automorphism not multiplicative at ({a},{b})")
 
     def apply(self, a: int) -> int:
         return self.perm[a]

@@ -25,8 +25,8 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
-from skewseries.rings import (_additive_generators, _byte_tables, _sample_triples,
-                              _triple_axioms_hold)
+from skewseries.rings import (_additive_generators, _byte_tables, _check_cell_tables,
+                              _sample_triples, _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     automorphism_perms_by_additive_extension,
     brute_force_automorphism_perms,
     cell_ring_tables_by_digits,
+    cell_table_additivity_oracle,
     closure_tables,
     cyclic_ops,
     matrix_ops,
@@ -426,6 +427,24 @@ def test_closure_backed_commutativity_matches_oracle(pair):
     assert _axiom_outcome(validate_ring, ring) == expected
 
 
+@pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
+def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
+    # table_ring reads commutativity off its add table; one asymmetric
+    # entry, in either order of the pair, names the pair as a scan does
+    n = TABLE_LIMIT + 44
+    add, mul, neg, zero, one = cyclic_ops(n)
+    add_t, mul_t = closure_tables(n, add, mul)
+    if pair is not None:
+        a, b = pair
+        add_t[a][b] = (a + b + 1) % n
+    expected = None if pair is None else \
+        ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
+    ring = FiniteRing(n, add=lambda a, b: add_t[a][b], mul=lambda a, b: mul_t[a][b],
+                      neg=neg, zero=zero, one=one, validate=False)
+    assert _axiom_outcome(validate_ring_oracle, ring) == expected
+    assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
+
+
 def _near_ring(k: int, opposite: bool) -> FiniteRing:
     """Every map Z_k -> Z_k under pointwise sum and composition.
 
@@ -614,9 +633,15 @@ CELL_TABLE_MUTATIONS = [
     # still additive in each argument, but not associative
     ("T3(Z3)", "hh", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
      "multiplication not associative at (3,27,81)"),
+    # one cell: L == 1, so the rows of hh are added in hi_sum
+    ("M1(Z300)", "hh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
+     "cell table hh not additive in its left argument at (1,1,3)"),
+    ("M1(Z300)", "hh", lambda T: T.__setitem__(7, list(T[8])),
+     "multiplicative identity fails at 7"),
 ]
 CELL_BUILDS = {"M2(Z5)": lambda: matrix_ring(cyclic_ring(5), 2),
-               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3)}
+               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3),
+               "M1(Z300)": lambda: matrix_ring(cyclic_ring(300), 1)}
 CELL_TABLE_NAMES = ("hi_sum", "lo_sum", "hh", "hl", "lh", "ll")
 
 
@@ -627,6 +652,44 @@ def test_cell_table_mutations_are_rejected(label, table, mutate, message):
     # the closures read these very lists, so the mutation changes the ring
     mutate(ring._parts[CELL_TABLE_NAMES.index(table)])
     assert _axiom_outcome(validate_ring, ring) == ("RingAxiomError", message)
+
+
+# Halves of equal size (M2(Z5), T3(Z3)) and of unequal size (T2(Z7), with
+# 49 high and 7 low values), and L == 1 (M1(Z300)), whose low half is trivial.
+ADDITIVITY_RINGS = {label: build() for label, build in
+                    [*CELL_BUILDS.items(),
+                     ("T2(Z7)", lambda: upper_triangular_ring(cyclic_ring(7), 2))]}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cell_table_additivity_matches_the_entrywise_scan(data):
+    # Row and column copies keep one argument additive and break the other,
+    # which the generator rows and columns must still catch.
+    label = data.draw(st.sampled_from(sorted(ADDITIVITY_RINGS)), label="ring")
+    ring = ADDITIVITY_RINGS[label]
+    name = data.draw(st.sampled_from(CELL_TABLE_NAMES[2:]), label="table")
+    T = ring._parts[CELL_TABLE_NAMES.index(name)]
+    saved = [list(row) for row in T]
+    row, col = st.integers(0, len(T) - 1), st.integers(0, len(T[0]) - 1)
+    kind = data.draw(st.sampled_from(["entry", "row", "column"]), label="kind")
+    if kind == "entry":
+        T[data.draw(row)][data.draw(col)] = data.draw(st.integers(0, ring.size - 1))
+    elif kind == "row":
+        T[data.draw(row)] = list(T[data.draw(row)])
+    else:
+        j, k = data.draw(col), data.draw(col)
+        for r in T:
+            r[j] = r[k]
+    try:
+        want = _axiom_outcome(cell_table_additivity_oracle, ring)
+        got = _axiom_outcome(lambda r: _check_cell_tables(r, *r._parts), ring)
+    finally:
+        T[:] = saved
+    if want is None:
+        assert got is None or "not additive" not in got[1]
+    else:
+        assert got == want
 
 
 def test_products_validate_their_factors():
@@ -709,13 +772,7 @@ def test_table_ring_owns_copies_of_its_rows():
     assert (ring.add(1, 1), ring.mul(2, 2)) == (2, 1)
 
 
-UNIT_RINGS = [*(gallery_ring(name) for name in gallery_names()),
-              matrix_ring(cyclic_ring(3), 2), matrix_ring(cyclic_ring(4), 2),
-              upper_triangular_ring(cyclic_ring(2), 3)]
-
-
-@pytest.mark.parametrize("ring", UNIT_RINGS, ids=lambda r: r.name)
-def test_units_and_inverses_match_scan(ring):
+def _check_units_against_scan(ring):
     want = units_by_scan(ring)
     assert units(ring) == sorted(want)
     assert {u: unit_inverse(ring, u) for u in want} == want
@@ -723,6 +780,24 @@ def test_units_and_inverses_match_scan(ring):
     if non_unit is not None:
         with pytest.raises(ValueError, match="not a unit"):
             unit_inverse(ring, non_unit)
+
+
+UNIT_RINGS = [*(gallery_ring(name) for name in gallery_names()),
+              matrix_ring(cyclic_ring(3), 2), matrix_ring(cyclic_ring(4), 2),
+              upper_triangular_ring(cyclic_ring(2), 3),
+              product_ring(cyclic_ring(17), cyclic_ring(17))]
+
+
+@pytest.mark.parametrize("ring", UNIT_RINGS, ids=lambda r: r.name)
+def test_units_and_inverses_match_scan(ring):
+    _check_units_against_scan(ring)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(matrix_subrings().filter(lambda ring: ring.one != 1))
+def test_units_of_relabelled_rings_match_scan(ring):
+    # the row search looks for the index of one, which is not 1 here
+    _check_units_against_scan(ring)
 
 
 SMALL_RINGS = [
@@ -814,6 +889,46 @@ def test_automorphism_validation_matches_pair_scan(data):
         perm[data.draw(element)] = perm[data.draw(element)]
     aut = RingAut(ring, perm)
     assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
+
+
+CLOSURE_AUT_RING = _small_product(17, 17)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_automorphism_validation_on_a_closure_ring_matches_pair_scan(data):
+    ring = CLOSURE_AUT_RING
+    assert ring.tables is None
+    n = ring.size
+    perm = list(data.draw(st.sampled_from(
+        [identity_automorphism(ring), swap_automorphism(ring)])).perm)
+    element = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 2), label="swaps")):
+        a, b = data.draw(element), data.draw(element)
+        perm[a], perm[b] = perm[b], perm[a]
+    if data.draw(st.booleans(), label="copy"):
+        perm[data.draw(element)] = perm[data.draw(element)]
+    aut = RingAut(ring, perm)
+    assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
+
+
+def test_automorphism_validation_reads_only_the_generator_rows():
+    base = CLOSURE_AUT_RING
+    calls = {"add": 0, "mul": 0}
+
+    def counted(op, name):
+        def call(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return call
+
+    ring = FiniteRing(base.size, add=counted(base.add, "add"), mul=counted(base.mul, "mul"),
+                      neg=base.neg, zero=base.zero, one=base.one, validate=False)
+    n, gens = ring.size, _additive_generators(ring)
+    calls.update(add=0, mul=0)
+    RingAut(ring, swap_automorphism(base).perm).validate()
+    # rows a and perm[a] of each table, for each generator a
+    assert calls == {"add": 2 * len(gens) * n, "mul": 2 * len(gens) * n}
 
 
 @pytest.mark.parametrize("perm", [(0, 1, 5), (0, 1, -1), (0, 1)])
