@@ -2,8 +2,9 @@
 
 Every quantifier here runs on one bitset kernel per ring.  For each element
 x the ring keeps four ints, bit i standing for element i, filled on first
-use from the rows and columns of the multiplication table (through
-``ring.mul`` one row or column at a time when the ring has no tables):
+use from the ``bytes`` rows and columns of the multiplication table
+(through ``ring.mul`` one row or column at a time when the ring has no
+tables):
 
     Zl[x] = {r : r*x == 0}      Zr[x] = {r : x*r == 0}
     Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
@@ -110,11 +111,12 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _mask(values, x: int) -> int:
-    """The bitset {i : values[i] == x} of a row or column of products."""
-    if len(values) <= 256:
-        # every element fits in one byte, so one translate table does the
-        # compare; faster than the general form (pairs in BENCH_7.json)
-        return int(bytes(values[::-1]).translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
+    """The bitset {i : values[i] == x} of a row or column of products:
+    ``bytes`` from a tabled ring, a list from a closure-backed one."""
+    if isinstance(values, bytes):
+        # one translate table does the compare; faster than the general
+        # form (pairs in BENCH_7.json)
+        return int(values[::-1].translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
     return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
 
 
@@ -130,9 +132,11 @@ def _bits(ring: FiniteRing, kind: str) -> list[int]:
         if kind in (ZR, FR):  # row x: y -> x*y
             lines = tables[1] if tables is not None else \
                 ([mul(x, y) for y in range(n)] for x in range(n))
-        else:  # column x: y -> y*x
-            lines = zip(*tables[1]) if tables is not None else \
-                ([mul(y, x) for y in range(n)] for x in range(n))
+        elif tables is not None:  # column x: y -> y*x, a strided slice
+            flat = b"".join(tables[1])
+            lines = (flat[x::n] for x in range(n))
+        else:
+            lines = ([mul(y, x) for y in range(n)] for x in range(n))
         if kind in (ZL, ZR):
             hit = [_mask(line, ring.zero) for line in lines]
         else:

@@ -1,16 +1,19 @@
 """Finite unital rings on element indices, with automorphism machinery.
 
 A ring is a set of element indices ``0..size-1`` together with addition and
-multiplication maps.  Rings of up to ``TABLE_LIMIT`` elements keep their
-operation tables as lists of rows, which every factory builds from tables it
-already has: rotations of ``range(n)`` for Z_n, blocks of component rows for
-products, and for matrix and triangular rings the digitwise sum table plus
-four tables of partial products between the high-digit and the low-digit
-parts of two elements, from which every product follows by additivity.
-Larger rings evaluate arithmetic on demand through closures; the matrix and
-triangular ones add through two half-digit tables and multiply through the
-partial products.  Every factory validates the ring axioms at construction,
-exactly: a tabled ring from its tables, a larger one from the parts its
+multiplication maps.  Rings of up to ``TABLE_LIMIT`` = 256 elements keep
+each operation table as a list of ``bytes`` rows, entry ``row[b]``, since
+every element fits in a byte.  The factories build those rows in C: slices
+of ``bytes(range(n))`` repeated for Z_n, blocks of translated component rows
+for products, and for matrix and triangular rings the digitwise sum table
+plus four tables of partial products between the high-digit and the
+low-digit parts of two elements, from which every row follows by
+translating through the sum table.  Tables given as lists are range-checked
+and converted once.  Larger rings evaluate arithmetic on demand through
+closures; the matrix and triangular ones add through two half-digit tables
+and multiply through the partial products, all kept as lists.  Every
+factory validates the ring axioms at construction, exactly: a tabled ring
+from its rows, compared whole in C, a larger one from the parts its
 closures read (nothing more for Z_n, the two factors of a product, the six
 half tables of a matrix or triangular ring).  Only ``table_ring`` above
 ``TABLE_LIMIT``, whose commutativity is read off its add table, and rings
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 
 # Structured rings materialize full operation tables up to this size;
 # beyond it arithmetic stays closure-backed.
@@ -51,13 +54,17 @@ class FiniteRing:
 
     ``add``/``mul``/``neg`` operate on indices.  ``add`` and ``mul`` are
     functions of two indices; a factory may pass the rows of a table instead,
-    for a ring of at most ``TABLE_LIMIT`` elements, and the ring then owns
-    those lists.  Without ``neg`` each negative is looked up in the addition
-    table.  Instances are immutable after construction and safe to share;
-    the lazily filled slots, the additive generating set, its coordinates
-    and the bitsets of the ``ideals`` kernel, hold the same values whoever
-    fills them.  A factory that builds a closure-backed ring records in
-    ``_parts``, before validating it, what its closures read (see
+    for a ring of at most ``TABLE_LIMIT`` elements.  Such a ring keeps each
+    table as a list of ``bytes`` rows: rows given as ``bytes`` are kept, and
+    rows given as lists, or computed through the functions, are converted
+    once, after every entry is checked to be an element 0..size-1 (the first
+    that is not raises RingAxiomError, in row-major order with the addition
+    table first).  Without ``neg`` each negative is looked up in the
+    addition table.  Instances are immutable after construction and safe to
+    share; the lazily filled slots, the additive generating set, its
+    coordinates and the bitsets of the ``ideals`` kernel, hold the same
+    values whoever fills them.  A factory that builds a closure-backed ring
+    records in ``_parts``, before validating it, what its closures read (see
     ``validate_ring``); it is None on every other ring.
     """
 
@@ -76,10 +83,13 @@ class FiniteRing:
         self.name = name
         self._repr_fn = element_repr
         if size <= TABLE_LIMIT:
-            self._add_rows = add if isinstance(add, list) else \
-                [[add(a, b) for b in range(size)] for a in range(size)]
-            self._mul_rows = mul if isinstance(mul, list) else \
-                [[mul(a, b) for b in range(size)] for a in range(size)]
+            add, mul = (op if isinstance(op, list) else
+                        [[op(a, b) for b in range(size)] for a in range(size)]
+                        for op in (add, mul))
+            self._neg_row = _negatives(add, zero) if neg is None else \
+                [neg(a) for a in range(size)]
+            self._add_rows = _byte_rows(add, size, "add table")
+            self._mul_rows = _byte_rows(mul, size, "mul table")
             self._add = None
             self._mul = None
         else:
@@ -87,11 +97,8 @@ class FiniteRing:
             self._mul_rows = None
             self._add = add
             self._mul = mul
-        if neg is None:
-            self._neg_row = _negatives(self._add_rows or (
-                [add(a, b) for b in range(size)] for a in range(size)), zero)
-        else:
-            self._neg_row = [neg(a) for a in range(size)]
+            self._neg_row = [neg(a) for a in range(size)] if neg is not None else \
+                _negatives(([add(a, b) for b in range(size)] for a in range(size)), zero)
         self._additive_gens = None
         self._additive_coords = None
         self._ideal_bits = None
@@ -110,9 +117,10 @@ class FiniteRing:
         return self._mul(a, b)
 
     @property
-    def tables(self) -> tuple[list[list[int]], list[list[int]]] | None:
-        """The rows of the (addition, multiplication) tables, or None when
-        the ring computes through closures.  Callers must not modify them."""
+    def tables(self) -> tuple[list[bytes], list[bytes]] | None:
+        """The rows of the (addition, multiplication) tables as ``bytes``,
+        entry ``row[b]``, or None when the ring computes through closures.
+        The list is the ring's own; callers must not modify it."""
         if self._add_rows is None:
             return None
         return self._add_rows, self._mul_rows
@@ -151,18 +159,33 @@ def _negatives(rows, zero: int) -> list[int]:
     return out
 
 
+def _byte_rows(table, n: int, label: str) -> list[bytes]:
+    """The rows of a table of at most 256 elements as ``bytes``, after
+    checking in C that every entry is an element 0..n-1; ``_check_entries``
+    names the first that is not.  Rows that are ``bytes`` already are kept."""
+    try:
+        rows = list(map(bytes, table))
+    except (TypeError, ValueError):  # an entry that is not a byte
+        rows = None
+    # deleting every byte 0..n-1 leaves the entries that are not elements
+    if rows is None or b"".join(rows).translate(None, bytes(range(n))):
+        _check_entries(table, n, label)
+    return rows
+
+
 def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
     A tabled ring, one of at most ``TABLE_LIMIT`` elements, is checked
-    exactly.  Every table entry must be an element 0..n-1; the first that is
-    not is named, in row-major order with the addition table first.  Then the
-    identity, inverse and commutativity laws are checked in full, and the
-    triple-quantified axioms (associativity of both operations and both
-    distributive laws) from a generating set of the additive group
-    (``_triple_axioms_hold``).  A table that fails those is reported at its
-    first failing triple in lexicographic order, with its first failing
-    axiom (``_check_blocks``).
+    exactly from its ``bytes`` rows, whose entries ``FiniteRing`` has already
+    checked to be elements.  The identity, inverse and commutativity laws
+    are whole-row and whole-column compares in C (``_identities_hold``);
+    only when one fails does the element-by-element scan run, to name the
+    first failure.  The triple-quantified axioms (associativity of both
+    operations and both distributive laws) are checked from a generating set
+    of the additive group (``_triple_axioms_hold``).  A table that fails
+    those is reported at its first failing triple in lexicographic order,
+    with its first failing axiom (``_check_blocks``).
 
     A ring that computes through closures gets the additive identity,
     inverse and multiplicative identity laws in full.  When a factory built
@@ -182,21 +205,25 @@ def validate_ring(ring: FiniteRing) -> None:
     """
     n = ring.size
     A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
-    tables = None if A is None else _byte_tables(A, M)
+    if A is not None:
+        tables = _byte_tables(A, M)
+        aflat = b"".join(A)
+        acol = [aflat[c::n] for c in range(n)]
     cell_ring = parts is not None and len(parts) == 6
     if cell_ring:
         H, L = len(parts[0]), len(parts[1])
         for name, table, bound in zip(("hi_sum", "lo_sum", "hh", "hl", "lh", "ll"), parts,
                                       (H, L, n, n, n, n)):
             _check_entries(table, bound, f"cell table {name}")
-    add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
-    for a in range(n):
-        if add(zero, a) != a or add(a, zero) != a:
-            raise RingAxiomError(f"additive identity fails at {a}")
-        if add(a, ring.neg(a)) != zero:
-            raise RingAxiomError(f"additive inverse fails at {a}")
-        if mul(one, a) != a or mul(a, one) != a:
-            raise RingAxiomError(f"multiplicative identity fails at {a}")
+    if A is None or not _identities_hold(ring, acol, tables[2]):
+        add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
+        for a in range(n):
+            if add(zero, a) != a or add(a, zero) != a:
+                raise RingAxiomError(f"additive identity fails at {a}")
+            if add(a, ring.neg(a)) != zero:
+                raise RingAxiomError(f"additive inverse fails at {a}")
+            if mul(one, a) != a or mul(a, one) != a:
+                raise RingAxiomError(f"multiplicative identity fails at {a}")
     if cell_ring:
         _check_cell_tables(ring, *parts)
     elif parts is not None and all(isinstance(p, FiniteRing) for p in parts):
@@ -214,9 +241,27 @@ def validate_ring(ring: FiniteRing) -> None:
                         raise RingAxiomError(f"addition not commutative at ({a},{b})")
         _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
     else:
-        _check_commutative(A, "addition")
+        if acol != A:
+            _check_commutative(A, "addition")
         if not _triple_axioms_hold(tables, _additive_generators(ring)):
             _check_blocks(ring, tables)
+
+
+def _identities_hold(ring: FiniteRing, acol, mcol) -> bool:
+    """Whether the additive identity, inverse and multiplicative identity
+    laws hold on a tabled ring, given the columns of its tables; each law is
+    one compare of whole rows or columns in C.  An index that is not an
+    element gives False, and the scan in ``validate_ring`` then meets it in
+    the order it always has."""
+    A, M, zero, one, n = ring._add_rows, ring._mul_rows, ring.zero, ring.one, ring.size
+    ident = bytes(range(n))
+    try:
+        return (A[zero] == acol[zero] == ident
+                # entry (a, -a) of every row a
+                and bytes(map(bytes.__getitem__, A, ring._neg_row)) == bytes([zero]) * n
+                and M[one] == mcol[one] == ident)
+    except (IndexError, TypeError, ValueError):
+        return False
 
 
 def _check_commutative(S, label: str) -> None:
@@ -307,9 +352,8 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
 
 
 def _byte_tables(A, M) -> tuple:
-    """The tables of a ring of at most 256 elements as bytes, after checking
-    that every entry is an element 0..n-1 (``_check_entries`` names the
-    first that is not).
+    """The tables of a ring of at most 256 elements, given as lists of
+    ``bytes`` rows, in the form the C-level checks read.
 
     Returns the rows of A, the rows and the columns of M, and each of those
     three lists padded to the 256 entries ``bytes.translate`` wants: with
@@ -318,20 +362,10 @@ def _byte_tables(A, M) -> tuple:
     and compared in C.
     """
     n = len(A)
-    try:
-        flat = b"".join(map(bytes, A + M))
-    except (TypeError, ValueError):  # an entry that is not a byte
-        flat = None
-    # deleting every byte 0..n-1 leaves the entries that are not elements
-    if flat is None or flat.translate(None, bytes(range(n))):
-        _check_entries(A, n, "add table")
-        _check_entries(M, n, "mul table")
-    arow = [flat[i:i + n] for i in range(0, n * n, n)]
-    mflat = flat[n * n:]
-    mrow = [mflat[i:i + n] for i in range(0, n * n, n)]
+    mflat = b"".join(M)
     mcol = [mflat[c::n] for c in range(n)]
     pad = bytes(256 - n)
-    return (arow, mrow, mcol, [row + pad for row in arow], [row + pad for row in mrow],
+    return (A, M, mcol, [row + pad for row in A], [row + pad for row in M],
             [col + pad for col in mcol])
 
 
@@ -410,46 +444,51 @@ def _check_triples(ring: FiniteRing, triples) -> None:
 # factories
 
 def cyclic_ring(n: int) -> FiniteRing:
-    """The ring of integers modulo n.  n=1 gives the zero ring."""
+    """The ring of integers modulo n.  n=1 gives the zero ring.
+
+    Up to ``TABLE_LIMIT`` the rows are slices in C: row a of the sum table
+    is [a : a+n] of ``bytes(range(n)) * 2``, and row a of the product table
+    is [0 : a*n : a] of ``bytes(range(n)) * n``, whose entry k is k mod n,
+    so its entry b is a*b mod n.
+    """
     if n < 1:
         raise RingAxiomError("empty ring: modulus must be at least 1")
     if n > DEFAULT_SIZE_CAP:
         raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
     if n <= TABLE_LIMIT:
-        r = list(range(n))
-        add = [r[a:] + r[:a] for a in r]
-        mul = [[x % n for x in range(0, a * n, a)] if a else [0] * n for a in r]
-        parts = None
+        twice, residues = bytes(range(n)) * 2, bytes(range(n)) * n
+        add = [twice[a:a + n] for a in range(n)]
+        mul = [residues[0:a * n:a] if a else bytes(n) for a in range(n)]
+        neg, parts = None, None
     else:
         def add(a, b):
             return (a + b) % n
 
         def mul(a, b):
             return (a * b) % n
+
+        def neg(a):
+            return (-a) % n
         parts = ()
-    ring = FiniteRing(
-        n,
-        add=add,
-        mul=mul,
-        neg=lambda a: (-a) % n,
-        zero=0,
-        one=1 % n,
-        name=f"Z{n}",
-        validate=False,
-    )
+    ring = FiniteRing(n, add=add, mul=mul, neg=neg, zero=0, one=1 % n, name=f"Z{n}",
+                      validate=False)
     ring._parts = parts
     validate_ring(ring)
     return ring
 
 
-def _product_rows(P, Q, qs: int) -> list[list[int]]:
-    """The table of a product from the component tables ``P`` and ``Q``.
+def _product_rows(P, Q) -> list[bytes]:
+    """The table of a product of at most 256 elements from the component
+    tables ``P`` and ``Q``, all as ``bytes`` rows.
 
-    Entry (i*qs + j, i2*qs + j2) is P[i][i2]*qs + Q[j][j2]: row i*qs + j is
-    the blocks P[i][i2]*qs + Q[j], in the order of i2.
+    Entry (i*qs + j, i2*qs + j2) is P[i][i2]*qs + Q[j][j2], with qs = |Q|:
+    row i*qs + j is the blocks p*qs + Q[j] for p = P[i][i2], in the order
+    of i2.  Each block is Q[j] translated by p*qs, and each row is one join.
     """
-    return [list(chain.from_iterable([map((p * qs).__add__, Qj) for p in Pi]))
-            for Pi in P for Qj in Q]
+    qs = len(Q)
+    shifts = [bytes(range(p * qs, p * qs + qs)).ljust(256, b"\0") for p in range(len(P))]
+    blocks = [[Qj.translate(shift) for shift in shifts] for Qj in Q]
+    return [b"".join(map(by_p.__getitem__, Pi)) for Pi in P for by_p in blocks]
 
 
 def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -463,21 +502,24 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         return i * bs + j
 
     if size <= TABLE_LIMIT:
-        add = _product_rows(a._add_rows, b._add_rows, bs)
-        mul = _product_rows(a._mul_rows, b._mul_rows, bs)
-        parts = None
+        add = _product_rows(a._add_rows, b._add_rows)
+        mul = _product_rows(a._mul_rows, b._mul_rows)
+        neg, parts = None, None
     else:
         def add(x, y):
             return enc(a.add(x // bs, y // bs), b.add(x % bs, y % bs))
 
         def mul(x, y):
             return enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs))
+
+        def neg(x):
+            return enc(a.neg(x // bs), b.neg(x % bs))
         parts = (a, b)
     ring = FiniteRing(
         size,
         add=add,
         mul=mul,
-        neg=lambda x: enc(a.neg(x // bs), b.neg(x % bs)),
+        neg=neg,
         zero=enc(a.zero, b.zero),
         one=enc(a.one, b.one),
         name=f"{a.name}x{b.name}",
@@ -520,9 +562,11 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     the halves in their own tables.  The product is additive in each factor,
     so x*y = hi*hi' + hi*lo' + lo*hi' + lo*lo' for y = hi' + lo', and the
     four tables of partial products, (L + size/L)**2 cell products in all,
-    give every product.  A tabled row of x is assembled from x*hi' and x*lo'
-    through the addition table; above ``TABLE_LIMIT`` a product is four
-    lookups and three additions.
+    give every product; with one cell, hi*hi' is the base's own product.  A
+    tabled row of x is assembled from x*hi' and x*lo' in C: for each x*hi',
+    the bytes of every x*lo' translated through its padded row of the
+    addition table.  Above ``TABLE_LIMIT`` a product is four lookups and
+    three additions, in tables kept as lists.
     """
     bs, ncells = base.size, len(cells)
     size = bs ** ncells
@@ -531,14 +575,20 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     pos = {c: t for t, c in enumerate(cells)}
     terms = [[(pos[i, t], pos[t, j]) for t in range(k) if (i, t) in pos and (t, j) in pos]
              for i, j in cells]
-    digit_sum, digit_product = base.tables or (
-        [[op(p, q) for q in range(bs)] for p in range(bs)] for op in (base.add, base.mul))
+    if base.tables is not None:
+        digit_sum, digit_product = base.tables
+    else:  # a base of more than 256 elements leaves room for one cell
+        digit_sum, digit_product = ([list(map(op, repeat(p, bs), range(bs))) for p in range(bs)]
+                                    for op in (base._add, base._mul))
 
     def sums(count):
-        """The cellwise sum table of vectors of ``count`` cells."""
-        table = [[0]]
+        """The cellwise sum table of vectors of ``count`` cells, the base's
+        own for one cell and ``bytes`` rows otherwise."""
+        if count == 1:
+            return digit_sum
+        table = [b"\0"]
         for _ in range(count):
-            table = _product_rows(digit_sum, table, len(table))
+            table = _product_rows(digit_sum, table)
         return table
 
     low = ncells // 2
@@ -563,19 +613,23 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     zero_hi = _undigits([base.zero] * (ncells - low), bs) * L
     # element i*L + l is highs[i] + lows[l]
     highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
-    hh, hl = products(highs, highs), products(highs, lows)
-    lh, ll = products(lows, highs), products(lows, lows)
+    # one cell: the high part is the whole element, and hh the base's products
+    hh = digit_product if ncells == 1 else products(highs, highs)
+    hl, lh, ll = products(highs, lows), products(lows, highs), products(lows, lows)
     if size <= TABLE_LIMIT:
-        add = _product_rows(hi_sum, lo_sum, L)
+        add = _product_rows(hi_sum, lo_sum)
+        padded = [row.ljust(256, b"\0") for row in add]
         mul = []
         for x in range(size):
             i, l = divmod(x, L)
+            # x times each high part and each low part; x*y is their sum
             by_hi = [add[p][q] for p, q in zip(hh[i], lh[l])]
-            by_lo = [add[p][q] for p, q in zip(hl[i], ll[l])]
-            mul.append(list(chain.from_iterable(
-                [map(add[p].__getitem__, by_lo) for p in by_hi])))
-        parts = None
+            by_lo = bytes([add[p][q] for p, q in zip(hl[i], ll[l])])
+            mul.append(b"".join([by_lo.translate(padded[p]) for p in by_hi]))
+        neg, parts = None, None
     else:
+        hi_sum, lo_sum = ([list(row) for row in S] for S in (hi_sum, lo_sum))
+
         def add(x, y):
             return hi_sum[x // L][y // L] * L + lo_sum[x % L][y % L]
 
@@ -583,10 +637,10 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
             i, l = divmod(x, L)
             j, m = divmod(y, L)
             return add(add(hh[i][j], hl[i][m]), add(lh[l][j], ll[l][m]))
-        parts = (hi_sum, lo_sum, hh, hl, lh, ll)
 
-    def neg(x):
-        return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
+        def neg(x):
+            return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
+        parts = (hi_sum, lo_sum, hh, hl, lh, ll)
 
     def element_repr(x):
         ds = _digits(x, bs, ncells)
@@ -641,8 +695,12 @@ def table_ring(add_table, mul_table, zero: int | None = None,
     if n < 1 or any(len(row) != n for row in add_table) or \
             len(mul_table) != n or any(len(row) != n for row in mul_table):
         raise RingAxiomError("tables must be square and of matching size")
-    _check_entries(add_table, n, "add table")
-    _check_entries(mul_table, n, "mul table")
+    if n <= TABLE_LIMIT:
+        add_table = _byte_rows(add_table, n, "add table")
+        mul_table = _byte_rows(mul_table, n, "mul table")
+    else:
+        _check_entries(add_table, n, "add table")
+        _check_entries(mul_table, n, "mul table")
     if zero is None:
         zero = next((z for z in range(n)
                      if all(add_table[z][a] == a for a in range(n))), None)
@@ -654,9 +712,7 @@ def table_ring(add_table, mul_table, zero: int | None = None,
         if one is None:
             raise RingAxiomError("no multiplicative identity found in table")
     if n <= TABLE_LIMIT:
-        return FiniteRing(n, add=[list(row) for row in add_table],
-                          mul=[list(row) for row in mul_table],
-                          zero=zero, one=one, name=name)
+        return FiniteRing(n, add=add_table, mul=mul_table, zero=zero, one=one, name=name)
     ring = FiniteRing(
         n,
         add=lambda a, b: add_table[a][b],
@@ -684,9 +740,9 @@ def _inverse(ring: FiniteRing, u: int) -> int | None:
     """The first v with u*v == 1 == v*u, or None.
 
     The candidates v are the positions of 1 in the row of u, in order,
-    found by ``list.count`` and ``list.index`` in C; a closure-backed ring
-    computes the row through ``mul`` first.  Each candidate is tested for
-    v*u == 1.
+    found by ``count`` and ``index`` in C, on the ``bytes`` row of a tabled
+    ring; a closure-backed ring computes the row as a list through ``mul``
+    first.  Each candidate is tested for v*u == 1.
     """
     one, n = ring.one, ring.size
     row = ring._mul_rows[u] if ring._mul_rows is not None else \
@@ -700,7 +756,17 @@ def _inverse(ring: FiniteRing, u: int) -> int | None:
 
 
 def units(ring: FiniteRing) -> list[int]:
-    """All two-sided invertible elements, ascending."""
+    """All two-sided invertible elements, ascending.
+
+    The units of a closure-backed product are the pairs of the factors'
+    units, index u_a*|b| + u_b, listed in ascending order without a product
+    of the ring; every other ring is scanned element by element.
+    """
+    parts = ring._parts
+    if parts and all(isinstance(p, FiniteRing) for p in parts):
+        a, b = parts
+        of_b = units(b)
+        return [u * b.size + v for u in units(a) for v in of_b]
     return [u for u in ring.elements() if _inverse(ring, u) is not None]
 
 
@@ -878,7 +944,7 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
                 multiples.append(m)
             orders.append(len(multiples))
             # block a holds the sums so far plus a * g
-            elements = b"".join(elements.translate(bytes(plus[m]).ljust(256, b"\0"))
+            elements = b"".join(elements.translate(plus[m].ljust(256, b"\0"))
                                 for m in multiples)
         first = [elements.find(r) for r in range(ring.size)]
         coordinates, stride = [], 1

@@ -514,7 +514,7 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     for u, fu in f.coeffs.items():
         row = rows.get(fu)
         if row is None:
-            products = g_dense.translate(bytes(times[fu]).ljust(256, b"\0"))
+            products = g_dense.translate(times[fu].ljust(256, b"\0"))
             row = rows[fu] = [int.from_bytes(products.translate(c), "little") for c in coords]
         at = slice(u, u * top + 1, u)
         for a, x, mod in zip(acc, row, reduce):

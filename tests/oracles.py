@@ -220,6 +220,12 @@ def closure_tables(size: int, *ops, rows=None) -> tuple:
                  for op in ops)
 
 
+def table_lists(tables) -> tuple:
+    """Tables of ``bytes`` rows, or of any rows, as tuples of lists of int
+    lists, the form ``closure_tables`` returns."""
+    return tuple([list(row) for row in table] for table in tables)
+
+
 def cyclic_ops(n: int):
     """add, mul, neg, zero and one of Z_n, from the modular formulas."""
     return (lambda a, b: (a + b) % n, lambda a, b: a * b % n,

@@ -26,7 +26,7 @@ from skewseries.rings import (
     validate_ring,
 )
 from skewseries.rings import (_additive_generators, _byte_tables, _check_cell_tables,
-                              _sample_triples, _triple_axioms_hold)
+                              _inverse, _sample_triples, _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     product_ops,
     ring_aut_validate_oracle,
     sum_generators_of_table,
+    table_lists,
     units_by_scan,
     validate_ring_oracle,
 )
@@ -262,10 +263,11 @@ def _axiom_outcome(check, ring, **options):
 
 
 def _corrupted(data, rings, values):
-    """A ring of ``rings`` with up to three table entries overwritten by
-    ``values(n)``, unvalidated, and its tables.  Sums are corrupted in
-    symmetric pairs so that commutativity, checked first, does not catch
-    every change."""
+    """A builder of a ring of ``rings`` with up to three table entries
+    overwritten by ``values(n)``, unvalidated, and its tables.  Sums are
+    corrupted in symmetric pairs so that commutativity, checked first, does
+    not catch every change.  The builder raises RingAxiomError when an entry
+    is not an element, as the rows are converted to bytes."""
     base = data.draw(st.sampled_from(rings), label="ring")
     n = base.size
     add, mul = closure_tables(n, base.add, base.mul)
@@ -276,9 +278,10 @@ def _corrupted(data, rings, values):
             add[a][b] = add[b][a] = v
         else:
             mul[a][b] = v
-    ring = FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
-                      zero=base.zero, one=base.one, neg=base.neg, validate=False)
-    return ring, add, mul
+    def build():
+        return FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
+                          zero=base.zero, one=base.one, neg=base.neg, validate=False)
+    return build, add, mul
 
 
 # Exhaustive oracle outcomes by table contents: the uncorrupted tables of
@@ -304,18 +307,20 @@ def _entry_outcome(add, mul):
 def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
     # Mostly entries in range; -1 and n are named as entries that are not
     # elements.
-    ring, add, mul = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
+    build, add, mul = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
         st.integers(0, n - 1), st.sampled_from([-1, n])))
     # A table with entries in range is checked exactly, at every size: the
-    # first failing triple of all.
+    # first failing triple of all.  An entry out of range is named when the
+    # ring is built.
     expected = _entry_outcome(add, mul)
     if expected is None:
         key = repr((add, mul))
         if key not in _EXHAUSTIVE_OUTCOMES:
+            ring = build()
             _EXHAUSTIVE_OUTCOMES[key] = _axiom_outcome(
                 validate_ring_oracle, ring, exhaustive_cap=ring.size)
         expected = _EXHAUSTIVE_OUTCOMES[key]
-    assert _axiom_outcome(validate_ring, ring) == expected
+    assert _axiom_outcome(lambda _: validate_ring(build()), None) == expected
 
 
 def test_tables_above_64_elements_are_checked_on_every_triple():
@@ -351,8 +356,9 @@ def test_validate_ring_names_the_first_entry_that_is_not_an_element(bad):
     add, mul = closure_tables(3, Z3.add, Z3.mul)
     # the addition table is scanned first, row by row
     mul[1][2], add[2][1], add[2][2] = bad, bad, bad
-    ring = FiniteRing(3, add=add, mul=mul, zero=0, one=1, neg=Z3.neg, validate=False)
-    assert _axiom_outcome(validate_ring, ring) == \
+    # named as the rows are converted to bytes, when the ring is built
+    assert _axiom_outcome(lambda _: validate_ring(FiniteRing(
+        3, add=add, mul=mul, zero=0, one=1, neg=Z3.neg, validate=False)), None) == \
         ("RingAxiomError", f"add table entry {bad!r} at (2,1) is not an element 0..2")
 
 
@@ -369,8 +375,9 @@ def _triple_laws_outcome(ring) -> bool | None:
 
 def _fast_outcome(ring, add, mul) -> bool:
     """The exact check from the ring's additive generators, which must agree
-    with the check from the generating set validation used before them."""
-    tables = _byte_tables(add, mul)
+    with the check from the generating set validation used before them; the
+    tables are converted to bytes rows, as ``FiniteRing`` keeps them."""
+    tables = _byte_tables(list(map(bytes, add)), list(map(bytes, mul)))
     outcome = _triple_axioms_hold(tables, _additive_generators(ring))
     assert _triple_axioms_hold(tables, sum_generators_of_table(tables[0], ring.zero)) \
         == outcome
@@ -395,8 +402,9 @@ DIFFERENTIAL_RINGS = [
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_exact_triple_check_matches_triple_scan_on_corrupted_tables(data):
-    ring, add, mul = _corrupted(data, DIFFERENTIAL_RINGS,
-                                lambda n: st.integers(0, n - 1))
+    build, add, mul = _corrupted(data, DIFFERENTIAL_RINGS,
+                                 lambda n: st.integers(0, n - 1))
+    ring = build()
     expected = _triple_laws_outcome(ring)
     assume(expected is not None)
     assert _fast_outcome(ring, add, mul) == expected
@@ -442,6 +450,25 @@ def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
     ring = FiniteRing(n, add=lambda a, b: add_t[a][b], mul=lambda a, b: mul_t[a][b],
                       neg=neg, zero=zero, one=one, validate=False)
     assert _axiom_outcome(validate_ring_oracle, ring) == expected
+    assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
+
+
+@pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
+def test_tabled_commutativity_matches_oracle(pair):
+    # a tabled add table is compared with its columns whole; one asymmetric
+    # entry, in either order of the pair, names the pair as a scan does
+    n = 200
+    add, mul, neg, zero, one = cyclic_ops(n)
+    add_t, mul_t = closure_tables(n, add, mul)
+    if pair is not None:
+        a, b = pair
+        add_t[a][b] = (a + b + 1) % n
+    expected = None if pair is None else \
+        ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
+    ring = FiniteRing(n, add=add_t, mul=mul_t, neg=neg, zero=zero, one=one, validate=False)
+    assert ring.tables is not None
+    assert _axiom_outcome(validate_ring_oracle, ring) == expected
+    assert _axiom_outcome(validate_ring, ring) == expected
     assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
 
 
@@ -560,7 +587,12 @@ def test_factory_tables_match_closure_tables(build, ops):
     n = ring.size
     assert (ring._add_rows is not None) == (n <= TABLE_LIMIT)
     if ring._add_rows is not None:
-        assert (ring._add_rows, ring._mul_rows) == closure_tables(n, add, mul)
+        # the factory's rows, and table_ring's from the reference tables,
+        # are bytes that read back as the reference tables
+        want = closure_tables(n, add, mul)
+        for tabled in (ring, table_ring(*want)):
+            assert all(type(row) is bytes for table in tabled.tables for row in table)
+            assert table_lists(tabled.tables) == want
     else:
         assert closure_tables(n, ring.add, ring.mul) == closure_tables(n, add, mul)
     assert [ring.neg(a) for a in range(n)] == [neg(a) for a in range(n)]
@@ -580,6 +612,9 @@ LARGE_FACTORY_CASES = [
       for a, b in ((16, 32), (2, 300), (64, 64))],
     ("M2(Z8)", lambda: matrix_ring(cyclic_ring(8), 2),
      lambda xs: cell_ring_tables_by_digits(cyclic_ring(8), 2, rows=xs)),
+    # one cell over a closure-backed base, whose products are the base's own
+    ("M1(Z300)", lambda: matrix_ring(cyclic_ring(300), 1),
+     lambda xs: cell_ring_tables_by_digits(cyclic_ring(300), 1, rows=xs)),
 ]
 
 
@@ -780,6 +815,15 @@ def _check_units_against_scan(ring):
     if non_unit is not None:
         with pytest.raises(ValueError, match="not a unit"):
             unit_inverse(ring, non_unit)
+
+
+@pytest.mark.parametrize("a, b", [(17, 17), (2, 300)])
+def test_units_of_a_closure_backed_product_match_the_element_scan(a, b):
+    # read off the factors' units, against the scan of every element; the
+    # factor Z300 is closure-backed itself
+    ring = product_ring(cyclic_ring(a), cyclic_ring(b))
+    assert ring.tables is None
+    assert units(ring) == [u for u in range(ring.size) if _inverse(ring, u) is not None]
 
 
 UNIT_RINGS = [*(gallery_ring(name) for name in gallery_names()),
