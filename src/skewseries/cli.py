@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .gallery import gallery_ring, list_gallery, named_automorphism
 from .ideals import (
+    IdealSet,
+    _elements,
     idempotent_generator,
     is_right_s_unital,
     left_annihilator,
@@ -456,13 +458,19 @@ def replay(report_path: str, stream=None) -> int:
     return 0
 
 
+def _recorded(ideal: IdealSet, listed) -> bool:
+    """Whether ``ideal`` is the recorded list ``listed``, after checking
+    that each entry is an element index (ValueError otherwise)."""
+    return ideal.sorted_members() == _elements(ideal.ring, listed)
+
+
 def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 action: OmegaAction, job: JobSpec) -> bool:
     counter = witness.get("counterexample") or {}
     if check == "left_app":
         a = counter["element"]
         ann = left_annihilator(left_ideal_generated({a}, ring).members, ring)
-        return (ann.sorted_members() == counter["annihilator"]
+        return (_recorded(ann, counter["annihilator"])
                 and not is_right_s_unital(ann).holds)
     if check in ("pq_baer", "quasi_baer"):
         if "element" in counter:
@@ -470,12 +478,12 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 left_ideal_generated({counter["element"]}, ring).members, ring)
         else:
             target = left_annihilator(frozenset(counter["ideal"]), ring)
-        if target.sorted_members() != counter["annihilator"]:
+        if not _recorded(target, counter["annihilator"]):
             return False
         return idempotent_generator(target, "left") is None
     if check == "right_pp":
         ann = right_annihilator({counter["element"]}, ring)
-        if ann.sorted_members() != counter["annihilator"]:
+        if not _recorded(ann, counter["annihilator"]):
             return False
         return idempotent_generator(ann, "right") is None
     if check == "reduced":
@@ -487,13 +495,13 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
             _, action = preset_by_name(check).build(ring, *_images(job, ring))
         subset = counter["subset"]
         ann = set_orbit_annihilator(subset, action)
-        return (ann.sorted_members() == counter["annihilator"]
+        return (_recorded(ann, counter["annihilator"])
                 and not is_right_s_unital(ann).holds)
     if check in ("obstructions", "app_equivalence"):
         pairs = witness.get("obstructions", [])
         for obs in pairs:
             ann = element_orbit_annihilator(obs["element"], action)
-            if ann.sorted_members() != obs["annihilator"]:
+            if not _recorded(ann, obs["annihilator"]):
                 return False
             b = obs["blocked"]
             ring.check_element(b)

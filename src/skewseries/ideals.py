@@ -1,13 +1,20 @@
 """Annihilators, left ideals, orbit ideals, and the right s-unital test.
 
 Every quantifier here runs on one bitset kernel per ring.  For each element
-x the ring keeps four ints, bit i standing for element i, filled on first
-use from the ``bytes`` rows and columns of the multiplication table
-(through ``ring.mul`` one row or column at a time when the ring has no
-tables):
+x the ring keeps four ints, bit i standing for element i, built on first use
+and kept in the ring:
 
     Zl[x] = {r : r*x == 0}      Zr[x] = {r : x*r == 0}
     Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
+
+Only Zr reads products: one pass over the rows x -> (y -> x*y), the
+``bytes`` rows of a tabled ring or ``ring.mul`` one row at a time.  The
+other three are transposes T (bit y of T(m)[x] is bit x of m[y]) of row
+zero sets, with y - 1 = y + (-1):
+
+    Zl = T(Zr)                 since y*x == 0 exactly when x is in Zr[y];
+    Fl = T(y -> Zr[y - 1])     since y*x == x exactly when (y - 1)*x == 0;
+    Fr = T(y -> Zl[y - 1])     since x*y == x exactly when x*(y - 1) == 0.
 
 Three exact facts reduce the definitions to ANDs of these, with G an
 additive generating set of R (``rings._additive_generators``):
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 
 from .rings import FiniteRing, _additive_generators, additive_closure
 from .series import OmegaAction
@@ -111,36 +118,36 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _mask(values, x: int) -> int:
-    """The bitset {i : values[i] == x} of a row or column of products:
-    ``bytes`` from a tabled ring, a list from a closure-backed one."""
-    if isinstance(values, bytes):
-        # one translate table does the compare; faster than the general
-        # form (pairs in BENCH_7.json)
+    """The bitset {i : values[i] == x} of a product row, ``bytes`` or list."""
+    if isinstance(values, bytes):  # a translate table compares (faster, BENCH_7.json)
         return int(values[::-1].translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
     return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
 
 
+def _transpose(masks: list[int], n: int) -> list[int]:
+    """The n bitsets out with bit y of out[x] equal to bit x of masks[y]:
+    the masks as n-digit rows, last element first, read down each column."""
+    grid = "".join([format(mask, "b").zfill(n) for mask in reversed(masks)])
+    return [int(grid[i::n], 2) for i in range(n - 1, -1, -1)]
+
+
 def _bits(ring: FiniteRing, kind: str) -> list[int]:
     """The bitsets ``kind`` (ZL, ZR, FR or FL) of every element, built on
-    first use and kept in the ring."""
+    first use and kept in the ring; only Zr reads products."""
     kept = ring._ideal_bits
     if kept is None:
         kept = ring._ideal_bits = {}
     hit = kept.get(kind)
     if hit is None:
-        n, mul, tables = ring.size, ring.mul, ring.tables
-        if kind in (ZR, FR):  # row x: y -> x*y
-            lines = tables[1] if tables is not None else \
-                ([mul(x, y) for y in range(n)] for x in range(n))
-        elif tables is not None:  # column x: y -> y*x, a strided slice
-            flat = b"".join(tables[1])
-            lines = (flat[x::n] for x in range(n))
-        else:
-            lines = ([mul(y, x) for y in range(n)] for x in range(n))
-        if kind in (ZL, ZR):
-            hit = [_mask(line, ring.zero) for line in lines]
-        else:
-            hit = [_mask(line, x) for x, line in enumerate(lines)]
+        n = ring.size
+        if kind == ZR:  # row x: y -> x*y
+            rows = ring.tables[1] if ring.tables is not None else \
+                ([ring.mul(x, y) for y in range(n)] for x in range(n))
+            hit = [_mask(row, ring.zero) for row in rows]
+        else:  # Zl from Zr at y, Fl from Zr and Fr from Zl at y - 1
+            zeros = _bits(ring, ZL if kind == FR else ZR)
+            shift = ring.zero if kind == ZL else ring.neg(ring.one)
+            hit = _transpose([zeros[ring.add(y, shift)] for y in range(n)], n)
         kept[kind] = hit
     return hit
 
@@ -156,10 +163,11 @@ def _lowest(mask: int) -> int:
 
 
 def _elements(ring: FiniteRing, xs) -> list[int]:
-    """``xs`` as a list, after checking that each is an element index (in C
-    when all are; otherwise the first that is not raises ValueError)."""
+    """``xs`` as a list, after checking that each is an element index, an
+    int and not a bool (in C when all are; otherwise the first that is not
+    raises ValueError)."""
     xs = list(xs)
-    if xs and not (all(map(isinstance, xs, repeat(int)))
+    if xs and not (set(map(type, xs)) == {int}
                    and 0 <= min(xs) and max(xs) < ring.size):
         for x in xs:
             ring.check_element(x)

@@ -136,8 +136,9 @@ class FiniteRing:
 
     def check_element(self, a) -> None:
         """Raise ValueError unless ``a`` is an element index, an int in
-        0..size-1 (a negative one would alias another element)."""
-        if not (isinstance(a, int) and 0 <= a < self.size):
+        0..size-1 (a negative one would alias another element, and so would
+        a bool, which is an int)."""
+        if not (type(a) is int and 0 <= a < self.size):
             raise ValueError(f"{a!r} is not an element of {self.name} (0..{self.size - 1})")
 
     def element_repr(self, a: int) -> str:

@@ -325,6 +325,10 @@ MALFORMED_Z4_COUNTEREXAMPLES = {
     "element_outside_the_ring": {"element": 9, "annihilator": [0, 2]},
     # -2 would alias element 2 and confirm the counterexample
     "element_negative": {"element": -2, "annihilator": [0, 2]},
+    # JSON booleans load as bools, which are ints: true would alias 1 and
+    # false 0, and [0, 2] == [false, 2] in Python
+    "element_bool": {"element": True, "annihilator": [0, 2]},
+    "annihilator_with_bool": {"element": 2, "annihilator": [False, 2]},
 }
 
 

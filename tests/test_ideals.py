@@ -262,9 +262,17 @@ ELEMENT_TAKERS = {
 
 
 @pytest.mark.parametrize("call", list(ELEMENT_TAKERS.values()), ids=list(ELEMENT_TAKERS))
-@pytest.mark.parametrize("bad", [-1, -3, 4, 2.0, "2"])
+@pytest.mark.parametrize("bad", [-1, -3, 4, 2.0, "2", True])
 def test_public_functions_reject_non_elements(call, bad):
-    # A negative index would otherwise alias element n + bad.
+    # A negative index would otherwise alias element n + bad, a bool 0 or 1.
     call({0, 2})  # elements are accepted
     with pytest.raises(ValueError, match=rf"^{bad!r} is not an element of Z4 \(0\.\.3\)$"):
         call({0, bad})
+
+
+def test_a_bool_is_not_an_element():
+    # bool subclasses int, and JSON true and false load as bools
+    with pytest.raises(ValueError, match=r"^True is not an element of Z4"):
+        Z4.check_element(True)
+    with pytest.raises(ValueError, match=r"^True is not an element of Z4"):
+        left_annihilator([True], Z4)

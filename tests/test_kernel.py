@@ -2,7 +2,7 @@
 replaced (``oracles``), on tabled rings and on rings above TABLE_LIMIT."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewseries.gallery import gallery_ring, named_automorphism, standard_contexts
@@ -14,6 +14,7 @@ from skewseries.ideals import (
     IdealSet,
     WitnessNotFoundError,
     _bits,
+    _transpose,
     idempotent_generator,
     is_right_s_unital,
     left_annihilator,
@@ -94,18 +95,60 @@ def test_no_bitset_is_built_before_it_is_needed():
     assert ring._ideal_bits is None
     is_right_pp(ring)
     assert sorted(ring._ideal_bits) == sorted([ZR, FL])
+    ring = product_ring(Z[3], Z[9])
+    is_left_app(ring)
+    assert sorted(ring._ideal_bits) == sorted([ZR, ZL, FR])
 
 
-@pytest.mark.parametrize("ring", [Z[9], T2F2, matrix_ring(Z[3], 2)] + LARGE_RINGS[2:],
+def _definitions(ring, x):
+    """Zl[x], Zr[x], Fr[x] and Fl[x] from the row and column of x."""
+    row = [ring.mul(x, y) for y in ring.elements()]
+    column = [ring.mul(y, x) for y in ring.elements()]
+
+    def where(values, v):
+        return sum(1 << i for i, w in enumerate(values) if w == v)
+
+    return {ZL: where(column, ring.zero), ZR: where(row, ring.zero),
+            FR: where(row, x), FL: where(column, x)}
+
+
+# what a request for each kind builds on a fresh ring: only Zr reads products
+BUILT_FOR = {ZR: {ZR}, ZL: {ZR, ZL}, FL: {ZR, FL}, FR: {ZR, ZL, FR}}
+FRESH_TABLED = {"Z9": lambda: cyclic_ring(9), "T2F2xZ3": lambda: product_ring(T2F2, Z[3]),
+                "M2(Z3)": lambda: matrix_ring(Z[3], 2),
+                "T3(Z2)": lambda: upper_triangular_ring(Z[2], 3)}
+
+
+@pytest.mark.parametrize("kind", list(BUILT_FOR))
+@pytest.mark.parametrize("build", FRESH_TABLED.values(), ids=FRESH_TABLED)
+def test_each_kind_requested_first_follows_its_definition(build, kind):
+    ring = build()
+    bits = _bits(ring, kind)
+    assert set(ring._ideal_bits) == BUILT_FOR[kind]
+    assert all(bits[x] == _definitions(ring, x)[kind] for x in ring.elements())
+
+
+# T3(Z3) and M2(Z5) compute through closures: requesting Zl first, on rings
+# no other test touches, builds all four kinds from one product pass
+@pytest.mark.parametrize("ring", [Z[9], T2F2, matrix_ring(Z[3], 2)] + LARGE_RINGS[2:]
+                         + [upper_triangular_ring(Z[3], 3), matrix_ring(cyclic_ring(5), 2)],
                          ids=lambda r: r.name)
 def test_bitsets_follow_their_definitions(ring):
-    n, mul = ring.size, ring.mul
     bits = {kind: _bits(ring, kind) for kind in (ZL, ZR, FR, FL)}
-    for x in range(0, n, max(1, n // 40)):
-        assert bits[ZL][x] == sum(1 << r for r in range(n) if mul(r, x) == ring.zero)
-        assert bits[ZR][x] == sum(1 << r for r in range(n) if mul(x, r) == ring.zero)
-        assert bits[FR][x] == sum(1 << y for y in range(n) if mul(x, y) == x)
-        assert bits[FL][x] == sum(1 << y for y in range(n) if mul(y, x) == x)
+    for x in range(0, ring.size, max(1, ring.size // 40)):
+        assert {kind: bits[kind][x] for kind in bits} == _definitions(ring, x)
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@example([0])
+@example([1])
+@settings(max_examples=40, deadline=None)
+def test_transpose_is_an_involution_on_the_bits(masks):
+    n = len(masks)
+    out = _transpose(masks, n)
+    assert all((out[x] >> y & 1) == (masks[y] >> x & 1) for x in range(n) for y in range(n))
+    assert _transpose(out, n) == masks
 
 
 @st.composite
