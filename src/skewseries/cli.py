@@ -7,7 +7,7 @@ rerun with the same seed produces a byte-identical file.  Exit codes:
     0  every requested check passed / verdict true
     1  some property verdict is false (counterexample embedded in report)
     2  coherence alarm: a guaranteed conclusion failed to verify
-    3  spec error (unparseable or invalid)
+    3  spec error (unparseable or invalid) or usage error
 
 The ``mode`` key and ``--mode`` are accepted, and validated, for older job
 files; every subset quantifier is decided exactly, so they change nothing.
@@ -520,8 +520,17 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, the spec-error code:
+    argparse's own 2 is the coherence alarm here.  Subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewseries",
         description="annihilator-property checks for twisted power series contexts")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,9 +31,13 @@ additive generating set of R (``rings._additive_generators``):
     I == I*e is inside R*e, which is inside I; conversely b = r*e gives
     b*e == b.  The first such e is the lowest bit.  The mirror image, with
     Fl, gives the idempotents e with e*R == J for a right ideal J.
+    ``_generator`` searches both sides, with kind FR or FL.
 
 Every witness is the lowest-indexed hit, so results are deterministic and
-replayable.
+replayable.  Every check quantified over single elements (left APP, left
+p.q.-Baer, right PP, the orbit condition and its obstructions) is the one
+ascending scan ``_scan``: the bitset annihilator of each element, tested
+once per distinct annihilator.
 
 The bitsets above depend on the ring alone and are kept in the ring.  The
 orbit annihilator of each element depends on an action too, and is kept in
@@ -44,7 +48,7 @@ whose orbit annihilator is not right s-unital.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 
 from .rings import FiniteRing, _additive_generators, additive_closure
@@ -233,16 +237,22 @@ def _lowest_common(ring: FiniteRing, mask: int, xs, kind: str) -> int | None:
     return _lowest(common)
 
 
-def _left_generator(ring: FiniteRing, mask: int) -> int | None:
-    """The first idempotent e with R*e equal to the left ideal ``mask``, or
-    None (fact c)."""
-    return _lowest_common(ring, mask, _members(mask), FR)
+def _generator(ring: FiniteRing, mask: int, kind: str) -> int | None:
+    """The first idempotent e with R*e (kind FR) equal to the left ideal
+    ``mask``, or with e*R (kind FL) equal to the right ideal ``mask``; None
+    when there is none (fact c)."""
+    return _lowest_common(ring, mask, _members(mask), kind)
 
 
-def _right_generator(ring: FiniteRing, mask: int) -> int | None:
-    """The first idempotent e with e*R equal to the right ideal ``mask``, or
-    None (fact c, mirrored)."""
-    return _lowest_common(ring, mask, _members(mask), FL)
+def _scan(ring: FiniteRing, annihilator, test):
+    """Yield (a, ann, verdict) for a = 0..n-1 in order, with the bitset
+    ann = annihilator(a) and verdict = test(ann), run once per distinct ann."""
+    verdicts = {}
+    for a in ring.elements():
+        ann = annihilator(a)
+        if ann not in verdicts:
+            verdicts[ann] = test(ann)
+        yield a, ann, verdicts[ann]
 
 
 def _orbit_annihilator(action: OmegaAction, a: int) -> int:
@@ -274,20 +284,14 @@ def _first_orbit_failure(action: OmegaAction) -> int | None:
     The one scan behind both forms of the orbit condition
     (``properties.orbit_annihilators_s_unital`` and
     ``theorems.elementwise_condition_holds``), done once per action; each
-    distinct annihilator is tested once.
+    distinct annihilator is tested once (``_scan``).
     """
     if action._orbit_failure == -1:  # not scanned yet
         ring = action.ring
-        first = None
-        fails: dict[int, bool] = {}
-        for a in ring.elements():
-            ann = _orbit_annihilator(action, a)
-            if ann not in fails:
-                fails[ann] = not _s_unital(ring, ann).holds
-            if fails[ann]:
-                first = a
-                break
-        action._orbit_failure = first
+        action._orbit_failure = next(
+            (a for a, _, holds in _scan(ring, partial(_orbit_annihilator, action),
+                                        lambda ann: _s_unital(ring, ann).holds)
+             if not holds), None)
     return action._orbit_failure
 
 
@@ -340,11 +344,9 @@ def idempotent_generator(ideal: IdealSet, side: str) -> int | None:
     I) or e*R == I (side "right", for a right ideal I); None when I has no
     idempotent generator on that side (fact c)."""
     mask = _mask_of(ideal.ring, ideal.members)
-    if side == "left":
-        return _left_generator(ideal.ring, mask)
-    if side == "right":
-        return _right_generator(ideal.ring, mask)
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    return _generator(ideal.ring, mask, FR if side == "left" else FL)
 
 
 class WitnessNotFoundError(RuntimeError):

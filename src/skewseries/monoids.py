@@ -62,10 +62,10 @@ class OrderedMonoid:
     def contains(self, s) -> bool:
         if self._pair:
             if not (isinstance(s, tuple) and len(s) == 2
-                    and all(isinstance(c, int) for c in s)):
+                    and type(s[0]) is int and type(s[1]) is int):
                 return False
             return self.kind.startswith("Int") or (s[0] >= 0 and s[1] >= 0)
-        if not isinstance(s, int):
+        if type(s) is not int:  # a bool is an int, but no exponent
             return False
         if self._mul:
             return s >= 1

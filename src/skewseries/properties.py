@@ -13,8 +13,11 @@ orbit condition needs only the singletons, because an intersection of
 two-sided right s-unital ideals is again right s-unital.
 
 Annihilators, s-unital witnesses and idempotent generators all come from the
-bitset kernel of ``ideals`` (its facts (a)-(c)), and each check tests each
-distinct annihilator once.  By fact (c) a left ideal is right s-unital
+bitset kernel of ``ideals`` (its facts (a)-(c)).  Every check over single
+elements is one ``ideals._scan``, which tests each distinct annihilator
+once; left p.q.-Baer and right PP share one body and differ only in the
+annihilator, l(R*a) or r(a), and the side of the idempotent generator
+(``ideals._generator``).  By fact (c) a left ideal is right s-unital
 exactly when it is R*e for an idempotent e, so on a finite ring left APP and
 left p.q.-Baer fail at the same first element.  The orbit condition is the
 one per-action scan of ``ideals``, shared with
@@ -27,16 +30,19 @@ witnesses, never a time: ``cli.run_job`` times each check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .ideals import (
+    FL,
+    FR,
     _first_orbit_failure,
-    _left_generator,
+    _generator,
     _members,
     _orbit_annihilator,
     _principal_annihilator,
     _right_annihilator_bits,
-    _right_generator,
     _s_unital,
+    _scan,
     orbit_ideal,
 )
 from .rings import FiniteRing
@@ -60,44 +66,44 @@ def _witness_pairs(result) -> list:
 def is_left_app(ring: FiniteRing) -> PropertyReport:
     """Left APP: the left annihilator of each principal left ideal R*a is
     right s-unital."""
+    def test(ann):
+        res = _s_unital(ring, ann)
+        return res.failing, _witness_pairs(res)
+
     per_element = []
-    tested: dict[int, tuple] = {}
-    for a in ring.elements():
-        ann = _principal_annihilator(ring, a)
-        hit = tested.get(ann)
-        if hit is None:
-            res = _s_unital(ring, ann)
-            hit = tested[ann] = (res, _witness_pairs(res))
-        res, pairs = hit
-        if not res.holds:
+    for a, ann, (failing, pairs) in _scan(ring, partial(_principal_annihilator, ring), test):
+        if failing is not None:
             return PropertyReport(
                 ring.name, "is_left_app", False,
                 {"counterexample": {
                     "element": a,
                     "annihilator": _members(ann),
-                    "unwitnessed": res.failing,
+                    "unwitnessed": failing,
                 }})
         per_element.append([a, pairs])
     return PropertyReport(ring.name, "is_left_app", True,
                           {"per_element_witnesses": per_element})
 
 
-def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
-    """Left p.q.-Baer: l(R*a) is generated, as a left ideal, by an idempotent."""
+def _idempotent_generators(ring: FiniteRing, name: str, annihilator,
+                           kind: str) -> PropertyReport:
+    """The report ``name``: whether the annihilator of each element is
+    generated by an idempotent, as a left ideal R*e (kind FR) or as a right
+    ideal e*R (kind FL)."""
     gens = []
-    found: dict[int, int | None] = {}
-    for a in ring.elements():
-        ann = _principal_annihilator(ring, a)
-        if ann not in found:
-            found[ann] = _left_generator(ring, ann)
-        e = found[ann]
+    for a, ann, e in _scan(ring, annihilator, lambda ann: _generator(ring, ann, kind)):
         if e is None:
             return PropertyReport(
-                ring.name, "is_left_pq_baer", False,
+                ring.name, name, False,
                 {"counterexample": {"element": a, "annihilator": _members(ann)}})
         gens.append([a, e])
-    return PropertyReport(ring.name, "is_left_pq_baer", True,
-                          {"idempotent_generators": gens})
+    return PropertyReport(ring.name, name, True, {"idempotent_generators": gens})
+
+
+def is_left_pq_baer(ring: FiniteRing) -> PropertyReport:
+    """Left p.q.-Baer: l(R*a) is generated, as a left ideal, by an idempotent."""
+    return _idempotent_generators(ring, "is_left_pq_baer",
+                                  partial(_principal_annihilator, ring), FR)
 
 
 def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
@@ -120,7 +126,7 @@ def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
     for ann, members in sorted(((m, _members(m)) for m in family),
                                key=lambda item: (len(item[1]), item[1])):
         ideal = _members(_right_annihilator_bits(ring, members))
-        e = _left_generator(ring, ann)
+        e = _generator(ring, ann, FR)
         if e is None:
             return PropertyReport(
                 ring.name, "is_quasi_baer", False,
@@ -133,20 +139,8 @@ def is_quasi_baer(ring: FiniteRing) -> PropertyReport:
 def is_right_pp(ring: FiniteRing) -> PropertyReport:
     """Right PP: the right annihilator of each element is generated, as a
     right ideal, by an idempotent."""
-    gens = []
-    found: dict[int, int | None] = {}
-    for a in ring.elements():
-        ann = _right_annihilator_bits(ring, (a,))
-        if ann not in found:
-            found[ann] = _right_generator(ring, ann)
-        e = found[ann]
-        if e is None:
-            return PropertyReport(
-                ring.name, "is_right_pp", False,
-                {"counterexample": {"element": a, "annihilator": _members(ann)}})
-        gens.append([a, e])
-    return PropertyReport(ring.name, "is_right_pp", True,
-                          {"idempotent_generators": gens})
+    return _idempotent_generators(ring, "is_right_pp",
+                                  lambda a: _right_annihilator_bits(ring, (a,)), FL)
 
 
 def is_reduced(ring: FiniteRing) -> PropertyReport:

@@ -8,7 +8,8 @@ of ``bytes(range(n))`` repeated for Z_n, blocks of translated component rows
 for products, and for matrix and triangular rings the digitwise sum table
 plus four tables of partial products between the high-digit and the
 low-digit parts of two elements, from which every row follows by
-translating through the sum table.  Tables given as lists are range-checked
+translating through the sum table; a one-cell matrix or triangular ring is
+its base under another name.  Tables given as lists are range-checked
 and converted once.  Larger rings evaluate arithmetic on demand through
 closures; the matrix and triangular ones add through two half-digit tables
 and multiply through the partial products, all kept as lists.  Every
@@ -293,18 +294,16 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
       half.  Then for a generator g of the row half, the defect
       j -> T[i+g][j] - T[i][j] - T[g][j] is additive, so it vanishes when
       it does on the column generators: T is additive on the left when its
-      columns at those generators are (its one column, when the column
-      half is trivial), by the same closure argument.  The product is then
-      additive in each factor: both distributive laws hold.
+      columns at those generators are, by the same closure argument.  The
+      product is then additive in each factor: both distributive laws hold.
     - Then (ab)c - a(bc) is additive in each of a, b and c, so it vanishes
       when it vanishes on G^3, where G is the high generators on the low
       zero and the low generators on the high zero, which generate (R,+).
     Reports the first failure, checked in that order, by table.  A
     partial-product table that fails is rescanned as a whole, on the left
     and then on the right, so the message names the first failing triple
-    of that scan.  When L == 1, as with a single cell, the high half is all
-    of R and x + y is hi_sum[x][y], so a row is added by lookups in C
-    instead of closure calls.
+    of that scan.  A cell ring of this size has two or more cells, so each
+    half has at least two elements and a nonempty set of generators.
     """
     L = len(lo_sum)
     zi, zl = divmod(ring.zero, L)
@@ -312,8 +311,7 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
     for name, S, z in (("hi_sum", hi_sum, zi), ("lo_sum", lo_sum, zl)):
         label = f"cell table {name}"
         _check_commutative(S, label)
-        gens = _sum_generators(lambda x, g, S=S: S[x][g], len(S), z,
-                               next((x for x in range(len(S)) if x != z), -1))
+        gens = _sum_generators(lambda x, g, S=S: S[x][g], len(S), z, int(z == 0))
         halves[name[0]] = S, gens
         for g in gens:
             for x, Sx in enumerate(S):
@@ -324,17 +322,13 @@ def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None
     add = ring._add
 
     def additive(c, S, g):
-        """Whether c[g + i] == c[g] + c[i] for every i, with g + i = S[g][i];
-        with L == 1, x + y is hi_sum[x][y], a row of lookups in C."""
-        plus = hi_sum[c[g]].__getitem__ if L == 1 else partial(add, c[g])
-        return list(map(c.__getitem__, S[g])) == list(map(plus, c))
+        """Whether c[g + i] == c[g] + c[i] for every i, with g + i = S[g][i]."""
+        return list(map(c.__getitem__, S[g])) == list(map(partial(add, c[g]), c))
 
     for name, T in zip(("hh", "hl", "lh", "ll"), (hh, hl, lh, ll)):
         (Sl, Gl), (Sr, Gr) = halves[name[0]], halves[name[1]]
-        # a trivial column half has no generators but one column to check
         if all(additive(row, Sr, g) for g in Gr for row in T) and \
-                all(additive([row[j] for row in T], Sl, g)
-                    for j in Gr or range(len(Sr)) for g in Gl):
+                all(additive([row[j] for row in T], Sl, g) for j in Gr for g in Gl):
             continue
         # rescan in the order of the message: left, then right (T is
         # additive on the right where its transpose is on the left)
@@ -563,30 +557,36 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     the halves in their own tables.  The product is additive in each factor,
     so x*y = hi*hi' + hi*lo' + lo*hi' + lo*lo' for y = hi' + lo', and the
     four tables of partial products, (L + size/L)**2 cell products in all,
-    give every product; with one cell, hi*hi' is the base's own product.  A
-    tabled row of x is assembled from x*hi' and x*lo' in C: for each x*hi',
-    the bytes of every x*lo' translated through its padded row of the
-    addition table.  Above ``TABLE_LIMIT`` a product is four lookups and
-    three additions, in tables kept as lists.
+    give every product.  A tabled row of x is assembled from x*hi' and x*lo'
+    in C: for each x*hi', the bytes of every x*lo' translated through its
+    padded row of the addition table.  Above ``TABLE_LIMIT`` a product is
+    four lookups and three additions, in tables kept as lists.
+
+    One cell is the base itself: the ring keeps the base's tables, or its
+    closures, negatives and ``_parts``, with the base's indices, zero and
+    one, and prints an element x as [[x]].  With two or more cells the ring
+    has at most 4096 elements, so the base has at most 64 and is tabled.
     """
     bs, ncells = base.size, len(cells)
     size = bs ** ncells
     if size > DEFAULT_SIZE_CAP:
         raise RingAxiomError(f"size cap exceeded: {size} > {DEFAULT_SIZE_CAP}")
+    if ncells == 1:
+        ring = FiniteRing(bs, add=base._add_rows or base._add, mul=base._mul_rows or base._mul,
+                          neg=base.neg, zero=base.zero, one=base.one, name=name,
+                          element_repr=lambda x: f"[[{base.element_repr(x)}]]",
+                          validate=False)
+        ring._parts = base._parts
+        validate_ring(ring)
+        return ring
     pos = {c: t for t, c in enumerate(cells)}
     terms = [[(pos[i, t], pos[t, j]) for t in range(k) if (i, t) in pos and (t, j) in pos]
              for i, j in cells]
-    if base.tables is not None:
-        digit_sum, digit_product = base.tables
-    else:  # a base of more than 256 elements leaves room for one cell
-        digit_sum, digit_product = ([list(map(op, repeat(p, bs), range(bs))) for p in range(bs)]
-                                    for op in (base._add, base._mul))
+    digit_sum, digit_product = base.tables
 
     def sums(count):
-        """The cellwise sum table of vectors of ``count`` cells, the base's
-        own for one cell and ``bytes`` rows otherwise."""
-        if count == 1:
-            return digit_sum
+        """The cellwise sum table of vectors of ``count`` cells, as ``bytes``
+        rows."""
         table = [b"\0"]
         for _ in range(count):
             table = _product_rows(digit_sum, table)
@@ -614,9 +614,8 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     zero_hi = _undigits([base.zero] * (ncells - low), bs) * L
     # element i*L + l is highs[i] + lows[l]
     highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
-    # one cell: the high part is the whole element, and hh the base's products
-    hh = digit_product if ncells == 1 else products(highs, highs)
-    hl, lh, ll = products(highs, lows), products(lows, highs), products(lows, lows)
+    hh, hl = products(highs, highs), products(highs, lows)
+    lh, ll = products(lows, highs), products(lows, lows)
     if size <= TABLE_LIMIT:
         add = _product_rows(hi_sum, lo_sum)
         padded = [row.ljust(256, b"\0") for row in add]

@@ -296,7 +296,7 @@ class SkewSeries:
 
 
 def _check_coefficient(ring: FiniteRing, s, r) -> None:
-    if not isinstance(r, int) or not 0 <= r < ring.size:
+    if type(r) is not int or not 0 <= r < ring.size:  # a bool is an int too
         raise ValueError(f"coefficient {r!r} at exponent {s!r} is not an "
                          f"element of {ring.name} (0..{ring.size - 1})")
 

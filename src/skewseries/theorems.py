@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 
 from .ideals import (
     FR,
@@ -42,9 +44,10 @@ from .ideals import (
     _lowest_common,
     _members,
     _orbit_annihilator,
+    _right_annihilator_bits,
     _s_unital,
+    _scan,
     _set_orbit_annihilator,
-    right_annihilator,
     tominaga_common_witness,
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
@@ -213,18 +216,10 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    obstructions = []
-    blocked: dict[int, int | None] = {}
-    for a in ring.elements():
-        ann = _orbit_annihilator(action, a)
-        if ann not in blocked:
-            blocked[ann] = _s_unital(ring, ann).failing
-        if blocked[ann] is not None:
-            obstructions.append({
-                "element": a,
-                "blocked": blocked[ann],
-                "annihilator": _members(ann),
-            })
+    obstructions = [{"element": a, "blocked": b, "annihilator": _members(ann)}
+                    for a, ann, b in _scan(ring, partial(_orbit_annihilator, action),
+                                           lambda ann: _s_unital(ring, ann).failing)
+                    if b is not None]
     return PropertyReport(ring.name, "annihilator_obstructions", not obstructions,
                           {"obstructions": obstructions})
 
@@ -320,15 +315,11 @@ def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[in
     the same right annihilator, mirroring a minimal-element selection under
     the descending chain condition.
     """
-    from itertools import combinations
-
     distinct = sorted(set(targets))
-    bottom = right_annihilator(distinct, ring).members
-    for size in range(0, len(distinct) + 1):
-        for combo in combinations(distinct, size):
-            if right_annihilator(combo, ring).members == bottom:
-                return list(combo)
-    return distinct
+    bottom = _right_annihilator_bits(ring, distinct)
+    return next(list(combo) for size in range(len(distinct) + 1)
+                for combo in combinations(distinct, size)
+                if _right_annihilator_bits(ring, combo) == bottom)
 
 
 # ---------------------------------------------------------------------------

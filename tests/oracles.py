@@ -697,6 +697,19 @@ def orbit_condition_by_scan(ring, action) -> tuple:
     return True, {"subsets_scanned": ring.size, "distinct_orbit_ideals": evidence}
 
 
+def annihilator_obstructions_by_scan(ring, action) -> tuple:
+    """(verdict, witnesses) in the report shape of
+    ``annihilator_obstructions``: each element whose orbit annihilator is not
+    right s-unital, with the first member that has no witness."""
+    obstructions = []
+    for a in range(ring.size):
+        ann = left_annihilator_by_scan(ring, orbit_ideal_by_products(action, {a}))
+        holds, _, failing = s_unital_by_scan(ring, ann)
+        if not holds:
+            obstructions.append({"element": a, "blocked": failing, "annihilator": ann})
+    return not obstructions, {"obstructions": obstructions}
+
+
 def additive_generators_by_span(ring) -> tuple:
     """1, then each element, in index order, outside the additive span of
     the generators so far (``rings.additive_closure``), recomputed after

@@ -500,6 +500,27 @@ def test_main_entrypoint_subcommands(tmp_path, capsys):
     assert main(["run"]) == 3  # neither spec nor --replay
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "job.txt", "--bogus"], "skewseries: error: unrecognized arguments: --bogus"),
+    (["run", "--trials", "abc", "job.txt"],
+     "skewseries run: error: argument --trials: invalid int value: 'abc'"),
+    (["frobnicate"], "skewseries: error: argument command: invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_exit_three_not_the_alarm_code(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: skewseries") and message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: skewseries")
+
+
 def test_action_by_explicit_image_list(tmp_path):
     # the swap automorphism of F2xF2 written out as an image array
     text = """

@@ -612,7 +612,7 @@ LARGE_FACTORY_CASES = [
       for a, b in ((16, 32), (2, 300), (64, 64))],
     ("M2(Z8)", lambda: matrix_ring(cyclic_ring(8), 2),
      lambda xs: cell_ring_tables_by_digits(cyclic_ring(8), 2, rows=xs)),
-    # one cell over a closure-backed base, whose products are the base's own
+    # one cell over a closure-backed base: the base itself
     ("M1(Z300)", lambda: matrix_ring(cyclic_ring(300), 1),
      lambda xs: cell_ring_tables_by_digits(cyclic_ring(300), 1, rows=xs)),
 ]
@@ -626,6 +626,33 @@ def test_closure_factory_rings_match_reference_rows(build, reference):
     assert n > TABLE_LIMIT and ring._parts is not None
     xs = [ring.zero, ring.one, *random.Random(n).sample(range(n), 6)]
     assert closure_tables(n, ring.add, ring.mul, rows=xs) == reference(xs)
+
+
+def _assert_is_its_base(ring, base, name):
+    """A one-cell ring has the base's size, zero, one, sums, products and
+    negatives, on the base's indices, and prints x as [[x]]."""
+    n = base.size
+    assert (ring.name, ring.size, ring.zero, ring.one) == (name, n, base.zero, base.one)
+    assert ring.tables == base.tables
+    xs = [base.zero, base.one, *random.Random(n).sample(range(n), min(n, 6))]
+    assert closure_tables(n, ring.add, ring.mul, rows=xs) == \
+        closure_tables(n, base.add, base.mul, rows=xs)
+    assert [ring.neg(a) for a in range(n)] == [base.neg(a) for a in range(n)]
+    assert [ring.element_repr(a) for a in range(n)] == \
+        [f"[[{base.element_repr(a)}]]" for a in range(n)]
+
+
+@pytest.mark.parametrize("base", [cyclic_ring(5), cyclic_ring(1024)], ids=["Z5", "Z1024"])
+def test_a_one_cell_ring_is_its_base(base):
+    _assert_is_its_base(matrix_ring(base, 1), base, f"M1({base.name})")
+    _assert_is_its_base(upper_triangular_ring(base, 1), base, f"T1({base.name})")
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(matrix_subrings())
+def test_a_one_cell_ring_over_a_relabelled_base_is_its_base(base):
+    _assert_is_its_base(matrix_ring(base, 1), base, f"M1({base.name})")
+    _assert_is_its_base(upper_triangular_ring(base, 1), base, f"T1({base.name})")
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -668,15 +695,9 @@ CELL_TABLE_MUTATIONS = [
     # still additive in each argument, but not associative
     ("T3(Z3)", "hh", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
      "multiplication not associative at (3,27,81)"),
-    # one cell: L == 1, so the rows of hh are added in hi_sum
-    ("M1(Z300)", "hh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
-     "cell table hh not additive in its left argument at (1,1,3)"),
-    ("M1(Z300)", "hh", lambda T: T.__setitem__(7, list(T[8])),
-     "multiplicative identity fails at 7"),
 ]
 CELL_BUILDS = {"M2(Z5)": lambda: matrix_ring(cyclic_ring(5), 2),
-               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3),
-               "M1(Z300)": lambda: matrix_ring(cyclic_ring(300), 1)}
+               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3)}
 CELL_TABLE_NAMES = ("hi_sum", "lo_sum", "hh", "hl", "lh", "ll")
 
 
@@ -690,7 +711,7 @@ def test_cell_table_mutations_are_rejected(label, table, mutate, message):
 
 
 # Halves of equal size (M2(Z5), T3(Z3)) and of unequal size (T2(Z7), with
-# 49 high and 7 low values), and L == 1 (M1(Z300)), whose low half is trivial.
+# 49 high and 7 low values).
 ADDITIVITY_RINGS = {label: build() for label, build in
                     [*CELL_BUILDS.items(),
                      ("T2(Z7)", lambda: upper_triangular_ring(cyclic_ring(7), 2))]}

@@ -120,6 +120,17 @@ def test_public_constructor_rejects_exponents_outside_the_monoid():
         SkewSeries(act, {-1: 1})
 
 
+# a bool is an int, but neither an exponent nor an element index
+@pytest.mark.parametrize("kind, terms", [("NatAdd", {True: 1}), ("NatAdd", {1: True}),
+                                         ("NatPairLex", {(True, 0): 1})])
+def test_public_constructors_reject_bool_exponents_and_coefficients(kind, terms):
+    act = trivial_action(make_monoid(kind), cyclic_ring(4))
+    with pytest.raises(ValueError, match="not an element of"):
+        SkewSeries(act, terms)
+    with pytest.raises(ValueError, match="not an element of"):
+        from_terms(act, list(terms.items()))
+
+
 def test_noncommuting_pair_rejected():
     from skewseries.rings import inner_automorphism, matrix_ring, units
     M = matrix_ring(cyclic_ring(2), 2)
