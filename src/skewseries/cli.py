@@ -56,6 +56,7 @@ from .series import OmegaAction, SkewSeries, annihilates_via_all_middles, from_t
 from .theorems import (
     CoherenceAlarm,
     PRESETS,
+    _is_blocked,
     annihilator_obstructions,
     app_equivalence_check,
     check_coefficientwise_annihilation,
@@ -182,9 +183,12 @@ def validate(job: JobSpec) -> list[str]:
         raw = job.get(key)
         if raw is not None:
             try:
-                int(raw)
+                value = int(raw)
             except ValueError:
                 diags.append(f"{key}: expected an integer, got {raw!r}")
+                continue
+            if key == "trials" and value < 0:
+                diags.append(f"trials: expected at least 0, got {value}")
     return diags
 
 
@@ -352,6 +356,9 @@ def run_job(job: JobSpec, out_path: str | None = None,
         return 3
 
     trials = trials_override if trials_override is not None else job.get_int("trials", 1000)
+    if trials < 0:  # the job's own trials were validated above
+        print(f"spec error: trials: expected at least 0, got {trials}", file=stream)
+        return 3
     seed = seed_override if seed_override is not None else job.get_int("seed", 0)
     out_path = out_path or job.get("out", "report.json")
 
@@ -505,7 +512,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 return False
             b = obs["blocked"]
             ring.check_element(b)
-            if any(ring.mul(b, x) == b for x in ann.members):
+            if not _is_blocked(ring, b, ann.members):
                 return False
         return bool(pairs)
     if check == "pair_annihilation":

@@ -16,8 +16,9 @@ zero sets, with y - 1 = y + (-1):
     Fl = T(y -> Zr[y - 1])     since y*x == x exactly when (y - 1)*x == 0;
     Fr = T(y -> Zl[y - 1])     since x*y == x exactly when x*(y - 1) == 0.
 
-Three exact facts reduce the definitions to ANDs of these, with G an
-additive generating set of R (``rings._additive_generators``):
+Three exact facts reduce the definitions to ANDs of these, each one
+``_meet``, with G an additive generating set of R
+(``rings._additive_generators``):
 
 (a) R*a is the additive span of {g*a : g in G}, since r = sum of multiples
     of the g and r*a is additive in r.  So l(R*a) is the AND over g of
@@ -191,22 +192,23 @@ def _ideal(ring: FiniteRing, mask: int) -> IdealSet:
     return IdealSet(ring, frozenset(_members(mask)))
 
 
+def _meet(masks: list[int], xs, mask: int) -> int:
+    """mask & (AND over x in xs of masks[x]), stopping at zero."""
+    for x in xs:
+        if not mask:
+            break
+        mask &= masks[x]
+    return mask
+
+
 def _left_annihilator_bits(ring: FiniteRing, xs) -> int:
     """l(xs): the AND of Zl[x] over xs, the whole ring when xs is empty."""
-    zl = _bits(ring, ZL)
-    mask = (1 << ring.size) - 1
-    for x in xs:
-        mask &= zl[x]
-    return mask
+    return _meet(_bits(ring, ZL), xs, (1 << ring.size) - 1)
 
 
 def _right_annihilator_bits(ring: FiniteRing, xs) -> int:
     """r(xs): the AND of Zr[x] over xs, the whole ring when xs is empty."""
-    zr = _bits(ring, ZR)
-    mask = (1 << ring.size) - 1
-    for x in xs:
-        mask &= zr[x]
-    return mask
+    return _meet(_bits(ring, ZR), xs, (1 << ring.size) - 1)
 
 
 def _principal_annihilator(ring: FiniteRing, a: int) -> int:
@@ -228,13 +230,8 @@ def _s_unital(ring: FiniteRing, mask: int) -> SUnitalResult:
 
 def _lowest_common(ring: FiniteRing, mask: int, xs, kind: str) -> int | None:
     """The lowest bit of mask & (AND over x in xs of kind[x]), or None."""
-    fixers = _bits(ring, kind)
-    common = mask
-    for x in xs:
-        common &= fixers[x]
-        if not common:
-            return None
-    return _lowest(common)
+    common = _meet(_bits(ring, kind), xs, mask)
+    return _lowest(common) if common else None
 
 
 def _generator(ring: FiniteRing, mask: int, kind: str) -> int | None:

@@ -567,6 +567,8 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     one, and prints an element x as [[x]].  With two or more cells the ring
     has at most 4096 elements, so the base has at most 64 and is tabled.
     """
+    if k < 1:
+        raise RingAxiomError(f"a matrix ring needs k >= 1, got {k}")
     bs, ncells = base.size, len(cells)
     size = bs ** ncells
     if size > DEFAULT_SIZE_CAP:
@@ -771,6 +773,9 @@ def units(ring: FiniteRing) -> list[int]:
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
+    """The inverse of the unit u; ValueError when u is not an element or
+    not a unit."""
+    ring.check_element(u)
     v = _inverse(ring, u)
     if v is None:
         raise ValueError(f"element {u} is not a unit of {ring.name}")

@@ -23,11 +23,10 @@ which skips those checks and stores its dict as given: ``convolve``'s output
 first), the one-term middles below, and series sampled from ``sample_pool``
 with nonzero coefficients.
 
-The middle quantifier of ``annihilates_via_all_middles`` runs over an
-additive basis.  h -> g*h*f is additive, so g*(sum r_i x^s)*f equals
-sum g*(r_i x^s)*f, and g*(r x^s)*f vanishes for every r in R exactly when it
-vanishes for every r in an additive generating set G of R (one element for
-Z_n, two for F2xF2, four for M2(F2)).
+Every quantifier over middles r x^s, here and in ``theorems``, is the one
+scan ``_first_failure``: s over the attained automorphisms, r decided on an
+additive generating set G of R (one element for Z_n, two for F2xF2, four
+for M2(F2)), and all of R scanned only to name a failure.
 
 ``convolve`` takes one of four paths, all exact and giving the same map.
 Over an untabled ring (above 256 elements), or when the right factor g has
@@ -612,32 +611,40 @@ def from_terms(action: OmegaAction, terms) -> SkewSeries:
 def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries) -> bool:
     """Whether g * h * f == 0 for every series h over the same context.
 
-    By distributivity it is enough to test single-term middles h = r x^s.
-    The product depends on s only through the automorphism w_s, so exponent
-    representatives covering every attainable automorphism value make the
-    quantifier over the monoid finite.  And h -> g*h*f is additive:
-    g*(sum r_i x^s)*f == sum g*(r_i x^s)*f, so r need only run over an
-    additive generating set of R, not over every element.  The middles are
-    built unchecked.
+    By distributivity it is enough to test single-term middles h = r x^s,
+    and ``_first_failure`` decides those on exponent representatives and
+    the additive generators of R.
     """
     g._require_same_context(f)
-    if g.is_zero() or f.is_zero():
-        return True
+    return g.is_zero() or f.is_zero() or _first_failure(g.action, _middle_test(g, f)) is None
+
+
+def _middle_test(g: SkewSeries, f: SkewSeries):
+    """The test (s, r) -> g * (r x^s) * f != 0 for ``_first_failure``; the
+    middle is built unchecked."""
     action = g.action
-    return _first_failing_middle(g, f, action.representatives(),
-                                 _additive_generators(action.ring)) is None
+    return lambda s, r: bool(convolve(convolve(g, SkewSeries._trusted(action, {s: r})),
+                                      f).coeffs)
 
 
-def _first_failing_middle(g: SkewSeries, f: SkewSeries, exponents, coefficients):
-    """The first (s, r), exponents outer, with g * (r x^s) * f != 0, or None.
+def _first_failure(action: OmegaAction, test):
+    """The first (s, r) with test(s, r) true, s over
+    ``action.representatives()`` and r != 0 over R in index order; None
+    when there is none.
 
-    Exponents must lie in the monoid and coefficients be ring elements.
+    For each s, test(s, r) must say whether some additive map of r is
+    nonzero at r, as r -> g*(r x^s)*f and r -> g(u)*w_u(r*w_s(f(v))) are
+    (w_u and both multiplications are additive).  The r where such a map
+    vanishes form an additive subgroup, so it vanishes on R exactly when it
+    vanishes on an additive generating set G.  Each s is therefore decided
+    on G, in |reps| * |G| tests when none fails, and R is scanned only at
+    the first s that fails on G, which is the s of the first failure of the
+    full scan.
     """
-    action = g.action
     zero = action.ring.zero
-    for s in exponents:
-        for r in coefficients:
-            if r != zero and convolve(convolve(g, SkewSeries._trusted(action, {s: r})),
-                                      f).coeffs:
-                return s, r
+    gens = _additive_generators(action.ring)
+    for s, _ in action.closure():  # s over action.representatives()
+        for r in gens:
+            if r != zero and test(s, r):
+                return s, next(r for r in action.ring.elements() if r != zero and test(s, r))
     return None

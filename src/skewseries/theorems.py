@@ -18,6 +18,12 @@ The central facts being checked, stated operationally:
   c_e * h * f == 0 for every middle h; building and verifying that e is the
   constructive content of the equivalence.
 
+Every quantifier over middles r x^s and over the r of the coefficientwise
+conclusion is ``series._first_failure``: decided on the additive generators
+of R, with all of R scanned only to name the first failure.  An
+obstruction's claim, b in I and no x in I with b*x == b, is ``_is_blocked``,
+which ``cli`` replays too.
+
 Functions here raise CoherenceAlarm when a fact that must hold under verified
 hypotheses fails to verify; that is an alarm condition, distinct from an
 honest ``verdict=False`` about a ring that simply lacks a property.
@@ -52,11 +58,12 @@ from .ideals import (
 )
 from .monoids import OrderedMonoid, make_monoid, sample_pool
 from .properties import PropertyReport, orbit_annihilators_s_unital
-from .rings import FiniteRing, RingAut, _additive_generators
+from .rings import FiniteRing, RingAut
 from .series import (
     OmegaAction,
     SkewSeries,
-    _first_failing_middle,
+    _first_failure,
+    _middle_test,
     annihilates_via_all_middles,
     constant,
     convolve,
@@ -114,7 +121,8 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     (``"conclusion"``), since only the latter contradicts the statement.
     ``products_checked`` counts the products the conclusion covers,
     |supp g| * |supp f| * |exponent representatives| * |R|, although each
-    distinct (g(u), w_u, f(v)) is tested only once.
+    distinct (g(u), w_u, f(v)) is tested only once, on the additive
+    generators of R (``series._first_failure``).
     """
     g._require_same_context(f)
     ring = g.action.ring
@@ -137,24 +145,14 @@ def _coefficientwise_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
     ring = action.ring
     # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
     # (g(u), w_u) and the value f(v): decide each (class, value) once.
-    reps = action.representatives()
-    mul, zero = ring.mul, ring.zero
-
-    def first_violation(gu, twist_u, fv):
-        for s in reps:
-            fv_s = action.apply(s, fv)
-            for r in ring.elements():
-                if mul(gu, twist_u[mul(r, fv_s)]) != zero:
-                    return s, r
-        return None
-
+    mul, zero, apply = ring.mul, ring.zero, action.apply
     twists = {u: action.automorphism(u).perm for u in g.coeffs}
-    classes = {(gu, twists[u]) for u, gu in g.coeffs.items()}
     values = set(f.coeffs.values())
     violations = {}
-    for gu, twist_u in classes:
+    for gu, twist_u in {(gu, twists[u]) for u, gu in g.coeffs.items()}:
         for fv in values:
-            hit = first_violation(gu, twist_u, fv)
+            hit = _first_failure(
+                action, lambda s, r: mul(gu, twist_u[mul(r, apply(s, fv))]) != zero)
             if hit is not None:
                 violations[gu, twist_u, fv] = hit
     if violations:
@@ -167,7 +165,7 @@ def _coefficientwise_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
             ring.name, "coefficientwise_annihilation", False,
             {"failure": "conclusion",
              "violation": {"u": repr(u), "v": repr(v), "s": repr(s), "r": r}})
-    checked = len(g.coeffs) * len(f.coeffs) * len(reps) * ring.size
+    checked = len(g.coeffs) * len(f.coeffs) * len(action.representatives()) * ring.size
     return PropertyReport(ring.name, "coefficientwise_annihilation", True,
                           {"products_checked": checked})
 
@@ -224,6 +222,12 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
                           {"obstructions": obstructions})
 
 
+def _is_blocked(ring: FiniteRing, b: int, ideal) -> bool:
+    """Whether b lies in ``ideal`` (a collection of elements) and no x in it
+    has b*x == b, decided with ``ring.mul``: the claim of an obstruction."""
+    return b in ideal and not any(ring.mul(b, x) == b for x in ideal)
+
+
 @dataclass
 class WitnessOutcome:
     """Result of the annihilator-witness construction for one pair."""
@@ -254,13 +258,9 @@ def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
     if not elementwise_condition_holds(action.ring, action):
         raise PreconditionError(
             "orbit annihilator condition fails; witness construction not licensed")
-    _require_middles(g, f)
-    return _build_witness(g, f, chain_search)
-
-
-def _require_middles(g: SkewSeries, f: SkewSeries) -> None:
     if not annihilates_via_all_middles(g, f):
         raise PreconditionError("pair does not annihilate through all middles")
+    return _build_witness(g, f, chain_search)
 
 
 def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessOutcome:
@@ -290,10 +290,9 @@ def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessO
                 f"witness {witness} fails to reproduce twisted coefficient {y}")
 
     c_e = constant(action, witness)
-    reps = action.representatives()
-    if _first_failing_middle(c_e, f, reps, _additive_generators(ring)) is not None:
-        # name the first failing middle over all of R, in (s, r) order
-        s, r = _first_failing_middle(c_e, f, reps, ring.elements())
+    failure = _first_failure(action, _middle_test(c_e, f))
+    if failure is not None:
+        s, r = failure
         raise CoherenceAlarm(
             f"witness constant fails to annihilate f through middle "
             f"(r={r}, s={s!r})")
@@ -439,11 +438,10 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
             f"{ring.name}: the orbit annihilator condition fails but no "
             f"obstruction is reported")
     for obs in obstructions.witnesses["obstructions"]:
-        b, ann = obs["blocked"], obs["annihilator"]
-        if b not in ann or any(ring.mul(b, x) == b for x in ann):
+        if not _is_blocked(ring, obs["blocked"], obs["annihilator"]):
             raise CoherenceAlarm(
                 f"{ring.name}: obstruction at element {obs['element']} names "
-                f"{b}, which is not blocked in its orbit annihilator")
+                f"{obs['blocked']}, which is not blocked in its orbit annihilator")
     return PropertyReport(
         ring.name, "app_equivalence", False,
         {"condition": False,

@@ -663,3 +663,52 @@ def test_a_single_generator_preset_in_a_pair_action_job_exits_three(tmp_path):
     assert log.startswith("pass two_variable_lex on Z2xZ2")
     assert log.endswith("spec error: preset skew_power_series: NatAdd takes one "
                         "generator image; beta must be the identity\n")
+
+
+@pytest.mark.parametrize("check", ["obstructions", "app_equivalence"])
+def test_replay_refuses_an_obstruction_outside_its_annihilator(tmp_path, check):
+    text = f"ring.kind = cyclic\nring.n = 4\nmonoid.kind = NatAdd\nchecks = {check}\n"
+    code, out, _ = run_to_file(text, tmp_path)
+    assert code == 1
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+    assert buf.getvalue() == f"replay {check}: counterexample confirmed\n"
+    tree = json.loads(out.read_text())
+    obstruction = tree["witnesses"][0]["obstructions"][0]
+    assert (obstruction["annihilator"], obstruction["blocked"]) == ([0, 2], 2)
+    # no x in {0, 2} has 1*x == 1, but 1 is not in {0, 2} either
+    obstruction["blocked"] = 1
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 2
+    assert buf.getvalue() == f"replay {check}: counterexample NOT REPRODUCED\n"
+
+
+@pytest.mark.parametrize("ring_lines, message", [
+    ("ring.kind = gallery\nring.name = M2F2\naction.alpha = inner:16",
+     "action: 16 is not an element of M2(Z2) (0..15)"),
+    ("ring.kind = cyclic\nring.n = 4\ntrials = -1", "trials: expected at least 0, got -1"),
+    ("ring.kind = matrix\nring.base = 2\nring.k = 0", "ring: a matrix ring needs k >= 1, got 0"),
+    ("ring.kind = triangular\nring.base = 5\nring.k = -1",
+     "ring: a matrix ring needs k >= 1, got -1"),
+], ids=["inner_16", "trials", "matrix_k", "triangular_k"])
+def test_out_of_range_sizes_and_units_are_spec_errors(tmp_path, ring_lines, message):
+    text = f"{ring_lines}\nmonoid.kind = NatAdd\nchecks = left_app, coefficientwise\n"
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log == f"spec error: {message}\n"
+
+
+def test_negative_trials_are_refused_by_validate_and_by_the_override(tmp_path, capsys):
+    assert validate(JobSpec.from_text(FIELD_JOB + "trials = -5\n")) == [
+        "trials: expected at least 0, got -5"]
+    code, out, log = run_to_file(FIELD_JOB, tmp_path, trials_override=-5)
+    assert code == 3 and not out.exists()
+    assert log == "spec error: trials: expected at least 0, got -5\n"
+    spec = tmp_path / "job.txt"
+    spec.write_text(FIELD_JOB)
+    assert main(["run", str(spec), "--trials", "-5", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "spec error: trials: expected at least 0, got -5\n"
+    assert not out.exists()
+    # zero trials still run
+    assert run_to_file(FIELD_JOB, tmp_path, trials_override=0)[0] == 0

@@ -239,6 +239,12 @@ def test_idempotent_generator_names_its_side():
         idempotent_generator(ideal, "two-sided")
 
 
+def test_the_empty_set_has_no_idempotent_generator():
+    # the lowest bit of an empty mask used to come back as -1
+    empty = IdealSet(Z[4], frozenset())
+    assert idempotent_generator(empty, "left") is idempotent_generator(empty, "right") is None
+
+
 def test_non_ideal_subsets_can_lack_a_common_witness():
     # in Z2xZ2 the set {(1,0), (0,1)} is right s-unital elementwise, but no
     # element of it fixes both

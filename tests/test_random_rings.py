@@ -1,15 +1,17 @@
 """Randomly drawn rings (``strategies``) against the brute-force oracles:
 the cell-ring factories, the bitset kernel and its verdicts, the orbit
-condition and its obstructions under the identity and an inner action, and
-exact ring validation."""
+condition and its obstructions under the identity and an inner action, the
+middles and coefficientwise quantifiers, convolution on each of its paths,
+the automorphism search, and exact ring validation."""
 
+import random
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewseries.gallery import gallery_ring
+from skewseries.gallery import gallery_ring, named_automorphism
 from skewseries.ideals import FL, FR, ZL, ZR, _bits, _principal_annihilator, _scan
 from skewseries.monoids import make_monoid
 from skewseries.properties import (
@@ -21,18 +23,39 @@ from skewseries.properties import (
 )
 from skewseries.rings import (
     RingAxiomError,
+    _additive_generators,
+    automorphisms,
     cyclic_ring,
     inner_automorphism,
     table_ring,
     units,
     validate_ring,
 )
-from skewseries.series import OmegaAction
-from skewseries.theorems import annihilator_obstructions
+from skewseries.series import (
+    OmegaAction,
+    SkewSeries,
+    _dirichlet,
+    _first_failure,
+    _kronecker,
+    _middle_test,
+    annihilates_via_all_middles,
+    constant,
+    convolve,
+)
+from skewseries.theorems import (
+    _coefficientwise_conclusion,
+    annihilator_obstructions,
+    random_annihilating_pair,
+)
 
 from oracles import (
+    annihilates_via_all_middles_by_scan,
     annihilator_obstructions_by_scan,
+    automorphism_perms_by_additive_extension,
     cell_ring_tables_by_digits,
+    coefficientwise_by_scan,
+    convolve_by_terms,
+    first_failing_middle_by_scan,
     left_app_by_scan,
     left_pq_baer_by_scan,
     orbit_condition_by_scan,
@@ -124,3 +147,86 @@ def test_validation_rejects_single_entry_mutations(ring, data):
                                     label="value")
     with pytest.raises(RingAxiomError):
         table_ring(*tables, zero=ring.zero, one=ring.one)
+
+
+def _drawn_series(data, action, exponents, coefficients, label):
+    """A series with a coefficient drawn from ``coefficients`` at each of
+    ``exponents``."""
+    values = data.draw(st.lists(st.sampled_from(coefficients), min_size=len(exponents),
+                                max_size=len(exponents)), label=label)
+    return SkewSeries(action, dict(zip(exponents, values)))
+
+
+@settings(RANDOM, max_examples=20)
+@given(rings(max_size=16), st.data())
+def test_middles_and_the_coefficientwise_conclusion_match_the_scans(ring, data):
+    if ring.size == 1:  # no nonzero coefficient to draw
+        return
+    u = data.draw(st.sampled_from(units(ring)), label="unit")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="pair seed"))
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    nat = make_monoid("NatAdd")
+    for alpha in (None, inner_automorphism(ring, u)):
+        action = OmegaAction(nat, ring, alpha)
+        pairs = [random_annihilating_pair(action, rng) for _ in range(2)]
+        # pairs that need not annihilate, and one that never does
+        pairs += [tuple(_drawn_series(data, action, sorted(rng.sample(range(4), 2)),
+                                      nonzero, label) for label in ("g", "f")),
+                  (constant(action, ring.one), constant(action, ring.one))]
+        for g, f in pairs:
+            assert annihilates_via_all_middles(g, f) == annihilates_via_all_middles_by_scan(g, f)
+            assert _first_failure(action, _middle_test(g, f)) == \
+                first_failing_middle_by_scan(g, f)
+            report = _coefficientwise_conclusion(g, f)
+            assert report.witnesses == coefficientwise_by_scan(g, f)
+            assert report.verdict == ("products_checked" in report.witnesses)
+
+
+@pytest.mark.parametrize("ring_name, aut_name",
+                         [("Z12", "identity"), ("F2xF2", "swap"), ("M2F2", "inner:6")])
+def test_first_failure_tests_each_generator_once_per_representative(ring_name, aut_name):
+    ring = gallery_ring(ring_name)
+    action = OmegaAction(make_monoid("NatAdd"), ring, named_automorphism(ring, aut_name))
+    tested = []
+    assert _first_failure(action, lambda s, r: bool(tested.append((s, r)))) is None
+    assert tested == [(s, r) for s in action.representatives()
+                      for r in _additive_generators(ring)]
+    # fewer than the scan over every nonzero element
+    assert len(tested) < len(action.representatives()) * (ring.size - 1)
+
+
+@settings(RANDOM, max_examples=25)
+@given(rings(max_size=32))
+def test_automorphisms_match_the_additive_extension_search(ring):
+    assert [aut.perm for aut in automorphisms(ring)] == \
+        automorphism_perms_by_additive_extension(ring)
+
+
+@settings(RANDOM, max_examples=20)
+@given(rings(max_size=16), st.data())
+def test_convolve_matches_the_term_loop_on_every_path(ring, data):
+    n = ring.size
+    if n == 1:
+        return
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    u = data.draw(st.sampled_from(units(ring)), label="unit")
+    nat = OmegaAction(make_monoid("NatAdd"), ring, inner_automorphism(ring, u))
+    dirichlet = OmegaAction(make_monoid("NatMulDirichlet"), ring)
+
+    def draw(action, exponents, label):
+        return _drawn_series(data, action, exponents, nonzero, label)
+
+    f_nat, f_mul = draw(nat, [0, 2, 3], "f"), draw(dirichlet, [1, 2, 3], "f")
+    # g with at least a term per element: the Kronecker kernel, the
+    # Dirichlet kernel on a dense window long enough to pay and the grouped
+    # loop on a sparse one; with fewer terms, the term loop
+    cases = [(f_nat, draw(nat, range(n), "dense g"), "kernel"),
+             (f_mul, draw(dirichlet, range(1, 129), "dense g"), "kernel"),
+             (f_mul, draw(dirichlet, range(1000, 1000 * (n + 1), 1000), "sparse g"), "grouped"),
+             (f_nat, draw(nat, range(n - 1), "short g"), "terms"),
+             (f_mul, draw(dirichlet, range(1, n), "short g"), "terms")]
+    for f, g, path in cases:
+        if path != "terms":
+            kernel = _dirichlet if f.monoid._mul else _kronecker
+            assert (kernel(f, g) is None) == (path == "grouped")
+        assert convolve(f, g) == convolve_by_terms(f, g)

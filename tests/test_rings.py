@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import factorial
 
@@ -107,6 +108,14 @@ def test_size_cap_enforced():
         matrix_ring(cyclic_ring(3), 3)
 
 
+@pytest.mark.parametrize("factory", [matrix_ring, upper_triangular_ring])
+@pytest.mark.parametrize("k", [0, -1])
+def test_cell_ring_factories_refuse_k_below_one(factory, k):
+    # k = -1 used to build a one-element ring named M-1(Z5)
+    with pytest.raises(RingAxiomError, match=rf"^a matrix ring needs k >= 1, got {k}$"):
+        factory(cyclic_ring(5), k)
+
+
 def test_cyclic_ring_size_cap():
     # refused before any table or closure is built, like the other factories
     with pytest.raises(RingAxiomError, match=r"^size cap exceeded: 8192 > 4096$"):
@@ -212,6 +221,19 @@ def test_inner_automorphism_requires_unit():
     with pytest.raises(ValueError, match="unit"):
         inner_automorphism(Z4, 2)
     assert inner_automorphism(Z4, 3).is_identity()  # Z4 is commutative
+
+
+@pytest.mark.parametrize("ring", [matrix_ring(cyclic_ring(2), 2), cyclic_ring(300)],
+                         ids=["M2(Z2)", "Z300"])
+@pytest.mark.parametrize("u", [-1, "size", True])
+def test_unit_inverse_and_inner_automorphism_refuse_a_non_element(ring, u):
+    # -1 used to read the last row of a tabled ring, and size to raise
+    # IndexError there; a closure-backed ring multiplied the non-element
+    u = ring.size if u == "size" else u
+    message = rf"^{u!r} is not an element of {re.escape(ring.name)} \(0\.\.{ring.size - 1}\)$"
+    for call in (unit_inverse, inner_automorphism):
+        with pytest.raises(ValueError, match=message):
+            call(ring, u)
 
 
 def gf4():
