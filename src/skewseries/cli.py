@@ -73,6 +73,13 @@ class JobSpecError(ValueError):
     """The job spec failed to parse or validate."""
 
 
+# The keys of the README's key reference; ``monoid.window`` is known so that
+# ``validate`` can say why it is refused.
+_JOB_KEYS = frozenset((
+    "ring.kind", "ring.n", "ring.base", "ring.k", "ring.a", "ring.b", "ring.name",
+    "ring.add_table", "ring.mul_table", "monoid.kind", "monoid.order", "monoid.window",
+    "action.alpha", "action.beta", "series.g", "series.f", "checks", "mode", "trials",
+    "seed", "out"))
 RING_ONLY_CHECKS = ("left_app", "pq_baer", "quasi_baer", "right_pp", "reduced")
 CONTEXT_CHECKS = ("orbit_condition", "obstructions", "coefficientwise",
                   "app_equivalence", "witness_paths", "pair_annihilation")
@@ -133,8 +140,9 @@ class JobSpec:
 # validation
 
 def validate(job: JobSpec) -> list[str]:
-    """Per-field diagnostics; an empty list means the spec is runnable."""
-    diags: list[str] = []
+    """Per-field diagnostics, without building anything; an empty list means
+    the spec is complete (``_checked`` then builds it)."""
+    diags = [f"{key}: unknown key" for key in job.pairs if key not in _JOB_KEYS]
     ring_kind = job.get("ring.kind")
     if ring_kind is None:
         diags.append("ring.kind required")
@@ -252,12 +260,35 @@ def _images(job: JobSpec, ring: FiniteRing) -> tuple[RingAut, RingAut]:
                  for key in ("action.alpha", "action.beta"))
 
 
-def build_action(job: JobSpec, monoid: OrderedMonoid, ring: FiniteRing) -> OmegaAction:
+def _build(job: JobSpec) -> tuple:
+    """(ring, images, action, series): what a job's checks read.  images are
+    ``action.alpha`` and ``action.beta`` resolved in the ring, and series
+    maps each of ``series.g`` and ``series.f`` the job sets to its literal
+    parsed over the action.  JobSpecError names the first part that fails."""
+    ring = build_ring(job)
+    monoid = build_monoid(job)
     images = _images(job, ring)
     try:
-        return OmegaAction(monoid, ring, *images)
+        action = OmegaAction(monoid, ring, *images)
     except ValueError as exc:
         raise JobSpecError(f"action: {exc}")
+    series = {key: parse_series(job.get(key), action)
+              for key in ("series.g", "series.f") if job.get(key) is not None}
+    return ring, images, action, series
+
+
+def _checked(job: JobSpec) -> tuple:
+    """(built, diagnostics): the job built by ``_build`` and [], or None and
+    the spec errors that refuse it.  The ``validate`` command and
+    ``run_job`` both check and build through here, so they refuse a job
+    with the same lines."""
+    diags = validate(job)
+    if diags:
+        return None, diags
+    try:
+        return _build(job), []
+    except JobSpecError as exc:
+        return None, [str(exc)]
 
 
 def parse_series(raw: str, action: OmegaAction) -> SkewSeries:
@@ -296,8 +327,8 @@ def parse_series(raw: str, action: OmegaAction) -> SkewSeries:
 # ---------------------------------------------------------------------------
 # check execution
 
-def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
-               job: JobSpec, trials: int, seed: int) -> PropertyReport:
+def _run_check(check: str, built: tuple, trials: int, seed: int) -> PropertyReport:
+    ring, images, action, series = built
     if check == "left_app":
         return is_left_app(ring)
     if check == "pq_baer":
@@ -319,8 +350,7 @@ def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
     if check == "witness_paths":
         return witness_paths_agree(ring, action, instances=trials, seed=seed)
     if check == "pair_annihilation":
-        g = parse_series(job.get("series.g"), action)
-        f = parse_series(job.get("series.f"), action)
+        g, f = series["series.g"], series["series.f"]
         if not annihilates_via_all_middles(g, f):
             return PropertyReport(
                 ring.name, "pair_annihilation", False,
@@ -331,7 +361,6 @@ def _run_check(check: str, ring: FiniteRing, action: OmegaAction,
                             **report.witnesses}
         return report
     if check in PRESET_CHECKS:
-        images = _images(job, ring)
         try:
             return run_preset(preset_by_name(check), ring, *images)
         except ValueError as exc:
@@ -349,7 +378,7 @@ def run_job(job: JobSpec, out_path: str | None = None,
             record_timings: bool = False, stream=None) -> int:
     """Execute a job, write its report, and return the exit code."""
     stream = stream if stream is not None else sys.stdout
-    diags = validate(job)
+    built, diags = _checked(job)
     if diags:
         for d in diags:
             print(f"spec error: {d}", file=stream)
@@ -362,14 +391,6 @@ def run_job(job: JobSpec, out_path: str | None = None,
     seed = seed_override if seed_override is not None else job.get_int("seed", 0)
     out_path = out_path or job.get("out", "report.json")
 
-    try:
-        ring = build_ring(job)
-        monoid = build_monoid(job)
-        action = build_action(job, monoid, ring)
-    except JobSpecError as exc:
-        print(f"spec error: {exc}", file=stream)
-        return 3
-
     verdicts = []
     witnesses = []
     timings = {}
@@ -378,7 +399,7 @@ def run_job(job: JobSpec, out_path: str | None = None,
     for check in job.checks():
         t0 = time.perf_counter()
         try:
-            report = _run_check(check, ring, action, job, trials, seed)
+            report = _run_check(check, built, trials, seed)
         except CoherenceAlarm as exc:
             alarm = f"{check}: {exc}"
             exit_code = 2
@@ -427,10 +448,7 @@ def replay(report_path: str, stream=None) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
-        job = JobSpec(dict(tree["job"]))
-        ring = build_ring(job)
-        monoid = build_monoid(job)
-        action = build_action(job, monoid, ring)
+        built = _build(JobSpec(dict(tree["job"])))
     except (OSError, KeyError, TypeError, ValueError, JobSpecError) as exc:
         print(f"replay error: {exc}", file=stream)
         return 3
@@ -448,7 +466,7 @@ def replay(report_path: str, stream=None) -> int:
     for check, verdict in false_verdicts:
         try:
             witness = tree["witnesses"][verdict["witness_ref"]]
-            ok = _replay_one(check, witness, ring, action, job)
+            ok = _replay_one(check, witness, built)
         except JobSpecError as exc:
             print(f"replay error: {exc}", file=stream)
             return 3
@@ -471,8 +489,8 @@ def _recorded(ideal: IdealSet, listed) -> bool:
     return ideal.sorted_members() == _elements(ideal.ring, listed)
 
 
-def _replay_one(check: str, witness: dict, ring: FiniteRing,
-                action: OmegaAction, job: JobSpec) -> bool:
+def _replay_one(check: str, witness: dict, built: tuple) -> bool:
+    ring, images, action, series = built
     counter = witness.get("counterexample") or {}
     if check == "left_app":
         a = counter["element"]
@@ -499,7 +517,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
         return a != ring.zero and ring.mul(a, a) == ring.zero
     if check in ("orbit_condition",) + PRESET_CHECKS:
         if check in PRESET_CHECKS:
-            _, action = preset_by_name(check).build(ring, *_images(job, ring))
+            _, action = preset_by_name(check).build(ring, *images)
         subset = counter["subset"]
         ann = set_orbit_annihilator(subset, action)
         return (_recorded(ann, counter["annihilator"])
@@ -516,8 +534,7 @@ def _replay_one(check: str, witness: dict, ring: FiniteRing,
                 return False
         return bool(pairs)
     if check == "pair_annihilation":
-        g = parse_series(job.get("series.g"), action)
-        f = parse_series(job.get("series.f"), action)
+        g, f = series["series.g"], series["series.f"]
         if "detail" in witness:  # recorded as not annihilating in the first place
             return not annihilates_via_all_middles(g, f)
         return not check_coefficientwise_annihilation(g, f).verdict
@@ -574,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, JobSpecError) as exc:
             print(f"spec error: {exc}")
             return 3
-        diags = validate(job)
+        _, diags = _checked(job)
         if diags:
             for d in diags:
                 print(f"spec error: {d}")

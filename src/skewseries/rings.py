@@ -14,9 +14,9 @@ and converted once.  Larger rings evaluate arithmetic on demand through
 closures; the matrix and triangular ones add through two half-digit tables
 and multiply through the partial products, all kept as lists.  Every
 factory validates the ring axioms at construction, exactly: a tabled ring
-from its rows, compared whole in C, a larger one from the parts its
-closures read (nothing more for Z_n, the two factors of a product, the six
-half tables of a matrix or triangular ring).  Only ``table_ring`` above
+from its rows, compared whole in C, a larger one from the rings it is built
+from (nothing more for Z_n, the two factors of a product, the base of a
+matrix or triangular ring).  Only ``table_ring`` above
 ``TABLE_LIMIT``, whose commutativity is read off its add table, and rings
 given to ``FiniteRing`` as raw closures have their triple axioms checked by
 seeded random sampling.
@@ -30,7 +30,6 @@ a closure-backed ring costs |G|*n products, not n^2.
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import islice, product, repeat
 
 # Structured rings materialize full operation tables up to this size;
@@ -65,8 +64,9 @@ class FiniteRing:
     share; the lazily filled slots, the additive generating set, its
     coordinates and the bitsets of the ``ideals`` kernel, hold the same
     values whoever fills them.  A factory that builds a closure-backed ring
-    records in ``_parts``, before validating it, what its closures read (see
-    ``validate_ring``); it is None on every other ring.
+    records in ``_parts``, before validating it, the rings it is built from,
+    or ``table_ring`` its two tables (see ``validate_ring``); it is None on
+    every other ring.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
@@ -190,20 +190,18 @@ def validate_ring(ring: FiniteRing) -> None:
     with its first failing axiom (``_check_blocks``).
 
     A ring that computes through closures gets the additive identity,
-    inverse and multiplicative identity laws in full.  When a factory built
-    it, the rest is decided from the parts its closures read, recorded in
-    ``ring._parts``:
-    - Z_n, parts (): + and * mod n, so nothing more.
-    - a product, parts (a, b): it is a ring exactly when both factors are,
-      so each is validated in turn.
-    - a matrix or triangular ring, the six tables of ``_cell_ring``: their
-      entries are range-checked first, before any closure reads them, and
-      the axioms follow from the tables (``_check_cell_tables``).
-    - ``table_ring`` above ``TABLE_LIMIT``, parts (add_table, mul_table):
+    inverse and multiplicative identity laws in full, and then one of three
+    rules, by what ``ring._parts`` records:
+    - the rings a factory ring is built from: () for Z_n, whose + and * are
+      mod n; (a, b) for a product, a ring exactly when both factors are;
+      (base,) for a matrix or triangular ring, a ring exactly when its base
+      is (see ``_cell_ring``).  Each is validated in turn.
+    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``:
       commutativity is read off the add table in C (``_check_commutative``).
-    A ring given as raw closures gets commutativity by a scan of every pair.
-    Both of the last two get the triple axioms on ``VALIDATION_SAMPLES``
-    triples drawn from seed ``VALIDATION_SEED``.
+    - None for a ring given as raw closures: commutativity by a scan of
+      every pair.
+    The last two get the triple axioms on ``VALIDATION_SAMPLES`` triples
+    drawn from seed ``VALIDATION_SEED``.
     """
     n = ring.size
     A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
@@ -211,12 +209,6 @@ def validate_ring(ring: FiniteRing) -> None:
         tables = _byte_tables(A, M)
         aflat = b"".join(A)
         acol = [aflat[c::n] for c in range(n)]
-    cell_ring = parts is not None and len(parts) == 6
-    if cell_ring:
-        H, L = len(parts[0]), len(parts[1])
-        for name, table, bound in zip(("hi_sum", "lo_sum", "hh", "hl", "lh", "ll"), parts,
-                                      (H, L, n, n, n, n)):
-            _check_entries(table, bound, f"cell table {name}")
     if A is None or not _identities_hold(ring, acol, tables[2]):
         add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
         for a in range(n):
@@ -226,11 +218,9 @@ def validate_ring(ring: FiniteRing) -> None:
                 raise RingAxiomError(f"additive inverse fails at {a}")
             if mul(one, a) != a or mul(a, one) != a:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
-    if cell_ring:
-        _check_cell_tables(ring, *parts)
-    elif parts is not None and all(isinstance(p, FiniteRing) for p in parts):
-        for factor in parts:
-            validate_ring(factor)
+    if parts is not None and all(isinstance(p, FiniteRing) for p in parts):
+        for part in parts:
+            validate_ring(part)
     elif A is None:
         if parts is not None:
             _check_commutative(parts[0], "addition")
@@ -274,76 +264,6 @@ def _check_commutative(S, label: str) -> None:
         if tuple(row) != col:
             y = next(y for y, (p, q) in enumerate(zip(row, col)) if p != q)
             raise RingAxiomError(f"{label} not commutative at ({x},{y})")
-
-
-def _check_cell_tables(ring: FiniteRing, hi_sum, lo_sum, hh, hl, lh, ll) -> None:
-    """The triple axioms of a closure-backed ``_cell_ring`` from the six
-    tables its closures read, given entries in range and the identity and
-    inverse laws; exact, in a pass over each table per half generator.
-
-    Element x = i*L + l is the pair (i, l): x + y is
-    (hi_sum[i][j], lo_sum[l][m]) and x*y is
-    hh[i][j] + hl[i][m] + lh[l][j] + ll[l][m] for y = j*L + m.
-    - (R,+) is the product of the half groups.  Each half sum table is
-      commutative in full and associative by Light's test on the half's
-      generators, as in ``_triple_axioms_hold``.
-    - Each partial-product table T, whose rows and columns are indexed by
-      halves, is additive in each argument.  Each row is additive:
-      T[i][g+j] == T[i][j] + T[i][g] for every generator g of the column
-      half; the g that pass are closed under +, so they make up the whole
-      half.  Then for a generator g of the row half, the defect
-      j -> T[i+g][j] - T[i][j] - T[g][j] is additive, so it vanishes when
-      it does on the column generators: T is additive on the left when its
-      columns at those generators are, by the same closure argument.  The
-      product is then additive in each factor: both distributive laws hold.
-    - Then (ab)c - a(bc) is additive in each of a, b and c, so it vanishes
-      when it vanishes on G^3, where G is the high generators on the low
-      zero and the low generators on the high zero, which generate (R,+).
-    Reports the first failure, checked in that order, by table.  A
-    partial-product table that fails is rescanned as a whole, on the left
-    and then on the right, so the message names the first failing triple
-    of that scan.  A cell ring of this size has two or more cells, so each
-    half has at least two elements and a nonempty set of generators.
-    """
-    L = len(lo_sum)
-    zi, zl = divmod(ring.zero, L)
-    halves = {}  # "h" and "l": the half's sum table and generators
-    for name, S, z in (("hi_sum", hi_sum, zi), ("lo_sum", lo_sum, zl)):
-        label = f"cell table {name}"
-        _check_commutative(S, label)
-        gens = _sum_generators(lambda x, g, S=S: S[x][g], len(S), z, int(z == 0))
-        halves[name[0]] = S, gens
-        for g in gens:
-            for x, Sx in enumerate(S):
-                left, right = S[Sx[g]], list(map(Sx.__getitem__, S[g]))
-                if left != right:
-                    y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
-                    raise RingAxiomError(f"{label} not associative at ({x},{g},{y})")
-    add = ring._add
-
-    def additive(c, S, g):
-        """Whether c[g + i] == c[g] + c[i] for every i, with g + i = S[g][i]."""
-        return list(map(c.__getitem__, S[g])) == list(map(partial(add, c[g]), c))
-
-    for name, T in zip(("hh", "hl", "lh", "ll"), (hh, hl, lh, ll)):
-        (Sl, Gl), (Sr, Gr) = halves[name[0]], halves[name[1]]
-        if all(additive(row, Sr, g) for g in Gr for row in T) and \
-                all(additive([row[j] for row in T], Sl, g) for j in Gr for g in Gl):
-            continue
-        # rescan in the order of the message: left, then right (T is
-        # additive on the right where its transpose is on the left)
-        for side, U, (S, gens) in (("left", T, (Sl, Gl)),
-                                   ("right", [list(c) for c in zip(*T)], (Sr, Gr))):
-            for g in gens:
-                for i, Si in enumerate(S):
-                    if U[Si[g]] != list(map(add, U[i], U[g])):
-                        j = next(j for j, (p, q, r) in enumerate(zip(U[Si[g]], U[i], U[g]))
-                                 if p != add(q, r))
-                        at = f"({i},{g},{j})" if side == "left" else f"({j},{i},{g})"
-                        raise RingAxiomError(
-                            f"cell table {name} not additive in its {side} argument at {at}")
-    G = [g * L + zl for g in halves["h"][1]] + [zi * L + l for l in halves["l"][1]]
-    _check_triples(ring, product(G, repeat=3))
 
 
 def _byte_tables(A, M) -> tuple:
@@ -560,7 +480,12 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     give every product.  A tabled row of x is assembled from x*hi' and x*lo'
     in C: for each x*hi', the bytes of every x*lo' translated through its
     padded row of the addition table.  Above ``TABLE_LIMIT`` a product is
-    four lookups and three additions, in tables kept as lists.
+    four lookups and three additions, in tables kept as lists, and the ring
+    records ``_parts = (base,)``: the matrices over a ring B on a set of
+    cells that holds the diagonal and is closed under the product form a
+    subring of M_k(B), whose corner E11*R*E11 is B, so it is a ring exactly
+    when B is, and the closures compute that product, x*y being bilinear
+    when B is a ring.
 
     One cell is the base itself: the ring keeps the base's tables, or its
     closures, negatives and ``_parts``, with the base's indices, zero and
@@ -642,7 +567,7 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
 
         def neg(x):
             return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
-        parts = (hi_sum, lo_sum, hh, hl, lh, ll)
+        parts = (base,)
 
     def element_repr(x):
         ds = _digits(x, bs, ncells)
@@ -765,7 +690,7 @@ def units(ring: FiniteRing) -> list[int]:
     of the ring; every other ring is scanned element by element.
     """
     parts = ring._parts
-    if parts and all(isinstance(p, FiniteRing) for p in parts):
+    if parts is not None and len(parts) == 2 and isinstance(parts[0], FiniteRing):
         a, b = parts
         of_b = units(b)
         return [u * b.size + v for u in units(a) for v in of_b]
@@ -890,38 +815,32 @@ def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
 
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
     """A small additive generating set, found once per ring: 1, then each
-    element, in index order, that sums of the generators so far do not reach
-    (``_sum_generators``)."""
-    if ring._additive_gens is None:
-        ring._additive_gens = _sum_generators(ring.add, ring.size, ring.zero, ring.one)
-    return ring._additive_gens
+    element, in index order, that sums of the generators so far do not reach.
 
-
-def _sum_generators(add, size: int, zero: int, first: int) -> tuple[int, ...]:
-    """``first`` (none when -1), then each element of 0..size-1, in index
-    order, that sums of the generators so far do not reach.
-
-    The sums are found breadth-first from ``zero`` through x -> add(x, g),
-    each element meeting each generator once, so the search ends on any
-    addition table, a ring's or not.
+    The sums are found breadth-first from zero through x -> x + g, each
+    element meeting each generator once, so the search ends on any addition
+    table, a ring's or not.
     """
-    inside = bytearray(size)
-    inside[zero] = 1
-    reached, gens, a = [zero], [], first
-    while a >= 0:
-        gens.append(a)
-        # what is reached already meets a; a new sum meets every generator
-        todo = [(x, (a,)) for x in reached]
-        while todo:
-            x, step = todo.pop()
-            for g in step:
-                y = add(x, g)
-                if not inside[y]:
-                    inside[y] = 1
-                    reached.append(y)
-                    todo.append((y, gens))
-        a = inside.find(0)
-    return tuple(gens)
+    if ring._additive_gens is None:
+        add = ring.add
+        inside = bytearray(ring.size)
+        inside[ring.zero] = 1
+        reached, gens, a = [ring.zero], [], ring.one
+        while a >= 0:
+            gens.append(a)
+            # what is reached already meets a; a new sum meets every generator
+            todo = [(x, (a,)) for x in reached]
+            while todo:
+                x, step = todo.pop()
+                for g in step:
+                    y = add(x, g)
+                    if not inside[y]:
+                        inside[y] = 1
+                        reached.append(y)
+                        todo.append((y, gens))
+            a = inside.find(0)
+        ring._additive_gens = tuple(gens)
+    return ring._additive_gens
 
 
 def _additive_coordinates(ring: FiniteRing) -> tuple:

@@ -67,6 +67,7 @@ from .series import (
     annihilates_via_all_middles,
     constant,
     convolve,
+    zero_series,
 )
 
 
@@ -342,10 +343,14 @@ def random_annihilating_pair(action: OmegaAction,
     individually.  When that annihilator is zero (as in any prime ring) the
     only possible g is the zero series.  f's annihilator lies inside its
     coefficients', so f is drawn once when every nonzero element's is zero.
+    The zero ring has no nonzero element: its only pair is (0, 0), returned
+    without a draw.
     """
     ring = action.ring
     pool = sample_pool(action.monoid, _PAIR_SPAN)
     nonzero = [r for r in ring.elements() if r != ring.zero]
+    if not nonzero:
+        return zero_series(action), zero_series(action)
 
     def draw_support():
         k = rng.randint(1, _PAIR_TERMS)
@@ -422,10 +427,10 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     x in I such that b*x == b; this is checked with the ring's own
     multiplication, not with the bitsets that found b.  Either guarantee
     failing raises CoherenceAlarm; otherwise the verdict mirrors the
-    condition itself.
+    condition itself.  Only a failing condition builds the report of
+    ``orbit_annihilators_s_unital``, for its counterexample.
     """
-    condition = orbit_annihilators_s_unital(ring, action)
-    if condition.verdict:
+    if elementwise_condition_holds(ring, action):
         witnesses_seen = {_build_witness(g, f, chain_search=False).witness
                           for g, f in _vetted_pairs(action, pairs, seed)}
         return PropertyReport(
@@ -445,7 +450,8 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     return PropertyReport(
         ring.name, "app_equivalence", False,
         {"condition": False,
-         "condition_counterexample": condition.witnesses.get("counterexample"),
+         "condition_counterexample":
+             orbit_annihilators_s_unital(ring, action).witnesses.get("counterexample"),
          "obstructions": obstructions.witnesses["obstructions"],
          "seed": seed})
 

@@ -327,38 +327,6 @@ def ring_aut_validate_oracle(aut) -> None:
                 raise RingAxiomError(f"automorphism not multiplicative at ({a},{b})")
 
 
-def cell_table_additivity_oracle(ring) -> None:
-    """Additivity of the four partial-product tables of a closure-backed
-    cell ring in each argument, one entry at a time: for each table in the
-    order hh, hl, lh, ll, T[i+g][j] == T[i][j] + T[g][j] for every row i,
-    column j and generator g of the row half, then
-    T[j][i+g] == T[j][i] + T[j][g] for every generator g of the column half.
-
-    Raises ``RingAxiomError`` with the message the library must give for
-    the first failing triple.
-    """
-    from skewseries.rings import RingAxiomError
-
-    hi_sum, lo_sum, *tables = ring._parts
-    zero_hi, zero_lo = divmod(ring.zero, len(lo_sum))
-    halves = {"h": (hi_sum, sum_generators_of_table(hi_sum, zero_hi)),
-              "l": (lo_sum, sum_generators_of_table(lo_sum, zero_lo))}
-    for name, T in zip(("hh", "hl", "lh", "ll"), tables):
-        (Sl, Gl), (Sr, Gr) = halves[name[0]], halves[name[1]]
-        for g in Gl:
-            for i in range(len(Sl)):
-                for j in range(len(Sr)):
-                    if T[Sl[i][g]][j] != ring.add(T[i][j], T[g][j]):
-                        raise RingAxiomError(
-                            f"cell table {name} not additive in its left argument at ({i},{g},{j})")
-        for g in Gr:
-            for i in range(len(Sr)):
-                for j in range(len(Sl)):
-                    if T[j][Sr[i][g]] != ring.add(T[j][i], T[j][g]):
-                        raise RingAxiomError(
-                            f"cell table {name} not additive in its right argument at ({j},{i},{g})")
-
-
 def units_by_scan(ring) -> dict:
     """Each unit u mapped to the first v with u*v == 1 == v*u, by a full scan."""
     out = {}

@@ -7,8 +7,7 @@ import pytest
 from skewseries.cli import (
     JobSpec,
     JobSpecError,
-    build_action,
-    build_monoid,
+    _build,
     build_ring,
     main,
     parse_series,
@@ -130,15 +129,13 @@ seed = 0
 
 def test_series_literals_roundtrip():
     job = JobSpec.from_text("ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatAdd")
-    ring = build_ring(job)
-    monoid = build_monoid(job)
-    action = build_action(job, monoid, ring)
+    action = _build(job)[2]
     series = parse_series("0:3; 2:5", action)
     assert series.coeffs == {0: 3, 2: 5}
 
     pair_job = JobSpec.from_text(
         "ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatPairLex")
-    pact = build_action(pair_job, build_monoid(pair_job), ring)
+    pact = _build(pair_job)[2]
     series = parse_series("0,0:3; 1,2:5", pact)
     assert series.coeffs == {(0, 0): 3, (1, 2): 5}
 
@@ -597,7 +594,7 @@ def test_cli_presets_and_the_constructor_build_the_same_action(preset):
     monoid = make_monoid(preset.monoid_kind)
     expected = _closure_perms(OmegaAction(monoid, ring, alpha, beta))
     assert len(expected) == attained
-    assert _closure_perms(build_action(job, build_monoid(job), ring)) == expected
+    assert _closure_perms(_build(job)[2]) == expected
     assert _closure_perms(preset.build(ring, alpha, beta)[1]) == expected
     # None stands for the identity
     none = [None if aut.is_identity() else aut for aut in (alpha, beta)]
@@ -712,3 +709,51 @@ def test_negative_trials_are_refused_by_validate_and_by_the_override(tmp_path, c
     assert not out.exists()
     # zero trials still run
     assert run_to_file(FIELD_JOB, tmp_path, trials_override=0)[0] == 0
+
+
+# Jobs that ``run`` refuses only once it builds them, each with its spec
+# error line; ``validate`` must print the same line.
+REFUSED_WHEN_BUILT = [
+    ("ring.kind = matrix\nring.base = 2\nring.k = 0\nmonoid.kind = NatAdd\nchecks = left_app",
+     "ring: a matrix ring needs k >= 1, got 0"),
+    ("ring.kind = gallery\nring.name = M2F2\naction.alpha = inner:16\nmonoid.kind = NatAdd\n"
+     "checks = left_app", "action: 16 is not an element of M2(Z2) (0..15)"),
+    ("ring.kind = cyclic\nring.n = 5000\nmonoid.kind = NatAdd\nchecks = left_app",
+     "ring: size cap exceeded: 5000 > 4096"),
+    ("ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatAdd\nchecks = pair_annihilation\n"
+     "series.g = 0:3\nseries.f = 0:6",
+     "series term '0:6': coefficient 6 is not an element of Z6 (0..5)"),
+    ("ring.kind = cyclic\nring.n = 4\nmonoid.kind = NatAdd\nchecks = coefficientwise\n"
+     "trails = 5", "trails: unknown key"),
+]
+
+
+@pytest.mark.parametrize("text, message", REFUSED_WHEN_BUILT,
+                         ids=["matrix_k", "inner_16", "n_5000", "series_coeff", "unknown_key"])
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, text, message):
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log == f"spec error: {message}\n"
+    spec = tmp_path / "job.txt"
+    spec.write_text(text)
+    assert main(["validate", str(spec)]) == 3
+    assert capsys.readouterr().out == f"spec error: {message}\n"
+
+
+def test_every_documented_key_is_known_and_others_are_not():
+    documented = ("ring.kind ring.n ring.base ring.k ring.a ring.b ring.name ring.add_table "
+                  "ring.mul_table monoid.kind monoid.order action.alpha action.beta series.g "
+                  "series.f checks mode trials seed out").split()
+    job = JobSpec({key: "0" for key in documented})
+    assert not any("unknown key" in d for d in validate(job))
+    job = JobSpec.from_text(Z4_JOB + "trails = 5\nring.size = 4\n")
+    assert validate(job) == ["trails: unknown key", "ring.size: unknown key"]
+
+
+@pytest.mark.parametrize("check", ["coefficientwise", "app_equivalence", "witness_paths"])
+def test_pair_harnesses_run_on_the_zero_ring(tmp_path, check):
+    text = f"ring.kind = cyclic\nring.n = 1\nmonoid.kind = NatAdd\nchecks = {check}\ntrials = 5\n"
+    code, out, _ = run_to_file(text, tmp_path)
+    assert code == 0
+    (witness,) = json.loads(out.read_text())["witnesses"]
+    assert witness.get("nonzero_pairs", 0) == 0

@@ -26,8 +26,8 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
-from skewseries.rings import (_additive_generators, _byte_tables, _check_cell_tables,
-                              _inverse, _sample_triples, _triple_axioms_hold)
+from skewseries.rings import (_additive_generators, _byte_tables, _inverse, _sample_triples,
+                              _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
 
 from oracles import (
@@ -35,7 +35,6 @@ from oracles import (
     automorphism_perms_by_additive_extension,
     brute_force_automorphism_perms,
     cell_ring_tables_by_digits,
-    cell_table_additivity_oracle,
     closure_tables,
     cyclic_ops,
     matrix_ops,
@@ -677,104 +676,48 @@ def test_a_one_cell_ring_over_a_relabelled_base_is_its_base(base):
     _assert_is_its_base(upper_triangular_ring(base, 1), base, f"T1({base.name})")
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
-@given(matrix_subrings(8).filter(lambda base: base.size >= 5), st.data())
-def test_matrix_rings_over_relabelled_bases_match_reference_rows(base, data):
-    ring = matrix_ring(base, 2)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from([(False, 8, 5), (True, 16, 7)]).flatmap(
+    lambda shape: st.tuples(st.just(shape[0]), matrix_subrings(shape[1]).filter(
+        lambda base: base.size >= shape[2]))), st.data())
+def test_matrix_rings_over_relabelled_bases_match_reference_rows(drawn, data):
+    # M2 over a base of 5-8 elements, T2 over one of 7-16: 343-4096
+    # elements, closure-backed and validated from the base alone
+    triangular, base = drawn
+    ring = (upper_triangular_ring if triangular else matrix_ring)(base, 2)
     n = ring.size
-    assert n > TABLE_LIMIT and ring._parts is not None
-    xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="rows")
-    assert closure_tables(n, ring.add, ring.mul, rows=xs) == \
-        cell_ring_tables_by_digits(base, 2, rows=xs)
+    assert n > TABLE_LIMIT and ring._parts == (base,)
+    xs = [ring.zero, ring.one,
+          *data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="rows")]
+    sums, products = cell_ring_tables_by_digits(base, 2, triangular=triangular, rows=xs)
+    assert sums[0] == products[1] == list(range(n))
+    assert closure_tables(n, ring.add, ring.mul, rows=xs) == (sums, products)
+    assert [ring.neg(x) for x in xs] == [row.index(ring.zero) for row in sums]
 
 
-def _swap(T, a, b):
-    """Swap the entries of T at positions a and b."""
-    (i, j), (k, l) = a, b
-    T[i][j], T[k][l] = T[k][l], T[i][j]
+def _broken_cyclic(n: int) -> FiniteRing:
+    """Z_n with 2*2 set to 2, built without validation: not distributive,
+    but 0 and 1 still act as they should."""
+    add, mul = ([list(row) for row in table] for table in cyclic_ring(n).tables)
+    mul[2][2] = 2
+    return FiniteRing(n, add=add, mul=mul, zero=0, one=1, validate=False)
 
 
-# (ring, table, mutation in place, message): one mutation of each of the six
-# tables a closure-backed cell ring reads, in the order of its _parts
-CELL_TABLE_MUTATIONS = [
-    ("M2(Z5)", "hi_sum", lambda T: _swap(T, (1, 1), (1, 2)),
-     "cell table hi_sum not commutative at (1,2)"),
-    ("M2(Z5)", "lo_sum", lambda T: T[1].__setitem__(1, 3),
-     "cell table lo_sum not associative at (1,1,2)"),
-    ("M2(Z5)", "hh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
-     "cell table hh not additive in its left argument at (1,1,3)"),
-    ("M2(Z5)", "hh", lambda T: T[0].__setitem__(0, 625),
-     "cell table hh entry 625 at (0,0) is not an element 0..624"),
-    # swapping two columns keeps each column additive, and the row of 1 in
-    # hl is zero, so only additivity on the right fails
-    ("M2(Z5)", "hl", lambda T: [_swap(T, (i, 2), (i, 3)) for i in range(len(T))],
-     "cell table hl not additive in its right argument at (1,1,1)"),
-    ("M2(Z5)", "lh", lambda T: T[2].__setitem__(3, T[2][3] + 1),
-     "cell table lh not additive in its left argument at (1,1,3)"),
-    # a transposed lows x lows table once passed sampled validation
-    ("M2(Z5)", "ll", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
-     "multiplicative identity fails at 5"),
-    # still additive in each argument, but not associative
-    ("T3(Z3)", "hh", lambda T: T.__setitem__(slice(None), [list(c) for c in zip(*T)]),
-     "multiplication not associative at (3,27,81)"),
-]
-CELL_BUILDS = {"M2(Z5)": lambda: matrix_ring(cyclic_ring(5), 2),
-               "T3(Z3)": lambda: upper_triangular_ring(cyclic_ring(3), 3)}
-CELL_TABLE_NAMES = ("hi_sum", "lo_sum", "hh", "hl", "lh", "ll")
-
-
-@pytest.mark.parametrize("label, table, mutate, message", CELL_TABLE_MUTATIONS,
-                         ids=[f"{c[0]}-{c[1]}" for c in CELL_TABLE_MUTATIONS])
-def test_cell_table_mutations_are_rejected(label, table, mutate, message):
-    ring = CELL_BUILDS[label]()
-    # the closures read these very lists, so the mutation changes the ring
-    mutate(ring._parts[CELL_TABLE_NAMES.index(table)])
-    assert _axiom_outcome(validate_ring, ring) == ("RingAxiomError", message)
-
-
-# Halves of equal size (M2(Z5), T3(Z3)) and of unequal size (T2(Z7), with
-# 49 high and 7 low values).
-ADDITIVITY_RINGS = {label: build() for label, build in
-                    [*CELL_BUILDS.items(),
-                     ("T2(Z7)", lambda: upper_triangular_ring(cyclic_ring(7), 2))]}
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_cell_table_additivity_matches_the_entrywise_scan(data):
-    # Row and column copies keep one argument additive and break the other,
-    # which the generator rows and columns must still catch.
-    label = data.draw(st.sampled_from(sorted(ADDITIVITY_RINGS)), label="ring")
-    ring = ADDITIVITY_RINGS[label]
-    name = data.draw(st.sampled_from(CELL_TABLE_NAMES[2:]), label="table")
-    T = ring._parts[CELL_TABLE_NAMES.index(name)]
-    saved = [list(row) for row in T]
-    row, col = st.integers(0, len(T) - 1), st.integers(0, len(T[0]) - 1)
-    kind = data.draw(st.sampled_from(["entry", "row", "column"]), label="kind")
-    if kind == "entry":
-        T[data.draw(row)][data.draw(col)] = data.draw(st.integers(0, ring.size - 1))
-    elif kind == "row":
-        T[data.draw(row)] = list(T[data.draw(row)])
-    else:
-        j, k = data.draw(col), data.draw(col)
-        for r in T:
-            r[j] = r[k]
-    try:
-        want = _axiom_outcome(cell_table_additivity_oracle, ring)
-        got = _axiom_outcome(lambda r: _check_cell_tables(r, *r._parts), ring)
-    finally:
-        T[:] = saved
-    if want is None:
-        assert got is None or "not additive" not in got[1]
-    else:
-        assert got == want
+@pytest.mark.parametrize("n, build", [(3, lambda base: upper_triangular_ring(base, 3)),
+                                      (5, lambda base: matrix_ring(base, 2))],
+                         ids=["T3(Z3')", "M2(Z5')"])
+def test_closure_backed_cell_rings_validate_their_base(n, build):
+    # as a product validates its factors: the base raises its own error
+    broken = _broken_cyclic(n)
+    outcome = _axiom_outcome(validate_ring, broken)
+    assert outcome is not None and outcome[0] == "RingAxiomError"
+    with pytest.raises(RingAxiomError) as raised:
+        build(broken)
+    assert str(raised.value) == outcome[1]
 
 
 def test_products_validate_their_factors():
-    Z3 = cyclic_ring(3)
-    add, mul = ([list(row) for row in table] for table in Z3.tables)
-    mul[2][2] = 2
-    broken = FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+    broken = _broken_cyclic(3)
     message = "right distributivity fails at (1,1,2)"
     assert _axiom_outcome(validate_ring, broken) == ("RingAxiomError", message)
     # Z3 x Z100 is closure-backed: its factors are validated in turn

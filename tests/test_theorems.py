@@ -369,6 +369,15 @@ def test_random_pairs_annihilate_and_replay_deterministically():
         assert annihilates_via_all_middles(g1, f1)
 
 
+def test_the_zero_ring_gives_the_zero_pair_without_a_draw():
+    act = nat_action(cyclic_ring(1))
+    rng = random.Random(7)
+    state = rng.getstate()
+    g, f = random_annihilating_pair(act, rng)
+    assert g.is_zero() and f.is_zero() and g.action is f.action is act
+    assert rng.getstate() == state
+
+
 def test_random_pairs_are_often_nonzero_where_possible():
     act = nat_action(Z6)
     rng = random.Random(5)
@@ -409,6 +418,22 @@ def test_coefficientwise_harness_alarms(monkeypatch):
                        match=r"^coefficientwise annihilation failed on pair 0: "
                              r"\{'failure': 'conclusion'"):
         coefficientwise_harness(Z6, act, pairs=3)
+
+
+def test_app_equivalence_builds_the_orbit_report_only_when_the_condition_fails(monkeypatch):
+    real, calls = theorems.orbit_annihilators_s_unital, []
+
+    def counted(ring, action):
+        calls.append(ring.name)
+        return real(ring, action)
+
+    monkeypatch.setattr(theorems, "orbit_annihilators_s_unital", counted)
+    assert app_equivalence_check(Z6, nat_action(Z6), pairs=5).verdict
+    assert calls == []
+    report = app_equivalence_check(Z4, nat_action(Z4), pairs=5)
+    assert calls == ["Z4"]
+    assert report.witnesses["condition_counterexample"] == \
+        real(Z4, nat_action(Z4)).witnesses["counterexample"]
 
 
 def test_app_equivalence_checks_each_reported_obstruction(monkeypatch):
