@@ -12,14 +12,14 @@ translating through the sum table; a one-cell matrix or triangular ring is
 its base under another name.  Tables given as lists are range-checked
 and converted once.  Larger rings evaluate arithmetic on demand through
 closures; the matrix and triangular ones add through two half-digit tables
-and multiply through the partial products, all kept as lists.  Every
-factory validates the ring axioms at construction, exactly: a tabled ring
-from its rows, compared whole in C, a larger one from the rings it is built
-from (nothing more for Z_n, the two factors of a product, the base of a
-matrix or triangular ring).  Only ``table_ring`` above
-``TABLE_LIMIT``, whose commutativity is read off its add table, and rings
-given to ``FiniteRing`` as raw closures have their triple axioms checked by
-seeded random sampling.
+and multiply through the partial products, all kept as lists.  Every ring
+is validated at construction by one of three rules: a tabled ring exactly,
+from its rows, compared whole in C; a larger factory ring exactly, from the
+rings it is built from alone (nothing more for Z_n, the two factors of a
+product, the base of a matrix or triangular ring); and ``table_ring`` above
+``TABLE_LIMIT`` by a scan of its identities, its commutativity read off its
+add table, and seeded random sampling of its triple axioms.  ``FiniteRing``
+refuses functions above ``TABLE_LIMIT`` that come without those parts.
 
 A ring map is an automorphism when it respects + and * on the rows of an
 additive generating set: the elements whose rows it respects are closed
@@ -63,10 +63,11 @@ class FiniteRing:
     addition table.  Instances are immutable after construction and safe to
     share; the lazily filled slots, the additive generating set, its
     coordinates and the bitsets of the ``ideals`` kernel, hold the same
-    values whoever fills them.  A factory that builds a closure-backed ring
-    records in ``_parts``, before validating it, the rings it is built from,
-    or ``table_ring`` its two tables (see ``validate_ring``); it is None on
-    every other ring.
+    values whoever fills them.  A larger ring computes through its functions
+    and needs ``neg`` and ``parts``, what they read, from which
+    ``validate_ring`` decides it: the rings a factory ring is built from, or
+    ``table_ring``'s two tables.  Without ``parts`` it raises RingAxiomError
+    naming the factories.  ``_parts`` keeps them; it is None when tabled.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
@@ -75,7 +76,7 @@ class FiniteRing:
 
     def __init__(self, size: int, add, mul, zero: int, one: int,
                  name: str = "ring", neg=None, element_repr=None,
-                 validate: bool = True):
+                 validate: bool = True, parts=None):
         if size < 1:
             raise RingAxiomError("empty ring: size must be at least 1")
         self.size = size
@@ -93,17 +94,20 @@ class FiniteRing:
             self._mul_rows = _byte_rows(mul, size, "mul table")
             self._add = None
             self._mul = None
+        elif parts is None:
+            raise RingAxiomError(
+                f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
+                "product_ring, matrix_ring, upper_triangular_ring or table_ring")
         else:
             self._add_rows = None
             self._mul_rows = None
             self._add = add
             self._mul = mul
-            self._neg_row = [neg(a) for a in range(size)] if neg is not None else \
-                _negatives(([add(a, b) for b in range(size)] for a in range(size)), zero)
+            self._neg_row = [neg(a) for a in range(size)]
         self._additive_gens = None
         self._additive_coords = None
         self._ideal_bits = None
-        self._parts = None
+        self._parts = parts
         if validate:
             validate_ring(self)
 
@@ -189,22 +193,25 @@ def validate_ring(ring: FiniteRing) -> None:
     those is reported at its first failing triple in lexicographic order,
     with its first failing axiom (``_check_blocks``).
 
-    A ring that computes through closures gets the additive identity,
-    inverse and multiplicative identity laws in full, and then one of three
-    rules, by what ``ring._parts`` records:
+    A ring that computes through closures is decided by what ``ring._parts``
+    records, one of two rules:
     - the rings a factory ring is built from: () for Z_n, whose + and * are
       mod n; (a, b) for a product, a ring exactly when both factors are;
       (base,) for a matrix or triangular ring, a ring exactly when its base
-      is (see ``_cell_ring``).  Each is validated in turn.
-    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``:
-      commutativity is read off the add table in C (``_check_commutative``).
-    - None for a ring given as raw closures: commutativity by a scan of
-      every pair.
-    The last two get the triple axioms on ``VALIDATION_SAMPLES`` triples
-    drawn from seed ``VALIDATION_SEED``.
+      is (see ``_cell_ring``).  Each is validated in turn, and nothing else:
+      the ring's zero, one and negatives are those the parts give.
+    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``: the
+      identity, inverse and one laws by a scan of every element,
+      commutativity read off the add table in C (``_check_commutative``),
+      and the triple axioms on ``VALIDATION_SAMPLES`` triples drawn from
+      seed ``VALIDATION_SEED``.
     """
     n = ring.size
     A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
+    if A is None and all(isinstance(p, FiniteRing) for p in parts):
+        for part in parts:
+            validate_ring(part)
+        return
     if A is not None:
         tables = _byte_tables(A, M)
         aflat = b"".join(A)
@@ -218,19 +225,8 @@ def validate_ring(ring: FiniteRing) -> None:
                 raise RingAxiomError(f"additive inverse fails at {a}")
             if mul(one, a) != a or mul(a, one) != a:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
-    if parts is not None and all(isinstance(p, FiniteRing) for p in parts):
-        for part in parts:
-            validate_ring(part)
-    elif A is None:
-        if parts is not None:
-            _check_commutative(parts[0], "addition")
-        else:
-            # The first non-commuting pair in lexicographic order has a < b.
-            raw = ring._add
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if raw(a, b) != raw(b, a):
-                        raise RingAxiomError(f"addition not commutative at ({a},{b})")
+    if A is None:
+        _check_commutative(parts[0], "addition")
         _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
     else:
         if acol != A:
@@ -385,11 +381,8 @@ def cyclic_ring(n: int) -> FiniteRing:
         def neg(a):
             return (-a) % n
         parts = ()
-    ring = FiniteRing(n, add=add, mul=mul, neg=neg, zero=0, one=1 % n, name=f"Z{n}",
-                      validate=False)
-    ring._parts = parts
-    validate_ring(ring)
-    return ring
+    return FiniteRing(n, add=add, mul=mul, neg=neg, zero=0, one=1 % n, name=f"Z{n}",
+                      parts=parts)
 
 
 def _product_rows(P, Q) -> list[bytes]:
@@ -430,7 +423,7 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         def neg(x):
             return enc(a.neg(x // bs), b.neg(x % bs))
         parts = (a, b)
-    ring = FiniteRing(
+    return FiniteRing(
         size,
         add=add,
         mul=mul,
@@ -439,11 +432,8 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         one=enc(a.one, b.one),
         name=f"{a.name}x{b.name}",
         element_repr=lambda x: f"({a.element_repr(x // bs)},{b.element_repr(x % bs)})",
-        validate=False,
+        parts=parts,
     )
-    ring._parts = parts
-    validate_ring(ring)
-    return ring
 
 
 def _digits(x: int, base: int, count: int) -> list[int]:
@@ -481,15 +471,15 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     in C: for each x*hi', the bytes of every x*lo' translated through its
     padded row of the addition table.  Above ``TABLE_LIMIT`` a product is
     four lookups and three additions, in tables kept as lists, and the ring
-    records ``_parts = (base,)``: the matrices over a ring B on a set of
+    is built with ``parts=(base,)``: the matrices over a ring B on a set of
     cells that holds the diagonal and is closed under the product form a
     subring of M_k(B), whose corner E11*R*E11 is B, so it is a ring exactly
     when B is, and the closures compute that product, x*y being bilinear
     when B is a ring.
 
     One cell is the base itself: the ring keeps the base's tables, or its
-    closures, negatives and ``_parts``, with the base's indices, zero and
-    one, and prints an element x as [[x]].  With two or more cells the ring
+    closures, negatives and parts, with the base's indices, zero and one,
+    and prints an element x as [[x]].  With two or more cells the ring
     has at most 4096 elements, so the base has at most 64 and is tabled.
     """
     if k < 1:
@@ -499,13 +489,10 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     if size > DEFAULT_SIZE_CAP:
         raise RingAxiomError(f"size cap exceeded: {size} > {DEFAULT_SIZE_CAP}")
     if ncells == 1:
-        ring = FiniteRing(bs, add=base._add_rows or base._add, mul=base._mul_rows or base._mul,
+        return FiniteRing(bs, add=base._add_rows or base._add, mul=base._mul_rows or base._mul,
                           neg=base.neg, zero=base.zero, one=base.one, name=name,
                           element_repr=lambda x: f"[[{base.element_repr(x)}]]",
-                          validate=False)
-        ring._parts = base._parts
-        validate_ring(ring)
-        return ring
+                          parts=base._parts)
     pos = {c: t for t, c in enumerate(cells)}
     terms = [[(pos[i, t], pos[t, j]) for t in range(k) if (i, t) in pos and (t, j) in pos]
              for i, j in cells]
@@ -577,11 +564,8 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
             for i in range(k)) + "]"
 
     one = _undigits([base.one if i == j else base.zero for i, j in cells], bs)
-    ring = FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
-                      one=one, name=name, element_repr=element_repr, validate=False)
-    ring._parts = parts
-    validate_ring(ring)
-    return ring
+    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
+                      one=one, name=name, element_repr=element_repr, parts=parts)
 
 
 def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -616,9 +600,13 @@ def table_ring(add_table, mul_table, zero: int | None = None,
     """Build a ring from explicit operation tables, validating every axiom.
 
     Every entry must be an element index 0..n-1.  ``zero`` and ``one`` are
-    located by scanning when not given.
+    located by scanning when not given.  Above ``TABLE_LIMIT`` the ring
+    computes through the tables, which ``validate_ring`` reads as its parts.
+    More than ``DEFAULT_SIZE_CAP`` rows are refused before any entry is read.
     """
     n = len(add_table)
+    if n > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
     if n < 1 or any(len(row) != n for row in add_table) or \
             len(mul_table) != n or any(len(row) != n for row in mul_table):
         raise RingAxiomError("tables must be square and of matching size")
@@ -640,19 +628,9 @@ def table_ring(add_table, mul_table, zero: int | None = None,
             raise RingAxiomError("no multiplicative identity found in table")
     if n <= TABLE_LIMIT:
         return FiniteRing(n, add=add_table, mul=mul_table, zero=zero, one=one, name=name)
-    ring = FiniteRing(
-        n,
-        add=lambda a, b: add_table[a][b],
-        mul=lambda a, b: mul_table[a][b],
-        neg=_negatives(add_table, zero).__getitem__,
-        zero=zero,
-        one=one,
-        name=name,
-        validate=False,
-    )
-    ring._parts = (add_table, mul_table)
-    validate_ring(ring)
-    return ring
+    return FiniteRing(n, add=lambda a, b: add_table[a][b], mul=lambda a, b: mul_table[a][b],
+                      neg=_negatives(add_table, zero).__getitem__, zero=zero, one=one,
+                      name=name, parts=(add_table, mul_table))
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +742,8 @@ class RingAut:
                 raise RingAxiomError(f"automorphism not multiplicative at ({a},{b})")
 
     def apply(self, a: int) -> int:
+        """The image of ``a``; ValueError when it is not an element."""
+        self.ring.check_element(a)
         return self.perm[a]
 
     def compose(self, other: "RingAut") -> "RingAut":

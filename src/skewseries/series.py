@@ -143,7 +143,9 @@ class OmegaAction:
         return table[k % len(table)]
 
     def apply(self, s, r: int) -> int:
-        """Apply the automorphism at exponent s to ring element r."""
+        """Apply the automorphism at exponent s to ring element r; ValueError
+        when r is not an element."""
+        self.ring.check_element(r)
         return self.automorphism(s).perm[r]
 
     def closure(self) -> list[tuple]:
@@ -204,9 +206,9 @@ def pair_action(monoid: OrderedMonoid, ring: FiniteRing,
 class SkewSeries:
     """A finitely supported series; immutable once constructed.
 
-    The constructor raises ValueError for an exponent outside the monoid or
-    a coefficient that is not an element index of the ring (an int in
-    0..size-1), and drops zero coefficients.
+    The constructor raises ValueError for an exponent outside the monoid,
+    whatever its coefficient, or a coefficient that is not an element index
+    of the ring (an int in 0..size-1), and drops zero coefficients.
     """
 
     __slots__ = ("action", "coeffs")
@@ -217,8 +219,8 @@ class SkewSeries:
         clean = {}
         for s, r in coeffs.items():
             _check_coefficient(ring, s, r)
+            action.monoid.check_element(s)
             if r != zero:
-                action.monoid.check_element(s)
                 clean[s] = r
         self.action = action
         self.coeffs = clean

@@ -146,14 +146,14 @@ def _coefficientwise_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
     ring = action.ring
     # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
     # (g(u), w_u) and the value f(v): decide each (class, value) once.
-    mul, zero, apply = ring.mul, ring.zero, action.apply
+    mul, zero, automorphism = ring.mul, ring.zero, action.automorphism
     twists = {u: action.automorphism(u).perm for u in g.coeffs}
     values = set(f.coeffs.values())
     violations = {}
     for gu, twist_u in {(gu, twists[u]) for u, gu in g.coeffs.items()}:
         for fv in values:
             hit = _first_failure(
-                action, lambda s, r: mul(gu, twist_u[mul(r, apply(s, fv))]) != zero)
+                action, lambda s, r: mul(gu, twist_u[mul(r, automorphism(s).perm[fv])]) != zero)
             if hit is not None:
                 violations[gu, twist_u, fv] = hit
     if violations:
@@ -368,7 +368,7 @@ def random_annihilating_pair(action: OmegaAction,
     g_coeffs = {}
     for u in draw_support():
         b = rng.choice(choices)
-        g_coeffs[u] = action.apply(u, b)
+        g_coeffs[u] = action.automorphism(u).perm[b]
     g = SkewSeries(action, g_coeffs)
     return g, f
 

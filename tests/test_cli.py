@@ -461,6 +461,13 @@ def test_series_coefficient_outside_the_ring_is_a_spec_error(tmp_path, bad):
     assert f"coefficient {bad} is not an element of Z6 (0..5)" in log
 
 
+def test_series_exponent_outside_the_monoid_is_a_spec_error(tmp_path):
+    # refused even with a zero coefficient, which the series drops
+    code, _, log = run_to_file(PAIR_JOB.replace("0:3", "0:3; -5:0"), tmp_path)
+    assert code == 3
+    assert "-5 is not an element of NatAdd" in log
+
+
 def test_replay_of_a_series_coefficient_outside_the_ring_is_an_error(tmp_path):
     # a report whose job carries a coefficient that no run accepts
     code, out, _ = run_to_file(PAIR_JOB.replace("1:4", "1:1"), tmp_path)

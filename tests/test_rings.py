@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewseries.rings import (
+    DEFAULT_SIZE_CAP,
     TABLE_LIMIT,
     FiniteRing,
     RingAut,
@@ -442,21 +443,6 @@ def test_sampled_triples_are_those_of_randrange(n, seed):
 
 
 @pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
-def test_closure_backed_commutativity_matches_oracle(pair):
-    n = TABLE_LIMIT + 44
-
-    def add(a, b):
-        return (a + b + ((a, b) == pair)) % n
-
-    ring = FiniteRing(n, add=add, mul=lambda a, b: a * b % n, neg=lambda a: -a % n,
-                      zero=0, one=1, validate=False)
-    expected = None if pair is None else \
-        ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
-    assert _axiom_outcome(validate_ring_oracle, ring) == expected
-    assert _axiom_outcome(validate_ring, ring) == expected
-
-
-@pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
 def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
     # table_ring reads commutativity off its add table; one asymmetric
     # entry, in either order of the pair, names the pair as a scan does
@@ -469,7 +455,7 @@ def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
     expected = None if pair is None else \
         ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
     ring = FiniteRing(n, add=lambda a, b: add_t[a][b], mul=lambda a, b: mul_t[a][b],
-                      neg=neg, zero=zero, one=one, validate=False)
+                      neg=neg, zero=zero, one=one, validate=False, parts=(add_t, mul_t))
     assert _axiom_outcome(validate_ring_oracle, ring) == expected
     assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
 
@@ -726,6 +712,61 @@ def test_products_validate_their_factors():
     assert str(raised.value) == message
 
 
+def test_a_product_reports_its_factors_identity_failure():
+    # 0 + 1 = 2 in a Z3 built without validation: the product raises the
+    # factor's message and index, not those of its own element (1, 0)
+    add, mul = ([list(row) for row in table] for table in cyclic_ring(3).tables)
+    add[0][1] = add[1][0] = 2
+    broken = FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+    message = "additive identity fails at 1"
+    assert _axiom_outcome(validate_ring, broken) == ("RingAxiomError", message)
+    with pytest.raises(RingAxiomError) as raised:
+        product_ring(broken, cyclic_ring(100))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic_ring(1024),
+                                   lambda: product_ring(cyclic_ring(16), cyclic_ring(32)),
+                                   lambda: matrix_ring(cyclic_ring(5), 2)],
+                         ids=["Z1024", "Z16xZ32", "M2(Z5)"])
+def test_factory_rings_are_validated_without_their_own_operations(build):
+    ring = build()
+    assert ring.size > TABLE_LIMIT and ring._parts is not None
+    calls = []
+    add, mul = ring._add, ring._mul
+    ring._add = lambda a, b: calls.append("add") or add(a, b)
+    ring._mul = lambda a, b: calls.append("mul") or mul(a, b)
+    validate_ring(ring)
+    assert calls == []
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_functions_above_the_table_limit_need_their_parts(validate):
+    n = TABLE_LIMIT + 1
+    with pytest.raises(RingAxiomError, match=(
+            r"^a ring of 257 > 256 elements is built by cyclic_ring, product_ring, "
+            r"matrix_ring, upper_triangular_ring or table_ring$")):
+        FiniteRing(n, add=lambda a, b: (a + b) % n, mul=lambda a, b: a * b % n,
+                   neg=lambda a: -a % n, zero=0, one=1, validate=validate)
+
+
+def test_table_ring_size_cap():
+    # refused before any entry is read, like the factories; the rows are
+    # shared, so the tables take no n^2 memory
+    row = [0] * (DEFAULT_SIZE_CAP + 1)
+    with pytest.raises(RingAxiomError, match=r"^size cap exceeded: 4097 > 4096$"):
+        table_ring([row] * len(row), [row] * len(row))
+
+
+@pytest.mark.parametrize("bad", [-1, 12, True])
+def test_automorphism_apply_refuses_non_elements(bad):
+    # -1 would read the image of 11, and True that of 1
+    aut = identity_automorphism(cyclic_ring(12))
+    assert aut.apply(11) == 11
+    with pytest.raises(ValueError, match=r"is not an element of Z12 \(0..11\)"):
+        aut.apply(bad)
+
+
 # The closure-backed rings of test_kernel.
 KERNEL_LARGE_RINGS = [product_ring(cyclic_ring(2), cyclic_ring(129)),
                       product_ring(cyclic_ring(4), cyclic_ring(65)),
@@ -953,7 +994,8 @@ def test_automorphism_validation_reads_only_the_generator_rows():
         return call
 
     ring = FiniteRing(base.size, add=counted(base.add, "add"), mul=counted(base.mul, "mul"),
-                      neg=base.neg, zero=base.zero, one=base.one, validate=False)
+                      neg=base.neg, zero=base.zero, one=base.one, validate=False,
+                      parts=base._parts)
     n, gens = ring.size, _additive_generators(ring)
     calls.update(add=0, mul=0)
     RingAut(ring, swap_automorphism(base).perm).validate()

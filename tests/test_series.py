@@ -120,6 +120,24 @@ def test_public_constructor_rejects_exponents_outside_the_monoid():
         SkewSeries(act, {-1: 1})
 
 
+@pytest.mark.parametrize("exponent", [-1, "x", 1.0])
+def test_public_constructors_reject_exponents_outside_the_monoid_with_zero_coefficients(
+        exponent):
+    act = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
+    with pytest.raises(ValueError, match="not an element of NatAdd"):
+        SkewSeries(act, {0: 1, exponent: 0})
+    with pytest.raises(ValueError, match="not an element of NatAdd"):
+        from_terms(act, [(exponent, 0)])
+
+
+@pytest.mark.parametrize("bad", [-1, 12, True])
+def test_apply_refuses_non_elements(bad):
+    act = trivial_action(make_monoid("NatAdd"), cyclic_ring(12))
+    assert act.apply(0, 11) == 11
+    with pytest.raises(ValueError, match=r"is not an element of Z12 \(0..11\)"):
+        act.apply(0, bad)
+
+
 # a bool is an int, but neither an exponent nor an element index
 @pytest.mark.parametrize("kind, terms", [("NatAdd", {True: 1}), ("NatAdd", {1: True}),
                                          ("NatPairLex", {(True, 0): 1})])
