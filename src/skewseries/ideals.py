@@ -7,10 +7,11 @@ and kept in the ring:
     Zl[x] = {r : r*x == 0}      Zr[x] = {r : x*r == 0}
     Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
 
-Only Zr reads products: one pass over the rows x -> (y -> x*y), the
-``bytes`` rows of a tabled ring or ``ring.mul`` one row at a time.  The
-other three are transposes T (bit y of T(m)[x] is bit x of m[y]) of row
-zero sets, with y - 1 = y + (-1):
+Only Zr reads products: one pass over the rows x -> (y -> x*y) that
+``ring.mul_row`` hands out, a tabled ring's own ``bytes`` rows or lists
+computed through its function.  The other three are transposes T (bit y of
+T(m)[x] is bit x of m[y]) of row zero sets, with y - 1 = (-1) + y read off
+``ring.add_row(-1)``:
 
     Zl = T(Zr)                 since y*x == 0 exactly when x is in Zr[y];
     Fl = T(y -> Zr[y - 1])     since y*x == x exactly when (y - 1)*x == 0;
@@ -49,38 +50,19 @@ whose orbit annihilator is not right s-unital.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress
 
 from .rings import FiniteRing, _additive_generators, additive_closure
 from .series import OmegaAction
 
-LEFT_IDEAL = "left-ideal"
-RIGHT_IDEAL = "right-ideal"
-TWO_SIDED = "two-sided"
-PLAIN_SUBSET = "plain-subset"
-
 
 @dataclass(frozen=True)
 class IdealSet:
-    """A subset of a finite ring; ``flavor`` says how much closure it enjoys."""
+    """A subset of a finite ring."""
 
     ring: FiniteRing
     members: frozenset[int]
-
-    @cached_property
-    def flavor(self) -> str:
-        """Two-sided, left, right or plain: computed on first read."""
-        ring, members = self.ring, self.members
-        left = all(ring.mul(r, a) in members for r in ring.elements() for a in members)
-        right = all(ring.mul(a, r) in members for r in ring.elements() for a in members)
-        if left and right:
-            return TWO_SIDED
-        if left:
-            return LEFT_IDEAL
-        if right:
-            return RIGHT_IDEAL
-        return PLAIN_SUBSET
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
@@ -100,7 +82,7 @@ class IdealSet:
 
     @classmethod
     def classified(cls, ring: FiniteRing, members) -> "IdealSet":
-        """Wrap any iterable of members; the flavor is detected on first read."""
+        """Wrap any iterable of members."""
         return cls(ring, frozenset(members))
 
 
@@ -146,13 +128,11 @@ def _bits(ring: FiniteRing, kind: str) -> list[int]:
     if hit is None:
         n = ring.size
         if kind == ZR:  # row x: y -> x*y
-            rows = ring.tables[1] if ring.tables is not None else \
-                ([ring.mul(x, y) for y in range(n)] for x in range(n))
-            hit = [_mask(row, ring.zero) for row in rows]
+            hit = [_mask(ring.mul_row(x), ring.zero) for x in range(n)]
         else:  # Zl from Zr at y, Fl from Zr and Fr from Zl at y - 1
             zeros = _bits(ring, ZL if kind == FR else ZR)
             shift = ring.zero if kind == ZL else ring.neg(ring.one)
-            hit = _transpose([zeros[ring.add(y, shift)] for y in range(n)], n)
+            hit = _transpose(list(map(zeros.__getitem__, ring.add_row(shift))), n)
         kept[kind] = hit
     return hit
 

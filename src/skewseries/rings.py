@@ -18,9 +18,13 @@ from its rows, compared whole in C; a larger factory ring exactly, from the
 rings it is built from alone (nothing more for Z_n, the two factors of a
 product, the base of a matrix or triangular ring); and ``table_ring`` above
 ``TABLE_LIMIT`` by a scan of its identities, its commutativity read off its
-add table, and seeded random sampling of its triple axioms.  ``FiniteRing``
-refuses functions above ``TABLE_LIMIT`` that come without those parts.
+add table, and seeded random sampling of its triple axioms, each rule
+reading table rows, not the ring's ``add`` or ``mul``.  ``FiniteRing``
+refuses functions above ``TABLE_LIMIT`` without ``neg`` and those parts.
 
+Every whole-row reader takes its rows from ``FiniteRing.add_row``/``mul_row``:
+the unit search (a unit is an element whose row of the product holds 1),
+``RingAut.validate``, ``automorphisms`` and the ``ideals`` kernel.
 A ring map is an automorphism when it respects + and * on the rows of an
 additive generating set: the elements whose rows it respects are closed
 under +.  ``RingAut.validate`` and ``automorphisms`` use that argument, so
@@ -66,7 +70,7 @@ class FiniteRing:
     values whoever fills them.  A larger ring computes through its functions
     and needs ``neg`` and ``parts``, what they read, from which
     ``validate_ring`` decides it: the rings a factory ring is built from, or
-    ``table_ring``'s two tables.  Without ``parts`` it raises RingAxiomError
+    ``table_ring``'s two tables.  Without either it raises RingAxiomError
     naming the factories.  ``_parts`` keeps them; it is None when tabled.
     """
 
@@ -94,7 +98,7 @@ class FiniteRing:
             self._mul_rows = _byte_rows(mul, size, "mul table")
             self._add = None
             self._mul = None
-        elif parts is None:
+        elif parts is None or neg is None:
             raise RingAxiomError(
                 f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
                 "product_ring, matrix_ring, upper_triangular_ring or table_ring")
@@ -130,11 +134,21 @@ class FiniteRing:
             return None
         return self._add_rows, self._mul_rows
 
+    def add_row(self, a: int):
+        """Row a of the addition table: the ring's own ``bytes`` row when
+        tabled, not to be modified, else a list computed through ``_add``."""
+        if self._add_rows is not None:
+            return self._add_rows[a]
+        return list(map(self._add, repeat(a, self.size), range(self.size)))
+
+    def mul_row(self, a: int):
+        """Row a of the multiplication table, as ``add_row``."""
+        if self._mul_rows is not None:
+            return self._mul_rows[a]
+        return list(map(self._mul, repeat(a, self.size), range(self.size)))
+
     def neg(self, a: int) -> int:
         return self._neg_row[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def elements(self) -> range:
         return range(self.size)
@@ -205,34 +219,36 @@ def validate_ring(ring: FiniteRing) -> None:
       commutativity read off the add table in C (``_check_commutative``),
       and the triple axioms on ``VALIDATION_SAMPLES`` triples drawn from
       seed ``VALIDATION_SEED``.
+    Each rule reads table rows; none calls the ring's ``add`` or ``mul``.
     """
     n = ring.size
-    A, M, parts = ring._add_rows, ring._mul_rows, ring._parts
-    if A is None and all(isinstance(p, FiniteRing) for p in parts):
-        for part in parts:
+    rows = ring.tables
+    if rows is None and all(isinstance(p, FiniteRing) for p in ring._parts):
+        for part in ring._parts:
             validate_ring(part)
         return
-    if A is not None:
+    A, M = rows or ring._parts
+    if rows is not None:
         tables = _byte_tables(A, M)
         aflat = b"".join(A)
         acol = [aflat[c::n] for c in range(n)]
-    if A is None or not _identities_hold(ring, acol, tables[2]):
-        add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
-        for a in range(n):
-            if add(zero, a) != a or add(a, zero) != a:
+    if rows is None or not _identities_hold(ring, acol, tables[2]):
+        zero, one = ring.zero, ring.one
+        for a, neg in enumerate(ring._neg_row):
+            if A[zero][a] != a or A[a][zero] != a:
                 raise RingAxiomError(f"additive identity fails at {a}")
-            if add(a, ring.neg(a)) != zero:
+            if A[a][neg] != zero:
                 raise RingAxiomError(f"additive inverse fails at {a}")
-            if mul(one, a) != a or mul(a, one) != a:
+            if M[one][a] != a or M[a][one] != a:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
-    if A is None:
-        _check_commutative(parts[0], "addition")
-        _check_triples(ring, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
+    if rows is None:
+        _check_commutative(A, "addition")
+        _check_triples(A, M, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
     else:
         if acol != A:
             _check_commutative(A, "addition")
         if not _triple_axioms_hold(tables, _additive_generators(ring)):
-            _check_blocks(ring, tables)
+            _check_blocks(tables)
 
 
 def _identities_hold(ring: FiniteRing, acol, mcol) -> bool:
@@ -306,7 +322,7 @@ def _triple_axioms_hold(tables, gens) -> bool:
                     for a in gens for b in gens for c in gens))
 
 
-def _check_blocks(ring: FiniteRing, tables) -> None:
+def _check_blocks(tables) -> None:
     """The triple axioms on every triple, in lexicographic order, one block
     (a, *, *) at a time with each axiom compared a whole row or column at
     once; the first failing block is rescanned triple by triple."""
@@ -322,7 +338,7 @@ def _check_blocks(ring: FiniteRing, tables) -> None:
                     for b, (rb, mb) in enumerate(zip(arow, mrow)))
                 and all(Aa.translate(by_mul[c]) == mcol[c].translate(add_by[Ma[c]])
                         for c in range(n))):
-            _check_triples(ring, product((a,), range(n), range(n)))
+            _check_triples(arow, mrow, product((a,), range(n), range(n)))
 
 
 def _sample_triples(n: int, samples: int, seed: int):
@@ -337,17 +353,17 @@ def _sample_triples(n: int, samples: int, seed: int):
     return zip(draws, draws, draws)
 
 
-def _check_triples(ring: FiniteRing, triples) -> None:
-    """The triple-quantified axioms, one triple and one axiom at a time."""
-    add, mul = ring.add, ring.mul
+def _check_triples(A, M, triples) -> None:
+    """The triple-quantified axioms on the rows ``A`` and ``M`` of the
+    addition and multiplication tables, one triple and one axiom at a time."""
     for a, b, c in triples:
-        if add(add(a, b), c) != add(a, add(b, c)):
+        if A[A[a][b]][c] != A[a][A[b][c]]:
             raise RingAxiomError(f"addition not associative at ({a},{b},{c})")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+        if M[M[a][b]][c] != M[a][M[b][c]]:
             raise RingAxiomError(f"multiplication not associative at ({a},{b},{c})")
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+        if M[a][A[b][c]] != A[M[a][b]][M[a][c]]:
             raise RingAxiomError(f"left distributivity fails at ({a},{b},{c})")
-        if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
+        if M[A[a][b]][c] != A[M[a][c]][M[b][c]]:
             raise RingAxiomError(f"right distributivity fails at ({a},{b},{c})")
 
 
@@ -641,48 +657,34 @@ def idempotents(ring: FiniteRing) -> list[int]:
     return [x for x in ring.elements() if ring.mul(x, x) == x]
 
 
-def _inverse(ring: FiniteRing, u: int) -> int | None:
-    """The first v with u*v == 1 == v*u, or None.
-
-    The candidates v are the positions of 1 in the row of u, in order,
-    found by ``count`` and ``index`` in C, on the ``bytes`` row of a tabled
-    ring; a closure-backed ring computes the row as a list through ``mul``
-    first.  Each candidate is tested for v*u == 1.
-    """
-    one, n = ring.one, ring.size
-    row = ring._mul_rows[u] if ring._mul_rows is not None else \
-        list(map(ring._mul, repeat(u, n), range(n)))
-    v = -1
-    for _ in range(row.count(one)):
-        v = row.index(one, v + 1)
-        if ring.mul(v, u) == one:
-            return v
-    return None
-
-
 def units(ring: FiniteRing) -> list[int]:
-    """All two-sided invertible elements, ascending.
+    """All invertible elements, ascending: the u whose row of the product
+    holds 1.
 
-    The units of a closure-backed product are the pairs of the factors'
-    units, index u_a*|b| + u_b, listed in ascending order without a product
-    of the ring; every other ring is scanned element by element.
+    A one-sided inverse is two-sided in a finite ring.  If u*v == 1, then
+    x -> v*x is injective (v*x == v*y gives x == u*v*x == u*v*y == y), hence
+    onto, so v*w == 1 for some w, and w == u*v*w == u; so v*u == 1.  The
+    units of a closure-backed product are the pairs of the factors' units,
+    index u_a*|b| + u_b, listed in ascending order without a product of
+    the ring.
     """
     parts = ring._parts
     if parts is not None and len(parts) == 2 and isinstance(parts[0], FiniteRing):
         a, b = parts
         of_b = units(b)
         return [u * b.size + v for u in units(a) for v in of_b]
-    return [u for u in ring.elements() if _inverse(ring, u) is not None]
+    return [u for u in ring.elements() if ring.one in ring.mul_row(u)]
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
-    """The inverse of the unit u; ValueError when u is not an element or
-    not a unit."""
+    """The inverse of the unit u, the position of 1 in its row of the
+    product (two-sided, see ``units``); ValueError when u is not an element
+    or not a unit."""
     ring.check_element(u)
-    v = _inverse(ring, u)
-    if v is None:
+    row = ring.mul_row(u)
+    if ring.one not in row:
         raise ValueError(f"element {u} is not a unit of {ring.name}")
-    return v
+    return row.index(ring.one)
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +710,12 @@ class RingAut:
         G = ``_additive_generators(ring)`` are tested, which is exact: the a
         whose additive row holds are closed under + and contain G, so they
         are all of R; given additivity, so are the a whose multiplicative
-        row holds.  A tabled ring compares its table rows in C; a
-        closure-backed one computes each row through ``add``/``mul``, |G|*n
-        pairs instead of n^2.  Only when a generator row fails are the rows
-        scanned in order, and the first failing row pair by pair, so the
-        message names the first failing pair (a, b) and law, as a plain scan
-        does; that failure path costs the n^2 it always has.
+        row holds.  The rows come from ``add_row``/``mul_row``, compared in
+        C on a tabled ring: |G|*n pairs instead of n^2.  Only when a
+        generator row fails are the rows scanned in order, and the first
+        failing row pair by pair, so the message names the first failing
+        pair (a, b) and law, as a plain scan does; that failure path costs
+        the n^2 it always has.
         """
         ring, perm = self.ring, self.perm
         n = ring.size
@@ -721,16 +723,11 @@ class RingAut:
             raise RingAxiomError("automorphism image array is not a bijection")
         if perm[ring.one] != ring.one:
             raise RingAxiomError("automorphism does not fix 1")
-        if ring.tables is not None:
-            rows = [T.__getitem__ for T in ring.tables]
-        else:
-            rows = [lambda x, op=op: list(map(op, repeat(x, n), range(n)))
-                    for op in (ring._add, ring._mul)]
         image = perm.__getitem__
 
         def row_holds(a):
             return all(list(map(image, row(a))) == list(map(row(perm[a]).__getitem__, perm))
-                       for row in rows)
+                       for row in (ring.add_row, ring.mul_row))
 
         if all(map(row_holds, _additive_generators(ring))):
             return
@@ -906,8 +903,7 @@ def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
         raise ValueError(f"{ring.name} has {ring.size} elements; raise cap")
 
     n = ring.size
-    A, M = ring.tables or tuple([[op(a, b) for b in range(n)] for a in range(n)]
-                                for op in (ring.add, ring.mul))
+    A, M = ([row(a) for a in range(n)] for row in (ring.add_row, ring.mul_row))
     gens = _additive_generators(ring)
     idempotent = [M[x][x] == x for x in range(n)]
     found: list[tuple[int, ...]] = []

@@ -199,19 +199,6 @@ def additive_closure_by_fixpoint(ring, seed) -> frozenset:
         current = grown
 
 
-def closure_flavor(ring, members) -> str:
-    """Two-sided, left, right or plain, by scanning r*a and a*r for all r."""
-    left = all(ring.mul(r, a) in members for r in range(ring.size) for a in members)
-    right = all(ring.mul(a, r) in members for r in range(ring.size) for a in members)
-    if left and right:
-        return "two-sided"
-    if left:
-        return "left-ideal"
-    if right:
-        return "right-ideal"
-    return "plain-subset"
-
-
 def closure_tables(size: int, *ops, rows=None) -> tuple:
     """The table of each binary operation in ``ops``, one call per entry;
     only the rows of the elements in ``rows``, in that order, when given."""

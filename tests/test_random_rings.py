@@ -2,7 +2,7 @@
 the cell-ring factories, the bitset kernel and its verdicts, the orbit
 condition and its obstructions under the identity and an inner action, the
 middles and coefficientwise quantifiers, convolution on each of its paths,
-the automorphism search, and exact ring validation."""
+the automorphism search, units, and exact ring validation."""
 
 import random
 from functools import partial
@@ -28,6 +28,7 @@ from skewseries.rings import (
     cyclic_ring,
     inner_automorphism,
     table_ring,
+    unit_inverse,
     units,
     validate_ring,
 )
@@ -200,6 +201,14 @@ def test_first_failure_tests_each_generator_once_per_representative(ring_name, a
 def test_automorphisms_match_the_additive_extension_search(ring):
     assert [aut.perm for aut in automorphisms(ring)] == \
         automorphism_perms_by_additive_extension(ring)
+
+
+@settings(RANDOM, max_examples=30)
+@given(rings())
+def test_unit_inverse_is_a_left_inverse_too(ring):
+    # the row search finds u*v == 1 only; v*u == 1 follows in a finite ring
+    for u in units(ring):
+        assert ring.mul(unit_inverse(ring, u), u) == ring.one
 
 
 @settings(RANDOM, max_examples=20)

@@ -1,7 +1,7 @@
 import random
 import re
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +27,7 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
-from skewseries.rings import (_additive_generators, _byte_tables, _inverse, _sample_triples,
+from skewseries.rings import (_additive_generators, _byte_tables, _sample_triples,
                               _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
 
@@ -725,11 +725,26 @@ def test_a_product_reports_its_factors_identity_failure():
     assert str(raised.value) == message
 
 
+def _relabelled_z512():
+    """Z512 as ``table_ring`` lists, each x stored at a seeded-shuffled index."""
+    perm = list(range(512))
+    random.Random(512).shuffle(perm)
+    add_t, mul_t = ([[0] * 512 for _ in range(512)] for _ in range(2))
+    for x in range(512):
+        ax, mx = add_t[perm[x]], mul_t[perm[x]]
+        for y in range(512):
+            ax[perm[y]] = perm[(x + y) % 512]
+            mx[perm[y]] = perm[x * y % 512]
+    return table_ring(add_t, mul_t)
+
+
 @pytest.mark.parametrize("build", [lambda: cyclic_ring(1024),
                                    lambda: product_ring(cyclic_ring(16), cyclic_ring(32)),
-                                   lambda: matrix_ring(cyclic_ring(5), 2)],
-                         ids=["Z1024", "Z16xZ32", "M2(Z5)"])
+                                   lambda: matrix_ring(cyclic_ring(5), 2),
+                                   _relabelled_z512],
+                         ids=["Z1024", "Z16xZ32", "M2(Z5)", "table512"])
 def test_factory_rings_are_validated_without_their_own_operations(build):
+    # a table ring above the limit is validated from its two tables
     ring = build()
     assert ring.size > TABLE_LIMIT and ring._parts is not None
     calls = []
@@ -742,12 +757,14 @@ def test_factory_rings_are_validated_without_their_own_operations(build):
 
 @pytest.mark.parametrize("validate", [True, False])
 def test_functions_above_the_table_limit_need_their_parts(validate):
+    # without parts, or with parts but without the negatives they give
     n = TABLE_LIMIT + 1
-    with pytest.raises(RingAxiomError, match=(
-            r"^a ring of 257 > 256 elements is built by cyclic_ring, product_ring, "
-            r"matrix_ring, upper_triangular_ring or table_ring$")):
-        FiniteRing(n, add=lambda a, b: (a + b) % n, mul=lambda a, b: a * b % n,
-                   neg=lambda a: -a % n, zero=0, one=1, validate=validate)
+    for only in ({"neg": lambda a: -a % n}, {"parts": ()}):
+        with pytest.raises(RingAxiomError, match=(
+                r"^a ring of 257 > 256 elements is built by cyclic_ring, product_ring, "
+                r"matrix_ring, upper_triangular_ring or table_ring$")):
+            FiniteRing(n, add=lambda a, b: (a + b) % n, mul=lambda a, b: a * b % n,
+                       zero=0, one=1, validate=validate, **only)
 
 
 def test_table_ring_size_cap():
@@ -850,7 +867,20 @@ def test_units_of_a_closure_backed_product_match_the_element_scan(a, b):
     # factor Z300 is closure-backed itself
     ring = product_ring(cyclic_ring(a), cyclic_ring(b))
     assert ring.tables is None
-    assert units(ring) == [u for u in range(ring.size) if _inverse(ring, u) is not None]
+    assert units(ring) == sorted(units_by_scan(ring))
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic_ring(300),
+                                   lambda: matrix_ring(cyclic_ring(300), 1),
+                                   lambda: upper_triangular_ring(cyclic_ring(7), 2)],
+                         ids=["Z300", "M1(Z300)", "T2(Z7)"])
+def test_units_of_closure_backed_rings_that_are_not_products_match_the_scan(build):
+    # the row rule on closure rows: u is a unit when its row holds 1
+    ring = build()
+    assert ring.tables is None and len(ring._parts) < 2
+    _check_units_against_scan(ring)
+    if ring.size == 300:
+        assert units(ring) == [u for u in range(300) if gcd(u, 300) == 1]
 
 
 UNIT_RINGS = [*(gallery_ring(name) for name in gallery_names()),
@@ -917,6 +947,13 @@ def test_automorphism_group_orders_of_64_and_32_element_rings(build, order):
     assert len(automorphisms(build())) == order
 
 
+def test_automorphisms_of_z257_search_closure_rows():
+    # 1 generates Z257 additively and is fixed: the identity alone
+    ring = cyclic_ring(257)
+    assert ring.tables is None
+    assert automorphisms(ring, cap=257) == [identity_automorphism(ring)]
+
+
 def test_automorphisms_above_the_table_limit_search_closure_rows():
     ring = _small_product(17, 17)
     assert ring.size > TABLE_LIMIT and ring.tables is None
@@ -944,21 +981,35 @@ def _aut_outcome(check, aut):
     return None
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_automorphism_validation_matches_pair_scan(data):
-    ring = data.draw(st.sampled_from(AUT_RINGS), label="ring")
-    n = ring.size
-    perm = list(data.draw(st.sampled_from(AUT_GROUPS[ring.name])).perm)
-    element = st.integers(0, n - 1)
-    # Transpositions make non-automorphisms, some of which move 1; copying
-    # one image over another makes a non-bijection.
+def _perturbed(data, perm) -> list:
+    """``perm`` after up to two drawn transpositions, which make
+    non-automorphisms, some of which move 1, and perhaps one image copied
+    over another, which makes a non-bijection."""
+    perm = list(perm)
+    element = st.integers(0, len(perm) - 1)
     for _ in range(data.draw(st.integers(0, 2), label="swaps")):
         a, b = data.draw(element), data.draw(element)
         perm[a], perm[b] = perm[b], perm[a]
     if data.draw(st.booleans(), label="copy"):
         perm[data.draw(element)] = perm[data.draw(element)]
-    aut = RingAut(ring, perm)
+    return perm
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_automorphism_validation_matches_pair_scan(data):
+    ring = data.draw(st.sampled_from(AUT_RINGS), label="ring")
+    aut = RingAut(ring, _perturbed(data, data.draw(st.sampled_from(AUT_GROUPS[ring.name])).perm))
+    assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(matrix_subrings(), st.data())
+def test_automorphism_validation_of_drawn_rings_matches_pair_scan(ring, data):
+    # from an automorphism or from any permutation of the elements
+    perm = data.draw(st.sampled_from([aut.perm for aut in automorphisms(ring)])
+                     | st.permutations(range(ring.size)), label="perm")
+    aut = RingAut(ring, _perturbed(data, perm))
     assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
 
 
@@ -970,16 +1021,8 @@ CLOSURE_AUT_RING = _small_product(17, 17)
 def test_automorphism_validation_on_a_closure_ring_matches_pair_scan(data):
     ring = CLOSURE_AUT_RING
     assert ring.tables is None
-    n = ring.size
-    perm = list(data.draw(st.sampled_from(
-        [identity_automorphism(ring), swap_automorphism(ring)])).perm)
-    element = st.integers(0, n - 1)
-    for _ in range(data.draw(st.integers(0, 2), label="swaps")):
-        a, b = data.draw(element), data.draw(element)
-        perm[a], perm[b] = perm[b], perm[a]
-    if data.draw(st.booleans(), label="copy"):
-        perm[data.draw(element)] = perm[data.draw(element)]
-    aut = RingAut(ring, perm)
+    perm = data.draw(st.sampled_from([identity_automorphism(ring), swap_automorphism(ring)])).perm
+    aut = RingAut(ring, _perturbed(data, perm))
     assert _aut_outcome(RingAut.validate, aut) == _aut_outcome(ring_aut_validate_oracle, aut)
 
 
