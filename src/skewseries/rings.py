@@ -9,18 +9,23 @@ for products, and for matrix and triangular rings the digitwise sum table
 plus four tables of partial products between the high-digit and the
 low-digit parts of two elements, from which every row follows by
 translating through the sum table; a one-cell matrix or triangular ring is
-its base under another name.  Tables given as lists are range-checked
-and converted once.  Larger rings evaluate arithmetic on demand through
-closures; the matrix and triangular ones add through two half-digit tables
-and multiply through the partial products, all kept as lists.  Every ring
-is validated at construction by one of three rules: a tabled ring exactly,
+its base under another name.  Larger rings evaluate arithmetic on demand
+through closures; the matrix and triangular ones add through two half-digit
+tables and multiply through the partial products, all kept as lists, and
+``table_ring`` reads its own copy of the caller's tables, packed once into
+16-bit ``array('H')`` rows.  Tables given as lists obey one entry rule at
+every size: each entry must be an integer 0..n-1, stored as an int (a bool
+too), and the first that is not is named, row-major, the addition table
+first; the rows are range-checked in C and converted once.  Every ring is
+validated at construction by one of three rules: a tabled ring exactly,
 from its rows, compared whole in C; a larger factory ring exactly, from the
 rings it is built from alone (nothing more for Z_n, the two factors of a
 product, the base of a matrix or triangular ring); and ``table_ring`` above
-``TABLE_LIMIT`` by a scan of its identities, its commutativity read off its
-add table, and seeded random sampling of its triple axioms, each rule
-reading table rows, not the ring's ``add`` or ``mul``.  ``FiniteRing``
-refuses functions above ``TABLE_LIMIT`` without ``neg`` and those parts.
+``TABLE_LIMIT`` from its 16-bit rows, its identity, inverse and
+commutativity laws exactly, by whole-row compares in C, and its triple
+axioms only on a seeded random sample of triples.  No rule calls the ring's
+``add`` or ``mul``.  ``FiniteRing`` refuses functions above ``TABLE_LIMIT``
+without ``neg`` and those parts.
 
 Every whole-row reader takes its rows from ``FiniteRing.add_row``/``mul_row``:
 the unit search (a unit is an element whose row of the product holds 1),
@@ -34,7 +39,11 @@ a closure-backed ring costs |G|*n products, not n^2.
 from __future__ import annotations
 
 import random
+import struct
+import sys
+from array import array
 from itertools import islice, product, repeat
+from operator import getitem, itemgetter
 
 # Structured rings materialize full operation tables up to this size;
 # beyond it arithmetic stays closure-backed.
@@ -47,6 +56,9 @@ DEFAULT_SIZE_CAP = 4096
 # many triples, drawn from random.Random(VALIDATION_SEED).
 VALIDATION_SAMPLES = 2000
 VALIDATION_SEED = 0
+
+# The offset of the low byte of a 16-bit entry in the bytes of an array('H').
+_LOW_BYTE = 0 if sys.byteorder == "little" else 1
 
 
 class RingAxiomError(ValueError):
@@ -70,8 +82,9 @@ class FiniteRing:
     values whoever fills them.  A larger ring computes through its functions
     and needs ``neg`` and ``parts``, what they read, from which
     ``validate_ring`` decides it: the rings a factory ring is built from, or
-    ``table_ring``'s two tables.  Without either it raises RingAxiomError
-    naming the factories.  ``_parts`` keeps them; it is None when tabled.
+    ``table_ring``'s two tables of ``array('H')`` rows.  Without either it
+    raises RingAxiomError naming the factories.  ``_parts`` keeps them; it
+    is None when tabled.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
@@ -193,6 +206,70 @@ def _byte_rows(table, n: int, label: str) -> list[bytes]:
     return rows
 
 
+def _wide_rows(table, n: int, label: str) -> list[array]:
+    """The rows of a table of more than 256 elements as ``array('H')``, each
+    packed from the caller's row in C by one ``struct`` call, after checking
+    in C that every entry is an element 0..n-1; ``_check_entries`` names the
+    first that is not.
+
+    The pack refuses an entry that is not an integer 0..65535 and stores any
+    integer, a bool too, as an int.  Entry hi*256 + lo exceeds
+    n - 1 = top_hi*256 + top_lo exactly when hi > top_hi, or hi == top_hi
+    and lo > top_lo.  ``bytes.translate`` maps the high bytes of a row to
+    the flags 0, 1, 3 (below, at, above top_hi) and its low bytes to 2, 3
+    (at most, above top_lo), so the two flag strings, read as integers,
+    share a bit exactly where an entry is out of range.
+    """
+    pack = struct.Struct(f"={n}H").pack
+    top_hi, top_lo = divmod(n - 1, 256)
+    hi_flags = bytes(0 if h < top_hi else 1 if h == top_hi else 3 for h in range(256))
+    lo_flags = bytes(2 if lo <= top_lo else 3 for lo in range(256))
+
+    def out_of_range(row) -> int:
+        packed = row.tobytes()
+        return (int.from_bytes(packed[1 - _LOW_BYTE::2].translate(hi_flags), "little")
+                & int.from_bytes(packed[_LOW_BYTE::2].translate(lo_flags), "little"))
+
+    try:
+        rows = [array("H", pack(*row)) for row in table]
+    except struct.error:  # an entry that is not an integer 0..65535
+        rows = None
+    if rows is None or any(map(out_of_range, rows)):
+        _check_entries(table, n, label)
+    return rows
+
+
+def _wide_negatives(rows, zero) -> list[int]:
+    """The first index of ``zero`` in each ``array('H')`` row of an addition
+    table: the first even offset of its two bytes in the row's bytes, found
+    by ``bytes.find`` in C."""
+    try:
+        mark = struct.pack("=H", zero)
+    except struct.error:  # not an entry of any row
+        raise RingAxiomError("element 0 has no additive inverse") from None
+    out = []
+    for a, row in enumerate(rows):
+        packed = row.tobytes()
+        at = packed.find(mark)
+        while at > 0 and at & 1:
+            at = packed.find(mark, at + 1)
+        if at < 0:
+            raise RingAxiomError(f"element {a} has no additive inverse")
+        out.append(at >> 1)
+    return out
+
+
+def _columns(rows) -> list:
+    """The columns of a square table, strided slices of its joined rows,
+    each compared with a row in C: ``bytes`` for ``bytes`` rows, views of
+    16-bit entries for ``array('H')`` rows."""
+    flat, n = b"".join(rows), len(rows)
+    if isinstance(rows[0], bytes):
+        return [flat[c::n] for c in range(n)]
+    view = memoryview(flat).cast("H")
+    return [view[c::n] for c in range(n)]
+
+
 def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
@@ -214,11 +291,12 @@ def validate_ring(ring: FiniteRing) -> None:
       (base,) for a matrix or triangular ring, a ring exactly when its base
       is (see ``_cell_ring``).  Each is validated in turn, and nothing else:
       the ring's zero, one and negatives are those the parts give.
-    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``: the
-      identity, inverse and one laws by a scan of every element,
-      commutativity read off the add table in C (``_check_commutative``),
-      and the triple axioms on ``VALIDATION_SAMPLES`` triples drawn from
-      seed ``VALIDATION_SEED``.
+    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``, each
+      a list of ``array('H')`` rows: the identity, inverse and one laws and
+      commutativity by the same whole-row and whole-column compares in C as
+      a tabled ring, with the same scans to name a failure, and then the
+      triple axioms on ``VALIDATION_SAMPLES`` triples drawn from seed
+      ``VALIDATION_SEED``, a sample, not a proof.
     Each rule reads table rows; none calls the ring's ``add`` or ``mul``.
     """
     n = ring.size
@@ -230,9 +308,8 @@ def validate_ring(ring: FiniteRing) -> None:
     A, M = rows or ring._parts
     if rows is not None:
         tables = _byte_tables(A, M)
-        aflat = b"".join(A)
-        acol = [aflat[c::n] for c in range(n)]
-    if rows is None or not _identities_hold(ring, acol, tables[2]):
+    acol = _columns(A)
+    if not _identities_hold(ring, A, M, acol):
         zero, one = ring.zero, ring.one
         for a, neg in enumerate(ring._neg_row):
             if A[zero][a] != a or A[a][zero] != a:
@@ -241,31 +318,43 @@ def validate_ring(ring: FiniteRing) -> None:
                 raise RingAxiomError(f"additive inverse fails at {a}")
             if M[one][a] != a or M[a][one] != a:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
-    if rows is None:
+    if acol != A:
         _check_commutative(A, "addition")
+    if rows is None:
         _check_triples(A, M, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
-    else:
-        if acol != A:
-            _check_commutative(A, "addition")
-        if not _triple_axioms_hold(tables, _additive_generators(ring)):
-            _check_blocks(tables)
+    elif not _triple_axioms_hold(tables, _additive_generators(ring)):
+        _check_blocks(tables)
 
 
-def _identities_hold(ring: FiniteRing, acol, mcol) -> bool:
+def _identities_hold(ring: FiniteRing, A, M, acol) -> bool:
     """Whether the additive identity, inverse and multiplicative identity
-    laws hold on a tabled ring, given the columns of its tables; each law is
-    one compare of whole rows or columns in C.  An index that is not an
-    element gives False, and the scan in ``validate_ring`` then meets it in
-    the order it always has."""
-    A, M, zero, one, n = ring._add_rows, ring._mul_rows, ring.zero, ring.one, ring.size
-    ident = bytes(range(n))
+    laws hold, given the rows of both tables and the columns of the first;
+    each law is one compare of whole rows or columns in C.  An index that is
+    not an element gives False, and the scan in ``validate_ring`` then meets
+    it in the order it always has."""
+    zero, one = ring.zero, ring.one
     try:
+        ident = _identity_row(A)
         return (A[zero] == acol[zero] == ident
                 # entry (a, -a) of every row a
-                and bytes(map(bytes.__getitem__, A, ring._neg_row)) == bytes([zero]) * n
-                and M[one] == mcol[one] == ident)
-    except (IndexError, TypeError, ValueError):
+                and list(map(getitem, A, ring._neg_row)) == [zero] * ring.size
+                and _is_identity(M, one, ident))
+    except (IndexError, TypeError):
         return False
+
+
+def _identity_row(rows):
+    """The row 0..n-1, of the type of ``rows``' rows: ``bytes`` or
+    ``array('H')``."""
+    n = len(rows)
+    return bytes(range(n)) if isinstance(rows[0], bytes) else array("H", range(n))
+
+
+def _is_identity(M, e: int, ident) -> bool:
+    """Whether row e and column e of the table ``M`` both equal ``ident``,
+    its row 0..n-1; the row is compared whole, the column read by
+    ``itemgetter``, both in C."""
+    return M[e] == ident and list(map(itemgetter(e), M)) == list(ident)
 
 
 def _check_commutative(S, label: str) -> None:
@@ -613,12 +702,22 @@ def _check_entries(table, n: int, label: str) -> None:
 
 def table_ring(add_table, mul_table, zero: int | None = None,
                one: int | None = None, name: str = "table") -> FiniteRing:
-    """Build a ring from explicit operation tables, validating every axiom.
+    """Build a ring from explicit operation tables, validated as it is built.
 
-    Every entry must be an element index 0..n-1.  ``zero`` and ``one`` are
-    located by scanning when not given.  Above ``TABLE_LIMIT`` the ring
-    computes through the tables, which ``validate_ring`` reads as its parts.
-    More than ``DEFAULT_SIZE_CAP`` rows are refused before any entry is read.
+    Every entry must be an element index 0..n-1, an integer, stored as an
+    int; the first that is not, row-major and the addition table first,
+    raises RingAxiomError.  The ring keeps its own copy of the tables:
+    ``bytes`` rows up to ``TABLE_LIMIT``, above it ``array('H')`` rows, each
+    packed from the caller's row in C and range-checked on its bytes.
+    ``zero`` and ``one`` are found when not given, as the first row equal
+    to 0..n-1 and the first element whose row and column both are, compared
+    whole in C.  Up to ``TABLE_LIMIT`` every axiom is checked exactly.
+    Above it the ring computes through its 16-bit rows, which
+    ``validate_ring`` reads as its parts: every law but the triple axioms
+    exactly, and those only on ``VALIDATION_SAMPLES`` seeded triples, so a
+    table that breaks associativity or distributivity on a few triples
+    may pass.  More than ``DEFAULT_SIZE_CAP`` rows are refused before any
+    entry is read.
     """
     n = len(add_table)
     if n > DEFAULT_SIZE_CAP:
@@ -626,26 +725,22 @@ def table_ring(add_table, mul_table, zero: int | None = None,
     if n < 1 or any(len(row) != n for row in add_table) or \
             len(mul_table) != n or any(len(row) != n for row in mul_table):
         raise RingAxiomError("tables must be square and of matching size")
-    if n <= TABLE_LIMIT:
-        add_table = _byte_rows(add_table, n, "add table")
-        mul_table = _byte_rows(mul_table, n, "mul table")
-    else:
-        _check_entries(add_table, n, "add table")
-        _check_entries(mul_table, n, "mul table")
+    own_rows = _byte_rows if n <= TABLE_LIMIT else _wide_rows
+    add_table = own_rows(add_table, n, "add table")
+    mul_table = own_rows(mul_table, n, "mul table")
+    ident = _identity_row(add_table)
     if zero is None:
-        zero = next((z for z in range(n)
-                     if all(add_table[z][a] == a for a in range(n))), None)
+        zero = next((z for z, row in enumerate(add_table) if row == ident), None)
         if zero is None:
             raise RingAxiomError("no additive identity found in table")
     if one is None:
-        one = next((e for e in range(n)
-                    if all(mul_table[e][a] == a == mul_table[a][e] for a in range(n))), None)
+        one = next((e for e in range(n) if _is_identity(mul_table, e, ident)), None)
         if one is None:
             raise RingAxiomError("no multiplicative identity found in table")
     if n <= TABLE_LIMIT:
         return FiniteRing(n, add=add_table, mul=mul_table, zero=zero, one=one, name=name)
     return FiniteRing(n, add=lambda a, b: add_table[a][b], mul=lambda a, b: mul_table[a][b],
-                      neg=_negatives(add_table, zero).__getitem__, zero=zero, one=one,
+                      neg=_wide_negatives(add_table, zero).__getitem__, zero=zero, one=one,
                       name=name, parts=(add_table, mul_table))
 
 

@@ -725,16 +725,24 @@ def test_a_product_reports_its_factors_identity_failure():
     assert str(raised.value) == message
 
 
+def _relabelled_tables(size: int, add, mul, seed: int) -> tuple:
+    """The tables of ``add`` and ``mul`` on 0..size-1 as lists, each x
+    stored at index perm[x] of a seeded shuffle, and perm."""
+    perm = list(range(size))
+    random.Random(seed).shuffle(perm)
+    add_t, mul_t = ([[0] * size for _ in range(size)] for _ in range(2))
+    for x in range(size):
+        ax, mx = add_t[perm[x]], mul_t[perm[x]]
+        for y in range(size):
+            ax[perm[y]] = perm[add(x, y)]
+            mx[perm[y]] = perm[mul(x, y)]
+    return add_t, mul_t, perm
+
+
 def _relabelled_z512():
     """Z512 as ``table_ring`` lists, each x stored at a seeded-shuffled index."""
-    perm = list(range(512))
-    random.Random(512).shuffle(perm)
-    add_t, mul_t = ([[0] * 512 for _ in range(512)] for _ in range(2))
-    for x in range(512):
-        ax, mx = add_t[perm[x]], mul_t[perm[x]]
-        for y in range(512):
-            ax[perm[y]] = perm[(x + y) % 512]
-            mx[perm[y]] = perm[x * y % 512]
+    add, mul, _, _, _ = cyclic_ops(512)
+    add_t, mul_t, _ = _relabelled_tables(512, add, mul, 512)
     return table_ring(add_t, mul_t)
 
 
@@ -832,23 +840,121 @@ def test_cell_rings_over_a_base_whose_zero_is_not_index_0(b, perm, triangular):
             assert ring.mul(phi[x], phi[y]) == phi[mul(x, y)]
 
 
+# (n, bad), one table at each side of TABLE_LIMIT; a case at n = 300 has
+# n in its id
+_BAD_ENTRIES = [(3, 3), (3, -1), (3, 65536), (3, 1.0), (3, "2"),
+                (300, 300), (300, -1), (300, 65536), (300, 1.0), (300, "2")]
+
+
 @pytest.mark.parametrize("which", ["add", "mul"])
-@pytest.mark.parametrize("bad", [3, -1, 1.0, "2"])
-def test_table_ring_rejects_entries_outside_the_ring(which, bad):
-    Z3 = cyclic_ring(3)
-    tables = dict(zip(("add", "mul"), closure_tables(3, Z3.add, Z3.mul)))
+@pytest.mark.parametrize("n, bad", _BAD_ENTRIES,
+                         ids=[str(bad) if n == 3 else f"{bad}-n{n}" for n, bad in _BAD_ENTRIES])
+def test_table_ring_rejects_entries_outside_the_ring(which, n, bad):
+    # the same text on both sides of TABLE_LIMIT: an entry that is not an
+    # int, one out of 0..65535 and one out of 0..n-1 alike
+    add, mul, _, _, _ = cyclic_ops(n)
+    tables = dict(zip(("add", "mul"), closure_tables(n, add, mul)))
     tables[which][2][1] = bad
-    with pytest.raises(RingAxiomError,
-                       match=rf"^{which} table entry {bad!r} at \(2,1\) is not an element 0..2$"):
+    with pytest.raises(RingAxiomError, match=rf"^{which} table entry {re.escape(repr(bad))} "
+                       rf"at \(2,1\) is not an element 0..{n - 1}$"):
         table_ring(tables["add"], tables["mul"])
 
 
-def test_table_ring_owns_copies_of_its_rows():
-    Z3 = cyclic_ring(3)
-    add, mul = closure_tables(3, Z3.add, Z3.mul)
-    ring = table_ring(add, mul)
-    add[1][1], mul[2][2] = 0, 0
-    assert (ring.add(1, 1), ring.mul(2, 2)) == (2, 1)
+@pytest.mark.parametrize("n", [3, 300])
+def test_table_ring_owns_copies_of_its_rows(n):
+    add, mul, _, _, _ = cyclic_ops(n)
+    add_t, mul_t = closure_tables(n, add, mul)
+    # a bool entry is stored as the int it equals
+    mul_t[1][1] = True
+    ring = table_ring(add_t, mul_t)
+    assert ring.mul(1, 1) == 1 and type(ring.mul(1, 1)) is int
+    add_t[1][1], mul_t[2][2] = 0, 0
+    assert (ring.add(1, 1), ring.mul(2, 2)) == (2, 4 % n)
+
+
+def _table_ring_by_scans(add, mul, zero=None, one=None):
+    """What ``table_ring`` must give on list tables above TABLE_LIMIT, by
+    scalar scans: the first entry that is not an element, the first row
+    that is the identity of + and the first element that is the identity of
+    * on both sides, the first index of zero in each row of the addition
+    table, then ``validate_ring_oracle`` on those, with its 2000 triples of
+    seed 0.  None, or the error's type and text."""
+    n = len(add)
+    outcome = _entry_outcome(add, mul)
+    if outcome is not None:
+        return outcome
+    if zero is None:
+        zero = next((z for z in range(n) if all(add[z][a] == a for a in range(n))), None)
+        if zero is None:
+            return "RingAxiomError", "no additive identity found in table"
+    if one is None:
+        one = next((e for e in range(n)
+                    if all(mul[e][a] == a == mul[a][e] for a in range(n))), None)
+        if one is None:
+            return "RingAxiomError", "no multiplicative identity found in table"
+    for a, row in enumerate(add):
+        if zero not in row:
+            return "RingAxiomError", f"element {a} has no additive inverse"
+    neg = [row.index(zero) for row in add]
+    ring = FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
+                      neg=neg.__getitem__, zero=zero, one=one, validate=False,
+                      parts=(add, mul))
+    return _axiom_outcome(validate_ring_oracle, ring)
+
+
+# Z12xZ25 relabelled, a 300-element table ring, with its zero, one and negatives
+_Z12XZ25 = product_ring(cyclic_ring(12), cyclic_ring(25))
+_Z12XZ25_TABLES = _relabelled_tables(300, _Z12XZ25.add, _Z12XZ25.mul, 300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_table_ring_above_the_table_limit_matches_scalar_scans(data):
+    # Up to three entries are overwritten, each by one of the kinds below:
+    # sums in symmetric pairs as in _corrupted, or alone, products, the
+    # row of zero, the column of one, a sum that was zero, and an entry
+    # that is not an element.  zero and one are given or found by scanning.
+    add_t, mul_t, perm = _Z12XZ25_TABLES
+    add, mul = [list(row) for row in add_t], [list(row) for row in mul_t]
+    n, ring = 300, _Z12XZ25
+    zero, one = perm[ring.zero], perm[ring.one]
+    element = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        kind = data.draw(st.sampled_from(
+            ["sums", "sum", "product", "zero row", "one column", "negative", "entry"]))
+        a, b, v = data.draw(element), data.draw(element), data.draw(element)
+        if kind == "sums":
+            add[a][b] = add[b][a] = v
+        elif kind == "sum":
+            add[a][b] = v
+        elif kind == "product":
+            mul[a][b] = v
+        elif kind == "zero row":
+            add[zero][b] = add[b][zero] = v
+        elif kind == "one column":
+            mul[b][one] = v
+        elif kind == "negative":
+            b = perm[ring.neg(perm.index(a))]
+            add[a][b] = add[b][a] = v
+        else:
+            (add, mul)[a % 2][b][v] = data.draw(st.sampled_from([-1, n]))
+    given_ids = data.draw(st.booleans(), label="zero and one given")
+    ids = {"zero": zero, "one": one} if given_ids else {}
+    expected = _table_ring_by_scans(add, mul, **ids)
+    assert _axiom_outcome(lambda _: table_ring(add, mul, **ids), None) == expected
+
+
+def test_table_ring_above_the_table_limit_names_a_missing_identity():
+    add_t, mul_t, perm = _Z12XZ25_TABLES
+    zero, one = perm[_Z12XZ25.zero], perm[_Z12XZ25.one]
+    add, mul = [list(row) for row in add_t], [list(row) for row in mul_t]
+    # one entry of the row of zero, then one entry of the column of one
+    add[zero][7] = add[7][zero] = add[zero][8]
+    mul[5][one] = mul[5][(one + 1) % 300]
+    for tables, law in (((add, mul_t), "additive"), ((add_t, mul), "multiplicative")):
+        want = ("RingAxiomError", f"no {law} identity found in table")
+        assert _table_ring_by_scans(*tables) == want
+        assert _axiom_outcome(lambda _: table_ring(*tables), None) == want
 
 
 def _check_units_against_scan(ring):
