@@ -8,8 +8,8 @@ and kept in the ring:
     Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
 
 Only Zr reads products: one pass over the rows x -> (y -> x*y) that
-``ring.mul_row`` hands out, a tabled ring's own ``bytes`` rows or lists
-computed through its function.  The other three are transposes T (bit y of
+``ring.mul_row`` hands out, a table's own ``bytes`` or ``array('H')`` rows
+or a factory ring's lists computed through its function.  The other three are transposes T (bit y of
 T(m)[x] is bit x of m[y]) of row zero sets, with y - 1 = (-1) + y read off
 ``ring.add_row(-1)``:
 
@@ -105,7 +105,8 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _mask(values, x: int) -> int:
-    """The bitset {i : values[i] == x} of a product row, ``bytes`` or list."""
+    """The bitset {i : values[i] == x} of a product row: ``bytes``, or an
+    ``array('H')`` or list, read one entry at a time."""
     if isinstance(values, bytes):  # a translate table compares (faster, BENCH_7.json)
         return int(values[::-1].translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
     return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)

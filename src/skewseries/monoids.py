@@ -118,21 +118,23 @@ def make_monoid(kind: str, order_variant: str | None = None) -> OrderedMonoid:
     """Build a monoid from a kind name, optionally split kind/order.
 
     Accepts either a full kind name ("NatPairLex") or a base plus order
-    variant ("NatPair", "lex").  The componentwise product order is rejected:
-    it is not total.
+    variant ("NatPair", "lex").  An order variant applies only to the bases
+    NatPair and IntPair; with any other kind it is refused, not ignored.
+    The componentwise product order is rejected: it is not total.
     """
     if order_variant is not None:
         if order_variant == "product":
             raise UnsupportedOrderError(
                 "product order rejected: the order must be strictly total, "
                 "and the componentwise order on pairs is only partial")
-        if kind in _PAIR_BASES:
-            suffix = _ORDER_SUFFIX.get(order_variant)
-            if suffix is None:
-                raise UnsupportedOrderError(f"unsupported order variant: {order_variant}")
-            kind = kind + suffix
-        elif kind not in KINDS:
-            raise UnsupportedOrderError(f"unsupported monoid kind: {kind}")
+        if kind not in _PAIR_BASES:
+            raise UnsupportedOrderError(
+                f"order variant {order_variant} needs monoid kind NatPair or IntPair, "
+                f"got {kind}")
+        suffix = _ORDER_SUFFIX.get(order_variant)
+        if suffix is None:
+            raise UnsupportedOrderError(f"unsupported order variant: {order_variant}")
+        kind = kind + suffix
     return OrderedMonoid(kind)
 
 

@@ -1,31 +1,35 @@
 """Finite unital rings on element indices, with automorphism machinery.
 
 A ring is a set of element indices ``0..size-1`` together with addition and
-multiplication maps.  Rings of up to ``TABLE_LIMIT`` = 256 elements keep
-each operation table as a list of ``bytes`` rows, entry ``row[b]``, since
-every element fits in a byte.  The factories build those rows in C: slices
-of ``bytes(range(n))`` repeated for Z_n, blocks of translated component rows
-for products, and for matrix and triangular rings the digitwise sum table
-plus four tables of partial products between the high-digit and the
-low-digit parts of two elements, from which every row follows by
-translating through the sum table; a one-cell matrix or triangular ring is
-its base under another name.  Larger rings evaluate arithmetic on demand
-through closures; the matrix and triangular ones add through two half-digit
-tables and multiply through the partial products, all kept as lists, and
-``table_ring`` reads its own copy of the caller's tables, packed once into
-16-bit ``array('H')`` rows.  Tables given as lists obey one entry rule at
-every size: each entry must be an integer 0..n-1, stored as an int (a bool
-too), and the first that is not is named, row-major, the addition table
-first; the rows are range-checked in C and converted once.  Every ring is
-validated at construction by one of three rules: a tabled ring exactly,
-from its rows, compared whole in C; a larger factory ring exactly, from the
-rings it is built from alone (nothing more for Z_n, the two factors of a
-product, the base of a matrix or triangular ring); and ``table_ring`` above
-``TABLE_LIMIT`` from its 16-bit rows, its identity, inverse and
-commutativity laws exactly, by whole-row compares in C, and its triple
-axioms only on a seeded random sample of triples.  No rule calls the ring's
-``add`` or ``mul``.  ``FiniteRing`` refuses functions above ``TABLE_LIMIT``
-without ``neg`` and those parts.
+multiplication maps, in one of two representations:
+
+- a table: the ring's own rows of both operation tables, entry ``row[b]``,
+  as ``bytes`` up to ``TABLE_LIMIT`` = 256 elements, where every element
+  fits in a byte, and as 16-bit ``array('H')`` above it.  Every ring of at
+  most ``TABLE_LIMIT`` elements is one, and so is every ``table_ring``.
+- a factory ring above ``TABLE_LIMIT``: functions for + and *, plus
+  ``parts``, the rings it is built from: () for Z_n, (a, b) for a product,
+  (base,) for a matrix or triangular ring.
+
+Tables reach ``FiniteRing`` by one path, once per table: the size cap and
+the shape check; the rows packed and range-checked in C, each entry an
+integer 0..n-1, stored as an int (a bool too), the first that is not named,
+row-major, the addition table first; zero and one found when not given; the
+negatives.  The factories build their tabled rows in C: slices of
+``bytes(range(n))`` repeated for Z_n, blocks of translated component rows for
+products, and for matrix and triangular rings the digitwise sum table plus
+four tables of partial products between the high-digit and the low-digit
+parts of two elements, from which every row follows by translating through
+the sum table; a one-cell matrix or triangular ring is its base under
+another name.  Larger matrix and triangular rings add through two
+half-digit tables and multiply through the partial products, kept as lists.
+
+Every ring is validated at construction, and no rule calls the ring's
+``add`` or ``mul``: a factory ring from its parts alone; a table from its
+own rows, exactly up to ``TABLE_LIMIT``, and above it its identity, inverse
+and commutativity laws exactly, by whole-row compares in C, and its triple
+axioms only on a seeded random sample of triples.  ``FiniteRing`` refuses
+functions above ``TABLE_LIMIT`` without ``neg`` and parts.
 
 Every whole-row reader takes its rows from ``FiniteRing.add_row``/``mul_row``:
 the unit search (a unit is an element whose row of the product holds 1),
@@ -33,7 +37,7 @@ the unit search (a unit is an element whose row of the product holds 1),
 A ring map is an automorphism when it respects + and * on the rows of an
 additive generating set: the elements whose rows it respects are closed
 under +.  ``RingAut.validate`` and ``automorphisms`` use that argument, so
-a closure-backed ring costs |G|*n products, not n^2.
+a factory ring costs |G|*n products, not n^2.
 """
 
 from __future__ import annotations
@@ -45,14 +49,14 @@ from array import array
 from itertools import islice, product, repeat
 from operator import getitem, itemgetter
 
-# Structured rings materialize full operation tables up to this size;
-# beyond it arithmetic stays closure-backed.
+# Table rows are bytes up to this size and array('H') above it, where the
+# factories compute through functions instead.
 TABLE_LIMIT = 256
 
 # Every factory refuses to build a ring larger than this.
 DEFAULT_SIZE_CAP = 4096
 
-# A ring above TABLE_LIMIT elements has its triple axioms checked on this
+# A table above TABLE_LIMIT elements has its triple axioms checked on this
 # many triples, drawn from random.Random(VALIDATION_SEED).
 VALIDATION_SAMPLES = 2000
 VALIDATION_SEED = 0
@@ -66,61 +70,58 @@ class RingAxiomError(ValueError):
 
 
 class FiniteRing:
-    """A finite unital ring over element indices 0..size-1.
+    """A finite unital ring over element indices 0..size-1, in one of two
+    representations:
 
-    ``add``/``mul``/``neg`` operate on indices.  ``add`` and ``mul`` are
-    functions of two indices; a factory may pass the rows of a table instead,
-    for a ring of at most ``TABLE_LIMIT`` elements.  Such a ring keeps each
-    table as a list of ``bytes`` rows: rows given as ``bytes`` are kept, and
-    rows given as lists, or computed through the functions, are converted
-    once, after every entry is checked to be an element 0..size-1 (the first
-    that is not raises RingAxiomError, in row-major order with the addition
-    table first).  Without ``neg`` each negative is looked up in the
-    addition table.  Instances are immutable after construction and safe to
-    share; the lazily filled slots, the additive generating set, its
-    coordinates and the bitsets of the ``ideals`` kernel, hold the same
-    values whoever fills them.  A larger ring computes through its functions
-    and needs ``neg`` and ``parts``, what they read, from which
-    ``validate_ring`` decides it: the rings a factory ring is built from, or
-    ``table_ring``'s two tables of ``array('H')`` rows.  Without either it
-    raises RingAxiomError naming the factories.  ``_parts`` keeps them; it
-    is None when tabled.
+    - a table: ``add`` and ``mul`` given as lists of rows, or as functions
+      of two indices on at most ``TABLE_LIMIT`` elements, which are
+      tabulated.  ``_own_tables`` makes the ring's own rows, read directly
+      by ``add``, ``mul``, ``add_row`` and ``mul_row``, and finds ``zero``
+      and ``one`` when not given; without ``neg`` each negative is looked
+      up in the addition table.  ``_add``, ``_mul`` and ``_parts`` are None.
+    - a factory ring above ``TABLE_LIMIT``: functions, with ``neg`` and
+      ``parts``, the tuple of ``FiniteRing``s it is built from, from which
+      ``validate_ring`` decides it.  Without either it raises
+      RingAxiomError naming the factories.
+
+    A ``zero`` or ``one`` that is not an element, an int 0..size-1 and not
+    a bool, raises RingAxiomError.  Instances are immutable after
+    construction and safe to share; the lazily filled slots, the additive
+    generating set, its coordinates and the bitsets of the ``ideals``
+    kernel, hold the same values whoever fills them.
     """
 
     __slots__ = ("size", "zero", "one", "name", "_add", "_mul",
                  "_add_rows", "_mul_rows", "_neg_row", "_repr_fn", "_additive_gens",
                  "_additive_coords", "_ideal_bits", "_parts")
 
-    def __init__(self, size: int, add, mul, zero: int, one: int,
-                 name: str = "ring", neg=None, element_repr=None,
-                 validate: bool = True, parts=None):
-        if size < 1:
-            raise RingAxiomError("empty ring: size must be at least 1")
+    def __init__(self, size: int, add, mul, zero: int | None = None,
+                 one: int | None = None, name: str = "ring", neg=None,
+                 element_repr=None, validate: bool = True, parts=None):
+        if callable(add) and size <= TABLE_LIMIT:
+            if size < 1:
+                raise RingAxiomError("empty ring: size must be at least 1")
+            add, mul = ([[op(a, b) for b in range(size)] for a in range(size)]
+                        for op in (add, mul))
+        tabled = not callable(add)
+        if tabled:
+            add, mul, zero, one = _own_tables(size, add, mul, zero, one)
+            parts = None
+        elif parts is None or neg is None:
+            raise RingAxiomError(
+                f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
+                "product_ring, matrix_ring, upper_triangular_ring or table_ring")
+        for label, e in (("zero", zero), ("one", one)):
+            if not (type(e) is int and 0 <= e < size):
+                raise RingAxiomError(f"{label} {e!r} is not an element 0..{size - 1}")
         self.size = size
         self.zero = zero
         self.one = one
         self.name = name
         self._repr_fn = element_repr
-        if size <= TABLE_LIMIT:
-            add, mul = (op if isinstance(op, list) else
-                        [[op(a, b) for b in range(size)] for a in range(size)]
-                        for op in (add, mul))
-            self._neg_row = _negatives(add, zero) if neg is None else \
-                [neg(a) for a in range(size)]
-            self._add_rows = _byte_rows(add, size, "add table")
-            self._mul_rows = _byte_rows(mul, size, "mul table")
-            self._add = None
-            self._mul = None
-        elif parts is None or neg is None:
-            raise RingAxiomError(
-                f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
-                "product_ring, matrix_ring, upper_triangular_ring or table_ring")
-        else:
-            self._add_rows = None
-            self._mul_rows = None
-            self._add = add
-            self._mul = mul
-            self._neg_row = [neg(a) for a in range(size)]
+        self._add_rows, self._mul_rows = (add, mul) if tabled else (None, None)
+        self._add, self._mul = (None, None) if tabled else (add, mul)
+        self._neg_row = _negatives(add, zero) if neg is None else list(map(neg, range(size)))
         self._additive_gens = None
         self._additive_coords = None
         self._ideal_bits = None
@@ -141,15 +142,16 @@ class FiniteRing:
     @property
     def tables(self) -> tuple[list[bytes], list[bytes]] | None:
         """The rows of the (addition, multiplication) tables as ``bytes``,
-        entry ``row[b]``, or None when the ring computes through closures.
-        The list is the ring's own; callers must not modify it."""
-        if self._add_rows is None:
+        entry ``row[b]``, or None above ``TABLE_LIMIT``.  The list is the
+        ring's own; callers must not modify it."""
+        if self.size > TABLE_LIMIT:
             return None
         return self._add_rows, self._mul_rows
 
     def add_row(self, a: int):
-        """Row a of the addition table: the ring's own ``bytes`` row when
-        tabled, not to be modified, else a list computed through ``_add``."""
+        """Row a of the addition table: the ring's own row when it is a
+        table, ``bytes`` or ``array('H')``, not to be modified, else a list
+        computed through ``_add``."""
         if self._add_rows is not None:
             return self._add_rows[a]
         return list(map(self._add, repeat(a, self.size), range(self.size)))
@@ -182,13 +184,49 @@ class FiniteRing:
         return f"FiniteRing({self.name}, size={self.size})"
 
 
+def _own_tables(n: int, add_table, mul_table, zero, one) -> tuple:
+    """The rows of both tables, zero and one, taken once per table and in
+    this order: more than ``DEFAULT_SIZE_CAP`` rows are refused before any
+    entry is read, then tables that are not both n-by-n; each table is
+    packed into the ring's own rows and range-checked, by ``_byte_rows`` up
+    to ``TABLE_LIMIT`` and ``_wide_rows`` above it; ``zero`` and ``one``
+    are found when None, as the first row equal to 0..n-1 and the first
+    element whose row and column both are, compared whole in C."""
+    if n > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
+    if n < 1 or len(add_table) != n or any(len(row) != n for row in add_table) or \
+            len(mul_table) != n or any(len(row) != n for row in mul_table):
+        raise RingAxiomError("tables must be square and of matching size")
+    pack = _byte_rows if n <= TABLE_LIMIT else _wide_rows
+    A, M = pack(add_table, n, "add table"), pack(mul_table, n, "mul table")
+    ident = _identity_row(A)
+    if zero is None:
+        zero = next((z for z, row in enumerate(A) if row == ident), None)
+        if zero is None:
+            raise RingAxiomError("no additive identity found in table")
+    if one is None:
+        one = next((e for e in range(n) if _is_identity(M, e, ident)), None)
+        if one is None:
+            raise RingAxiomError("no multiplicative identity found in table")
+    return A, M, zero, one
+
+
 def _negatives(rows, zero: int) -> list[int]:
-    """The first index of ``zero`` in each row of an addition table."""
+    """The first index of ``zero`` in each row of an addition table, its
+    rows ``bytes`` or ``array('H')``: the first offset of the zero's bytes
+    in the row's bytes that is a multiple of the entry width, found by
+    ``bytes.find`` in C."""
+    view = memoryview(rows[0])
+    mark, width = struct.pack(view.format, zero), view.itemsize
     out = []
     for a, row in enumerate(rows):
-        if zero not in row:
+        packed = bytes(row)
+        at = packed.find(mark)
+        while at > 0 and at % width:
+            at = packed.find(mark, at + 1)
+        if at < 0:
             raise RingAxiomError(f"element {a} has no additive inverse")
-        out.append(row.index(zero))
+        out.append(at // width)
     return out
 
 
@@ -239,26 +277,6 @@ def _wide_rows(table, n: int, label: str) -> list[array]:
     return rows
 
 
-def _wide_negatives(rows, zero) -> list[int]:
-    """The first index of ``zero`` in each ``array('H')`` row of an addition
-    table: the first even offset of its two bytes in the row's bytes, found
-    by ``bytes.find`` in C."""
-    try:
-        mark = struct.pack("=H", zero)
-    except struct.error:  # not an entry of any row
-        raise RingAxiomError("element 0 has no additive inverse") from None
-    out = []
-    for a, row in enumerate(rows):
-        packed = row.tobytes()
-        at = packed.find(mark)
-        while at > 0 and at & 1:
-            at = packed.find(mark, at + 1)
-        if at < 0:
-            raise RingAxiomError(f"element {a} has no additive inverse")
-        out.append(at >> 1)
-    return out
-
-
 def _columns(rows) -> list:
     """The columns of a square table, strided slices of its joined rows,
     each compared with a row in C: ``bytes`` for ``bytes`` rows, views of
@@ -273,41 +291,30 @@ def _columns(rows) -> list:
 def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
-    A tabled ring, one of at most ``TABLE_LIMIT`` elements, is checked
-    exactly from its ``bytes`` rows, whose entries ``FiniteRing`` has already
-    checked to be elements.  The identity, inverse and commutativity laws
-    are whole-row and whole-column compares in C (``_identities_hold``);
-    only when one fails does the element-by-element scan run, to name the
-    first failure.  The triple-quantified axioms (associativity of both
-    operations and both distributive laws) are checked from a generating set
-    of the additive group (``_triple_axioms_hold``).  A table that fails
-    those is reported at its first failing triple in lexicographic order,
-    with its first failing axiom (``_check_blocks``).
+    A factory ring is decided by its parts alone: () for Z_n, whose + and *
+    are mod n; (a, b) for a product, a ring exactly when both factors are;
+    (base,) for a matrix or triangular ring, a ring exactly when its base is
+    (see ``_cell_ring``).  Each part is validated in turn, and nothing else:
+    the ring's zero, one and negatives are those the parts give.
 
-    A ring that computes through closures is decided by what ``ring._parts``
-    records, one of two rules:
-    - the rings a factory ring is built from: () for Z_n, whose + and * are
-      mod n; (a, b) for a product, a ring exactly when both factors are;
-      (base,) for a matrix or triangular ring, a ring exactly when its base
-      is (see ``_cell_ring``).  Each is validated in turn, and nothing else:
-      the ring's zero, one and negatives are those the parts give.
-    - (add_table, mul_table) for ``table_ring`` above ``TABLE_LIMIT``, each
-      a list of ``array('H')`` rows: the identity, inverse and one laws and
-      commutativity by the same whole-row and whole-column compares in C as
-      a tabled ring, with the same scans to name a failure, and then the
-      triple axioms on ``VALIDATION_SAMPLES`` triples drawn from seed
-      ``VALIDATION_SEED``, a sample, not a proof.
-    Each rule reads table rows; none calls the ring's ``add`` or ``mul``.
+    A table is checked from its own rows, whose entries ``FiniteRing`` has
+    already checked to be elements.  The identity, inverse and
+    commutativity laws are whole-row and whole-column compares in C
+    (``_identities_hold``); only when one fails does the element-by-element
+    scan run, to name the first failure.  Up to ``TABLE_LIMIT`` the
+    triple-quantified axioms (associativity of both operations and both
+    distributive laws) are checked exactly, from a generating set of the
+    additive group (``_triple_axioms_hold``), and a table that fails them is
+    reported at its first failing triple in lexicographic order, with its
+    first failing axiom (``_check_blocks``).  Above it they are checked on
+    ``VALIDATION_SAMPLES`` triples drawn from seed ``VALIDATION_SEED``, a
+    sample, not a proof.  No rule calls the ring's ``add`` or ``mul``.
     """
-    n = ring.size
-    rows = ring.tables
-    if rows is None and all(isinstance(p, FiniteRing) for p in ring._parts):
+    if ring._parts is not None:
         for part in ring._parts:
             validate_ring(part)
         return
-    A, M = rows or ring._parts
-    if rows is not None:
-        tables = _byte_tables(A, M)
+    n, A, M = ring.size, ring._add_rows, ring._mul_rows
     acol = _columns(A)
     if not _identities_hold(ring, A, M, acol):
         zero, one = ring.zero, ring.one
@@ -320,9 +327,11 @@ def validate_ring(ring: FiniteRing) -> None:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
     if acol != A:
         _check_commutative(A, "addition")
-    if rows is None:
+    if n > TABLE_LIMIT:
         _check_triples(A, M, _sample_triples(n, VALIDATION_SAMPLES, VALIDATION_SEED))
-    elif not _triple_axioms_hold(tables, _additive_generators(ring)):
+        return
+    tables = _byte_tables(A, M)
+    if not _triple_axioms_hold(tables, _additive_generators(ring)):
         _check_blocks(tables)
 
 
@@ -579,11 +588,11 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     is built with ``parts=(base,)``: the matrices over a ring B on a set of
     cells that holds the diagonal and is closed under the product form a
     subring of M_k(B), whose corner E11*R*E11 is B, so it is a ring exactly
-    when B is, and the closures compute that product, x*y being bilinear
+    when B is, and the functions compute that product, x*y being bilinear
     when B is a ring.
 
-    One cell is the base itself: the ring keeps the base's tables, or its
-    closures, negatives and parts, with the base's indices, zero and one,
+    One cell is the base itself: the ring keeps the base's rows, or its
+    functions, negatives and parts, with the base's indices, zero and one,
     and prints an element x as [[x]].  With two or more cells the ring
     has at most 4096 elements, so the base has at most 64 and is tabled.
     """
@@ -702,46 +711,25 @@ def _check_entries(table, n: int, label: str) -> None:
 
 def table_ring(add_table, mul_table, zero: int | None = None,
                one: int | None = None, name: str = "table") -> FiniteRing:
-    """Build a ring from explicit operation tables, validated as it is built.
+    """Build a ring from explicit operation tables, validated as it is
+    built: ``FiniteRing``'s table path (``_own_tables``) on
+    n = ``len(add_table)`` elements.
 
-    Every entry must be an element index 0..n-1, an integer, stored as an
-    int; the first that is not, row-major and the addition table first,
-    raises RingAxiomError.  The ring keeps its own copy of the tables:
-    ``bytes`` rows up to ``TABLE_LIMIT``, above it ``array('H')`` rows, each
-    packed from the caller's row in C and range-checked on its bytes.
-    ``zero`` and ``one`` are found when not given, as the first row equal
-    to 0..n-1 and the first element whose row and column both are, compared
-    whole in C.  Up to ``TABLE_LIMIT`` every axiom is checked exactly.
-    Above it the ring computes through its 16-bit rows, which
-    ``validate_ring`` reads as its parts: every law but the triple axioms
-    exactly, and those only on ``VALIDATION_SAMPLES`` seeded triples, so a
-    table that breaks associativity or distributivity on a few triples
-    may pass.  More than ``DEFAULT_SIZE_CAP`` rows are refused before any
-    entry is read.
+    More than ``DEFAULT_SIZE_CAP`` rows, or tables that are not both
+    n-by-n, are refused before any entry is read.  Every entry must be an
+    element index 0..n-1, an integer, stored as an int; the first that is
+    not, row-major and the addition table first, raises RingAxiomError.
+    The ring keeps its own copy of the tables: ``bytes`` rows up to
+    ``TABLE_LIMIT``, above it ``array('H')`` rows, each packed from the
+    caller's row in C and range-checked on its bytes.  ``zero`` and ``one``
+    are found when not given, and a given one that is not an element raises
+    RingAxiomError.  Up to ``TABLE_LIMIT`` every axiom is checked exactly.
+    Above it every law but the triple axioms is, and those only on
+    ``VALIDATION_SAMPLES`` seeded triples, so a table that breaks
+    associativity or distributivity on a few triples may pass.
     """
-    n = len(add_table)
-    if n > DEFAULT_SIZE_CAP:
-        raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
-    if n < 1 or any(len(row) != n for row in add_table) or \
-            len(mul_table) != n or any(len(row) != n for row in mul_table):
-        raise RingAxiomError("tables must be square and of matching size")
-    own_rows = _byte_rows if n <= TABLE_LIMIT else _wide_rows
-    add_table = own_rows(add_table, n, "add table")
-    mul_table = own_rows(mul_table, n, "mul table")
-    ident = _identity_row(add_table)
-    if zero is None:
-        zero = next((z for z, row in enumerate(add_table) if row == ident), None)
-        if zero is None:
-            raise RingAxiomError("no additive identity found in table")
-    if one is None:
-        one = next((e for e in range(n) if _is_identity(mul_table, e, ident)), None)
-        if one is None:
-            raise RingAxiomError("no multiplicative identity found in table")
-    if n <= TABLE_LIMIT:
-        return FiniteRing(n, add=add_table, mul=mul_table, zero=zero, one=one, name=name)
-    return FiniteRing(n, add=lambda a, b: add_table[a][b], mul=lambda a, b: mul_table[a][b],
-                      neg=_wide_negatives(add_table, zero).__getitem__, zero=zero, one=one,
-                      name=name, parts=(add_table, mul_table))
+    return FiniteRing(len(add_table), add=add_table, mul=mul_table, zero=zero, one=one,
+                      name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -759,13 +747,12 @@ def units(ring: FiniteRing) -> list[int]:
     A one-sided inverse is two-sided in a finite ring.  If u*v == 1, then
     x -> v*x is injective (v*x == v*y gives x == u*v*x == u*v*y == y), hence
     onto, so v*w == 1 for some w, and w == u*v*w == u; so v*u == 1.  The
-    units of a closure-backed product are the pairs of the factors' units,
+    units of a factory product are the pairs of the factors' units,
     index u_a*|b| + u_b, listed in ascending order without a product of
     the ring.
     """
-    parts = ring._parts
-    if parts is not None and len(parts) == 2 and isinstance(parts[0], FiniteRing):
-        a, b = parts
+    if ring._parts is not None and len(ring._parts) == 2:
+        a, b = ring._parts
         of_b = units(b)
         return [u * b.size + v for u in units(a) for v in of_b]
     return [u for u in ring.elements() if ring.one in ring.mul_row(u)]
@@ -916,8 +903,9 @@ def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
 
 
 def _additive_coordinates(ring: FiniteRing) -> tuple:
-    """(orders, coordinates, elements, products, term_bound) of a tabled
-    ring over its additive generators g_0..g_{K-1}, found once per ring.
+    """(orders, coordinates, elements, products, term_bound) of a ring of
+    at most ``TABLE_LIMIT`` elements, read off ``ring.tables``, over its
+    additive generators g_0..g_{K-1}, found once per ring.
 
     g_k has additive order orders[k] = d_k.  coordinates[k][r] is x_k(r),
     where x(r) is the first vector, in mixed-radix order, with

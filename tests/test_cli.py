@@ -77,6 +77,21 @@ def test_validate_rejects_product_order():
     assert any("product order rejected" in d for d in validate(job))
 
 
+@pytest.mark.parametrize("kind, order", [("NatPairLex", "revlex"), ("NatAdd", "bogus")])
+def test_an_order_variant_without_a_pair_base_is_a_spec_error(tmp_path, capsys, kind, order):
+    text = f"ring.kind = cyclic\nring.n = 4\nmonoid.kind = {kind}\nmonoid.order = {order}\n" \
+        "checks = left_app"
+    line = (f"spec error: monoid.kind/monoid.order: order variant {order} needs monoid kind "
+            f"NatPair or IntPair, got {kind}\n")
+    code, out, log = run_to_file(text, tmp_path)
+    assert code == 3 and not out.exists()
+    assert log == line
+    spec = tmp_path / "job.txt"
+    spec.write_text(text)
+    assert main(["validate", str(spec)]) == 3
+    assert capsys.readouterr().out == line
+
+
 def test_validate_rejects_unknown_check():
     job = JobSpec.from_text(
         "ring.kind = cyclic\nring.n = 4\nmonoid.kind = NatAdd\nchecks = frobnicate")

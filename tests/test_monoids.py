@@ -51,6 +51,16 @@ def test_product_order_rejected():
         make_monoid("NatPair", "product")
 
 
+@pytest.mark.parametrize("kind, order", [("NatPairLex", "revlex"), ("NatPairLex", "lex"),
+                                         ("NatAdd", "bogus"), ("NatAdd", "lex"),
+                                         ("IntPairRevLex", "lex"), ("Weird", "lex")])
+def test_an_order_variant_needs_a_pair_base(kind, order):
+    # refused, not ignored: NatPairLex with revlex used to run under lex
+    with pytest.raises(UnsupportedOrderError, match=rf"^order variant {order} needs monoid "
+                       rf"kind NatPair or IntPair, got {kind}$"):
+        make_monoid(kind, order)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedOrderError):
         make_monoid("Weird")

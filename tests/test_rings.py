@@ -1,7 +1,9 @@
 import random
 import re
+from array import array
 from itertools import product
 from math import factorial, gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from skewseries.rings import (
 from skewseries.rings import (_additive_generators, _byte_tables, _sample_triples,
                               _triple_axioms_hold)
 from skewseries.gallery import gallery_names, gallery_ring
+from skewseries.ideals import FL, FR, ZL, ZR, _bits, _members
 
 from oracles import (
     additive_generators_by_span,
@@ -442,6 +445,13 @@ def test_sampled_triples_are_those_of_randrange(n, seed):
     assert list(_sample_triples(n, 500, seed)) == want
 
 
+def _scalar_ring(add, mul, neg, zero, one):
+    """What ``validate_ring_oracle`` reads of a ring, looked up entry by
+    entry in the list tables ``add`` and ``mul``."""
+    return SimpleNamespace(size=len(add), add=lambda a, b: add[a][b],
+                           mul=lambda a, b: mul[a][b], neg=neg, zero=zero, one=one)
+
+
 @pytest.mark.parametrize("pair", [None, (7, 150), (150, 7)])
 def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
     # table_ring reads commutativity off its add table; one asymmetric
@@ -454,9 +464,11 @@ def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
         add_t[a][b] = (a + b + 1) % n
     expected = None if pair is None else \
         ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
-    ring = FiniteRing(n, add=lambda a, b: add_t[a][b], mul=lambda a, b: mul_t[a][b],
-                      neg=neg, zero=zero, one=one, validate=False, parts=(add_t, mul_t))
+    ring = _scalar_ring(add_t, mul_t, neg, zero, one)
     assert _axiom_outcome(validate_ring_oracle, ring) == expected
+    # the same tables as a FiniteRing, built without validation
+    ring = FiniteRing(n, add=add_t, mul=mul_t, neg=neg, zero=zero, one=one, validate=False)
+    assert _axiom_outcome(validate_ring, ring) == expected
     assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
 
 
@@ -739,22 +751,36 @@ def _relabelled_tables(size: int, add, mul, seed: int) -> tuple:
     return add_t, mul_t, perm
 
 
+def _relabelled_table_ring(factory):
+    """``factory`` given to ``table_ring`` as tables relabelled by a seeded
+    shuffle, with the permutation: x of ``factory`` is perm[x]."""
+    add_t, mul_t, perm = _relabelled_tables(factory.size, factory.add, factory.mul,
+                                            factory.size)
+    return table_ring(add_t, mul_t), perm
+
+
 def _relabelled_z512():
     """Z512 as ``table_ring`` lists, each x stored at a seeded-shuffled index."""
-    add, mul, _, _, _ = cyclic_ops(512)
-    add_t, mul_t, _ = _relabelled_tables(512, add, mul, 512)
-    return table_ring(add_t, mul_t)
+    return _relabelled_table_ring(cyclic_ring(512))[0]
 
 
-@pytest.mark.parametrize("build", [lambda: cyclic_ring(1024),
-                                   lambda: product_ring(cyclic_ring(16), cyclic_ring(32)),
-                                   lambda: matrix_ring(cyclic_ring(5), 2),
-                                   _relabelled_z512],
+@pytest.mark.parametrize("build, table", [(lambda: cyclic_ring(1024), False),
+                                          (lambda: product_ring(cyclic_ring(16),
+                                                                cyclic_ring(32)), False),
+                                          (lambda: matrix_ring(cyclic_ring(5), 2), False),
+                                          (_relabelled_z512, True)],
                          ids=["Z1024", "Z16xZ32", "M2(Z5)", "table512"])
-def test_factory_rings_are_validated_without_their_own_operations(build):
-    # a table ring above the limit is validated from its two tables
+def test_factory_rings_are_validated_without_their_own_operations(build, table):
+    # a table ring above the limit holds its own 16-bit rows and has no
+    # functions or parts; a factory ring is validated from its parts
     ring = build()
-    assert ring.size > TABLE_LIMIT and ring._parts is not None
+    assert ring.size > TABLE_LIMIT
+    if table:
+        assert ring._add is ring._mul is ring._parts is None
+        assert {(type(row), row.typecode) for rows in (ring._add_rows, ring._mul_rows)
+                for row in rows} == {(array, "H")}
+        return
+    assert all(isinstance(part, FiniteRing) for part in ring._parts)
     calls = []
     add, mul = ring._add, ring._mul
     ring._add = lambda a, b: calls.append("add") or add(a, b)
@@ -896,10 +922,8 @@ def _table_ring_by_scans(add, mul, zero=None, one=None):
         if zero not in row:
             return "RingAxiomError", f"element {a} has no additive inverse"
     neg = [row.index(zero) for row in add]
-    ring = FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
-                      neg=neg.__getitem__, zero=zero, one=one, validate=False,
-                      parts=(add, mul))
-    return _axiom_outcome(validate_ring_oracle, ring)
+    return _axiom_outcome(validate_ring_oracle,
+                          _scalar_ring(add, mul, neg.__getitem__, zero, one))
 
 
 # Z12xZ25 relabelled, a 300-element table ring, with its zero, one and negatives
@@ -955,6 +979,86 @@ def test_table_ring_above_the_table_limit_names_a_missing_identity():
         want = ("RingAxiomError", f"no {law} identity found in table")
         assert _table_ring_by_scans(*tables) == want
         assert _axiom_outcome(lambda _: table_ring(*tables), None) == want
+
+
+# (n, which, bad): a zero or one that is not an element, an int 0..n-1 and
+# not a bool, on each side of TABLE_LIMIT
+_BAD_IDENTITIES = [(n, which, bad) for n in (3, 300) for which in ("zero", "one")
+                   for bad in sorted({-1, n, 300, 70000}) + [1.0, True]]
+
+
+@pytest.mark.parametrize("n, which, bad", _BAD_IDENTITIES,
+                         ids=[f"{which}={bad!r}-n{n}" for n, which, bad in _BAD_IDENTITIES])
+def test_a_zero_or_one_that_is_not_an_element_is_named(n, which, bad):
+    add, mul, _, _, _ = cyclic_ops(n)
+    tables = closure_tables(n, add, mul)
+    with pytest.raises(RingAxiomError, match=rf"^{which} {re.escape(repr(bad))} "
+                       rf"is not an element 0..{n - 1}$"):
+        table_ring(*tables, **{which: bad})
+
+
+@pytest.mark.parametrize("n, add, mul", [
+    (3, [[0, 1], [1, 0]], [[0, 0], [0, 1]]),
+    (2, [[0, 1, 0], [1, 0, 1]], [[0, 0], [0, 1]]),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1], [0, 0]]),
+    (300, [list(range(300))] * 299, [list(range(300))] * 300),
+], ids=["2x2-for-3", "2x3-add", "3x2-mul", "299x300-add"])
+def test_finite_ring_refuses_tables_of_the_wrong_shape(n, add, mul):
+    # the text table_ring gives, before any entry is read
+    with pytest.raises(RingAxiomError, match=r"^tables must be square and of matching size$"):
+        FiniteRing(n, add=add, mul=mul, zero=0, one=1)
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_table_ring_packs_each_table_once(n, monkeypatch):
+    import skewseries.rings as rings
+    calls = []
+    for name in ("_byte_rows", "_wide_rows"):
+        packer = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda table, size, label, name=name, packer=packer:
+                            calls.append((name, label)) or packer(table, size, label))
+    table_ring(*closure_tables(n, *cyclic_ops(n)[:2]))
+    name = "_byte_rows" if n <= TABLE_LIMIT else "_wide_rows"
+    assert calls == [(name, "add table"), (name, "mul table")]
+
+
+@pytest.mark.parametrize("a, b", [(12, 25), (16, 32)])
+def test_table_rings_above_the_table_limit_match_the_factory_ring(a, b):
+    # every bitset kind of the ideals kernel, the units and their inverses
+    # read off the table's own 16-bit rows, against the factory ring's,
+    # carried through the relabelling
+    factory = product_ring(cyclic_ring(a), cyclic_ring(b))
+    table, perm = _relabelled_table_ring(factory)
+    n = table.size
+    assert n > TABLE_LIMIT and table.tables is None and factory._parts is not None
+    for kind in (ZL, ZR, FR, FL):
+        want = [0] * n
+        for x, mask in enumerate(_bits(factory, kind)):
+            want[perm[x]] = sum(1 << perm[i] for i in _members(mask))
+        assert _bits(table, kind) == want, kind
+    assert units(table) == sorted(perm[u] for u in units(factory))
+    assert [unit_inverse(table, perm[u]) for u in units(factory)] == \
+        [perm[unit_inverse(factory, u)] for u in units(factory)]
+
+
+def test_automorphism_validation_on_a_table_above_the_limit_matches_the_factory():
+    # the swap of Z17xZ17, a 289-element table, carried through the
+    # relabelling; the swap after a transposition fails on both, and the
+    # table names the pair a scan of every pair names
+    factory = _small_product(17, 17)
+    table, perm = _relabelled_table_ring(factory)
+    swap = swap_automorphism(factory).perm
+    broken = list(swap)
+    broken[2], broken[3] = broken[3], broken[2]
+    for images in (swap, broken):
+        moved = [0] * table.size
+        for x, y in enumerate(images):
+            moved[perm[x]] = perm[y]
+        want = _aut_outcome(RingAut.validate, RingAut(factory, images))
+        got = _aut_outcome(RingAut.validate, RingAut(table, moved))
+        assert (got is None) == (want is None)
+        assert got == _aut_outcome(ring_aut_validate_oracle, RingAut(table, moved))
+    assert want is not None
 
 
 def _check_units_against_scan(ring):
