@@ -49,11 +49,12 @@ whose orbit annihilator is not right s-unital.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
 
-from .rings import FiniteRing, _additive_generators, additive_closure
+from .rings import _LOW_BYTE, FiniteRing, _additive_generators, additive_closure
 from .series import OmegaAction
 
 
@@ -100,16 +101,26 @@ class SUnitalResult:
 
 ZL, ZR, FR, FL = "Zl", "Zr", "Fr", "Fl"
 
-# bytes.translate table: byte 0 -> "0", byte 1 -> "1"
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+def _hit(x: int) -> bytes:
+    """A ``bytes.translate`` table that maps byte x to "1" and every other
+    byte to "0"."""
+    return b"0" * x + b"1" + b"0" * (255 - x)
 
 
 def _mask(values, x: int) -> int:
-    """The bitset {i : values[i] == x} of a product row: ``bytes``, or an
-    ``array('H')`` or list, read one entry at a time."""
-    if isinstance(values, bytes):  # a translate table compares (faster, BENCH_7.json)
-        return int(values[::-1].translate(b"0" * x + b"1" + b"0" * (255 - x)), 2)
-    return int(bytes(map(x.__eq__, values[::-1])).translate(_DIGITS), 2)
+    """The bitset {i : values[i] == x} of a product row, compared in C by
+    ``bytes.translate`` (faster, BENCH_7.json): a ``bytes`` row in one pass;
+    an ``array('H')`` row, or a list packed into one, by its high and low
+    bytes, each matched against x's, the two bitsets ANDed."""
+    if isinstance(values, bytes):
+        return int(values[::-1].translate(_hit(x)), 2)
+    if not isinstance(values, array):
+        values = array("H", values)
+    packed = values[::-1].tobytes()
+    high, low = divmod(x, 256)
+    return (int(packed[1 - _LOW_BYTE::2].translate(_hit(high)), 2)
+            & int(packed[_LOW_BYTE::2].translate(_hit(low)), 2))
 
 
 def _transpose(masks: list[int], n: int) -> list[int]:

@@ -1,6 +1,8 @@
 """The bitset kernel of ``skewseries.ideals`` against the element scans it
 replaced (``oracles``), on tabled rings and on rings above TABLE_LIMIT."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from skewseries.ideals import (
     IdealSet,
     WitnessNotFoundError,
     _bits,
+    _mask,
     _transpose,
     idempotent_generator,
     is_right_s_unital,
@@ -149,6 +152,35 @@ def test_transpose_is_an_involution_on_the_bits(masks):
     out = _transpose(masks, n)
     assert all((out[x] >> y & 1) == (masks[y] >> x & 1) for x in range(n) for y in range(n))
     assert _transpose(out, n) == masks
+
+
+def _relabelled_z512():
+    """Z512 given to ``table_ring`` with each x stored at a seeded-shuffled
+    index, so its zero is not 0 and its 16-bit rows hold every value."""
+    n = 512
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    add, mul = ([[0] * n for _ in range(n)] for _ in range(2))
+    for x in range(n):
+        for y in range(n):
+            add[perm[x]][perm[y]] = perm[(x + y) % n]
+            mul[perm[x]][perm[y]] = perm[x * y % n]
+    return table_ring(add, mul)
+
+
+def test_masks_of_16_bit_rows_follow_the_scalar_rule():
+    # _mask matches an entry's high and low bytes against x's separately,
+    # so an entry sharing one byte with x (x +- 256, or x's high byte) must
+    # not be a hit; a list row is packed into an array('H') first
+    ring = _relabelled_z512()
+    assert ring.zero != 0
+    rows = [ring.mul_row(a) for a in range(0, ring.size, 37)] + [ring.add_row(ring.one)]
+    for row in rows:
+        assert row.typecode == "H"
+        for x in {0, 1, 255, 256, 257, 300, 511, ring.zero, row[0], row[-1]}:
+            want = sum(1 << i for i, v in enumerate(row) if v == x)
+            assert _mask(row, x) == _mask(list(row), x) == want
+    assert _bits(ring, ZR) == [_definitions(ring, x)[ZR] for x in ring.elements()]
 
 
 @st.composite
