@@ -466,12 +466,13 @@ def _text(x, nl: str) -> str:
 
     Exact ``str``, ``int``, ``bool``, ``None``, ``list`` and ``str``-keyed
     ``dict`` are written here: a list of ints by one ``join``, and a list of
-    equal-length int lists, the witnesses' ``[b, x]`` pairs, by one ``%d``
-    template.  Any other value (a float, tuple, ``str`` subclass, or dict
-    with a key that is not a ``str``) goes to ``json.dumps`` re-indented by
-    replacing each newline with ``nl``; that is exact because ``json.dumps``
-    escapes every newline inside a string, so each one it prints is
-    structural."""
+    equal-length lists whose columns are each all ``int`` or all ``str``
+    (the witnesses' ``[b, x]`` pairs, a series' ``[repr(s), r]`` terms) by
+    one ``%s`` template, its strings quoted first.  Any other value (a
+    float, tuple, ``str`` subclass, or dict with a key that is not a
+    ``str``) goes to ``json.dumps`` re-indented by replacing each newline
+    with ``nl``; that is exact because ``json.dumps`` escapes every newline
+    inside a string, so each one it prints is structural."""
     kind = type(x)
     if kind is str:
         return _quote(x)
@@ -486,11 +487,17 @@ def _text(x, nl: str) -> str:
         if kinds == {int}:
             return f"[{inner}{sep.join(map(str, x))}{nl}]"
         if kinds == {list} and len(set(map(len, x))) == 1 and x[0]:
-            flat = tuple(chain.from_iterable(x))
-            if set(map(type, flat)) == {int}:
+            flat = list(chain.from_iterable(x))
+            width = len(x[0])
+            types = set(map(type, flat))
+            if types == {int} or types <= {int, str} and all(
+                    len(set(map(type, flat[j::width]))) == 1 for j in range(width)):
+                for j in range(width):
+                    if type(flat[j]) is str:
+                        flat[j::width] = map(_quote, flat[j::width])
                 deeper = f",{inner}  "
-                row = f"[{deeper[1:]}{deeper.join(['%d'] * len(x[0]))}{inner}]"
-                return f"[{inner}{sep.join([row] * len(x))}{nl}]" % flat
+                row = f"[{deeper[1:]}{deeper.join(['%s'] * width)}{inner}]"
+                return f"[{inner}{sep.join([row] * len(x))}{nl}]" % tuple(flat)
         return f"[{inner}{sep.join([_text(v, inner) for v in x])}{nl}]"
     if kind is dict:
         if not x:

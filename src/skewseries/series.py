@@ -20,8 +20,8 @@ against the ring, and drops zero coefficients.  Paths inside the package
 whose terms are valid by construction build with ``SkewSeries._trusted``,
 which skips those checks and stores its dict as given: ``convolve``'s output
 (op(u, v) of checked exponents is an exponent, and zero sums are dropped
-first), the one-term middles below, and series sampled from ``sample_pool``
-with nonzero coefficients.
+first), the products g * (r x^s) of the middle test below, and series
+sampled from ``sample_pool`` with nonzero coefficients.
 
 Every quantifier over middles r x^s, here and in ``theorems``, is the one
 scan ``_first_failure``: s over the attained automorphisms, r decided on an
@@ -86,7 +86,8 @@ class OmegaAction:
     on it: ``_orbit_masks`` maps each element a, on first use, to its orbit
     annihilator l(sum_s R*w_s(a)) as a bitset, and ``_orbit_failure`` is the
     first element whose orbit annihilator is not right s-unital, None when
-    every one is, and -1 until that has been scanned for.
+    every one is, and -1 until that has been scanned for.  ``_pair_draw``
+    is what ``theorems.random_annihilating_pair`` draws from, once called.
 
     Cache inserts are idempotent, so concurrent readers are safe as long as
     writes come from one thread at a time.
@@ -122,6 +123,7 @@ class OmegaAction:
         self._closure: tuple | None = None
         self._orbit_masks: dict[int, int] = {}
         self._orbit_failure: int | None = -1
+        self._pair_draw: tuple | None = None
 
     def automorphism(self, s) -> RingAut:
         """The automorphism at exponent s."""
@@ -622,11 +624,14 @@ def annihilates_via_all_middles(g: SkewSeries, f: SkewSeries) -> bool:
 
 
 def _middle_test(g: SkewSeries, f: SkewSeries):
-    """The test (s, r) -> g * (r x^s) * f != 0 for ``_first_failure``; the
-    middle is built unchecked."""
+    """The test (s, r) -> g * (r x^s) * f != 0 for ``_first_failure``, with
+    g * (r x^s) built as {op(u, s): g(u) * w_u(r)} less its zero terms: every
+    monoid kind is cancellative, so op(u, s) differs for distinct u."""
     action = g.action
-    return lambda s, r: bool(convolve(convolve(g, SkewSeries._trusted(action, {s: r})),
-                                      f).coeffs)
+    op, mul, zero = action.monoid.op, action.ring.mul, action.ring.zero
+    terms = [(u, gu, action.automorphism(u).perm) for u, gu in g.coeffs.items()]
+    return lambda s, r: bool(convolve(SkewSeries._trusted(action, {
+        op(u, s): t for u, gu, twist in terms if (t := mul(gu, twist[r])) != zero}), f).coeffs)
 
 
 def _first_failure(action: OmegaAction, test):

@@ -65,7 +65,6 @@ from .series import (
     _first_failure,
     _middle_test,
     annihilates_via_all_middles,
-    constant,
     convolve,
     zero_series,
 )
@@ -193,7 +192,7 @@ def extract_cascade_witnesses(g: SkewSeries, f: SkewSeries, w) -> list[int]:
         ann = element_orbit_annihilator(f.coeffs[v_i], action)
         targets = []
         for (u_j, _) in pairs[i + 1:]:
-            a_j = action.automorphism(u_j).inverse().perm[g.coeffs[u_j]]
+            a_j = action.automorphism(u_j).perm.index(g.coeffs[u_j])
             if a_j not in ann.members:
                 raise PreconditionError(
                     f"twisted coefficient at {u_j!r} escapes the orbit annihilator "
@@ -261,50 +260,52 @@ def construct_annihilator_witness(g: SkewSeries, f: SkewSeries,
             "orbit annihilator condition fails; witness construction not licensed")
     if not annihilates_via_all_middles(g, f):
         raise PreconditionError("pair does not annihilate through all middles")
-    return _build_witness(g, f, chain_search)
+    return _build_witness(g, f, (chain_search,))[0]
 
 
-def _build_witness(g: SkewSeries, f: SkewSeries, chain_search: bool) -> WitnessOutcome:
-    """The witness construction for a pair whose preconditions hold."""
+def _build_witness(g: SkewSeries, f: SkewSeries, paths) -> list[WitnessOutcome]:
+    """The witness construction for a pair whose preconditions hold, for
+    each ``chain_search`` flag in ``paths`` from one orbit annihilator and
+    one list of twisted coefficients; each distinct witness verified once."""
     action = g.action
     ring = action.ring
     ann = _set_orbit_annihilator(action, f.coeffs.values())
     targets = []
     for u, gu in g.coeffs.items():
-        y = action.automorphism(u).inverse().perm[gu]
+        y = action.automorphism(u).perm.index(gu)
         if not ann >> y & 1:
             raise CoherenceAlarm(
                 f"twisted coefficient {y} at exponent {u!r} is outside the "
                 f"orbit annihilator {_ideal(ring, ann).describe()}")
         targets.append(y)
 
-    selected = targets
-    if chain_search and targets:
-        selected = _minimal_annihilator_subset(ring, targets)
-    witness = _lowest_common(ring, ann, selected, FR) if selected else ring.zero
-    if witness is None:
-        raise CoherenceAlarm(
-            f"no common witness in {_ideal(ring, ann).describe()} for {sorted(selected)}")
-    for y in targets:
-        if ring.mul(y, witness) != y:
+    outcomes = []
+    for chain_search in paths:
+        selected = targets
+        if chain_search and targets:
+            selected = _minimal_annihilator_subset(ring, targets)
+        witness = _lowest_common(ring, ann, selected, FR) if selected else ring.zero
+        if witness is None:
             raise CoherenceAlarm(
-                f"witness {witness} fails to reproduce twisted coefficient {y}")
-
-    c_e = constant(action, witness)
-    failure = _first_failure(action, _middle_test(c_e, f))
-    if failure is not None:
-        s, r = failure
-        raise CoherenceAlarm(
-            f"witness constant fails to annihilate f through middle "
-            f"(r={r}, s={s!r})")
-    if convolve(g, c_e) != g:
-        raise CoherenceAlarm(f"g * c_e differs from g for witness {witness}")
-    return WitnessOutcome(
-        witness=witness,
-        twisted_coefficients=sorted(set(targets)),
-        selected_subset=sorted(set(selected)),
-        annihilator=_members(ann),
-    )
+                f"no common witness in {_ideal(ring, ann).describe()} for {sorted(selected)}")
+        if all(witness != seen.witness for seen in outcomes):  # not yet verified
+            for y in targets:
+                if ring.mul(y, witness) != y:
+                    raise CoherenceAlarm(
+                        f"witness {witness} fails to reproduce twisted coefficient {y}")
+            c_e = SkewSeries._trusted(
+                action, {} if witness == ring.zero else {action.monoid.zero: witness})
+            failure = _first_failure(action, _middle_test(c_e, f))
+            if failure is not None:
+                s, r = failure
+                raise CoherenceAlarm(
+                    f"witness constant fails to annihilate f through middle "
+                    f"(r={r}, s={s!r})")
+            if convolve(g, c_e) != g:
+                raise CoherenceAlarm(f"g * c_e differs from g for witness {witness}")
+        outcomes.append(WitnessOutcome(witness, sorted(set(targets)), sorted(set(selected)),
+                                       _members(ann)))
+    return outcomes
 
 
 def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[int]:
@@ -344,11 +345,16 @@ def random_annihilating_pair(action: OmegaAction,
     only possible g is the zero series.  f's annihilator lies inside its
     coefficients', so f is drawn once when every nonzero element's is zero.
     The zero ring has no nonzero element: its only pair is (0, 0), returned
-    without a draw.
+    without a draw.  The exponent pool, the nonzero elements and the number
+    of draws of f depend on the action alone, so they are kept in it.
     """
     ring = action.ring
-    pool = sample_pool(action.monoid, _PAIR_SPAN)
-    nonzero = [r for r in ring.elements() if r != ring.zero]
+    if action._pair_draw is None:
+        nonzero = [r for r in ring.elements() if r != ring.zero]
+        draws = _PAIR_DRAWS if any(ann & (ann - 1) for ann in
+                                   (_orbit_annihilator(action, r) for r in nonzero)) else 1
+        action._pair_draw = (sample_pool(action.monoid, _PAIR_SPAN), nonzero, draws)
+    pool, nonzero, draws = action._pair_draw
     if not nonzero:
         return zero_series(action), zero_series(action)
 
@@ -356,8 +362,6 @@ def random_annihilating_pair(action: OmegaAction,
         k = rng.randint(1, _PAIR_TERMS)
         return rng.sample(pool, min(k, len(pool)))
 
-    draws = _PAIR_DRAWS if any(
-        ann & (ann - 1) for ann in (_orbit_annihilator(action, r) for r in nonzero)) else 1
     f, ann = None, 0
     for _ in range(draws):
         f = SkewSeries._trusted(action, {s: rng.choice(nonzero) for s in draw_support()})
@@ -368,9 +372,9 @@ def random_annihilating_pair(action: OmegaAction,
     g_coeffs = {}
     for u in draw_support():
         b = rng.choice(choices)
-        g_coeffs[u] = action.automorphism(u).perm[b]
-    g = SkewSeries(action, g_coeffs)
-    return g, f
+        if b != ring.zero:
+            g_coeffs[u] = action.automorphism(u).perm[b]
+    return SkewSeries._trusted(action, g_coeffs), f
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def app_equivalence_check(ring: FiniteRing, action: OmegaAction,
     ``orbit_annihilators_s_unital``, for its counterexample.
     """
     if elementwise_condition_holds(ring, action):
-        witnesses_seen = {_build_witness(g, f, chain_search=False).witness
+        witnesses_seen = {_build_witness(g, f, (False,))[0].witness
                           for g, f in _vetted_pairs(action, pairs, seed)}
         return PropertyReport(
             ring.name, "app_equivalence", True,
@@ -462,13 +466,15 @@ def witness_paths_agree(ring: FiniteRing, action: OmegaAction,
 
     The full-set path and the minimal-subset chain search may pick different
     witnesses; each must still satisfy both product identities (the
-    construction itself verifies them and alarms otherwise).
+    construction itself verifies them and alarms otherwise).  A chain
+    witness equal to the full-set one is not verified again.
     """
     if not elementwise_condition_holds(ring, action):
         return PropertyReport(ring.name, "witness_paths", True, {"applicable": False})
-    differing = sum(_build_witness(g, f, chain_search=False).witness
-                    != _build_witness(g, f, chain_search=True).witness
-                    for g, f in _vetted_pairs(action, instances, seed))
+    differing = 0
+    for g, f in _vetted_pairs(action, instances, seed):
+        full, chain = _build_witness(g, f, (False, True))
+        differing += full.witness != chain.witness
     return PropertyReport(
         ring.name, "witness_paths", True,
         {"applicable": True, "instances": instances,

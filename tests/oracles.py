@@ -703,3 +703,51 @@ def sum_generators_of_table(arow, zero: int) -> list:
                     reached.append(y)
                     todo.append(y)
     return gens
+
+
+# ---------------------------------------------------------------------------
+# the constructive pair draw, as written before its set-up was kept in the
+# action
+
+def orbit_annihilator_by_scan(action, elements) -> list:
+    """l(sum over a in elements of the orbit ideal of a), ascending: every x
+    with x * r * w_s(a) == 0 for each r, attained w_s and a in elements."""
+    ring = action.ring
+    products = {ring.mul(r, aut.perm[a]) for _, aut in action.closure()
+                for a in elements for r in range(ring.size)}
+    return left_annihilator_by_scan(ring, products)
+
+
+def random_annihilating_pair_reference(action, rng, span: int = 6, terms: int = 4,
+                                       draws: int = 8):
+    """``theorems.random_annihilating_pair`` recomputing everything on each
+    call: the exponent pool, the nonzero elements and whether f may be
+    redrawn (some nonzero element has an orbit annihilator with two or more
+    members), with g built through the checked constructor.  It makes the
+    same calls on ``rng``, in the same order: randint and sample for f's
+    support, choice for each of its coefficients, up to ``draws`` times
+    while f's orbit annihilator has one member, then randint and sample for
+    g's support and choice for each of its coefficients."""
+    from skewseries.monoids import sample_pool
+    from skewseries.series import SkewSeries
+
+    ring = action.ring
+    pool = sample_pool(action.monoid, span)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    if not nonzero:
+        return SkewSeries(action, {}), SkewSeries(action, {})
+
+    def draw_support():
+        k = rng.randint(1, terms)
+        return rng.sample(pool, min(k, len(pool)))
+
+    if not any(len(orbit_annihilator_by_scan(action, [r])) > 1 for r in nonzero):
+        draws = 1
+    for _ in range(draws):
+        f = SkewSeries(action, {s: rng.choice(nonzero) for s in draw_support()})
+        ann = orbit_annihilator_by_scan(action, f.coeffs.values())
+        if len(ann) > 1:
+            break
+    choices = [b for b in ann if b != ring.zero] or [ring.zero]
+    g = {u: action.automorphism(u).perm[rng.choice(choices)] for u in draw_support()}
+    return SkewSeries(action, g), f

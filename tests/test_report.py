@@ -96,8 +96,14 @@ _INT_LISTS = st.lists(st.one_of(_INTS, st.booleans()), max_size=6)
 _UNIFORM = st.integers(0, 3).flatmap(
     lambda k: st.lists(st.lists(_INTS, min_size=k, max_size=k), max_size=5))
 _RAGGED = st.lists(st.lists(st.one_of(_INTS, st.booleans()), max_size=3), max_size=5)
+# equal-length rows whose columns hold ints, strings or a mix of the two
+# (with bools and str subclasses, which are neither), as a series' terms do
+_COLUMNS = {"int": _INTS, "str": _STRINGS,
+            "mixed": st.one_of(_INTS, _STRINGS, st.booleans(), _STRINGS.map(_Str))}
+_TERMS = st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=3).flatmap(
+    lambda kinds: st.lists(st.tuples(*(_COLUMNS[k] for k in kinds)).map(list), max_size=5))
 TREES = st.recursive(
-    st.one_of(_SCALARS, _INT_LISTS, _UNIFORM, _RAGGED),
+    st.one_of(_SCALARS, _INT_LISTS, _UNIFORM, _RAGGED, _TERMS),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.dictionaries(_STRINGS, kids, max_size=4),
@@ -107,7 +113,8 @@ TREES = st.recursive(
     max_leaves=24)
 
 
-# a uniform list of int lists is one template; bools are never ints
+# a list of equal-length lists with all-int or all-str columns is one
+# template; bools are never ints and a str subclass is not a str
 @example([[1, 2], [3, 4]])
 @example([[1, True], [3, 4]])
 @example([[1], [2, 3]])
@@ -116,6 +123,11 @@ TREES = st.recursive(
 @example([True, 1, False])
 @example([[[1]], [[2]]])
 @example({"a": [], "b": {}})
+@example([["(0, 1)", 3], ["(2, -1)", 1]])
+@example([["a", 1], [2, "b"]])
+@example([["a", 1], ["b", True]])
+@example([[_Str("a"), 1], ["b", 2]])
+@example([["\"%s\n", 7, "%d"]])
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(TREES)
 def test_the_writer_prints_what_json_dumps_prints(tree):

@@ -25,7 +25,9 @@ from skewseries.series import (
     OmegaAction,
     SkewSeries,
     _dirichlet,
+    _first_failure,
     _kronecker,
+    _middle_test,
     annihilates_via_all_middles,
     constant,
     convolve,
@@ -45,6 +47,7 @@ from oracles import (
     annihilates_via_all_middles_by_scan,
     convolve_by_terms,
     dirichlet_value,
+    first_failing_middle_by_scan,
 )
 
 F22 = product_ring(cyclic_ring(2), cyclic_ring(2))
@@ -777,3 +780,30 @@ def test_middles_over_an_additive_basis_match_the_full_scan(context, data):
     elif shape == "random":
         g, f = random_series(action, rng), random_series(action, rng)
     assert annihilates_via_all_middles(g, f) == annihilates_via_all_middles_by_scan(g, f)
+
+
+# g * (r x^s) is built directly in the middle test, which is exact because
+# every monoid kind is cancellative: against the scans on each kind, on pairs
+# that annihilate and pairs that do not
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("context",
+                         ["F2xF2/swap", "T2F2/inner:7", "M2F2/inner:6", "Z12/identity"])
+def test_the_middle_test_matches_the_scans_on_every_monoid_kind(kind, context):
+    ring, aut = MIDDLE_CONTEXTS[context]
+    action = _action(kind, ring, aut)
+    rng = random.Random(f"{kind}/{context}")
+    pool = sample_pool(action.monoid, 6)
+    fails, nonzero_pairs = [], 0
+    for _ in range(8):
+        g, f = random_annihilating_pair(action, rng)
+        nonzero_pairs += not g.is_zero()
+        bumped = g + single_term(action, rng.randrange(1, ring.size), rng.choice(pool))
+        drawn = random_series(action, rng), random_series(action, rng)
+        for g, f in ((g, f), (bumped, f), drawn):
+            failure = _first_failure(action, _middle_test(g, f))
+            assert failure == first_failing_middle_by_scan(g, f)
+            assert annihilates_via_all_middles(g, f) == annihilates_via_all_middles_by_scan(g, f)
+            fails.append(failure is not None)
+    assert any(fails) and not all(fails)
+    # T2F2 and Z12 have nonzero orbit annihilators, so pairs with g != 0
+    assert nonzero_pairs > 0 or context in ("F2xF2/swap", "M2F2/inner:6")

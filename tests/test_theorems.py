@@ -9,6 +9,7 @@ from skewseries.monoids import make_monoid
 from skewseries.properties import orbit_annihilators_s_unital
 from skewseries.rings import _additive_generators, cyclic_ring, identity_automorphism
 from skewseries.series import (
+    OmegaAction,
     SkewSeries,
     annihilates_via_all_middles,
     constant,
@@ -35,7 +36,11 @@ from skewseries.theorems import (
     witness_paths_agree,
 )
 
-from oracles import coefficientwise_by_scan, first_failing_middle_by_scan
+from oracles import (
+    coefficientwise_by_scan,
+    first_failing_middle_by_scan,
+    random_annihilating_pair_reference,
+)
 
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
@@ -356,8 +361,86 @@ def test_witness_paths_agree_over_gallery():
         assert report.witnesses["applicable"]
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of ``theorems.<name>``, which still does its work."""
+    calls = []
+    real = getattr(theorems, name)
+    monkeypatch.setattr(theorems, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_witness_paths_verify_each_distinct_witness_once(monkeypatch):
+    ring = gallery_ring("T2F2")
+    middle_checks = _counting(monkeypatch, "_middle_test")
+    report = witness_paths_agree(ring, nat_action(ring), instances=20, seed=1)
+    # the two paths agree on every pair: c_e's middles are checked once each
+    assert report.witnesses["witness_disagreements"] == 0 and len(middle_checks) == 20
+
+    # a chain path that picks the highest common witness instead of the
+    # lowest, still a valid one, is verified on its own wherever it differs
+    chain_searches = _counting(monkeypatch, "_minimal_annihilator_subset")
+    lowest = theorems._lowest_common
+
+    def highest_after_a_chain_search(ring, ann, selected, kind):
+        if not chain_searches:
+            return lowest(ring, ann, selected, kind)
+        chain_searches.clear()
+        return max(e for e in ring.elements() if ann >> e & 1
+                   and all(ring.mul(y, e) == y for y in selected))
+
+    monkeypatch.setattr(theorems, "_lowest_common", highest_after_a_chain_search)
+    middle_checks.clear()
+    report = witness_paths_agree(ring, nat_action(ring), instances=20, seed=1)
+    differing = report.witnesses["witness_disagreements"]
+    assert 0 < differing < 20 and len(middle_checks) == 20 + differing
+
+
+def test_witness_paths_raise_the_full_set_alarm_before_the_chain_path_runs(monkeypatch):
+    # the witness 1 reproduces every twisted coefficient but lies outside
+    # every proper orbit annihilator, so the full-set path's middle check
+    # alarms on the first pair with g != 0, before the chain search runs
+    monkeypatch.setattr(theorems, "_lowest_common", lambda ring, mask, xs, kind: ring.one)
+    chain_searches = _counting(monkeypatch, "_minimal_annihilator_subset")
+    pairs = []
+    real = theorems.random_annihilating_pair
+    monkeypatch.setattr(theorems, "random_annihilating_pair",
+                        lambda action, rng: pairs.append(real(action, rng)) or pairs[-1])
+    act = nat_action(Z6)
+    with pytest.raises(theorems.CoherenceAlarm) as alarm:
+        witness_paths_agree(Z6, act, instances=50, seed=2)
+    g, f = pairs[-1]
+    assert not g.is_zero() and all(g.is_zero() for g, _ in pairs[:-1])
+    assert chain_searches == []
+    s, r = first_failing_middle_by_scan(constant(act, Z6.one), f)
+    assert str(alarm.value) == (f"witness constant fails to annihilate f "
+                                f"through middle (r={r}, s={s!r})")
+
+
 # ---------------------------------------------------------------------------
 # constructed pairs
+
+# the contexts of the series_harness benchmark workload, and its monoids
+# with the Dirichlet one
+HARNESS_CONTEXTS = (("M2F2", "inner:6"), ("T2F2", "inner:7"), ("F2xF2", "swap"),
+                    ("F2xF3", "identity"), ("Z5", "identity"), ("Z7", "identity"),
+                    ("Z12", "identity"))
+HARNESS_KINDS = ("NatAdd", "IntAdd", "NatPairLex", "IntPairRevLex", "NatMulDirichlet")
+
+
+@pytest.mark.parametrize("kind", HARNESS_KINDS)
+@pytest.mark.parametrize("ring_name, aut_name", HARNESS_CONTEXTS)
+def test_pair_draws_match_the_reference_draw(ring_name, aut_name, kind):
+    ring = gallery_ring(ring_name)
+    monoid = make_monoid(kind)
+    aut = None if monoid._mul else named_automorphism(ring, aut_name)
+    action = OmegaAction(monoid, ring, aut, aut if monoid._pair else None)
+    rng, ref = (random.Random(f"{ring_name}/{aut_name}:{kind}") for _ in range(2))
+    for _ in range(25):
+        got = random_annihilating_pair(action, rng)
+        want = random_annihilating_pair_reference(action, ref)
+        # the same terms in the same order, and the same state of the stream
+        assert [list(s.coeffs.items()) for s in got] == [list(s.coeffs.items()) for s in want]
+        assert rng.getstate() == ref.getstate()
 
 def test_random_pairs_annihilate_and_replay_deterministically():
     act = nat_action(Z6)
