@@ -873,47 +873,52 @@ def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
-    """A small additive generating set, found once per ring: 1, then each
-    element, in index order, that sums of the generators so far do not reach.
-
-    The sums are found breadth-first from zero through x -> x + g, each
-    element meeting each generator once, so the search ends on any addition
-    table, a ring's or not.
-    """
+    """A small additive generating set: ``_span_search`` from 1, once per ring."""
     if ring._additive_gens is None:
-        add = ring.add
-        inside = bytearray(ring.size)
-        inside[ring.zero] = 1
-        reached, gens, a = [ring.zero], [], ring.one
-        while a >= 0:
-            gens.append(a)
-            # what is reached already meets a; a new sum meets every generator
-            todo = [(x, (a,)) for x in reached]
-            while todo:
-                x, step = todo.pop()
-                for g in step:
-                    y = add(x, g)
-                    if not inside[y]:
-                        inside[y] = 1
-                        reached.append(y)
-                        todo.append((y, gens))
-            a = inside.find(0)
-        ring._additive_gens = tuple(gens)
+        ring._additive_gens = _span_search(ring, ring.one)
     return ring._additive_gens
+
+
+def _span_search(ring: FiniteRing, first: int) -> tuple[int, ...]:
+    """``first`` (-1: the lowest element other than zero), then each element,
+    in index order, that sums of the generators so far do not reach.  The
+    sums are found breadth-first from zero through x -> x + g, each element
+    meeting each generator once, so it ends on any table whose zero is an identity."""
+    add = ring.add
+    inside = bytearray(ring.size)
+    inside[ring.zero] = 1
+    reached, gens = [ring.zero], []
+    a = inside.find(0) if first < 0 else first
+    while a >= 0:
+        gens.append(a)
+        # what is reached already meets a; a new sum meets every generator
+        todo = [(x, (a,)) for x in reached]
+        while todo:
+            x, step = todo.pop()
+            for g in step:
+                y = add(x, g)
+                if not inside[y]:
+                    inside[y] = 1
+                    reached.append(y)
+                    todo.append((y, gens))
+        a = inside.find(0)
+    return tuple(gens)
 
 
 def _additive_coordinates(ring: FiniteRing) -> tuple:
     """(orders, coordinates, elements, products, term_bound) of a ring of
-    at most ``TABLE_LIMIT`` elements, read off ``ring.tables``, over its
-    additive generators g_0..g_{K-1}, found once per ring.
+    at most ``TABLE_LIMIT`` elements, read off ``ring.tables``, over the
+    generators g_0..g_{K-1} that ``_span_search`` finds from the lowest
+    element other than zero, found once per ring.
 
     g_k has additive order orders[k] = d_k.  coordinates[k][r] is x_k(r),
     where x(r) is the first vector, in mixed-radix order, with
     0 <= x_k(r) < d_k and sum_k x_k(r) * g_k = r; each coordinate table is
     padded to the 256 bytes ``bytes.translate`` wants.  elements[sum_k a_k * P_k],
     P_k = d_0 * ... * d_{k-1}, is sum_k a_k * g_k for every such vector a.
-    The generators need not be a direct-sum basis, so a vector is not
-    unique and d_0 * ... * d_{K-1} may exceed the ring's size.
+    On a factory ring the generators are a direct-sum basis (the idempotents
+    of F2xF2, the matrix units of M2(F2)); on a relabelled table they need
+    not be, and d_0 * ... * d_{K-1} may exceed the ring's size.
     products[i][j] is the coordinate vector x(g_i * g_j), and term_bound is
     max_k sum_{i,j} x_k(g_i * g_j) * (d_i - 1) * (d_j - 1), a bound on
     sum_{i,j} x_i(a) x_j(b) x_k(g_i * g_j) over all elements a, b and all k.
@@ -921,8 +926,9 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
     if ring._additive_coords is None:
         plus = ring.tables[0]
         zero = ring.zero
+        gens = _span_search(ring, -1)
         orders, elements = [], bytes([zero])
-        for g in _additive_generators(ring):
+        for g in gens:
             multiples = [zero]
             while (m := plus[multiples[-1]][g]) != zero:
                 multiples.append(m)
@@ -936,12 +942,12 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
             coordinates.append(bytes(first[r] // stride % d
                                      for r in range(ring.size)).ljust(256, b"\0"))
             stride *= d
-        gens, times = _additive_generators(ring), ring.tables[1]
+        times = ring.tables[1]
         products = tuple(tuple(tuple(c[times[a][b]] for c in coordinates) for b in gens)
                          for a in gens)
-        term_bound = max(sum(x[k] * (orders[i] - 1) * (orders[j] - 1)
-                             for i, row in enumerate(products) for j, x in enumerate(row))
-                         for k in range(len(orders)))
+        term_bound = max((sum(x[k] * (orders[i] - 1) * (orders[j] - 1)
+                              for i, row in enumerate(products) for j, x in enumerate(row))
+                          for k in range(len(orders))), default=0)
         ring._additive_coords = (tuple(orders), tuple(coordinates), elements, products,
                                  term_bound)
     return ring._additive_coords

@@ -35,15 +35,14 @@ Otherwise some coefficient value of g must repeat, and:
 
 * over NatAdd, IntAdd and the four pair kinds, exponents add, so the product
   is a sum of integer polynomial products over the additive coordinates of
-  R.  Each polynomial is packed into one Python int (Kronecker
-  substitution) and CPython multiplies them.  The slots are 8, 16, 32 or 64
-  bits wide, the least width above the exact bound
-  min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1) on a
-  coefficient before reduction, where g_k are the additive generators of R,
-  d_k their orders and x_k the coordinates (see ``_kronecker``).  The
-  packed window spans the exponents, not the terms, so when it is too
-  sparse for the integer products to beat the term loop, the product is
-  taken term by term instead;
+  R (a direct-sum basis on every factory ring).  Each polynomial is packed
+  into one Python int (Kronecker substitution) and CPython multiplies them.
+  The slots are 8, 16, 32 or 64 bits wide, the least width above an exact
+  bound on a coefficient before reduction, counted from the terms of f and
+  g with each coordinate nonzero (see ``_kronecker``).  The packed window
+  spans the exponents, not the terms, so when it is too sparse for the
+  integer products to beat the term loop, or R has more than 256
+  coordinate vectors, the product is taken term by term instead;
 * over NatMulDirichlet, exponents multiply and the action is trivial, so row
   u of the product, f(u) * g(v) at u * v, is a strided slice of a dense
   byte window over the exponents up to max supp(f) * max supp(g).  Each row
@@ -51,14 +50,14 @@ Otherwise some coefficient value of g must repeat, and:
   into the window coordinate by coordinate (see ``_dirichlet``).  Where the
   ring's coordinates do not fit a byte or the window is too sparse, the
   product is formed once per coefficient class of g instead of once per
-  term.
+  term.  Both kernels read their windows back in C through ``_gather``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress
+from itertools import compress, product
 from math import isqrt
 
 from .monoids import OrderedMonoid, min_element
@@ -314,10 +313,11 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     * over NatAdd, IntAdd and the pair kinds, ``_kronecker`` forms the
       product as integer polynomial products over the ring's additive
       coordinates, each packed into one Python int with slots of 8, 16, 32
-      or 64 bits, the least width above the exact bound
+      or 64 bits, the least width above the smaller of two exact bounds:
+      one from the terms of f and of g with each coordinate nonzero, and
       min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1).
-      A window too sparse for that to pay (see ``_kronecker``) goes term
-      by term instead;
+      A window too sparse for that to pay, or a ring with more than 256
+      coordinate vectors (see ``_kronecker``), goes term by term instead;
     * over NatMulDirichlet, ``_dirichlet`` adds row u of the product,
       f(u) * g(v) at u * v, into a strided slice of a dense byte window, one
       additive coordinate of R at a time.  Where it declines (an additive
@@ -368,58 +368,77 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     return SkewSeries._trusted(action, {s: r for s, r in out.items() if r != zero})
 
 
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
+# _MOD[d] is the translate table taking each byte x to x mod d
+_MOD = (b"",) + tuple((bytes(range(d)) * (256 // d + 1))[:256] for d in range(1, 257))
 
 
 def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     """f * g over an additive exponent monoid and a tabled ring, by
-    Kronecker substitution; None when the packed window is too sparse for
-    that to pay.  f must not be zero.
+    Kronecker substitution; None when R has more than 256 coordinate vectors
+    or the packed window is too sparse for that to pay.  f must not be zero.
 
-    Write r = sum_k x_k(r) g_k over the additive generators g_k of R, of
+    Write r = sum_k x_k(r) g_k over the coordinate generators g_k of R, of
     orders d_k (``rings._additive_coordinates``).  Multiplication is
     Z-bilinear, so f(u) * w_u(c) = sum_{i,j} x_i(f(u)) x_j(w_u(c)) g_i g_j,
     and coordinate k of (f*g)(s) is, modulo d_k,
 
-        A_k(s) = sum_{i,j} x_k(g_i g_j) * sum_{u+v=s} x_i(f(u)) x_j(w_u(g(v))).
+        A_k(s) = sum_{i,j} c_k(i,j) * sum_{u+v=s} x_i(f(u)) x_j(w_u(g(v))),
 
-    For each automorphism rho attained on supp(f), the inner sums over the u
-    with w_u = rho are the coefficients of a product of two integer
-    polynomials, F_{rho,i} * G_{rho,j}.  Each polynomial is packed into one
-    int, coefficient e at bit w*e (``_pack``), so CPython multiplies it.
-    Every A_k(s) is nonnegative and at most
+    with c_k(i,j) = x_k(g_i g_j).  For each automorphism rho attained on
+    supp(f), the inner sums over the u with w_u = rho are the coefficients
+    of a product of two integer polynomials, F_{rho,i} * G_{rho,j}, formed
+    where c(i,j) and both are nonzero.  Each is packed into one int,
+    coefficient e at bit w*e (``_pack``), so CPython multiplies it.  With
+    n_{rho,i} terms of f under rho having x_i != 0, and m_{rho,j} terms v of
+    g having x_j(rho(g(v))) != 0, at most min(n_{rho,i}, m_{rho,j}) of their
+    pairs meet at s, and at most min(|f|, |g|) pairs meet at all, so A_k(s)
+    is at most both
 
-        min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1),
+        sum_{rho,i,j} c_k(i,j) min(n_{rho,i}, m_{rho,j}) (d_i - 1)(d_j - 1)
 
-    since at most min(|f|, |g|) pairs (u, v) meet at s; the maximum is the
-    ring's ``term_bound``.  The slot width w
-    is the least of 8, 16, 32 or 64 bits above that bound, so no slot
-    carries into the next and each A_k(s) reads back from its slot.
-    Exponents map to slots by ``_packing``.
+    and min(|f|, |g|) times the ring's ``term_bound``.  The slot width w is
+    the least of 8, 16, 32 or 64 bits above the smaller, so no slot carries
+    into the next.  Exponents map to slots by ``_packing``, and the slots,
+    reduced mod d_k, are read by ``_gather``.
 
     The window has a slot for every exponent between the least and the
     greatest, so its size follows the exponents, not the number of terms:
-    x^0 + x^(10^10) spans 10^10 + 1 slots.  At most P = (automorphisms) *
-    K^2 products of B = w * (slots of f*g) bits are formed, and CPython's
-    Karatsuba multiplication costs about B^1.5 per product, against about
-    |f| * |g| steps term by term.  Hence the kernel returns None, before
-    allocating anything, when P * B^1.5 > _KRONECKER_COST * |f| * |g|.
+    x^0 + x^(10^10) spans 10^10 + 1 slots.  P products of B = w * (slots of
+    f*g) bits are formed, and CPython's Karatsuba multiplication costs about
+    B^1.5 per product, against about |f| * |g| steps term by term.  Hence
+    the kernel returns None, before allocating anything, when
+    P * B^1.5 > _KRONECKER_COST * |f| * |g|.
     """
     action = f.action
     ring = action.ring
     zero = ring.zero
     orders, coords, elements, consts, term_bound = _additive_coordinates(ring)
-    bound = min(len(f.coeffs), len(g.coeffs)) * term_bound
-    width = 1
-    while bound >> (8 * width):
-        width *= 2
-    f_key, g_key, decode, out_len = _packing(action.monoid, f, g)
-
+    if len(elements) > 256:
+        return None
+    f_key, g_key, exponents, out_len = _packing(action.monoid, f, g)
     by_twist: dict = {}
     for u, fu in f.coeffs.items():
         by_twist.setdefault(action.automorphism(u).perm, []).append((f_key(u), fu))
+    g_values = bytes(g.coeffs.values())
+    bounds, plans = [0] * len(orders), []
+    for perm, terms in by_twist.items():
+        twist = bytes(perm).ljust(256, b"\0")
+        # n[i], m[j]: the terms of f under rho, of g twisted, with x_i, x_j != 0
+        n, m = ([len(v) - v.translate(c).count(0) for c in coords]
+                for v in (bytes(fu for _, fu in terms), g_values.translate(twist)))
+        live = [(i, j, x) for i, row in enumerate(consts) for j, x in enumerate(row)
+                if n[i] and m[j] and any(x)]
+        for i, j, x in live:
+            most = min(n[i], m[j]) * (orders[i] - 1) * (orders[j] - 1)
+            bounds = [b + c * most for b, c in zip(bounds, x)]
+        plans.append((twist, terms, n, m, live))
+    bound = min(max(bounds), min(len(f.coeffs), len(g.coeffs)) * term_bound)
+    width = 1
+    while bound >> (8 * width):
+        width *= 2
     bits = 8 * width * out_len
-    if (len(by_twist) * len(orders) ** 2 * bits * isqrt(bits)
+    if (sum(len(live) for *_, live in plans) * bits * isqrt(bits)
             > _KRONECKER_COST * len(f.coeffs) * len(g.coeffs)):
         return None
     f_len = max(map(f_key, f.coeffs)) + 1
@@ -428,36 +447,48 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
         g_dense[g_key(v)] = gv
 
     acc = [0] * len(orders)
-    for perm, terms in by_twist.items():
+    for twist, terms, n, m, live in plans:
         f_dense = bytearray([zero]) * f_len
         for e, fu in terms:
             f_dense[e] = fu
-        g_twisted = g_dense.translate(bytes(perm).ljust(256, b"\0"))
-        fs = [_pack(f_dense.translate(c), width) for c in coords]
-        gs = [_pack(g_twisted.translate(c), width) for c in coords]
-        for i, fi in enumerate(fs):
-            if fi:
-                for j, gj in enumerate(gs):
-                    if gj and any(consts[i][j]):
-                        p = fi * gj
-                        for k, c in enumerate(consts[i][j]):
-                            if c:
-                                acc[k] += c * p
+        g_twisted = g_dense.translate(twist)
+        fs = [n_i and _pack(f_dense.translate(c), width) for n_i, c in zip(n, coords)]
+        gs = [m_j and _pack(g_twisted.translate(c), width) for m_j, c in zip(m, coords)]
+        for i, j, x in live:
+            p = fs[i] * gs[j]
+            acc = [a + c * p if c else a for a, c in zip(acc, x)]
 
-    # index of the reduced coordinate vector of every slot into ``elements``
-    code = _SLOT_CODES[width]
-    index = [0] * out_len
-    stride = 1
+    # each slot of each coordinate, reduced mod d_k: in C by one translate
+    # for byte slots, by one map over the slots read as an array otherwise
+    digits = []
     for a, d in zip(acc, orders):
-        slots = array(code, a.to_bytes(out_len * width, sys.byteorder))
-        index = [i + stride * (x % d) for i, x in zip(index, slots)]
+        if width == 1:
+            digits.append(a.to_bytes(out_len, "little").translate(_MOD[d]))
+        else:
+            slots = array(_SLOT_CODES[width], a.to_bytes(out_len * width, "little"))
+            if sys.byteorder == "big":
+                slots.byteswap()
+            digits.append(bytes(map(d.__rmod__, slots)))
+    return _gather(action, digits, exponents())
+
+
+def _gather(action: OmegaAction, digits: list, exponents) -> SkewSeries:
+    """The series with, at the e-th of ``exponents``, the element of reduced
+    coordinates (digits[k][e])_k, less its zero terms.  In mixed radix the
+    vectors index ``elements``, at most 256, so no slot carries into the next."""
+    ring = action.ring
+    zero = ring.zero
+    orders, _, elements, _, _ = _additive_coordinates(ring)
+    index, stride = 0, 1
+    for a, d in zip(digits, orders):
+        index += stride * int.from_bytes(a, "little")
         stride *= d
-    out = {}
-    for e, i in enumerate(index):
-        r = elements[i]
-        if r != zero:
-            out[decode(e)] = r
-    return SkewSeries._trusted(action, out)
+    out = index.to_bytes(len(digits[0]), "little").translate(elements.ljust(256, b"\0"))
+    nonzero = bytearray(b"\1") * 256
+    nonzero[zero] = 0
+    values = out.translate(None, bytes([zero]))  # the nonzero bytes, in order
+    return SkewSeries._trusted(action, dict(zip(compress(exponents, out.translate(nonzero)),
+                                                values)))
 
 
 def _pack(slots: bytes, width: int) -> int:
@@ -471,8 +502,9 @@ def _pack(slots: bytes, width: int) -> int:
 
 # Where P * B^1.5 = _KRONECKER_COST * |f| * |g| (see ``_kronecker``), the
 # kernel and the term-by-term loop took about the same time in CPython 3.11
-# on products of 16 to 1000 terms over Z2, Z6, F2xF2 and M2(F2).
-_KRONECKER_COST = 12_000
+# on NatAdd products of 64 to 1000 terms over Z2, Z6, F2xF2 and M2(F2), each
+# spread ever wider (6600 to 15000, median 10000; 300 to 2300 at 16 terms).
+_KRONECKER_COST = 10_000
 
 
 def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
@@ -511,7 +543,6 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     for v, gv in g.coeffs.items():
         g_dense[v - 1] = gv
     times = ring.tables[1]
-    reduce = [(bytes(range(d)) * (256 // d + 1))[:256] for d in orders]
     acc = [bytearray(window) for _ in orders]
     rows: dict = {}
     for u, fu in f.coeffs.items():
@@ -520,23 +551,11 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
             products = g_dense.translate(times[fu].ljust(256, b"\0"))
             row = rows[fu] = [int.from_bytes(products.translate(c), "little") for c in coords]
         at = slice(u, u * top + 1, u)
-        for a, x, mod in zip(acc, row, reduce):
+        for a, x, d in zip(acc, row, orders):
             if x:
                 total = int.from_bytes(a[at], "little") + x
-                a[at] = total.to_bytes(top, "little").translate(mod)
-
-    # element index of every slot: its coordinate vector in mixed radix,
-    # below len(elements) <= 256, so no slot carries into the next
-    index, stride = 0, 1
-    for a, d in zip(acc, orders):
-        index += stride * int.from_bytes(a, "little")
-        stride *= d
-    out = index.to_bytes(window, "little").translate(elements.ljust(256, b"\0"))
-    nonzero = bytearray(b"\1") * 256
-    nonzero[zero] = 0
-    exponents = compress(range(window), out.translate(nonzero))
-    values = out.translate(None, bytes([zero]))  # the nonzero bytes, in order
-    return SkewSeries._trusted(f.action, dict(zip(exponents, values)))
+                a[at] = total.to_bytes(top, "little").translate(_MOD[d])
+    return _gather(f.action, acc, range(window))
 
 
 # The costs of ``_dirichlet``'s rule in window slots, which take about 15 ns
@@ -551,35 +570,34 @@ _DIRICHLET_ROW = 64
 
 
 def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:
-    """The slot layout (f_key, g_key, decode, length) of the product of
+    """The slot layout (f_key, g_key, exponents, length) of the product of
     nonzero f and g.
 
     f_key and g_key map the exponents of f and of g to slots 0, 1, ... with
-    f_key(u) + g_key(v) a slot of the product, decode maps a product slot
-    back to op(u, v), and the product has ``length`` slots.  Integer
-    exponents shift by the least exponent of their own factor.  A pair
-    (i, j) of f takes slot (i - fi0) * W + (j - fj0), with fi0, fj0 the
-    least components in f, and likewise for g; W is the sum of the j-spans
-    of f and g plus one, so the j-parts of two keys add below W and never
-    carry into the i-part.
+    f_key(u) + g_key(v) a slot of the product, which has ``length`` slots,
+    and exponents() iterates their exponents: a range, or for pairs the
+    ``product`` of two ranges, which materialises them, so call it only once
+    the window is taken.  Integer exponents shift by the least exponent of
+    their own factor.  A pair (i, j) of f takes slot
+    (i - fi0) * W + (j - fj0), with fi0, fj0 the least components in f, and
+    likewise for g; W is the sum of the j-spans of f and g plus one, so the
+    j-parts of two keys add below W and never carry into the i-part.
     """
     if not monoid._pair:
         f0, g0 = min(f.coeffs), min(g.coeffs)
         length = max(f.coeffs) - f0 + max(g.coeffs) - g0 + 1
-        return ((lambda s: s - f0), (lambda s: s - g0), (lambda e: e + f0 + g0),
-                length)
+        return ((lambda s: s - f0), (lambda s: s - g0),
+                (lambda: range(f0 + g0, f0 + g0 + length)), length)
     fi0, fi1 = min(s[0] for s in f.coeffs), max(s[0] for s in f.coeffs)
     fj0, fj1 = min(s[1] for s in f.coeffs), max(s[1] for s in f.coeffs)
     gi0, gi1 = min(s[0] for s in g.coeffs), max(s[0] for s in g.coeffs)
     gj0, gj1 = min(s[1] for s in g.coeffs), max(s[1] for s in g.coeffs)
     w = fj1 - fj0 + gj1 - gj0 + 1
-
-    def decode(e):
-        i, j = divmod(e, w)
-        return (i + fi0 + gi0, j + fj0 + gj0)
+    rows = fi1 - fi0 + gi1 - gi0 + 1
     return ((lambda s: (s[0] - fi0) * w + s[1] - fj0),
-            (lambda s: (s[0] - gi0) * w + s[1] - gj0), decode,
-            (fi1 - fi0 + gi1 - gi0 + 1) * w)
+            (lambda s: (s[0] - gi0) * w + s[1] - gj0),
+            (lambda: product(range(fi0 + gi0, fi0 + gi0 + rows),
+                             range(fj0 + gj0, fj0 + gj0 + w))), rows * w)
 
 
 def zero_series(action: OmegaAction) -> SkewSeries:

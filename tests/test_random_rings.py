@@ -6,14 +6,16 @@ the automorphism search, units, and exact ring validation."""
 
 import random
 from functools import partial
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skewseries import series
 from skewseries.gallery import gallery_ring, named_automorphism
 from skewseries.ideals import FL, FR, ZL, ZR, _bits, _principal_annihilator, _scan
-from skewseries.monoids import make_monoid
+from skewseries.monoids import KINDS, make_monoid, sample_pool
 from skewseries.properties import (
     is_left_app,
     is_left_pq_baer,
@@ -22,11 +24,14 @@ from skewseries.properties import (
     orbit_annihilators_s_unital,
 )
 from skewseries.rings import (
+    RingAut,
     RingAxiomError,
+    _additive_coordinates,
     _additive_generators,
     automorphisms,
     cyclic_ring,
     inner_automorphism,
+    product_ring,
     table_ring,
     unit_inverse,
     units,
@@ -239,3 +244,47 @@ def test_convolve_matches_the_term_loop_on_every_path(ring, data):
             kernel = _dirichlet if f.monoid._mul else _kronecker
             assert (kernel(f, g) is None) == (path == "grouped")
         assert convolve(f, g) == convolve_by_terms(f, g)
+
+
+def _non_identity_automorphisms(ring, factors):
+    """Automorphisms of ``ring`` other than the identity: alpha x beta over
+    the automorphisms of a product's two factors, the inner ones of a cell
+    ring."""
+    if factors is None:
+        auts = [inner_automorphism(ring, u) for u in units(ring)]
+    else:
+        a, b = map(automorphisms, factors)
+        n = factors[1].size
+        auts = [RingAut(ring, [x.perm[i // n] * n + y.perm[i % n] for i in range(ring.size)])
+                for x in a for y in b]
+    return [aut for aut in auts if not aut.is_identity()]
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "NatMulDirichlet"])
+@settings(RANDOM, max_examples=10)
+@given(st.one_of(st.tuples(rings(max_size=16), rings(max_size=16)).map(
+                     lambda pair: (product_ring(*pair), pair)),
+                 cell_rings().map(lambda drawn: (drawn[0], None))), st.data())
+def test_kronecker_matches_the_term_loop_on_drawn_rings(kind, drawn, data):
+    # the coordinate generators of a product of two drawn rings, and of a
+    # cell ring over a drawn base, under an automorphism other than the
+    # identity, on dense windows, with the kernel's cost rule switched off
+    ring, factors = drawn
+    auts = _non_identity_automorphisms(ring, factors)
+    assume(auts)
+    aut = data.draw(st.sampled_from(auts), label="automorphism")
+    monoid = make_monoid(kind)
+    action = OmegaAction(monoid, ring, aut, aut if monoid._pair else None)
+    pool = sample_pool(monoid, 3 if monoid._pair else 12)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    f, g = (_drawn_series(data, action, data.draw(st.lists(
+        st.sampled_from(pool), min_size=3 * len(pool) // 4, max_size=len(pool), unique=True),
+        label=label), nonzero, label) for label in ("f", "g"))
+    # a relabelled base can give more than 256 coordinate vectors, where the
+    # kernel declines
+    with patch.object(series, "_KRONECKER_COST", 10 ** 12):
+        product = _kronecker(f, g)
+    if len(_additive_coordinates(ring)[2]) > 256:
+        assert product is None
+    else:
+        assert product == convolve_by_terms(f, g)

@@ -15,6 +15,7 @@ from skewseries.rings import (
     cyclic_ring,
     identity_automorphism,
     inner_automorphism,
+    matrix_ring,
     product_ring,
     swap_automorphism,
     table_ring,
@@ -414,19 +415,34 @@ def _first_nontrivial_inner(ring):
                 if not a.is_identity())
 
 
+def _relabelled_product(a, b):
+    """Z_a x Z_b as tables with (1,1) at index 1 and (0,1) at index 2, the
+    other pairs in order after them: the coordinate search from index 1
+    takes (1,1), of order lcm(a, b), then (0,1), which it does not reach,
+    so for gcd(a, b) > 1 the generators are not a direct-sum basis."""
+    pairs = [(0, 0), (1, 1), (0, 1)]
+    pairs += sorted({(i, j) for i in range(a) for j in range(b)} - set(pairs))
+    index = {x: k for k, x in enumerate(pairs)}
+    add_t, mul_t = ([[index[op(x, y)] for y in pairs] for x in pairs]
+                    for op in (lambda x, y: ((x[0] + y[0]) % a, (x[1] + y[1]) % b),
+                               lambda x, y: (x[0] * y[0] % a, x[1] * y[1] % b)))
+    return table_ring(add_t, mul_t, name=f"Z{a}xZ{b} relabelled")
+
+
 Z3_RELABELLED = _relabelled_z3()
 T2Z4 = upper_triangular_ring(cyclic_ring(4), 2)
 # (ring, generator automorphism): twisted actions, a zero that is not index
 # 0, and additive generating sets that are not direct-sum bases (Z2xZ4,
-# Z6xZ4, Z12xZ18), one of them with more than 256 coordinate vectors
+# Z6xZ4, Z12xZ18, relabelled), one of them with more than 256 coordinate
+# vectors
 DIFF_CONTEXTS = {
     "Z2": (cyclic_ring(2), None),
     "Z6": (cyclic_ring(6), None),
     "Z12": (cyclic_ring(12), None),
     "Z3 relabelled": (Z3_RELABELLED, None),
-    "Z2xZ4": (product_ring(cyclic_ring(2), cyclic_ring(4)), None),
-    "Z6xZ4": (product_ring(cyclic_ring(6), cyclic_ring(4)), None),
-    "Z12xZ18": (product_ring(cyclic_ring(12), cyclic_ring(18)), None),
+    "Z2xZ4": (_relabelled_product(2, 4), None),
+    "Z6xZ4": (_relabelled_product(6, 4), None),
+    "Z12xZ18": (_relabelled_product(12, 18), None),
     "F2xF2/swap": (F22, SWAP),
     "M2F2/inner:6": (gallery_ring("M2F2"), named_automorphism(gallery_ring("M2F2"), "inner:6")),
     "T2(Z4)/inner": (T2Z4, _first_nontrivial_inner(T2Z4)),
@@ -457,10 +473,34 @@ def test_diff_contexts_include_generating_sets_that_are_not_bases(name, vectors)
         strides.append(strides[-1] * d)
     for r in ring.elements():
         assert elements[sum(c[r] * p for c, p in zip(coords, strides))] == r
-    gens = _additive_generators(ring)
+    gens = [elements[p] for p in strides[:-1]]  # the vector with one 1
     for a, row in zip(gens, products):
         for b, x in zip(gens, row):
             assert elements[sum(c * p for c, p in zip(x, strides))] == ring.mul(a, b)
+    # above 256 vectors the Kronecker kernel declines, and convolve takes
+    # the term loop
+    act = trivial_action(make_monoid("NatAdd"), ring)
+    rng = random.Random(vectors)
+    f = SkewSeries(act, {s: rng.randrange(1, ring.size) for s in range(12)})
+    g = SkewSeries(act, {s: rng.randrange(1, ring.size) for s in range(ring.size + 5)})
+    assert (_kronecker(f, g) is None) == (vectors > 256)
+    assert convolve(f, g) == convolve_by_terms(f, g)
+
+
+def test_factory_rings_over_cyclic_bases_get_a_direct_sum_basis():
+    # the coordinate search from index 1 finds one vector per element on
+    # Z1..Z256 and every product and cell ring over Z1..Z16 up to 256 elements
+    bases = [cyclic_ring(n) for n in range(1, 17)]
+    built = [cyclic_ring(n) for n in range(1, 257)]
+    built += [product_ring(a, b) for a in bases for b in bases if a.size * b.size <= 256]
+    for base in bases:
+        n = base.size
+        built.append(matrix_ring(base, 1))
+        built += [matrix_ring(base, 2)] if n ** 4 <= 256 else []
+        built += [upper_triangular_ring(base, 2)] if n ** 3 <= 256 else []
+        built += [upper_triangular_ring(base, 3)] if n ** 6 <= 256 else []
+    for ring in built:
+        assert len(_additive_coordinates(ring)[2]) == ring.size, ring.name
 
 
 @pytest.mark.parametrize("grouped", [False, True], ids=["term_by_term", "grouped"])
@@ -671,6 +711,34 @@ def test_kernel_takes_a_dense_block_of_a_sparse_support():
     far = SkewSeries(act, dict(g.coeffs) | {10 ** 9: 1})
     assert _kronecker(f, far) is None
     assert convolve(f, far) == convolve_by_terms(f, far)
+
+
+def test_kronecker_slot_width_follows_the_coordinate_counts(monkeypatch):
+    # over F2xF2, whose coordinates are the idempotents (0,1) and (1,0): f has
+    # 255 terms on each coordinate, g 256, so at most 255 pairs meet in a
+    # slot of either coordinate, and 255 do; the bound min(|f|, |g|) = 510
+    # alone would need 16-bit slots.  One more (0,1) term of f lets 256
+    # pairs meet, and the slots widen
+    from skewseries import series
+    widths = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda slots, width: widths.append(width)
+                        or pack(slots, width))
+    act = trivial_action(make_monoid("NatAdd"), F22)
+    f = {s: IDX_01 for s in range(255)} | {s: IDX_10 for s in range(1000, 1255)}
+    g = SkewSeries(act, {s: IDX_01 for s in range(256)}
+                   | {s: IDX_10 for s in range(1000, 1256)})
+    for extra, width in (({}, 1), ({255: IDX_01}, 2)):
+        left = SkewSeries(act, f | extra)
+        widths.clear()
+        product = _kronecker(left, g)
+        assert set(widths) == {width}
+        assert product == convolve_by_terms(left, g) == convolve(left, g)
+        # the fullest slot: 255 (then 256) pairs of (0,1) * (0,1)
+        fullest = 254 + len(extra)
+        assert product.coefficient(fullest) == (IDX_01 if width == 1 else F22.zero)
+        assert sum(1 for u in left.coeffs if fullest - u in g.coeffs
+                   and left.coeffs[u] == g.coeffs[fullest - u] == IDX_01) == 254 + width
 
 
 # ---------------------------------------------------------------------------
