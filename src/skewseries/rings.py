@@ -47,6 +47,7 @@ import struct
 import sys
 from array import array
 from itertools import islice, product, repeat
+from math import prod
 from operator import getitem, itemgetter
 
 # Table rows are bytes up to this size and array('H') above it, where the
@@ -909,7 +910,8 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
     """(orders, coordinates, elements, products, term_bound) of a ring of
     at most ``TABLE_LIMIT`` elements, read off ``ring.tables``, over the
     generators g_0..g_{K-1} that ``_span_search`` finds from the lowest
-    element other than zero, found once per ring.
+    element other than zero, or from 1 where that gives fewer coordinate
+    vectors, found once per ring.
 
     g_k has additive order orders[k] = d_k.  coordinates[k][r] is x_k(r),
     where x(r) is the first vector, in mixed-radix order, with
@@ -926,16 +928,18 @@ def _additive_coordinates(ring: FiniteRing) -> tuple:
     if ring._additive_coords is None:
         plus = ring.tables[0]
         zero = ring.zero
-        gens = _span_search(ring, -1)
-        orders, elements = [], bytes([zero])
-        for g in gens:
-            multiples = [zero]
-            while (m := plus[multiples[-1]][g]) != zero:
-                multiples.append(m)
-            orders.append(len(multiples))
-            # block a holds the sums so far plus a * g
-            elements = b"".join(elements.translate(plus[m].ljust(256, b"\0"))
-                                for m in multiples)
+        def multiples(g):
+            ms = [zero]
+            while (m := plus[ms[-1]][g]) != zero:
+                ms.append(m)
+            return ms
+        # the search from 1 where it gives fewer vectors, the lowest on a tie
+        run = min(([multiples(g) for g in gens] for gens in
+                   (_span_search(ring, -1), _additive_generators(ring))),
+                  key=lambda run: prod(map(len, run)))
+        gens, orders, elements = [ms[1] for ms in run], [len(ms) for ms in run], bytes([zero])
+        for ms in run:  # block a holds the sums so far plus a * g
+            elements = b"".join(elements.translate(plus[m].ljust(256, b"\0")) for m in ms)
         first = [elements.find(r) for r in range(ring.size)]
         coordinates, stride = [], 1
         for d in orders:

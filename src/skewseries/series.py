@@ -313,11 +313,10 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     * over NatAdd, IntAdd and the pair kinds, ``_kronecker`` forms the
       product as integer polynomial products over the ring's additive
       coordinates, each packed into one Python int with slots of 8, 16, 32
-      or 64 bits, the least width above the smaller of two exact bounds:
-      one from the terms of f and of g with each coordinate nonzero, and
-      min(|f|, |g|) * max_k sum_{i,j} x_k(g_i g_j) (d_i - 1)(d_j - 1).
-      A window too sparse for that to pay, or a ring with more than 256
-      coordinate vectors (see ``_kronecker``), goes term by term instead;
+      or 64 bits, the least width above an exact bound counted from the
+      terms of f and of g with each coordinate nonzero.  A window too sparse
+      for that to pay, or a ring with more than 256 coordinate vectors (see
+      ``_kronecker``), goes term by term instead;
     * over NatMulDirichlet, ``_dirichlet`` adds row u of the product,
       f(u) * g(v) at u * v, into a strided slice of a dense byte window, one
       additive coordinate of R at a time.  Where it declines (an additive
@@ -388,27 +387,25 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     with c_k(i,j) = x_k(g_i g_j).  For each automorphism rho attained on
     supp(f), the inner sums over the u with w_u = rho are the coefficients
     of a product of two integer polynomials, F_{rho,i} * G_{rho,j}, formed
-    where c(i,j) and both are nonzero.  Each is packed into one int,
-    coefficient e at bit w*e (``_pack``), so CPython multiplies it.  With
-    n_{rho,i} terms of f under rho having x_i != 0, and m_{rho,j} terms v of
-    g having x_j(rho(g(v))) != 0, at most min(n_{rho,i}, m_{rho,j}) of their
-    pairs meet at s, and at most min(|f|, |g|) pairs meet at all, so A_k(s)
-    is at most both
+    where c(i,j) and both are nonzero (where none is, f * g = 0).  Each is
+    packed into one int, coefficient e at bit w*e (``_pack``), so CPython
+    multiplies it.  With n_{rho,i} terms of f under rho having x_i != 0 and
+    m_{rho,j} terms v of g having x_j(rho(g(v))) != 0, at most
+    min(n_{rho,i}, m_{rho,j}) pairs meet at s, and at most min(|f|, |g|) at
+    all, so A_k(s) is at most both
 
         sum_{rho,i,j} c_k(i,j) min(n_{rho,i}, m_{rho,j}) (d_i - 1)(d_j - 1)
 
     and min(|f|, |g|) times the ring's ``term_bound``.  The slot width w is
     the least of 8, 16, 32 or 64 bits above the smaller, so no slot carries
-    into the next.  Exponents map to slots by ``_packing``, and the slots,
-    reduced mod d_k, are read by ``_gather``.
+    into the next.  ``_packing`` lays out the slots, ``_gather`` reads them.
 
     The window has a slot for every exponent between the least and the
     greatest, so its size follows the exponents, not the number of terms:
     x^0 + x^(10^10) spans 10^10 + 1 slots.  P products of B = w * (slots of
     f*g) bits are formed, and CPython's Karatsuba multiplication costs about
-    B^1.5 per product, against about |f| * |g| steps term by term.  Hence
-    the kernel returns None, before allocating anything, when
-    P * B^1.5 > _KRONECKER_COST * |f| * |g|.
+    B^1.5 per product, against about |f| * |g| steps term by term.  Hence it
+    returns None, before allocating anything, when P * B^1.5 > _KRONECKER_COST * |f| * |g|.
     """
     action = f.action
     ring = action.ring
@@ -432,7 +429,10 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
         for i, j, x in live:
             most = min(n[i], m[j]) * (orders[i] - 1) * (orders[j] - 1)
             bounds = [b + c * most for b, c in zip(bounds, x)]
-        plans.append((twist, terms, n, m, live))
+        if live:
+            plans.append((twist, terms, n, m, live))
+    if not plans:  # every term pair multiplies to zero
+        return SkewSeries._trusted(action, {})
     bound = min(max(bounds), min(len(f.coeffs), len(g.coeffs)) * term_bound)
     width = 1
     while bound >> (8 * width):
@@ -458,17 +458,16 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
             p = fs[i] * gs[j]
             acc = [a + c * p if c else a for a, c in zip(acc, x)]
 
-    # each slot of each coordinate, reduced mod d_k: in C by one translate
-    # for byte slots, by one map over the slots read as an array otherwise
+    # every slot reduced mod d_k in C: wider slots by a map over an array
     digits = []
     for a, d in zip(acc, orders):
-        if width == 1:
-            digits.append(a.to_bytes(out_len, "little").translate(_MOD[d]))
-        else:
-            slots = array(_SLOT_CODES[width], a.to_bytes(out_len * width, "little"))
+        slots = a.to_bytes(out_len * width, "little")
+        if width > 1:
+            slots = array(_SLOT_CODES[width], slots)
             if sys.byteorder == "big":
                 slots.byteswap()
-            digits.append(bytes(map(d.__rmod__, slots)))
+            slots = bytes(map(d.__rmod__, slots))
+        digits.append(slots.translate(_MOD[d]))
     return _gather(action, digits, exponents())
 
 
@@ -486,9 +485,8 @@ def _gather(action: OmegaAction, digits: list, exponents) -> SkewSeries:
     out = index.to_bytes(len(digits[0]), "little").translate(elements.ljust(256, b"\0"))
     nonzero = bytearray(b"\1") * 256
     nonzero[zero] = 0
-    values = out.translate(None, bytes([zero]))  # the nonzero bytes, in order
-    return SkewSeries._trusted(action, dict(zip(compress(exponents, out.translate(nonzero)),
-                                                values)))
+    kept = compress(exponents, out.translate(nonzero))  # the exponents of the nonzero bytes
+    return SkewSeries._trusted(action, dict(zip(kept, out.translate(None, bytes([zero])))))
 
 
 def _pack(slots: bytes, width: int) -> int:
@@ -593,11 +591,10 @@ def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:
     gi0, gi1 = min(s[0] for s in g.coeffs), max(s[0] for s in g.coeffs)
     gj0, gj1 = min(s[1] for s in g.coeffs), max(s[1] for s in g.coeffs)
     w = fj1 - fj0 + gj1 - gj0 + 1
-    rows = fi1 - fi0 + gi1 - gi0 + 1
     return ((lambda s: (s[0] - fi0) * w + s[1] - fj0),
             (lambda s: (s[0] - gi0) * w + s[1] - gj0),
-            (lambda: product(range(fi0 + gi0, fi0 + gi0 + rows),
-                             range(fj0 + gj0, fj0 + gj0 + w))), rows * w)
+            (lambda: product(range(fi0 + gi0, fi1 + gi1 + 1), range(fj0 + gj0, fj1 + gj1 + 1))),
+            (fi1 - fi0 + gi1 - gi0 + 1) * w)
 
 
 def zero_series(action: OmegaAction) -> SkewSeries:

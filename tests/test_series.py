@@ -700,6 +700,23 @@ def test_sparse_windows_are_multiplied_term_by_term(kind, context):
         assert convolve(left, g) == convolve_by_terms(left, g)
 
 
+@pytest.mark.parametrize("kind", ADDITIVE_KINDS)
+def test_annihilating_coordinates_on_a_sparse_window_give_zero(kind):
+    # over F2xF2, f is (0,1) at two exponents 10^12 apart and g is (1,0) at
+    # ring.size exponents: no coordinate pair with a nonzero product has
+    # terms on both sides, so no polynomial product is formed and the
+    # product is zero, found before the window of about 10^12 slots is packed
+    action = _action(kind, F22, None)
+    far = 10 ** 12
+    f = SkewSeries(action, dict.fromkeys([(0, 0), (far, far)] if "Pair" in kind else [0, far],
+                                         IDX_01))
+    g = SkewSeries(action, dict.fromkeys(sample_pool(action.monoid, F22.size)[:F22.size], IDX_10))
+    assert len(g.coeffs) == F22.size
+    assert _kronecker(f, g).is_zero()
+    assert convolve(f, g).is_zero()
+    assert convolve(f, g) == convolve_by_terms(f, g)
+
+
 def test_kernel_takes_a_dense_block_of_a_sparse_support():
     # 200 terms on a window of 400 slots, then one term 10^9 away: the
     # same terms take the kernel until that last one is added
