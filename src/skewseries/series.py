@@ -37,12 +37,14 @@ Otherwise some coefficient value of g must repeat, and:
   is a sum of integer polynomial products over the additive coordinates of
   R (a direct-sum basis on every factory ring).  Each polynomial is packed
   into one Python int (Kronecker substitution) and CPython multiplies them.
-  The slots are 8, 16, 32 or 64 bits wide, the least width above an exact
-  bound on a coefficient before reduction, counted from the terms of f and
-  g with each coordinate nonzero (see ``_kronecker``).  The packed window
-  spans the exponents, not the terms, so when it is too sparse for the
-  integer products to beat the term loop, or R has more than 256
-  coordinate vectors, the product is taken term by term instead;
+  The slots are 8, 16, 32 or 64 bits wide: the least width that holds
+  either a whole sum before reduction or what one product adds to a slot
+  reduced mod d_k, each bound counted from the terms of f and g with each
+  coordinate nonzero.  In the second case an accumulator is reduced slot by
+  slot whenever its next product could overflow it (see ``_kronecker``).
+  The packed window spans the exponents, not the terms, so when it is too
+  sparse for the integer products to beat the term loop, or R has more than
+  256 coordinate vectors, the product is taken term by term instead;
 * over NatMulDirichlet, exponents multiply and the action is trivial, so row
   u of the product, f(u) * g(v) at u * v, is a strided slice of a dense
   byte window over the exponents up to max supp(f) * max supp(g).  Each row
@@ -313,10 +315,12 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     * over NatAdd, IntAdd and the pair kinds, ``_kronecker`` forms the
       product as integer polynomial products over the ring's additive
       coordinates, each packed into one Python int with slots of 8, 16, 32
-      or 64 bits, the least width above an exact bound counted from the
-      terms of f and of g with each coordinate nonzero.  A window too sparse
-      for that to pay, or a ring with more than 256 coordinate vectors (see
-      ``_kronecker``), goes term by term instead;
+      or 64 bits: the least width that holds a whole sum before reduction,
+      or else one product on top of a slot reduced mod d_k, and then each
+      accumulator is reduced before it could overflow.  Both bounds are
+      counted from the terms of f and of g with each coordinate nonzero.  A
+      window too sparse for that to pay, or a ring with more than 256
+      coordinate vectors (see ``_kronecker``), goes term by term instead;
     * over NatMulDirichlet, ``_dirichlet`` adds row u of the product,
       f(u) * g(v) at u * v, into a strided slice of a dense byte window, one
       additive coordinate of R at a time.  Where it declines (an additive
@@ -392,20 +396,36 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     multiplies it.  With n_{rho,i} terms of f under rho having x_i != 0 and
     m_{rho,j} terms v of g having x_j(rho(g(v))) != 0, at most
     min(n_{rho,i}, m_{rho,j}) pairs meet at s, and at most min(|f|, |g|) at
-    all, so A_k(s) is at most both
+    all.  So the product of (rho, i, j) adds at most its share
 
-        sum_{rho,i,j} c_k(i,j) min(n_{rho,i}, m_{rho,j}) (d_i - 1)(d_j - 1)
+        c_k(i,j) min(n_{rho,i}, m_{rho,j}) (d_i - 1)(d_j - 1)
 
-    and min(|f|, |g|) times the ring's ``term_bound``.  The slot width w is
-    the least of 8, 16, 32 or 64 bits above the smaller, so no slot carries
-    into the next.  ``_packing`` lays out the slots, ``_gather`` reads them.
+    to a slot of A_k, and A_k(s) is at most both the sum of the shares and
+    min(|f|, |g|) times the ring's ``term_bound``; call the smaller the
+    whole-sum bound.  The slot width w is the least of 8, 16, 32 or 64 bits
+    that holds the whole-sum bound, or else every share on top of d_k - 1.
+
+    Each accumulator A_k keeps a running bound: 0 at first, plus the share
+    of each product added.  Before a product is added, if the smaller of the
+    whole-sum bound and the running bound plus its share would pass
+    2^w - 1, the accumulator is first reduced slot by slot mod d_k
+    (``_reduced``) and re-packed (``_pack``), and its running bound drops to
+    d_k - 1.  No slot carries into the next.  A reduction keeps each slot's
+    residue mod d_k and only lowers its value, so a slot never holds more
+    than its unreduced sum, which is at most the whole-sum bound, nor more
+    than the running bound.  The check keeps the smaller of the two within
+    2^w - 1: when the whole-sum bound passes it, the width came from the
+    shares, so d_k - 1 plus any share fits.  The final digits are reduced
+    by the same ``_reduced``.  ``_packing`` lays out the slots, ``_gather``
+    reads them.
 
     The window has a slot for every exponent between the least and the
     greatest, so its size follows the exponents, not the number of terms:
     x^0 + x^(10^10) spans 10^10 + 1 slots.  P products of B = w * (slots of
     f*g) bits are formed, and CPython's Karatsuba multiplication costs about
     B^1.5 per product, against about |f| * |g| steps term by term.  Hence it
-    returns None, before allocating anything, when P * B^1.5 > _KRONECKER_COST * |f| * |g|.
+    returns None, before allocating anything, when
+    P * B^1.5 > _KRONECKER_COST * |f| * |g|, with w the width chosen above.
     """
     action = f.action
     ring = action.ring
@@ -418,24 +438,26 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     for u, fu in f.coeffs.items():
         by_twist.setdefault(action.automorphism(u).perm, []).append((f_key(u), fu))
     g_values = bytes(g.coeffs.values())
-    bounds, plans = [0] * len(orders), []
+    # share: the most one product adds to a slot, plus d_k - 1
+    bounds, share, plans = [0] * len(orders), 0, []
     for perm, terms in by_twist.items():
         twist = bytes(perm).ljust(256, b"\0")
         # n[i], m[j]: the terms of f under rho, of g twisted, with x_i, x_j != 0
         n, m = ([len(v) - v.translate(c).count(0) for c in coords]
                 for v in (bytes(fu for _, fu in terms), g_values.translate(twist)))
-        live = [(i, j, x) for i, row in enumerate(consts) for j, x in enumerate(row)
+        live = [(i, j, x, min(n[i], m[j]) * (orders[i] - 1) * (orders[j] - 1))
+                for i, row in enumerate(consts) for j, x in enumerate(row)
                 if n[i] and m[j] and any(x)]
-        for i, j, x in live:
-            most = min(n[i], m[j]) * (orders[i] - 1) * (orders[j] - 1)
+        for i, j, x, most in live:
             bounds = [b + c * most for b, c in zip(bounds, x)]
+            share = max(share, *(c * most + d - 1 for c, d in zip(x, orders) if c))
         if live:
             plans.append((twist, terms, n, m, live))
     if not plans:  # every term pair multiplies to zero
         return SkewSeries._trusted(action, {})
     bound = min(max(bounds), min(len(f.coeffs), len(g.coeffs)) * term_bound)
     width = 1
-    while bound >> (8 * width):
+    while min(bound, share) >> (8 * width):
         width *= 2
     bits = 8 * width * out_len
     if (sum(len(live) for *_, live in plans) * bits * isqrt(bits)
@@ -446,7 +468,8 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     for v, gv in g.coeffs.items():
         g_dense[g_key(v)] = gv
 
-    acc = [0] * len(orders)
+    top = (1 << 8 * width) - 1
+    acc, held = [0] * len(orders), [0] * len(orders)  # held[k]: the running bound
     for twist, terms, n, m, live in plans:
         f_dense = bytearray([zero]) * f_len
         for e, fu in terms:
@@ -454,21 +477,29 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
         g_twisted = g_dense.translate(twist)
         fs = [n_i and _pack(f_dense.translate(c), width) for n_i, c in zip(n, coords)]
         gs = [m_j and _pack(g_twisted.translate(c), width) for m_j, c in zip(m, coords)]
-        for i, j, x in live:
+        for i, j, x, most in live:
             p = fs[i] * gs[j]
-            acc = [a + c * p if c else a for a, c in zip(acc, x)]
-
-    # every slot reduced mod d_k in C: wider slots by a map over an array
-    digits = []
-    for a, d in zip(acc, orders):
-        slots = a.to_bytes(out_len * width, "little")
-        if width > 1:
-            slots = array(_SLOT_CODES[width], slots)
-            if sys.byteorder == "big":
-                slots.byteswap()
-            slots = bytes(map(d.__rmod__, slots))
-        digits.append(slots.translate(_MOD[d]))
+            for k, c in enumerate(x):
+                if c:
+                    if min(bound, held[k] + c * most) > top:
+                        acc[k] = _pack(_reduced(acc[k], orders[k], width, out_len), width)
+                        held[k] = orders[k] - 1
+                    acc[k] += c * p
+                    held[k] += c * most
+    digits = [_reduced(a, d, width, out_len) for a, d in zip(acc, orders)]
     return _gather(action, digits, exponents())
+
+
+def _reduced(a: int, d: int, width: int, length: int) -> bytes:
+    """The ``length`` slots of a, each ``width`` bytes wide, reduced mod d in
+    C, one byte each: wider slots by a map over an array."""
+    slots = a.to_bytes(length * width, "little")
+    if width == 1:
+        return slots.translate(_MOD[d])
+    slots = array(_SLOT_CODES[width], slots)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return bytes(map(d.__rmod__, slots))
 
 
 def _gather(action: OmegaAction, digits: list, exponents) -> SkewSeries:
@@ -586,10 +617,8 @@ def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:
         length = max(f.coeffs) - f0 + max(g.coeffs) - g0 + 1
         return ((lambda s: s - f0), (lambda s: s - g0),
                 (lambda: range(f0 + g0, f0 + g0 + length)), length)
-    fi0, fi1 = min(s[0] for s in f.coeffs), max(s[0] for s in f.coeffs)
-    fj0, fj1 = min(s[1] for s in f.coeffs), max(s[1] for s in f.coeffs)
-    gi0, gi1 = min(s[0] for s in g.coeffs), max(s[0] for s in g.coeffs)
-    gj0, gj1 = min(s[1] for s in g.coeffs), max(s[1] for s in g.coeffs)
+    (fi0, fi1), (fj0, fj1), (gi0, gi1), (gj0, gj1) = (
+        (min(part), max(part)) for h in (f, g) for part in zip(*h.coeffs))
     w = fj1 - fj0 + gj1 - gj0 + 1
     return ((lambda s: (s[0] - fi0) * w + s[1] - fj0),
             (lambda s: (s[0] - gi0) * w + s[1] - gj0),

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewseries import ideals
+from skewseries.gallery import gallery_names, gallery_ring
 from skewseries.ideals import (
     IdealSet,
     additive_closure,
@@ -18,9 +20,11 @@ from skewseries.ideals import (
 from skewseries.monoids import make_monoid
 from skewseries.rings import (
     cyclic_ring,
+    inner_automorphism,
     matrix_ring,
     product_ring,
     swap_automorphism,
+    units,
     upper_triangular_ring,
 )
 from skewseries.series import single_generator_action, trivial_action
@@ -262,3 +266,16 @@ def test_a_bool_is_not_an_element():
         Z4.check_element(True)
     with pytest.raises(ValueError, match=r"^True is not an element of Z4"):
         left_annihilator([True], Z4)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_inner_orbit_annihilators_are_principal_annihilators(name):
+    # under w_s(x) = u^s x u^-s, R*w_s(a) = R*a*u^-s, and R*a*u^-s has the
+    # same left annihilator as R*a, so l(O(a)) = l(R*a) bitset for bitset
+    ring = gallery_ring(name)
+    for u in units(ring):
+        action = single_generator_action(make_monoid("NatAdd"), ring,
+                                         inner_automorphism(ring, u))
+        for a in ring.elements():
+            assert (ideals._orbit_annihilator(action, a)
+                    == ideals._principal_annihilator(ring, a)), (u, a)

@@ -730,17 +730,26 @@ def test_kernel_takes_a_dense_block_of_a_sparse_support():
     assert convolve(f, far) == convolve_by_terms(f, far)
 
 
+def _record_slots(monkeypatch):
+    """The slot widths ``_kronecker`` packs at and the orders it reduces by,
+    one entry per ``_pack`` and per ``_reduced`` call."""
+    from skewseries import series
+    widths, reductions = [], []
+    pack, reduced = series._pack, series._reduced
+    monkeypatch.setattr(series, "_pack", lambda slots, width: widths.append(width)
+                        or pack(slots, width))
+    monkeypatch.setattr(series, "_reduced", lambda a, d, width, length:
+                        reductions.append(d) or reduced(a, d, width, length))
+    return widths, reductions
+
+
 def test_kronecker_slot_width_follows_the_coordinate_counts(monkeypatch):
     # over F2xF2, whose coordinates are the idempotents (0,1) and (1,0): f has
     # 255 terms on each coordinate, g 256, so at most 255 pairs meet in a
     # slot of either coordinate, and 255 do; the bound min(|f|, |g|) = 510
     # alone would need 16-bit slots.  One more (0,1) term of f lets 256
     # pairs meet, and the slots widen
-    from skewseries import series
-    widths = []
-    pack = series._pack
-    monkeypatch.setattr(series, "_pack", lambda slots, width: widths.append(width)
-                        or pack(slots, width))
+    widths, _ = _record_slots(monkeypatch)
     act = trivial_action(make_monoid("NatAdd"), F22)
     f = {s: IDX_01 for s in range(255)} | {s: IDX_10 for s in range(1000, 1255)}
     g = SkewSeries(act, {s: IDX_01 for s in range(256)}
@@ -756,6 +765,72 @@ def test_kronecker_slot_width_follows_the_coordinate_counts(monkeypatch):
         assert product.coefficient(fullest) == (IDX_01 if width == 1 else F22.zero)
         assert sum(1 for u in left.coeffs if fullest - u in g.coeffs
                    and left.coeffs[u] == g.coeffs[fullest - u] == IDX_01) == 254 + width
+
+
+LAZY_POOLS = {"NatAdd": list(range(400)), "IntAdd": list(range(-200, 200)),
+              "IntPairLex": [(i, j) for i in range(-10, 10) for j in range(-10, 10)]}
+
+
+@pytest.mark.parametrize("context", ["F2xF2/swap", "M2F2/inner:6"])
+@pytest.mark.parametrize("kind", sorted(LAZY_POOLS))
+def test_kronecker_reduces_byte_slots_mid_sum(kind, context, monkeypatch):
+    # f is 1 on 400 exponents, so each twist holds at most 200 of them, and
+    # one product F_{rho,i} * G_{rho,j}, which needs x_i(1) != 0, adds at
+    # most 200 to a slot of d_k = 2: it fits a byte on top of a reduced
+    # slot.  The middle slots collect up to 400 pairs under both twists, so
+    # the whole-sum bound needs 16 bits, and an accumulator is reduced mod 2
+    # before its next product could carry out of its byte
+    ring, aut = DIFF_CONTEXTS[context]
+    action = _action(kind, ring, aut)
+    pool = LAZY_POOLS[kind]
+    rng = random.Random(len(pool) + ring.size)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    f = SkewSeries(action, dict.fromkeys(pool, ring.one))
+    g = SkewSeries(action, {s: rng.choice(nonzero) for s in pool})
+    widths, reductions = _record_slots(monkeypatch)
+    product = _kronecker(f, g)
+    assert set(widths) == {1}
+    orders = _additive_coordinates(ring)[0]
+    assert len(reductions) > len(orders)  # the final digits, and more mid-sum
+    assert product == convolve_by_terms(f, g) == convolve(f, g)
+    assert not product.is_zero()
+
+
+def test_kronecker_share_leaves_room_for_a_reduced_slot(monkeypatch):
+    # F2xF2 under the swap, f = 1 on 510 exponents: each twist holds 255 of
+    # them, so one product adds up to 255 to a slot, and on top of a slot
+    # reduced to 1 that needs 16 bits.  At x^509 each twist's product is
+    # 255, odd, so byte slots would carry there after one reduction
+    action = single_generator_action(make_monoid("NatAdd"), F22, SWAP)
+    f = SkewSeries(action, dict.fromkeys(range(510), F22.one))
+    widths, reductions = _record_slots(monkeypatch)
+    product = _kronecker(f, f)
+    assert set(widths) == {2}
+    assert len(reductions) == 2  # the whole-sum bound 510 fits 16 bits too
+    assert product == convolve_by_terms(f, f)
+
+
+def test_kronecker_reduces_wide_slots_mid_sum(monkeypatch):
+    # Z16xZ16 under the swap: f is -1 = (15, 15) on 400 exponents, 200 per
+    # twist, so one product adds at most 200 * 15 * 15 = 45000 to a slot,
+    # which fits 16 bits on top of 15, while the whole-sum bound
+    # 400 * 225 = 90000 does not.  Both coordinates of g are 12 to 15, so the
+    # middle slot of each accumulator does pass 65535: the first product is
+    # reduced mod 16 and re-packed before the second is added
+    ring = product_ring(cyclic_ring(16), cyclic_ring(16))
+    action = single_generator_action(make_monoid("NatAdd"), ring, swap_automorphism(ring))
+    rng = random.Random(16)
+    f = SkewSeries(action, dict.fromkeys(range(400), ring.neg(ring.one)))
+    g = SkewSeries(action, {s: 16 * rng.randrange(12, 16) + rng.randrange(12, 16)
+                            for s in range(400)})
+    coords = _additive_coordinates(ring)[1]
+    for x in coords:
+        assert sum(15 * x[action.apply(u, g.coeffs[399 - u])] for u in range(400)) > 65535
+    widths, reductions = _record_slots(monkeypatch)
+    product = _kronecker(f, g)
+    assert set(widths) == {2}
+    assert reductions == [16, 16, 16, 16]  # one mid-sum per coordinate, then the digits
+    assert product == convolve_by_terms(f, g) == convolve(f, g)
 
 
 # ---------------------------------------------------------------------------
