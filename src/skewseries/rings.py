@@ -566,10 +566,16 @@ def _undigits(ds, base: int) -> int:
     return x
 
 
-def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
-    """The k-by-k matrices over ``base`` whose entries off ``cells`` are zero,
-    under the matrix operations; ``cells`` lists positions (i, j) closed
-    under the matrix product and must hold the diagonal.
+def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
+    """The k-by-k matrices over ``base``, all of them or the upper triangular
+    ones, under the matrix operations.  Their ``cells``, the positions
+    (i, j) that may be nonzero, are closed under the matrix product and hold
+    the diagonal.
+
+    The size is base.size ** ncells, refused above ``DEFAULT_SIZE_CAP``
+    before the cells are listed or the power is formed: more cells than the
+    cap are refused from their count, and over a base of two or more
+    elements so are 13 or more, since 2 ** 13 > 4096.
 
     An element packs its entries as base-``base.size`` digits, the entry at
     ``cells[t]`` the t-th least significant.  Entry (i, j) of a product is
@@ -599,10 +605,16 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     """
     if k < 1:
         raise RingAxiomError(f"a matrix ring needs k >= 1, got {k}")
-    bs, ncells = base.size, len(cells)
+    bs, ncells = base.size, k * (k + 1) // 2 if triangular else k * k
+    if ncells > DEFAULT_SIZE_CAP:
+        raise RingAxiomError(f"size cap exceeded: {ncells} cells > {DEFAULT_SIZE_CAP}")
+    if bs > 1 and ncells >= DEFAULT_SIZE_CAP.bit_length():
+        raise RingAxiomError(f"size cap exceeded: {bs}^{ncells} > {DEFAULT_SIZE_CAP}")
     size = bs ** ncells
     if size > DEFAULT_SIZE_CAP:
         raise RingAxiomError(f"size cap exceeded: {size} > {DEFAULT_SIZE_CAP}")
+    cells = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+    name = f"{'T' if triangular else 'M'}{k}({base.name})"
     if ncells == 1:
         return FiniteRing(bs, add=base._add_rows or base._add, mul=base._mul_rows or base._mul,
                           neg=base.neg, zero=base.zero, one=base.one, name=name,
@@ -685,7 +697,7 @@ def _cell_ring(base: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
 
 def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     """Full k-by-k matrix ring over ``base``; entries packed row-major."""
-    return _cell_ring(base, k, list(product(range(k), repeat=2)), f"M{k}({base.name})")
+    return _cell_ring(base, k, False)
 
 
 def upper_triangular_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -694,8 +706,7 @@ def upper_triangular_ring(base: FiniteRing, k: int) -> FiniteRing:
     Cells (i,j) with i <= j are packed in row-major order of the upper
     triangle, so size = base.size ** (k*(k+1)/2).
     """
-    return _cell_ring(base, k, [(i, j) for i in range(k) for j in range(i, k)],
-                      f"T{k}({base.name})")
+    return _cell_ring(base, k, True)
 
 
 def _check_entries(table, n: int, label: str) -> None:

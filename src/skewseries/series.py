@@ -28,10 +28,10 @@ scan ``_first_failure``: s over the attained automorphisms, r decided on an
 additive generating set G of R (one element for Z_n, two for F2xF2, four
 for M2(F2)), and all of R scanned only to name a failure.
 
-``convolve`` takes one of four paths, all exact and giving the same map.
-Over an untabled ring (above 256 elements), or when the right factor g has
-fewer terms than the ring has elements, it multiplies term by term.
-Otherwise some coefficient value of g must repeat, and:
+``convolve`` takes one of three paths, all exact and giving the same map.
+When g has at least as many terms as a tabled ring (at most 256 elements)
+has elements, some coefficient value of g repeats, and a kernel may take the
+product:
 
 * over NatAdd, IntAdd and the four pair kinds, exponents add, so the product
   is a sum of integer polynomial products over the additive coordinates of
@@ -42,17 +42,20 @@ Otherwise some coefficient value of g must repeat, and:
   reduced mod d_k, each bound counted from the terms of f and g with each
   coordinate nonzero.  In the second case an accumulator is reduced slot by
   slot whenever its next product could overflow it (see ``_kronecker``).
-  The packed window spans the exponents, not the terms, so when it is too
-  sparse for the integer products to beat the term loop, or R has more than
-  256 coordinate vectors, the product is taken term by term instead;
+  The packed window spans the exponents, not the terms, so the kernel
+  declines when it is too sparse for the integer products to pay, or when R
+  has more than 256 coordinate vectors;
 * over NatMulDirichlet, exponents multiply and the action is trivial, so row
   u of the product, f(u) * g(v) at u * v, is a strided slice of a dense
   byte window over the exponents up to max supp(f) * max supp(g).  Each row
   is one ``bytes.translate`` of g through the multiplication table, added
-  into the window coordinate by coordinate (see ``_dirichlet``).  Where the
-  ring's coordinates do not fit a byte or the window is too sparse, the
-  product is formed once per coefficient class of g instead of once per
-  term.  Both kernels read their windows back in C through ``_gather``.
+  into the window coordinate by coordinate (see ``_dirichlet``).  The
+  kernel declines where the ring's coordinates do not fit a byte or the
+  window is too sparse.  Both kernels read their windows back in C through
+  ``_gather``.
+
+Every other product, over any monoid kind and ring, is formed once per term
+of f and coefficient class of g, in one grouped loop.
 """
 
 from __future__ import annotations
@@ -308,9 +311,9 @@ def _check_coefficient(ring: FiniteRing, s, r) -> None:
 def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
     """The exact twisted product of two finitely supported series.
 
-    Four paths give the same map.  Over an untabled ring, or when g has
-    fewer terms than the ring has elements, each pair of terms is multiplied
-    on its own.  Otherwise some value of g repeats, and:
+    Three paths give the same map.  When g has at least as many terms as a
+    tabled ring has elements, some value of g repeats, and a kernel may take
+    the product:
 
     * over NatAdd, IntAdd and the pair kinds, ``_kronecker`` forms the
       product as integer polynomial products over the ring's additive
@@ -318,56 +321,46 @@ def convolve(f: SkewSeries, g: SkewSeries) -> SkewSeries:
       or 64 bits: the least width that holds a whole sum before reduction,
       or else one product on top of a slot reduced mod d_k, and then each
       accumulator is reduced before it could overflow.  Both bounds are
-      counted from the terms of f and of g with each coordinate nonzero.  A
-      window too sparse for that to pay, or a ring with more than 256
-      coordinate vectors (see ``_kronecker``), goes term by term instead;
+      counted from the terms of f and of g with each coordinate nonzero.  It
+      declines a window too sparse for that to pay, or a ring with more than
+      256 coordinate vectors (see ``_kronecker``);
     * over NatMulDirichlet, ``_dirichlet`` adds row u of the product,
       f(u) * g(v) at u * v, into a strided slice of a dense byte window, one
-      additive coordinate of R at a time.  Where it declines (an additive
-      order above 128, more than 256 coordinate vectors, or a window too
-      sparse to pay), g's exponents are grouped by coefficient value c, and
-      each u in supp(f) makes one product t = f(u) * w_u(c) per group.  A
-      zero t skips the whole group; a nonzero t is added into the exponent
-      u * v of every v in the group through row t of the addition table.
+      additive coordinate of R at a time.  It declines an additive order
+      above 128, more than 256 coordinate vectors, or a window too sparse to
+      pay.
+
+    Otherwise, over every monoid kind and ring, g's exponents are grouped by
+    coefficient value c, and each u in supp(f) makes one product
+    t = f(u) * w_u(c) per group.  A zero t skips the whole group; a nonzero
+    t is added at op(u, v) for every v in the group.  A zero factor gives
+    the zero series at once.
     """
     f._require_same_context(g)
     action = f.action
     ring = action.ring
     zero = ring.zero
-    out: dict = {}
-    tabled = len(g.coeffs) >= ring.size and ring.tables is not None
-    if tabled and f.coeffs:
+    if not (f.coeffs and g.coeffs):
+        return SkewSeries._trusted(action, {})
+    if len(g.coeffs) >= ring.size and ring.tables is not None:
         product = (_dirichlet if action.monoid._mul else _kronecker)(f, g)
         if product is not None:
             return product
-    if tabled and action.monoid._mul:
-        plus, times = ring.tables
-        groups: dict = {}
-        for v, gv in g.coeffs.items():
-            groups.setdefault(gv, []).append(v)
-        get = out.get
-        for u, fu in f.coeffs.items():
-            row = times[fu]
-            twist = action.automorphism(u).perm
-            for c, vs in groups.items():
-                t = row[twist[c]]
-                if t != zero:
-                    plus_t = plus[t]
-                    for v in vs:
-                        s = u * v
-                        out[s] = plus_t[get(s, zero)]
-    else:
-        op = action.monoid.op
-        add, mul = ring.add, ring.mul
-        for u, fu in f.coeffs.items():
-            twist = action.automorphism(u).perm
-            for v, gv in g.coeffs.items():
-                term = mul(fu, twist[gv])
-                if term == zero:
-                    continue
-                s = op(u, v)
-                acc = out.get(s)
-                out[s] = term if acc is None else add(acc, term)
+    op, add, mul = action.monoid.op, ring.add, ring.mul
+    groups: dict = {}
+    for v, gv in g.coeffs.items():
+        groups.setdefault(gv, []).append(v)
+    out: dict = {}
+    get = out.get
+    for u, fu in f.coeffs.items():
+        twist = action.automorphism(u).perm
+        for c, vs in groups.items():
+            t = mul(fu, twist[c])
+            if t != zero:
+                for v in vs:
+                    s = op(u, v)
+                    acc = get(s)
+                    out[s] = t if acc is None else add(acc, t)
     return SkewSeries._trusted(action, {s: r for s, r in out.items() if r != zero})
 
 
@@ -379,7 +372,7 @@ _MOD = (b"",) + tuple((bytes(range(d)) * (256 // d + 1))[:256] for d in range(1,
 def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     """f * g over an additive exponent monoid and a tabled ring, by
     Kronecker substitution; None when R has more than 256 coordinate vectors
-    or the packed window is too sparse for that to pay.  f must not be zero.
+    or the packed window is too sparse for that to pay.
 
     Write r = sum_k x_k(r) g_k over the coordinate generators g_k of R, of
     orders d_k (``rings._additive_coordinates``).  Multiplication is
@@ -423,8 +416,8 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     greatest, so its size follows the exponents, not the number of terms:
     x^0 + x^(10^10) spans 10^10 + 1 slots.  P products of B = w * (slots of
     f*g) bits are formed, and CPython's Karatsuba multiplication costs about
-    B^1.5 per product, against about |f| * |g| steps term by term.  Hence it
-    returns None, before allocating anything, when
+    B^1.5 per product, against about |f| * |g| steps in the grouped loop.
+    Hence it returns None, before allocating anything, when
     P * B^1.5 > _KRONECKER_COST * |f| * |g|, with w the width chosen above.
     """
     action = f.action
@@ -530,16 +523,17 @@ def _pack(slots: bytes, width: int) -> int:
 
 
 # Where P * B^1.5 = _KRONECKER_COST * |f| * |g| (see ``_kronecker``), the
-# kernel and the term-by-term loop took about the same time in CPython 3.11
-# on NatAdd products of 64 to 1000 terms over Z2, Z6, F2xF2 and M2(F2), each
-# spread ever wider (6600 to 15000, median 10000; 300 to 2300 at 16 terms).
+# kernel and the grouped loop took about the same time in CPython 3.11 on
+# NatAdd products of 64 to 1000 terms over Z2, Z6, F2xF2 and M2(F2), each
+# spread ever wider (3200 to 15000, median 7000 to 7200 over two runs; 260
+# to 1600 at 16 terms).  10000 lies inside that spread.
 _KRONECKER_COST = 10_000
 
 
 def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     """f * g over NatMulDirichlet and a tabled ring, on dense byte windows;
     None when the ring's coordinates do not fit a byte slot or the window is
-    too sparse for that to pay.  f must not be zero.
+    too sparse for that to pay.
 
     The action is trivial, so with V = max supp(g), row u of the product,
     f(u) * g(v) at exponent u * v for v = 1..V, is the strided slice
@@ -587,13 +581,15 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     return _gather(f.action, acc, range(window))
 
 
-# The costs of ``_dirichlet``'s rule in window slots, which take about 15 ns
+# The costs of ``_dirichlet``'s rule in window slots, which take 15 to 35 ns
 # each in CPython 3.11 on a shared 2-core host: a term pair of the grouped
-# loop costs about 4 slots, the kernel's work per term of f and coordinate
+# loop costs 4 to 5 slots, the kernel's work per term of f and coordinate
 # about 64.  Over 380 random products of 1 to 400 terms at 1 to 16 slots per
-# term pair, over Z2, Z6, Z8, Z64, F2xF2 and M2(F2), the kernel took no
-# product it made more than 5% slower, and the grouped loop ran the ones it
-# declined at most 1.16x slower than the kernel would have.
+# term pair, over Z2, Z6, Z8, Z64, F2xF2 and M2(F2), the kernel took none it
+# made slower (at most 0.77x the loop's time); a pair cost of 5 would take
+# some up to 1.09x slower.  The loop ran what the rule declined at most 1.8
+# to 1.9x slower than the kernel would have, at 2 to 6 slots per term pair
+# over one-coordinate rings, and no pair cost from 4 to 6 lowers that.
 _DIRICHLET_PAIR = 4
 _DIRICHLET_ROW = 64
 

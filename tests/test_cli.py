@@ -440,7 +440,8 @@ seed = 0
                                        ("IntPairLex", "10000000000,-10000000000")])
 def test_pair_annihilation_with_exponents_far_apart(tmp_path, kind, far):
     # (1 + x^far)^2 = 1 + x^(2 far) over F2: the products have two terms
-    # 10^10 apart and are multiplied term by term, not on a packed window
+    # 10^10 apart and are multiplied in the grouped loop, not on a packed
+    # window
     text = f"""
 ring.kind = cyclic
 ring.n = 2
@@ -742,6 +743,11 @@ REFUSED_WHEN_BUILT = [
      "checks = left_app", "action: 16 is not an element of M2(Z2) (0..15)"),
     ("ring.kind = cyclic\nring.n = 5000\nmonoid.kind = NatAdd\nchecks = left_app",
      "ring: size cap exceeded: 5000 > 4096"),
+    # refused from the cell count before any cell list is built
+    ("ring.kind = matrix\nring.base = 1\nring.k = 1000\nmonoid.kind = NatAdd\nchecks = left_app",
+     "ring: size cap exceeded: 1000000 cells > 4096"),
+    ("ring.kind = matrix\nring.base = 2\nring.k = 100000\nmonoid.kind = NatAdd\n"
+     "checks = left_app", "ring: size cap exceeded: 10000000000 cells > 4096"),
     ("ring.kind = cyclic\nring.n = 6\nmonoid.kind = NatAdd\nchecks = pair_annihilation\n"
      "series.g = 0:3\nseries.f = 0:6",
      "series term '0:6': coefficient 6 is not an element of Z6 (0..5)"),
@@ -751,7 +757,8 @@ REFUSED_WHEN_BUILT = [
 
 
 @pytest.mark.parametrize("text, message", REFUSED_WHEN_BUILT,
-                         ids=["matrix_k", "inner_16", "n_5000", "series_coeff", "unknown_key"])
+                         ids=["matrix_k", "inner_16", "n_5000", "m1000_z1", "m100000_z2",
+                              "series_coeff", "unknown_key"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, text, message):
     code, out, log = run_to_file(text, tmp_path)
     assert code == 3 and not out.exists()

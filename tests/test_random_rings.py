@@ -233,14 +233,15 @@ def test_convolve_matches_the_term_loop_on_every_path(ring, data):
     f_nat, f_mul = draw(nat, [0, 2, 3], "f"), draw(dirichlet, [1, 2, 3], "f")
     # g with at least a term per element: the Kronecker kernel, the
     # Dirichlet kernel on a dense window long enough to pay and the grouped
-    # loop on a sparse one; with fewer terms, the term loop
+    # loop on a sparse one; with fewer terms, the grouped loop without a
+    # kernel tried
     cases = [(f_nat, draw(nat, range(n), "dense g"), "kernel"),
              (f_mul, draw(dirichlet, range(1, 129), "dense g"), "kernel"),
              (f_mul, draw(dirichlet, range(1000, 1000 * (n + 1), 1000), "sparse g"), "grouped"),
-             (f_nat, draw(nat, range(n - 1), "short g"), "terms"),
-             (f_mul, draw(dirichlet, range(1, n), "short g"), "terms")]
+             (f_nat, draw(nat, range(n - 1), "short g"), "short"),
+             (f_mul, draw(dirichlet, range(1, n), "short g"), "short")]
     for f, g, path in cases:
-        if path != "terms":
+        if path != "short":
             kernel = _dirichlet if f.monoid._mul else _kronecker
             assert (kernel(f, g) is None) == (path == "grouped")
         assert convolve(f, g) == convolve_by_terms(f, g)

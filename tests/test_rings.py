@@ -105,10 +105,25 @@ def test_product_ring_isomorphic_to_z6():
     assert phi[Z6.one] == P.one
 
 
+# Cell rings above the cap and their messages.  M3(Z3) has 3**9 elements,
+# refused with the message cyclic_ring gives; the others are refused from
+# their cell count, before a cell list or the power base.size ** cells is
+# formed: over Z1 that work grows as k^3, and over Z2 with k = 10^5 the
+# power would have 10^10 bits.
+CELL_RINGS_OVER_THE_CAP = [
+    (lambda: matrix_ring(cyclic_ring(3), 3), "19683 > 4096"),
+    (lambda: matrix_ring(cyclic_ring(2), 4), "2^16 > 4096"),
+    (lambda: upper_triangular_ring(cyclic_ring(2), 5), "2^15 > 4096"),
+    (lambda: matrix_ring(cyclic_ring(1), 10**4), "100000000 cells > 4096"),
+    (lambda: upper_triangular_ring(cyclic_ring(1), 100), "5050 cells > 4096"),
+    (lambda: matrix_ring(cyclic_ring(2), 10**5), "10000000000 cells > 4096"),
+]
+
+
 def test_size_cap_enforced():
-    # 3**9 elements, refused with the message cyclic_ring gives
-    with pytest.raises(RingAxiomError, match=r"^size cap exceeded: 19683 > 4096$"):
-        matrix_ring(cyclic_ring(3), 3)
+    for build, message in CELL_RINGS_OVER_THE_CAP:
+        with pytest.raises(RingAxiomError, match=f"^size cap exceeded: {re.escape(message)}$"):
+            build()
 
 
 @pytest.mark.parametrize("factory", [matrix_ring, upper_triangular_ring])

@@ -478,7 +478,7 @@ def test_diff_contexts_include_generating_sets_that_are_not_bases(name, vectors)
         for b, x in zip(gens, row):
             assert elements[sum(c * p for c, p in zip(x, strides))] == ring.mul(a, b)
     # above 256 vectors the Kronecker kernel declines, and convolve takes
-    # the term loop
+    # the grouped loop
     act = trivial_action(make_monoid("NatAdd"), ring)
     rng = random.Random(vectors)
     f = SkewSeries(act, {s: rng.randrange(1, ring.size) for s in range(12)})
@@ -513,10 +513,11 @@ def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
     n = ring.size
     # g with more terms than the ring has nonzero elements takes the Kronecker
     # kernel (the additive kinds) or the Dirichlet kernel (NatMulDirichlet),
-    # each falling back where it declines.  The Dirichlet kernel pays only
-    # where f and g fill most of a dense window, so those draws are longer,
-    # and half of them add a term at 10^6, where it declines and the grouped
-    # loop runs
+    # each falling back to the grouped loop where it declines, as every
+    # shorter g does.  The Dirichlet kernel pays only where f and g fill most
+    # of a dense window, so those draws are longer.  Half of the draws for
+    # either kernel add a term at 10^6 to g, where the kernel declines and
+    # the grouped loop runs
     dense = kind == "NatMulDirichlet" and grouped
     span = max(100, 2 * n) if dense else max(40, 2 * n)
     g_terms = data.draw(st.integers(max(n, span - 20), span) if dense else
@@ -531,8 +532,9 @@ def test_convolve_matches_term_by_term_oracle(kind, grouped, data):
         return SkewSeries(action, {s: data.draw(st.sampled_from(nonzero)) for s in exps})
 
     f, g = series(f_terms), series(g_terms)
-    if dense and data.draw(st.booleans()):
-        g = SkewSeries(action, g.coeffs | {10 ** 6: data.draw(st.sampled_from(nonzero))})
+    if grouped and data.draw(st.booleans()):
+        far = (10 ** 6, 10 ** 6) if "Pair" in kind else 10 ** 6
+        g = SkewSeries(action, g.coeffs | {far: data.draw(st.sampled_from(nonzero))})
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
     # canonical: what the checked public constructor would store
@@ -554,20 +556,25 @@ def test_grouped_product_drops_sums_that_cancel():
     product = convolve(f, g)
     assert product == convolve_by_terms(f, g)
     assert product.coeffs == {0: one, 4: minus_one}
-    # the term-by-term path (g shorter than Z6 has nonzero elements) too:
+    # g shorter than Z6 has nonzero elements, so no kernel is tried:
     # (1 + x)(1 + 5x) = 1 + 5x^2
     act6 = trivial_action(make_monoid("NatAdd"), cyclic_ring(6))
     f, g = from_terms(act6, [(0, 1), (1, 1)]), from_terms(act6, [(0, 1), (1, 5)])
     assert convolve(f, g).coeffs == {0: 1, 2: 5}
 
 
-def test_untabled_ring_multiplies_term_by_term():
+@pytest.mark.parametrize("kind", KINDS)
+def test_untabled_ring_multiplies_term_by_term(kind):
+    # no kernel over an untabled ring: the grouped loop runs, and 300 values
+    # drawn from Z257 repeat, so some groups hold several exponents
     Z257 = cyclic_ring(257)
     assert Z257.tables is None
     rng = random.Random(3)
-    act = trivial_action(make_monoid("NatAdd"), Z257)
-    f = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 20)})
-    g = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(range(600), 300)})
+    act = trivial_action(make_monoid(kind), Z257)
+    pool = sample_pool(act.monoid, 600 if "Pair" not in kind else 24)
+    f = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(pool, 20)})
+    g = SkewSeries(act, {s: rng.randrange(1, 257) for s in rng.sample(pool, 300)})
+    assert len(set(g.coeffs.values())) < 300
     assert convolve(f, g) == convolve_by_terms(f, g)
 
 
@@ -661,7 +668,7 @@ def test_kronecker_kernel_runs_for_the_additive_kinds(monkeypatch):
         else:
             assert calls == [("_kronecker", product)], kind
         calls.clear()
-        convolve(g, f)  # three terms fewer than F2xF2's size: term by term
+        convolve(g, f)  # f has fewer terms than F2xF2 has elements: the grouped loop
         assert not calls
     # a series filling 1..60 is dense enough for the Dirichlet kernel; one
     # more term at 10^6 makes the window too sparse, and the grouped loop runs
@@ -682,7 +689,8 @@ SPARSE_CONTEXTS = {"Z2": (cyclic_ring(2), None), "M2F2/inner:6": DIFF_CONTEXTS["
 @pytest.mark.parametrize("kind", ADDITIVE_KINDS)
 def test_sparse_windows_are_multiplied_term_by_term(kind, context):
     # exponents 10^12 apart: the packed window would have about 10^12 slots,
-    # so the kernel declines before allocating and convolve goes term by term
+    # so the kernel declines before allocating and convolve takes the grouped
+    # loop
     ring, aut = SPARSE_CONTEXTS[context]
     action = _action(kind, ring, aut)
     far = 10 ** 12
