@@ -51,8 +51,13 @@ product:
   is one ``bytes.translate`` of g through the multiplication table, added
   into the window coordinate by coordinate (see ``_dirichlet``).  The
   kernel declines where the ring's coordinates do not fit a byte or the
-  window is too sparse.  Both kernels read their windows back in C through
-  ``_gather``.
+  window is too sparse.  Only about a quarter of the window's slots are
+  products u * v at all (Erdos's multiplication-table problem), and the
+  window is read back at those alone: one sorted table of them is kept for
+  the module, the products of the last window that no kept table covered.
+
+Both kernels read their windows back in C through ``_gather``, which skips
+the mixed-radix combine when R has one additive coordinate (every Z_n).
 
 Every other product, over any monoid kind and ring, is formed once per term
 of f and coefficient class of g, in one grouped loop.
@@ -62,8 +67,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
 from itertools import compress, product
 from math import isqrt
+from operator import itemgetter
 
 from .monoids import OrderedMonoid, min_element
 from .rings import (FiniteRing, RingAut, _additive_coordinates, _additive_generators,
@@ -426,7 +433,7 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     orders, coords, elements, consts, term_bound = _additive_coordinates(ring)
     if len(elements) > 256:
         return None
-    f_key, g_key, exponents, out_len = _packing(action.monoid, f, g)
+    f_key, f_len, g_key, g_len, exponents, out_len = _packing(action.monoid, f, g)
     by_twist: dict = {}
     for u, fu in f.coeffs.items():
         by_twist.setdefault(action.automorphism(u).perm, []).append((f_key(u), fu))
@@ -456,8 +463,7 @@ def _kronecker(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     if (sum(len(live) for *_, live in plans) * bits * isqrt(bits)
             > _KRONECKER_COST * len(f.coeffs) * len(g.coeffs)):
         return None
-    f_len = max(map(f_key, f.coeffs)) + 1
-    g_dense = bytearray([zero]) * (max(map(g_key, g.coeffs)) + 1)
+    g_dense = bytearray([zero]) * g_len
     for v, gv in g.coeffs.items():
         g_dense[g_key(v)] = gv
 
@@ -495,18 +501,31 @@ def _reduced(a: int, d: int, width: int, length: int) -> bytes:
     return bytes(map(d.__rmod__, slots))
 
 
-def _gather(action: OmegaAction, digits: list, exponents) -> SkewSeries:
+def _gather(action: OmegaAction, digits: list, exponents, pick=None) -> SkewSeries:
     """The series with, at the e-th of ``exponents``, the element of reduced
-    coordinates (digits[k][e])_k, less its zero terms.  In mixed radix the
-    vectors index ``elements``, at most 256, so no slot carries into the next."""
+    coordinates (digits[k][slot])_k, less its zero terms, all in C.
+
+    The slot is e, or with ``pick`` (an ``operator.itemgetter``) the e-th
+    of the slots it gets, and ``exponents`` then names those slots in
+    order and may run on past them.  In mixed radix the coordinate vectors
+    index ``elements``, at most 256, so no slot carries into the next; with
+    one coordinate the digits are those indices already and are translated
+    as they are.
+    """
     ring = action.ring
     zero = ring.zero
     orders, _, elements, _, _ = _additive_coordinates(ring)
-    index, stride = 0, 1
-    for a, d in zip(digits, orders):
-        index += stride * int.from_bytes(a, "little")
-        stride *= d
-    out = index.to_bytes(len(digits[0]), "little").translate(elements.ljust(256, b"\0"))
+    if len(digits) == 1:
+        index = digits[0]
+    else:
+        index, stride = 0, 1
+        for a, d in zip(digits, orders):
+            index += stride * int.from_bytes(a, "little")
+            stride *= d
+        index = index.to_bytes(len(digits[0]), "little")
+    out = index.translate(elements.ljust(256, b"\0"))
+    if pick is not None:
+        out = bytes(pick(out))
     nonzero = bytearray(b"\1") * 256
     nonzero[zero] = 0
     kept = compress(exponents, out.translate(nonzero))  # the exponents of the nonzero bytes
@@ -548,6 +567,13 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     coordinates of a slot index into ``elements``, which needs at most 256
     coordinate vectors.
 
+    A slot can be nonzero only at a product u * v with u <= U = max supp(f)
+    and v <= V, and these are sparse in the window: about a quarter of it at
+    U = V = 400.  So ``_gather`` reads the window back at the sorted table of
+    those products alone (``_window_table``), whose own ints become the
+    keys, and makes no int for an empty slot.  One table is kept for the
+    module, so the memory held is at most one taken window's products.
+
     The kernel's work is K slices of V bytes for each term of f and a few
     C passes over the window; the grouped loop's is about one dict update
     per term pair.  So the kernel returns None, before allocating anything,
@@ -556,8 +582,8 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
     ring = f.action.ring
     zero = ring.zero
     orders, coords, elements, _, _ = _additive_coordinates(ring)
-    top = max(g.coeffs)
-    window = max(f.coeffs) * top + 1
+    top, f_top = max(g.coeffs), max(f.coeffs)
+    window = f_top * top + 1
     if (max(orders) > 128 or len(elements) > 256
             or window + _DIRICHLET_ROW * len(orders) * len(f.coeffs)
             > _DIRICHLET_PAIR * len(f.coeffs) * len(g.coeffs)):
@@ -578,29 +604,74 @@ def _dirichlet(f: SkewSeries, g: SkewSeries) -> SkewSeries | None:
             if x:
                 total = int.from_bytes(a[at], "little") + x
                 a[at] = total.to_bytes(top, "little").translate(_MOD[d])
-    return _gather(f.action, acc, range(window))
+    return _gather(f.action, acc, *_window_table(f_top, top))
+
+
+# (U, V, T, n, pick): the one table of window products ``_window_table``
+# keeps, T the sorted u * v for 1 <= u <= U and 1 <= v <= V, and pick the
+# itemgetter of T's first n entries; None until the first Dirichlet product.
+_window_products: tuple | None = None
+
+
+def _window_table(u_top: int, v_top: int) -> tuple:
+    """(T, pick) for ``_gather``: T a sorted tuple of exponents whose
+    entries up to u_top * v_top include every u * v with 1 <= u <= u_top
+    and 1 <= v <= v_top, and pick the ``operator.itemgetter`` of those
+    entries.
+
+    One table is kept for the module.  A window inside the kept one, with
+    u_top <= U and v_top <= V, reuses it: its products lie in T, cut by
+    ``bisect`` at the window's last slot u_top * v_top, and the other
+    entries below that are empty slots.  Any other window replaces the kept
+    table with its own exact products.  So the memory held is at most one
+    taken window's products and one getter of them, never a growing set.
+    The table is built in C: one strided slice assign per u marks the
+    products, and one ``compress`` lists them.
+    """
+    global _window_products
+    kept = _window_products
+    last = u_top * v_top
+    if kept is None or u_top > kept[0] or v_top > kept[1]:
+        mark, ones = bytearray(last + 1), b"\1" * v_top
+        for u in range(1, u_top + 1):
+            mark[u:u * v_top + 1:u] = ones
+        table = tuple(compress(range(last + 1), mark))
+        kept = (u_top, v_top, table, 0, None)
+    table = kept[2]
+    n = bisect_right(table, last)
+    if n != kept[3]:
+        # one entry is slot 1 alone, where itemgetter(1) would give no tuple
+        kept = kept[:3] + (n, itemgetter(*table[:n]) if n > 1 else itemgetter(slice(1, 2)))
+        _window_products = kept
+    return table, kept[4]
 
 
 # The costs of ``_dirichlet``'s rule in window slots, which take 15 to 35 ns
 # each in CPython 3.11 on a shared 2-core host: a term pair of the grouped
 # loop costs 4 to 5 slots, the kernel's work per term of f and coordinate
-# about 64.  Over 380 random products of 1 to 400 terms at 1 to 16 slots per
-# term pair, over Z2, Z6, Z8, Z64, F2xF2 and M2(F2), the kernel took none it
-# made slower (at most 0.77x the loop's time); a pair cost of 5 would take
-# some up to 1.09x slower.  The loop ran what the rule declined at most 1.8
-# to 1.9x slower than the kernel would have, at 2 to 6 slots per term pair
-# over one-coordinate rings, and no pair cost from 4 to 6 lowers that.
+# about 64.  Timed on two draws of 380 random products of 1 to 400 terms at
+# 1 to 16 slots per term pair, over Z2, Z6, Z8, Z64, F2xF2 and M2(F2): with
+# the window products table kept, the kernel took one product 1.04x slower
+# than the loop and none slower beyond that, and the loop ran 116 to 139 of
+# the products the rule declined slower than the kernel would have, up to
+# 2.6 to 2.9x, three in four over one-coordinate rings, most at 4 to 8
+# slots per term pair.  A pair cost of 5 or 6 takes some of those, but with the table
+# rebuilt at every product, as at a window no kept table covers, the kernel
+# then takes products up to 1.6 to 1.9x slower (at 4, up to 1.3x), so 4
+# and 64 are kept.
 _DIRICHLET_PAIR = 4
 _DIRICHLET_ROW = 64
 
 
 def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:
-    """The slot layout (f_key, g_key, exponents, length) of the product of
-    nonzero f and g.
+    """The slot layout (f_key, f_len, g_key, g_len, exponents, length) of
+    the product of nonzero f and g.
 
     f_key and g_key map the exponents of f and of g to slots 0, 1, ... with
-    f_key(u) + g_key(v) a slot of the product, which has ``length`` slots,
-    and exponents() iterates their exponents: a range, or for pairs the
+    f_key(u) + g_key(v) a slot of the product, which has ``length`` slots.
+    Every key of f is below f_len and every key of g below g_len, both read
+    off the extents of the factors.  exponents() iterates the product's
+    exponents: a range, or for pairs the
     ``product`` of two ranges, which materialises them, so call it only once
     the window is taken.  Integer exponents shift by the least exponent of
     their own factor.  A pair (i, j) of f takes slot
@@ -610,14 +681,15 @@ def _packing(monoid: OrderedMonoid, f: SkewSeries, g: SkewSeries) -> tuple:
     """
     if not monoid._pair:
         f0, g0 = min(f.coeffs), min(g.coeffs)
-        length = max(f.coeffs) - f0 + max(g.coeffs) - g0 + 1
-        return ((lambda s: s - f0), (lambda s: s - g0),
+        f_len, g_len = max(f.coeffs) - f0 + 1, max(g.coeffs) - g0 + 1
+        length = f_len + g_len - 1
+        return ((lambda s: s - f0), f_len, (lambda s: s - g0), g_len,
                 (lambda: range(f0 + g0, f0 + g0 + length)), length)
     (fi0, fi1), (fj0, fj1), (gi0, gi1), (gj0, gj1) = (
         (min(part), max(part)) for h in (f, g) for part in zip(*h.coeffs))
     w = fj1 - fj0 + gj1 - gj0 + 1
-    return ((lambda s: (s[0] - fi0) * w + s[1] - fj0),
-            (lambda s: (s[0] - gi0) * w + s[1] - gj0),
+    return ((lambda s: (s[0] - fi0) * w + s[1] - fj0), (fi1 - fi0) * w + fj1 - fj0 + 1,
+            (lambda s: (s[0] - gi0) * w + s[1] - gj0), (gi1 - gi0) * w + gj1 - gj0 + 1,
             (lambda: product(range(fi0 + gi0, fi1 + gi1 + 1), range(fj0 + gj0, fj1 + gj1 + 1))),
             (fi1 - fi0 + gi1 - gi0 + 1) * w)
 

@@ -916,6 +916,97 @@ def test_dirichlet_kernel_declines(case, monkeypatch):
     assert convolve(f, g) == convolve_by_terms(f, g)
 
 
+def _products_up_to(top_f, top_g):
+    """The sorted distinct u * v with 1 <= u <= top_f and 1 <= v <= top_g."""
+    return tuple(sorted({u * v for u in range(1, top_f + 1) for v in range(1, top_g + 1)}))
+
+
+@pytest.mark.parametrize("context", ["Z6", "Z3 relabelled", "F2xF2/swap", "M2F2/inner:6"])
+def test_dirichlet_reads_back_at_the_kept_window_products(context, monkeypatch):
+    from skewseries import series
+    # every window shape with the cost rule switched off, so the kernel
+    # takes even one-term and three-term factors
+    monkeypatch.setattr(series, "_DIRICHLET_PAIR", 10 ** 9)
+    monkeypatch.setattr(series, "_window_products", None)
+    ring = DIFF_CONTEXTS[context][0]
+    act = trivial_action(make_monoid("NatMulDirichlet"), ring)
+    rng = random.Random(ring.size)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+
+    def drawn(top, terms):
+        exps = rng.sample(range(1, top), min(terms, top) - 1) + [top]
+        return SkewSeries(act, {s: rng.choice(nonzero) for s in exps})
+
+    def checked(f, g):
+        product = _dirichlet(f, g)
+        assert product == convolve_by_terms(f, g)
+        assert list(product.coeffs) == sorted(product.coeffs)
+        return product
+
+    # (top f, top g, terms of f, terms of g, whether the kept table covers it)
+    shapes = [(60, 50, 40, 45, False),
+              (40, 30, 30, 25, True),
+              (7, 5, 1, 1, True),      # one-term f and g
+              (1, 1, 1, 1, True),      # a one-entry cut of the table
+              (60, 2, 60, 1, True),
+              (3, 200, 3, 150, False),  # U << V
+              (200, 3, 150, 3, False),  # U >> V
+              (150, 2, 100, 2, True)]
+    for top_f, top_g, f_terms, g_terms, covered in shapes:
+        before = series._window_products
+        checked(drawn(top_f, f_terms), drawn(top_g, g_terms))
+        kept = series._window_products
+        if covered:
+            assert kept[:3] == before[:3] and kept[2] is before[2]
+        else:
+            assert kept[:3] == (top_f, top_g, _products_up_to(top_f, top_g))
+    # a lone (1, 1) window, with nothing kept before it
+    monkeypatch.setattr(series, "_window_products", None)
+    one = SkewSeries(act, {1: ring.one})
+    assert checked(one, one).coeffs == {1: ring.one}
+    assert series._window_products[:3] == (1, 1, (1,))
+    # zeta * zeta is d(n) * 1 at n, which cancels wherever the additive order
+    # of 1 divides d(n): a product slot that stays empty
+    zeta = SkewSeries(act, dict.fromkeys(range(1, 41), ring.one))
+    square = checked(zeta, zeta)
+    assert set(square.coeffs) < set(_products_up_to(40, 40))
+    # one table is kept, the exact one of the last window it did not cover
+    assert series._window_products[:3] == (40, 40, _products_up_to(40, 40))
+
+
+def _relabelled_cyclic(n, scale, shift):
+    """Z_n with each x stored at index (scale * x + shift) % n."""
+    index = [(scale * x + shift) % n for x in range(n)]
+    add_t, mul_t = ([[0] * n for _ in range(n)] for _ in range(2))
+    for x in range(n):
+        for y in range(n):
+            add_t[index[x]][index[y]] = index[(x + y) % n]
+            mul_t[index[x]][index[y]] = index[x * y % n]
+    return table_ring(add_t, mul_t, name=f"Z{n} relabelled")
+
+
+@pytest.mark.parametrize("kind", ["NatAdd", "NatMulDirichlet"])
+def test_kernels_read_one_coordinate_through_the_elements(kind):
+    # a cyclic ring has one additive coordinate, whose digits index the
+    # elements without a mixed-radix combine; relabelled, the multiples of
+    # the generator are not the indices 0, 1, 2, ..., so digits read as
+    # element indices would give wrong coefficients
+    ring = _relabelled_cyclic(7, 3, 2)
+    orders, _, elements, _, _ = _additive_coordinates(ring)
+    assert orders == (7,) and elements != bytes(range(7))
+    act = trivial_action(make_monoid(kind), ring)
+    kernel = _dirichlet if kind == "NatMulDirichlet" else _kronecker
+    rng = random.Random(7)
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    low = 1 if kind == "NatMulDirichlet" else 0
+    for _ in range(3):
+        f, g = (SkewSeries(act, {s: rng.choice(nonzero) for s in rng.sample(range(low, 101), 90)})
+                for _ in range(2))
+        product = kernel(f, g)
+        assert product is not None and not product.is_zero()
+        assert product == convolve_by_terms(f, g) == convolve(f, g)
+
+
 # ---------------------------------------------------------------------------
 # middles over an additive basis against the scan over every ring element
 
