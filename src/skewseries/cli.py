@@ -64,6 +64,7 @@ from .theorems import (
     CoherenceAlarm,
     PRESETS,
     _is_blocked,
+    _orbit_hypothesis_and_conclusion,
     annihilator_obstructions,
     app_equivalence_check,
     check_coefficientwise_annihilation,
@@ -363,7 +364,7 @@ def _run_check(check: str, built: tuple, trials: int, seed: int) -> PropertyRepo
                 ring.name, "pair_annihilation", False,
                 {"detail": "g does not annihilate f through all middles",
                  "g": _series_terms(g), "f": _series_terms(f)})
-        report = check_coefficientwise_annihilation(g, f)
+        report = _orbit_hypothesis_and_conclusion(g, f)
         report.witnesses = {"g": _series_terms(g), "f": _series_terms(f),
                             **report.witnesses}
         return report
@@ -519,7 +520,10 @@ def replay(report_path: str, stream=None) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
-        built = _build(JobSpec(dict(tree["job"])))
+        job = tree["job"]
+        if type(job) is not dict or set(map(type, chain(job, job.values()))) - {str}:
+            raise JobSpecError("job: every key and value must be a string")
+        built = _build(JobSpec(dict(job)))
     except (OSError, KeyError, TypeError, ValueError, JobSpecError) as exc:
         print(f"replay error: {exc}", file=stream)
         return 3
@@ -536,7 +540,12 @@ def replay(report_path: str, stream=None) -> int:
         return 0
     for check, verdict in false_verdicts:
         try:
-            witness = tree["witnesses"][verdict["witness_ref"]]
+            ref = verdict["witness_ref"]
+            if type(ref) is not int or ref < 0:  # True or -1 would alias a witness
+                raise IndexError(f"witness_ref {ref!r} is not a witness index")
+            witness = tree["witnesses"][ref]
+            if type(witness) is not dict:
+                raise TypeError(f"witness {ref} is not an object")
             ok = _replay_one(check, witness, built)
         except JobSpecError as exc:
             print(f"replay error: {exc}", file=stream)
@@ -606,7 +615,7 @@ def _replay_one(check: str, witness: dict, built: tuple) -> bool:
         return bool(pairs)
     if check == "pair_annihilation":
         g, f = series["series.g"], series["series.f"]
-        if "detail" in witness:  # recorded as not annihilating in the first place
+        if "failure" not in witness:  # recorded as not annihilating in the first place
             return not annihilates_via_all_middles(g, f)
         return not check_coefficientwise_annihilation(g, f).verdict
     return False

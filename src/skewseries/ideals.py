@@ -41,10 +41,11 @@ p.q.-Baer, right PP, the orbit condition and its obstructions) is the one
 ascending scan ``_scan``: the bitset annihilator of each element, tested
 once per distinct annihilator.
 
-The bitsets above depend on the ring alone and are kept in the ring.  The
-orbit annihilator of each element depends on an action too, and is kept in
-the ``OmegaAction``, with the result of the one scan for the first element
-whose orbit annihilator is not right s-unital.
+The bitsets above depend on the ring alone and are kept in the ring.  What
+depends on an action too is one record, built by one ``_scan`` on first use
+and kept in the ``OmegaAction``: each element's orbit annihilator, its first
+member without a right s-unital witness, and the least element that has one.
+Every reader of the orbit condition reads that record.
 """
 
 from __future__ import annotations
@@ -245,43 +246,36 @@ def _scan(ring: FiniteRing, annihilator, test):
 
 
 def _orbit_annihilator(action: OmegaAction, a: int) -> int:
-    """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a);
-    kept in the action."""
-    masks = action._orbit_masks
-    hit = masks.get(a)
-    if hit is None:
+    """l(sum over attained w of R*w(a)), the AND of Zl[g*w(a)] (fact a)."""
+    ring = action.ring
+    images = {aut.perm[a] for _, aut in action.closure()}
+    return _left_annihilator_bits(
+        ring, {ring.mul(g, b) for b in images for g in _additive_generators(ring)})
+
+
+def _orbit_record(action: OmegaAction) -> tuple:
+    """(masks, unwitnessed, failure), built by one ``_scan`` on first use and
+    kept in the action: masks[a] is the orbit annihilator of a, unwitnessed[a]
+    its first member without a right s-unital witness (None when it is right
+    s-unital), and failure the least a with one, None when there is none."""
+    if action._orbit is None:
         ring = action.ring
-        images = {aut.perm[a] for _, aut in action.closure()}
-        hit = masks[a] = _left_annihilator_bits(
-            ring, {ring.mul(g, b) for b in images for g in _additive_generators(ring)})
-    return hit
+        _, masks, unwitnessed = zip(*_scan(ring, partial(_orbit_annihilator, action),
+                                           lambda ann: _s_unital(ring, ann).failing))
+        failure = next((a for a, b in enumerate(unwitnessed) if b is not None), None)
+        action._orbit = (masks, unwitnessed, failure)
+    return action._orbit
 
 
 def _set_orbit_annihilator(action: OmegaAction, elements) -> int:
     """The AND of the orbit annihilators of ``elements``, which the caller
     knows to be indices of the ring: l of the sum of their orbit ideals."""
-    masks = action._orbit_masks
-    mask = (1 << action.ring.size) - 1
-    for a in elements:
-        mask &= masks[a] if a in masks else _orbit_annihilator(action, a)
-    return mask
+    return _meet(_orbit_record(action)[0], elements, (1 << action.ring.size) - 1)
 
 
 def _first_orbit_failure(action: OmegaAction) -> int | None:
-    """The first element whose orbit annihilator is not right s-unital.
-
-    The one scan behind both forms of the orbit condition
-    (``properties.orbit_annihilators_s_unital`` and
-    ``theorems.elementwise_condition_holds``), done once per action; each
-    distinct annihilator is tested once (``_scan``).
-    """
-    if action._orbit_failure == -1:  # not scanned yet
-        ring = action.ring
-        action._orbit_failure = next(
-            (a for a, _, holds in _scan(ring, partial(_orbit_annihilator, action),
-                                        lambda ann: _s_unital(ring, ann).holds)
-             if not holds), None)
-    return action._orbit_failure
+    """The first element whose orbit annihilator is not right s-unital."""
+    return _orbit_record(action)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ once; left p.q.-Baer and right PP share one body and differ only in the
 annihilator, l(R*a) or r(a), and the side of the idempotent generator
 (``ideals._generator``).  By fact (c) a left ideal is right s-unital
 exactly when it is R*e for an idempotent e, so on a finite ring left APP and
-left p.q.-Baer fail at the same first element.  The orbit condition is the
-one per-action scan of ``ideals``, shared with
-``theorems.elementwise_condition_holds``.
+left p.q.-Baer fail at the same first element.  The orbit condition is read
+off the orbit record that ``ideals`` keeps per action, as every other reader
+of that condition reads it.
 
 A ``PropertyReport`` holds the ring, the check, the verdict and its
 witnesses, never a time: ``cli.run_job`` times each check.
@@ -35,10 +35,9 @@ from functools import partial
 from .ideals import (
     FL,
     FR,
-    _first_orbit_failure,
     _generator,
     _members,
-    _orbit_annihilator,
+    _orbit_record,
     _principal_annihilator,
     _right_annihilator_bits,
     _s_unital,
@@ -170,20 +169,18 @@ def orbit_annihilators_s_unital(ring: FiniteRing, action: OmegaAction) -> Proper
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    a = _first_orbit_failure(action)
+    masks, unwitnessed, a = _orbit_record(action)
     if a is not None:
-        ann = _orbit_annihilator(action, a)
         return PropertyReport(
             ring.name, "orbit_annihilators_s_unital", False,
             {"counterexample": {
                 "subset": [a],
-                "annihilator": _members(ann),
-                "unwitnessed": _s_unital(ring, ann).failing,
+                "annihilator": _members(masks[a]),
+                "unwitnessed": unwitnessed[a],
             }})
     distinct: dict[frozenset[int], int] = {}
     for a in ring.elements():
-        distinct.setdefault(orbit_ideal({a}, action).members,
-                            _orbit_annihilator(action, a))
+        distinct.setdefault(orbit_ideal({a}, action).members, masks[a])
     evidence = [{"orbit_ideal": sorted(members),
                  "annihilator": _members(ann),
                  "witnesses": _witness_pairs(_s_unital(ring, ann))}

@@ -93,12 +93,9 @@ class OmegaAction:
     Evaluations are memoized; since the automorphism group is finite the set
     of values {w_s} is finite and has concrete exponent representatives.
 
-    An action also carries the state of the ``ideals`` kernel that depends
-    on it: ``_orbit_masks`` maps each element a, on first use, to its orbit
-    annihilator l(sum_s R*w_s(a)) as a bitset, and ``_orbit_failure`` is the
-    first element whose orbit annihilator is not right s-unital, None when
-    every one is, and -1 until that has been scanned for.  ``_pair_draw``
-    is what ``theorems.random_annihilating_pair`` draws from, once called.
+    An action also keeps, once computed, ``_orbit``, the orbit record of
+    ``ideals``, and ``_pair_draw``, what ``theorems.random_annihilating_pair``
+    draws from.
 
     Cache inserts are idempotent, so concurrent readers are safe as long as
     writes come from one thread at a time.
@@ -132,8 +129,7 @@ class OmegaAction:
         self._powers = [_power_table(a) for a in self._alphas]
         self._cache: dict = {}
         self._closure: tuple | None = None
-        self._orbit_masks: dict[int, int] = {}
-        self._orbit_failure: int | None = -1
+        self._orbit: tuple | None = None
         self._pair_draw: tuple | None = None
 
     def automorphism(self, s) -> RingAut:

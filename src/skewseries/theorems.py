@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 
 from .ideals import (
@@ -49,10 +48,8 @@ from .ideals import (
     _ideal,
     _lowest_common,
     _members,
-    _orbit_annihilator,
+    _orbit_record,
     _right_annihilator_bits,
-    _s_unital,
-    _scan,
     _set_orbit_annihilator,
     tominaga_common_witness,
 )
@@ -101,8 +98,8 @@ def set_orbit_annihilator(elements, action: OmegaAction) -> IdealSet:
 
 
 def elementwise_condition_holds(ring: FiniteRing, action: OmegaAction) -> bool:
-    """The orbit annihilator condition, from the same per-action scan as
-    ``orbit_annihilators_s_unital(ring, action).verdict``."""
+    """The orbit annihilator condition, read off the action's orbit record
+    as ``orbit_annihilators_s_unital(ring, action).verdict`` is."""
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
     return _first_orbit_failure(action) is None
@@ -125,16 +122,23 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     generators of R (``series._first_failure``).
     """
     g._require_same_context(f)
-    ring = g.action.ring
+    # the orbit hypothesis is reported first: the middles are tested only
+    # when it holds
+    if _first_orbit_failure(g.action) is None and not annihilates_via_all_middles(g, f):
+        return PropertyReport(g.action.ring.name, "coefficientwise_annihilation", False,
+                              {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
+    return _orbit_hypothesis_and_conclusion(g, f)
+
+
+def _orbit_hypothesis_and_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
+    """``check_coefficientwise_annihilation`` for a pair known to annihilate
+    through all middles: the orbit hypothesis, then the conclusion."""
     failing = _first_orbit_failure(g.action)
     if failing is not None:
         return PropertyReport(
-            ring.name, "coefficientwise_annihilation", False,
+            g.action.ring.name, "coefficientwise_annihilation", False,
             {"failure": "hypothesis",
              "detail": f"orbit annihilator of element {failing} is not right s-unital"})
-    if not annihilates_via_all_middles(g, f):
-        return PropertyReport(ring.name, "coefficientwise_annihilation", False,
-                              {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
     return _coefficientwise_conclusion(g, f)
 
 
@@ -214,10 +218,9 @@ def annihilator_obstructions(ring: FiniteRing, action: OmegaAction) -> PropertyR
     """
     if action.ring is not ring:
         raise ValueError("action was built over a different ring instance")
-    obstructions = [{"element": a, "blocked": b, "annihilator": _members(ann)}
-                    for a, ann, b in _scan(ring, partial(_orbit_annihilator, action),
-                                           lambda ann: _s_unital(ring, ann).failing)
-                    if b is not None]
+    masks, unwitnessed, _ = _orbit_record(action)
+    obstructions = [{"element": a, "blocked": b, "annihilator": _members(masks[a])}
+                    for a, b in enumerate(unwitnessed) if b is not None]
     return PropertyReport(ring.name, "annihilator_obstructions", not obstructions,
                           {"obstructions": obstructions})
 
@@ -351,8 +354,8 @@ def random_annihilating_pair(action: OmegaAction,
     ring = action.ring
     if action._pair_draw is None:
         nonzero = [r for r in ring.elements() if r != ring.zero]
-        draws = _PAIR_DRAWS if any(ann & (ann - 1) for ann in
-                                   (_orbit_annihilator(action, r) for r in nonzero)) else 1
+        masks = _orbit_record(action)[0]
+        draws = _PAIR_DRAWS if any(masks[r] & (masks[r] - 1) for r in nonzero) else 1
         action._pair_draw = (sample_pool(action.monoid, _PAIR_SPAN), nonzero, draws)
     pool, nonzero, draws = action._pair_draw
     if not nonzero:

@@ -15,6 +15,7 @@ from skewseries.cli import (
     run_job,
     validate,
 )
+import skewseries.cli as cli
 import skewseries.theorems as theorems
 from skewseries.gallery import gallery_ring, named_automorphism
 from skewseries.monoids import make_monoid
@@ -380,6 +381,48 @@ def test_replay_of_a_missing_witness_is_an_error(tmp_path):
     assert buf.getvalue().startswith("replay error: malformed left_app witness (IndexError")
 
 
+@pytest.mark.parametrize("which, ref", [(0, -2), (1, -1), (1, True), (0, False), (0, 2)])
+def test_replay_of_a_witness_ref_that_is_not_an_index_is_an_error(tmp_path, which, ref):
+    # a negative index or a bool would read another witness (-2 and False
+    # witness 0, -1 and True witness 1) and confirm its counterexample
+    code, out, _ = run_to_file(Z4_JOB.replace("checks = left_app", "checks = left_app, reduced"),
+                               tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    check = tree["verdicts"][which]["check"]
+    tree["verdicts"][which]["witness_ref"] = ref
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue().splitlines()[-1].startswith(
+        f"replay error: malformed {check} witness (IndexError: ")
+
+
+@pytest.mark.parametrize("witness", [[], "counterexample", 5, None])
+def test_replay_of_a_witness_that_is_not_an_object_is_an_error(tmp_path, witness):
+    _, out, _ = run_to_file(Z4_JOB, tmp_path)
+    tree = json.loads(out.read_text())
+    tree["witnesses"][0] = witness
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue() == ("replay error: malformed left_app witness "
+                              "(TypeError: witness 0 is not an object)\n")
+
+
+@pytest.mark.parametrize("key, value", [("series.g", 5), ("action.alpha", 7),
+                                        ("ring.n", 4), ("monoid.kind", None)])
+def test_replay_of_a_job_value_that_is_not_text_is_an_error(tmp_path, key, value):
+    code, out, _ = run_to_file(PAIR_JOB.replace("1:4", "1:1"), tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    tree["job"][key] = value
+    out.write_text(json.dumps(tree))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 3
+    assert buf.getvalue() == "replay error: job: every key and value must be a string\n"
+
+
 @pytest.mark.parametrize("key", ["check", "verdict"])
 def test_replay_of_a_verdict_entry_without_its_check_is_an_error(tmp_path, key):
     _, out, _ = run_to_file(Z4_JOB, tmp_path)
@@ -468,6 +511,50 @@ series.g = 0:2; 1:4
 series.f = 0:3
 seed = 0
 """
+
+
+def _pair_job(n, g, f):
+    return PAIR_JOB.replace("ring.n = 6", f"ring.n = {n}").replace(
+        "series.g = 0:2; 1:4", f"series.g = {g}").replace("series.f = 0:3", f"series.f = {f}")
+
+
+@pytest.mark.parametrize("n, g, f, code", [(6, "0:2; 1:4", "0:3", 0), (6, "0:2; 1:1", "0:3", 1),
+                                           (4, "0:2", "0:2", 1), (4, "0:1", "0:1", 1)])
+def test_a_pair_job_tests_its_middles_once(tmp_path, monkeypatch, n, g, f, code):
+    calls, real = [], theorems.annihilates_via_all_middles
+    for module in (cli, theorems):
+        monkeypatch.setattr(module, "annihilates_via_all_middles",
+                            lambda g, f: calls.append(1) or real(g, f))
+    assert run_to_file(_pair_job(n, g, f), tmp_path)[0] == code
+    assert len(calls) == 1
+
+
+def test_a_pair_outside_the_middles_gets_the_middles_report_first(tmp_path):
+    # over Z4, 1 * 1 * 1 != 0 and the orbit annihilator of 2 is not right
+    # s-unital: the job reports the middles, the library the orbit hypothesis
+    code, out, _ = run_to_file(_pair_job(4, "0:1", "0:1"), tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    assert tree["witnesses"] == [{"detail": "g does not annihilate f through all middles",
+                                  "f": [["0", 1]], "g": [["0", 1]]}]
+    g, f = _build(JobSpec.from_text(_pair_job(4, "0:1", "0:1")))[3].values()
+    assert theorems.check_coefficientwise_annihilation(g, f).witnesses == {
+        "failure": "hypothesis", "detail": "orbit annihilator of element 2 is not right s-unital"}
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+    assert buf.getvalue() == "replay pair_annihilation: counterexample confirmed\n"
+
+
+def test_replay_confirms_a_pair_that_fails_the_orbit_hypothesis(tmp_path):
+    # 2 * r * 2 == 0 over Z4, so the pair annihilates through every middle,
+    # and its report names the orbit hypothesis
+    code, out, _ = run_to_file(_pair_job(4, "0:2", "0:2"), tmp_path)
+    assert code == 1
+    tree = json.loads(out.read_text())
+    assert tree["witnesses"][0]["failure"] == "hypothesis"
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 0
+    assert buf.getvalue() == "replay pair_annihilation: counterexample confirmed\n"
 
 
 @pytest.mark.parametrize("bad", ["7", "6", "-1"])

@@ -4,6 +4,8 @@ replaced (``oracles``), on tabled rings and on rings above TABLE_LIMIT."""
 import random
 
 import pytest
+import skewseries.ideals as ideals
+import skewseries.properties as properties
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from skewseries.ideals import (
     IdealSet,
     WitnessNotFoundError,
     _bits,
+    _first_orbit_failure,
     _mask,
     _transpose,
     idempotent_generator,
@@ -51,12 +54,16 @@ from skewseries.rings import (
 from skewseries.series import single_generator_action
 from skewseries.theorems import (
     annihilator_obstructions,
+    app_equivalence_check,
+    check_coefficientwise_annihilation,
     element_orbit_annihilator,
     elementwise_condition_holds,
+    random_annihilating_pair,
     set_orbit_annihilator,
 )
 
 from oracles import (
+    annihilator_obstructions_by_scan,
     common_witness_by_scan,
     idempotent_generator_left_by_scan,
     idempotent_generator_right_by_scan,
@@ -417,3 +424,62 @@ def test_orbit_state_is_kept_per_action(build):
     want = tuple([fresh(which, query) for query in queries] for which in (0, 1))
     assert got == want
     assert want[0] != want[1]
+
+
+def _count_s_unital(monkeypatch, module):
+    """The masks passed to ``module._s_unital`` from now on."""
+    tested, real = [], module._s_unital
+    monkeypatch.setattr(module, "_s_unital",
+                        lambda ring, mask: tested.append(mask) or real(ring, mask))
+    return tested
+
+
+@pytest.mark.parametrize("ring_name, aut_name", [("Z4", "identity"), ("Z8", "identity"),
+                                                 ("Z6", "identity"), ("F2xF2", "swap"),
+                                                 ("M2F2", "inner:6")])
+def test_each_orbit_annihilator_is_tested_once_per_action(ring_name, aut_name, monkeypatch):
+    # every reader of the orbit condition reads the action's one record, so
+    # each distinct orbit annihilator is tested once however many checks
+    # run; the witness pairs of a true orbit report are computed apart
+    ring = gallery_ring(ring_name)
+    nat = make_monoid("NatAdd")
+    aut = named_automorphism(ring, aut_name)
+    action = single_generator_action(nat, ring, aut)
+    distinct = sorted({ideals._orbit_annihilator(action, a) for a in ring.elements()})
+    tested = _count_s_unital(monkeypatch, ideals)
+    evidence = _count_s_unital(monkeypatch, properties)
+    obstructions = annihilator_obstructions(ring, action)
+    orbit = orbit_annihilators_s_unital(ring, action)
+    app_equivalence_check(ring, action, pairs=5)
+    check_coefficientwise_annihilation(*random_annihilating_pair(action, random.Random(0)))
+    assert sorted(tested) == distinct
+    assert obstructions.verdict == orbit.verdict
+    assert len(evidence) == len(orbit.witnesses.get("distinct_orbit_ideals", []))
+    # a new action over the same ring builds its own record
+    elementwise_condition_holds(ring, single_generator_action(nat, ring, aut))
+    assert sorted(tested) == sorted(distinct * 2)
+
+
+LATE_FAILURES = {
+    "Z8/identity": lambda: (cyclic_ring(8), None),
+    "relabelled-Z4xZ4/identity": lambda: _relabelled_z4_squared()[:2],
+    "relabelled-Z4xZ4/swap": lambda: _relabelled_z4_squared()[::2],
+}
+
+
+@pytest.mark.parametrize("first", ["obstructions", "first failure"])
+@pytest.mark.parametrize("build", LATE_FAILURES.values(), ids=LATE_FAILURES)
+def test_the_least_failing_element_survives_the_full_scan(build, first):
+    # the record scans every element, past the first failure too; whichever
+    # reader builds it, the first failure is still the least failing element
+    ring, aut = build()
+    action = single_generator_action(make_monoid("NatAdd"), ring, aut)
+    if first == "obstructions":
+        obstructions = annihilator_obstructions(ring, action)
+    failure = _first_orbit_failure(action)
+    if first != "obstructions":
+        obstructions = annihilator_obstructions(ring, action)
+    verdict, witnesses = annihilator_obstructions_by_scan(ring, action)
+    assert (obstructions.verdict, obstructions.witnesses) == (verdict, witnesses)
+    failing = [obs["element"] for obs in witnesses["obstructions"]]
+    assert len(failing) > 1 and failure == failing[0] > 0
