@@ -63,8 +63,8 @@ from .series import OmegaAction, SkewSeries, annihilates_via_all_middles, from_t
 from .theorems import (
     CoherenceAlarm,
     PRESETS,
+    _NOT_THROUGH_MIDDLES,
     _is_blocked,
-    _orbit_hypothesis_and_conclusion,
     annihilator_obstructions,
     app_equivalence_check,
     check_coefficientwise_annihilation,
@@ -359,12 +359,16 @@ def _run_check(check: str, built: tuple, trials: int, seed: int) -> PropertyRepo
         return witness_paths_agree(ring, action, instances=trials, seed=seed)
     if check == "pair_annihilation":
         g, f = series["series.g"], series["series.f"]
-        if not annihilates_via_all_middles(g, f):
+        report = check_coefficientwise_annihilation(g, f)
+        # the middles are reported before the orbit hypothesis, which the
+        # library reports without testing them
+        if report.witnesses.get("failure") == "hypothesis" and (
+                report.witnesses["detail"] == _NOT_THROUGH_MIDDLES
+                or not annihilates_via_all_middles(g, f)):
             return PropertyReport(
                 ring.name, "pair_annihilation", False,
                 {"detail": "g does not annihilate f through all middles",
                  "g": _series_terms(g), "f": _series_terms(f)})
-        report = _orbit_hypothesis_and_conclusion(g, f)
         report.witnesses = {"g": _series_terms(g), "f": _series_terms(f),
                             **report.witnesses}
         return report

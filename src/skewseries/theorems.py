@@ -122,23 +122,16 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     generators of R (``series._first_failure``).
     """
     g._require_same_context(f)
-    # the orbit hypothesis is reported first: the middles are tested only
-    # when it holds
-    if _first_orbit_failure(g.action) is None and not annihilates_via_all_middles(g, f):
-        return PropertyReport(g.action.ring.name, "coefficientwise_annihilation", False,
-                              {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
-    return _orbit_hypothesis_and_conclusion(g, f)
-
-
-def _orbit_hypothesis_and_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
-    """``check_coefficientwise_annihilation`` for a pair known to annihilate
-    through all middles: the orbit hypothesis, then the conclusion."""
+    ring = g.action.ring
     failing = _first_orbit_failure(g.action)
     if failing is not None:
         return PropertyReport(
-            g.action.ring.name, "coefficientwise_annihilation", False,
+            ring.name, "coefficientwise_annihilation", False,
             {"failure": "hypothesis",
              "detail": f"orbit annihilator of element {failing} is not right s-unital"})
+    if not annihilates_via_all_middles(g, f):
+        return PropertyReport(ring.name, "coefficientwise_annihilation", False,
+                              {"failure": "hypothesis", "detail": _NOT_THROUGH_MIDDLES})
     return _coefficientwise_conclusion(g, f)
 
 

@@ -521,12 +521,18 @@ def _pair_job(n, g, f):
 @pytest.mark.parametrize("n, g, f, code", [(6, "0:2; 1:4", "0:3", 0), (6, "0:2; 1:1", "0:3", 1),
                                            (4, "0:2", "0:2", 1), (4, "0:1", "0:1", 1)])
 def test_a_pair_job_tests_its_middles_once(tmp_path, monkeypatch, n, g, f, code):
-    calls, real = [], theorems.annihilates_via_all_middles
+    # and goes through the public check, whose binding in cli is what a
+    # tracer wraps to count the products checked
+    calls, checks, real = [], [], theorems.annihilates_via_all_middles
     for module in (cli, theorems):
         monkeypatch.setattr(module, "annihilates_via_all_middles",
                             lambda g, f: calls.append(1) or real(g, f))
+    check = cli.check_coefficientwise_annihilation
+    monkeypatch.setattr(cli, "check_coefficientwise_annihilation",
+                        lambda g, f: checks.append(1) or check(g, f))
     assert run_to_file(_pair_job(n, g, f), tmp_path)[0] == code
     assert len(calls) == 1
+    assert len(checks) == 1
 
 
 def test_a_pair_outside_the_middles_gets_the_middles_report_first(tmp_path):
