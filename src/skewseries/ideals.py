@@ -8,10 +8,10 @@ and kept in the ring:
     Fr[x] = {y : x*y == x}      Fl[x] = {y : y*x == x}
 
 Only Zr reads products: one pass over the rows x -> (y -> x*y) that
-``ring.mul_row`` hands out, a table's own ``bytes`` or ``array('H')`` rows
-or a factory ring's lists computed through its function.  The other three are transposes T (bit y of
-T(m)[x] is bit x of m[y]) of row zero sets, with y - 1 = (-1) + y read off
-``ring.add_row(-1)``:
+``ring.mul_row`` hands out, the ring's own ``bytes`` or ``array('H')`` rows
+or, for a factory ring above 256 elements, lists computed through its
+function.  The other three are transposes T (bit y of T(m)[x] is bit x of
+m[y]) of row zero sets, with y - 1 = (-1) + y read off ``ring.add_row(-1)``:
 
     Zl = T(Zr)                 since y*x == 0 exactly when x is in Zr[y];
     Fl = T(y -> Zr[y - 1])     since y*x == x exactly when (y - 1)*x == 0;

@@ -3,19 +3,23 @@
 A ring is a set of element indices ``0..size-1`` together with addition and
 multiplication maps, in one of two representations:
 
-- a table: the ring's own rows of both operation tables, entry ``row[b]``,
-  as ``bytes`` up to ``TABLE_LIMIT`` = 256 elements, where every element
-  fits in a byte, and as 16-bit ``array('H')`` above it.  Every ring of at
-  most ``TABLE_LIMIT`` elements is one, and so is every ``table_ring``.
-- a factory ring above ``TABLE_LIMIT``: functions for + and *, plus
-  ``parts``, the rings it is built from: () for Z_n, (a, b) for a product,
-  (base,) for a matrix or triangular ring.
+- a factory ring, built by ``cyclic_ring``, ``product_ring``,
+  ``matrix_ring`` or ``upper_triangular_ring``, at any size: it names in
+  ``parts`` the rings it is built from, () for Z_n, (a, b) for a product,
+  (base,) for a matrix or triangular ring, and takes its negatives from
+  them.
+- a table: a ``table_ring``, or a ``FiniteRing`` given without parts.
 
-Tables reach ``FiniteRing`` by one path, once per table: the size cap and
+Either keeps its arithmetic as its own rows of both operation tables, entry
+``row[b]``, up to ``TABLE_LIMIT`` = 256 elements, as ``bytes``, where every
+element fits in a byte.  Above it a table keeps 16-bit ``array('H')`` rows
+and a factory ring functions for + and *.
+
+Rows reach ``FiniteRing`` by one path, once per table: the size cap and
 the shape check; the rows packed and range-checked in C, each entry an
 integer 0..n-1, stored as an int (a bool too), the first that is not named,
-row-major, the addition table first; zero and one found when not given; the
-negatives.  The factories build their tabled rows in C: slices of
+row-major, the addition table first; zero, one and the negatives found when
+not given.  The factories build their tabled rows in C: slices of
 ``bytes(range(n))`` repeated for Z_n, blocks of translated component rows for
 products, and for matrix and triangular rings the digitwise sum table plus
 four tables of partial products between the high-digit and the low-digit
@@ -24,10 +28,11 @@ the sum table; a one-cell matrix or triangular ring is its base under
 another name.  Larger matrix and triangular rings add through two
 half-digit tables and multiply through the partial products, kept as lists.
 
-Every ring is validated at construction, and no rule calls the ring's
-``add`` or ``mul``: a factory ring from its parts alone; a table from its
-own rows, exactly up to ``TABLE_LIMIT``, and above it its identity, inverse
-and commutativity laws exactly, by whole-row compares in C, and its triple
+Every ring is validated at construction, by one rule per representation
+at every size, and no rule calls the ring's ``add`` or ``mul``: a factory
+ring from its parts alone, never its rows; a table from its own rows,
+exactly up to ``TABLE_LIMIT``, and above it its identity, inverse and
+commutativity laws exactly, by whole-row compares in C, and its triple
 axioms only on a seeded random sample of triples.  ``FiniteRing`` refuses
 functions above ``TABLE_LIMIT`` without ``neg`` and parts.
 
@@ -37,7 +42,7 @@ the unit search (a unit is an element whose row of the product holds 1),
 A ring map is an automorphism when it respects + and * on the rows of an
 additive generating set: the elements whose rows it respects are closed
 under +.  ``RingAut.validate`` and ``automorphisms`` use that argument, so
-a factory ring costs |G|*n products, not n^2.
+a ring on functions costs |G|*n products, not n^2.
 """
 
 from __future__ import annotations
@@ -71,19 +76,21 @@ class RingAxiomError(ValueError):
 
 
 class FiniteRing:
-    """A finite unital ring over element indices 0..size-1, in one of two
-    representations:
+    """A finite unital ring over element indices 0..size-1.
 
-    - a table: ``add`` and ``mul`` given as lists of rows, or as functions
-      of two indices on at most ``TABLE_LIMIT`` elements, which are
-      tabulated.  ``_own_tables`` makes the ring's own rows, read directly
-      by ``add``, ``mul``, ``add_row`` and ``mul_row``, and finds ``zero``
-      and ``one`` when not given; without ``neg`` each negative is looked
-      up in the addition table.  ``_add``, ``_mul`` and ``_parts`` are None.
-    - a factory ring above ``TABLE_LIMIT``: functions, with ``neg`` and
-      ``parts``, the tuple of ``FiniteRing``s it is built from, from which
-      ``validate_ring`` decides it.  Without either it raises
-      RingAxiomError naming the factories.
+    ``add`` and ``mul`` are lists of rows, or functions of two indices,
+    tabulated on at most ``TABLE_LIMIT`` elements.  ``_own_tables`` makes
+    the rows the ring's own, read directly by ``add``, ``mul``, ``add_row``
+    and ``mul_row``, and finds ``zero`` and ``one`` when not given; without
+    ``neg`` each negative is looked up in the addition table.  Functions
+    above ``TABLE_LIMIT`` are kept, and without ``neg`` and ``parts`` raise
+    RingAxiomError naming the factories.
+
+    ``parts``, the tuple of ``FiniteRing``s a factory built the ring from,
+    is kept at every size: the factory's promise, trusted by
+    ``validate_ring``, that the ring's arithmetic and negatives are those
+    the parts determine.  A ring without parts (``_parts`` None) is a
+    table, decided from its rows.
 
     A ``zero`` or ``one`` that is not an element, an int 0..size-1 and not
     a bool, raises RingAxiomError.  Instances are immutable after
@@ -107,7 +114,6 @@ class FiniteRing:
         tabled = not callable(add)
         if tabled:
             add, mul, zero, one = _own_tables(size, add, mul, zero, one)
-            parts = None
         elif parts is None or neg is None:
             raise RingAxiomError(
                 f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
@@ -292,11 +298,13 @@ def _columns(rows) -> list:
 def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
-    A factory ring is decided by its parts alone: () for Z_n, whose + and *
-    are mod n; (a, b) for a product, a ring exactly when both factors are;
-    (base,) for a matrix or triangular ring, a ring exactly when its base is
-    (see ``_cell_ring``).  Each part is validated in turn, and nothing else:
-    the ring's zero, one and negatives are those the parts give.
+    One rule per representation, at every size.  A factory ring is decided
+    by its parts alone, tabled or not: () for Z_n, whose + and * are mod n;
+    (a, b) for a product, a ring exactly when both factors are; (base,) for
+    a matrix or triangular ring, a ring exactly when its base is (see
+    ``_cell_ring``).  Each part is validated in turn, and nothing else: the
+    ring's zero, one and negatives are those the parts give, so a broken
+    part raises its own message, with its own indices.
 
     A table is checked from its own rows, whose entries ``FiniteRing`` has
     already checked to be elements.  The identity, inverse and
@@ -477,6 +485,8 @@ def cyclic_ring(n: int) -> FiniteRing:
     is [0 : a*n : a] of ``bytes(range(n)) * n``, whose entry k is k mod n,
     so its entry b is a*b mod n.
     """
+    if type(n) is not int:
+        raise RingAxiomError(f"a modulus must be an int, got {n!r}")
     if n < 1:
         raise RingAxiomError("empty ring: modulus must be at least 1")
     if n > DEFAULT_SIZE_CAP:
@@ -485,7 +495,6 @@ def cyclic_ring(n: int) -> FiniteRing:
         twice, residues = bytes(range(n)) * 2, bytes(range(n)) * n
         add = [twice[a:a + n] for a in range(n)]
         mul = [residues[0:a * n:a] if a else bytes(n) for a in range(n)]
-        neg, parts = None, None
     else:
         def add(a, b):
             return (a + b) % n
@@ -493,11 +502,10 @@ def cyclic_ring(n: int) -> FiniteRing:
         def mul(a, b):
             return (a * b) % n
 
-        def neg(a):
-            return (-a) % n
-        parts = ()
+    def neg(a):
+        return (-a) % n
     return FiniteRing(n, add=add, mul=mul, neg=neg, zero=0, one=1 % n, name=f"Z{n}",
-                      parts=parts)
+                      parts=())
 
 
 def _product_rows(P, Q) -> list[bytes]:
@@ -527,27 +535,23 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     if size <= TABLE_LIMIT:
         add = _product_rows(a._add_rows, b._add_rows)
         mul = _product_rows(a._mul_rows, b._mul_rows)
-        neg, parts = None, None
     else:
         def add(x, y):
             return enc(a.add(x // bs, y // bs), b.add(x % bs, y % bs))
 
         def mul(x, y):
             return enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs))
-
-        def neg(x):
-            return enc(a.neg(x // bs), b.neg(x % bs))
-        parts = (a, b)
+    negs = [i * bs + j for i in a._neg_row for j in b._neg_row]
     return FiniteRing(
         size,
         add=add,
         mul=mul,
-        neg=neg,
+        neg=negs.__getitem__,
         zero=enc(a.zero, b.zero),
         one=enc(a.one, b.one),
         name=f"{a.name}x{b.name}",
         element_repr=lambda x: f"({a.element_repr(x // bs)},{b.element_repr(x % bs)})",
-        parts=parts,
+        parts=(a, b),
     )
 
 
@@ -591,18 +595,22 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
     give every product.  A tabled row of x is assembled from x*hi' and x*lo'
     in C: for each x*hi', the bytes of every x*lo' translated through its
     padded row of the addition table.  Above ``TABLE_LIMIT`` a product is
-    four lookups and three additions, in tables kept as lists, and the ring
-    is built with ``parts=(base,)``: the matrices over a ring B on a set of
-    cells that holds the diagonal and is closed under the product form a
-    subring of M_k(B), whose corner E11*R*E11 is B, so it is a ring exactly
-    when B is, and the functions compute that product, x*y being bilinear
-    when B is a ring.
+    four lookups and three additions, in tables kept as lists.  The
+    negatives are the base's, cell by cell.
+
+    At every size the ring is built with ``parts=(base,)``: the matrices
+    over a ring B on a set of cells that holds the diagonal and is closed
+    under the product form a subring of M_k(B), whose corner E11*R*E11 is
+    B, so it is a ring exactly when B is, and the rows or functions compute
+    that product, x*y being bilinear when B is a ring.
 
     One cell is the base itself: the ring keeps the base's rows, or its
     functions, negatives and parts, with the base's indices, zero and one,
     and prints an element x as [[x]].  With two or more cells the ring
     has at most 4096 elements, so the base has at most 64 and is tabled.
     """
+    if type(k) is not int:
+        raise RingAxiomError(f"a matrix ring needs an int k, got {k!r}")
     if k < 1:
         raise RingAxiomError(f"a matrix ring needs k >= 1, got {k}")
     bs, ncells = base.size, k * (k + 1) // 2 if triangular else k * k
@@ -657,6 +665,9 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
     highs, lows = range(zero_lo, size, L), range(zero_hi, zero_hi + L)
     hh, hl = products(highs, highs), products(highs, lows)
     lh, ll = products(lows, highs), products(lows, lows)
+    negs = [0]
+    for _ in range(ncells):  # the negatives of one more cell, the most significant
+        negs = [d * len(negs) + r for d in base._neg_row for r in negs]
     if size <= TABLE_LIMIT:
         add = _product_rows(hi_sum, lo_sum)
         padded = [row.ljust(256, b"\0") for row in add]
@@ -667,7 +678,6 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
             by_hi = [add[p][q] for p, q in zip(hh[i], lh[l])]
             by_lo = bytes([add[p][q] for p, q in zip(hl[i], ll[l])])
             mul.append(b"".join([by_lo.translate(padded[p]) for p in by_hi]))
-        neg, parts = None, None
     else:
         hi_sum, lo_sum = ([list(row) for row in S] for S in (hi_sum, lo_sum))
 
@@ -679,10 +689,6 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
             j, m = divmod(y, L)
             return add(add(hh[i][j], hl[i][m]), add(lh[l][j], ll[l][m]))
 
-        def neg(x):
-            return _undigits([base.neg(d) for d in _digits(x, bs, ncells)], bs)
-        parts = (base,)
-
     def element_repr(x):
         ds = _digits(x, bs, ncells)
         return "[" + ",".join(
@@ -691,8 +697,8 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
             for i in range(k)) + "]"
 
     one = _undigits([base.one if i == j else base.zero for i, j in cells], bs)
-    return FiniteRing(size, add=add, mul=mul, neg=neg, zero=zero_hi + zero_lo,
-                      one=one, name=name, element_repr=element_repr, parts=parts)
+    return FiniteRing(size, add=add, mul=mul, neg=negs.__getitem__, zero=zero_hi + zero_lo,
+                      one=one, name=name, element_repr=element_repr, parts=(base,))
 
 
 def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -759,9 +765,9 @@ def units(ring: FiniteRing) -> list[int]:
     A one-sided inverse is two-sided in a finite ring.  If u*v == 1, then
     x -> v*x is injective (v*x == v*y gives x == u*v*x == u*v*y == y), hence
     onto, so v*w == 1 for some w, and w == u*v*w == u; so v*u == 1.  The
-    units of a factory product are the pairs of the factors' units,
-    index u_a*|b| + u_b, listed in ascending order without a product of
-    the ring.
+    units of a factory product, at every size, are the pairs of the
+    factors' units, index u_a*|b| + u_b, listed in ascending order without
+    a product of the ring.
     """
     if ring._parts is not None and len(ring._parts) == 2:
         a, b = ring._parts
@@ -895,7 +901,8 @@ def _span_search(ring: FiniteRing, first: int) -> tuple[int, ...]:
     """``first`` (-1: the lowest element other than zero), then each element,
     in index order, that sums of the generators so far do not reach.  The
     sums are found breadth-first from zero through x -> x + g, each element
-    meeting each generator once, so it ends on any table whose zero is an identity."""
+    meeting each generator once.  A generator a left unreached has
+    zero + a != a, and raises RingAxiomError instead of being chosen again."""
     add = ring.add
     inside = bytearray(ring.size)
     inside[ring.zero] = 1
@@ -913,6 +920,8 @@ def _span_search(ring: FiniteRing, first: int) -> tuple[int, ...]:
                     inside[y] = 1
                     reached.append(y)
                     todo.append((y, gens))
+        if not inside[a]:
+            raise RingAxiomError(f"additive identity fails at {a}")
         a = inside.find(0)
     return tuple(gens)
 

@@ -49,7 +49,7 @@ from oracles import (
     units_by_scan,
     validate_ring_oracle,
 )
-from strategies import matrix_subrings
+from strategies import matrix_subrings, rings
 
 
 def test_cyclic_ring_arithmetic():
@@ -132,6 +132,21 @@ def test_cell_ring_factories_refuse_k_below_one(factory, k):
     # k = -1 used to build a one-element ring named M-1(Z5)
     with pytest.raises(RingAxiomError, match=rf"^a matrix ring needs k >= 1, got {k}$"):
         factory(cyclic_ring(5), k)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cyclic_ring(True), "a modulus must be an int, got True"),
+    (lambda: cyclic_ring(300.0), "a modulus must be an int, got 300.0"),
+    (lambda: cyclic_ring(8192.0), "a modulus must be an int, got 8192.0"),
+    (lambda: matrix_ring(cyclic_ring(2), True), "a matrix ring needs an int k, got True"),
+    (lambda: upper_triangular_ring(cyclic_ring(2), 2.0), "a matrix ring needs an int k, got 2.0"),
+    (lambda: matrix_ring(cyclic_ring(2), 1e5), "a matrix ring needs an int k, got 100000.0"),
+], ids=["Z(True)", "Z(300.0)", "Z(8192.0)", "M(True)", "T(2.0)", "M(1e5)"])
+def test_factories_refuse_a_modulus_or_k_that_is_not_an_int(build, message):
+    # a bool built ZTrue and MTrue(Z2), and a float failed on its own one or
+    # size; each is refused first, before any size cap or table
+    with pytest.raises(RingAxiomError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_cyclic_ring_size_cap():
@@ -659,7 +674,9 @@ def test_closure_factory_rings_match_reference_rows(build, reference):
     n = ring.size
     assert n > TABLE_LIMIT and ring._parts is not None
     xs = [ring.zero, ring.one, *random.Random(n).sample(range(n), 6)]
-    assert closure_tables(n, ring.add, ring.mul, rows=xs) == reference(xs)
+    sums, products = reference(xs)
+    assert closure_tables(n, ring.add, ring.mul, rows=xs) == (sums, products)
+    assert [ring.neg(x) for x in xs] == [row.index(ring.zero) for row in sums]
 
 
 def _assert_is_its_base(ring, base, name):
@@ -708,6 +725,21 @@ def test_matrix_rings_over_relabelled_bases_match_reference_rows(drawn, data):
     assert [ring.neg(x) for x in xs] == [row.index(ring.zero) for row in sums]
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rings(max_size=128), st.data())
+def test_products_of_drawn_rings_match_the_componentwise_tables(a, data):
+    # a tabled product is decided from its factors alone, so only these
+    # tables check its rows and negatives
+    b = data.draw(matrix_subrings(TABLE_LIMIT // a.size), label="b")
+    ring = product_ring(a, b)
+    n = ring.size
+    assert n <= TABLE_LIMIT and ring._parts == (a, b)
+    add, mul, neg, zero, one = product_ops(a, b)
+    assert table_lists(ring.tables) == closure_tables(n, add, mul)
+    assert [ring.neg(x) for x in range(n)] == [neg(x) for x in range(n)]
+    assert (ring.zero, ring.one) == (zero, one)
+
+
 def _broken_cyclic(n: int) -> FiniteRing:
     """Z_n with 2*2 set to 2, built without validation: not distributive,
     but 0 and 1 still act as they should."""
@@ -716,12 +748,24 @@ def _broken_cyclic(n: int) -> FiniteRing:
     return FiniteRing(n, add=add, mul=mul, zero=0, one=1, validate=False)
 
 
-@pytest.mark.parametrize("n, build", [(3, lambda base: upper_triangular_ring(base, 3)),
-                                      (5, lambda base: matrix_ring(base, 2))],
-                         ids=["T3(Z3')", "M2(Z5')"])
-def test_closure_backed_cell_rings_validate_their_base(n, build):
-    # as a product validates its factors: the base raises its own error
-    broken = _broken_cyclic(n)
+def _broken_sum_z3() -> FiniteRing:
+    """Z3 with 0 + 1 = 1 + 0 = 2, built without validation."""
+    add, mul = ([list(row) for row in table] for table in cyclic_ring(3).tables)
+    add[0][1] = add[1][0] = 2
+    return FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+
+
+@pytest.mark.parametrize("broken, build", [
+    (lambda: _broken_cyclic(3), lambda base: upper_triangular_ring(base, 3)),
+    (lambda: _broken_cyclic(5), lambda base: matrix_ring(base, 2)),
+    (lambda: _broken_cyclic(3), lambda base: upper_triangular_ring(base, 2)),
+    (_broken_sum_z3, lambda base: matrix_ring(base, 2)),
+], ids=["T3(Z3')", "M2(Z5')", "T2(Z3')", "M2(Z3'')"])
+def test_closure_backed_cell_rings_validate_their_base(broken, build):
+    # as a product validates its factors: the base raises its own error, the
+    # same above the table limit (729 and 625 elements) and below it (27
+    # and 81)
+    broken = broken()
     outcome = _axiom_outcome(validate_ring, broken)
     assert outcome is not None and outcome[0] == "RingAxiomError"
     with pytest.raises(RingAxiomError) as raised:
@@ -733,23 +777,52 @@ def test_products_validate_their_factors():
     broken = _broken_cyclic(3)
     message = "right distributivity fails at (1,1,2)"
     assert _axiom_outcome(validate_ring, broken) == ("RingAxiomError", message)
-    # Z3 x Z100 is closure-backed: its factors are validated in turn
-    with pytest.raises(RingAxiomError) as raised:
-        product_ring(broken, cyclic_ring(100))
-    assert str(raised.value) == message
+    # Z3 x Z5 is tabled and Z3 x Z100 closure-backed: either way its factors
+    # are validated in turn
+    for m in (5, 100):
+        with pytest.raises(RingAxiomError) as raised:
+            product_ring(broken, cyclic_ring(m))
+        assert str(raised.value) == message
 
 
 def test_a_product_reports_its_factors_identity_failure():
-    # 0 + 1 = 2 in a Z3 built without validation: the product raises the
-    # factor's message and index, not those of its own element (1, 0)
-    add, mul = ([list(row) for row in table] for table in cyclic_ring(3).tables)
-    add[0][1] = add[1][0] = 2
-    broken = FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+    # 0 + 1 = 2 in a Z3 built without validation: the product, tabled or
+    # not, raises the factor's message and index, not those of its own
+    # element (1, 0)
+    broken = _broken_sum_z3()
     message = "additive identity fails at 1"
     assert _axiom_outcome(validate_ring, broken) == ("RingAxiomError", message)
-    with pytest.raises(RingAxiomError) as raised:
-        product_ring(broken, cyclic_ring(100))
-    assert str(raised.value) == message
+    for m in (5, 100):
+        with pytest.raises(RingAxiomError) as raised:
+            product_ring(broken, cyclic_ring(m))
+        assert str(raised.value) == message
+
+
+def test_the_generator_search_refuses_a_zero_that_is_no_identity():
+    # 0 + 1 = 2 in an unvalidated Z3: 1 is never reached from 0, and the
+    # search used to pick it as a generator again and again, without end
+    with pytest.raises(RingAxiomError, match=r"^additive identity fails at 1$"):
+        automorphisms(_broken_sum_z3())
+
+
+@pytest.mark.parametrize("build", [lambda: product_ring(cyclic_ring(6), cyclic_ring(10)),
+                                   lambda: matrix_ring(cyclic_ring(3), 2),
+                                   lambda: upper_triangular_ring(cyclic_ring(2), 3)],
+                         ids=["Z6xZ10", "M2(Z3)", "T3(Z2)"])
+def test_a_corrupted_factory_table_is_checked_from_its_rows(build):
+    # a factory's parts are its own promise: the same rows with one product
+    # changed, given to table_ring or to FiniteRing without parts, are
+    # decided from the rows, at the oracle's first failing triple
+    ring = build()
+    n, zero, one = ring.size, ring.zero, ring.one
+    add, mul = table_lists(ring.tables)
+    mul[n - 1][n - 1] = add[mul[n - 1][n - 1]][one]
+    expected = _axiom_outcome(validate_ring_oracle, FiniteRing(
+        n, add=add, mul=mul, zero=zero, one=one, validate=False), exhaustive_cap=n)
+    assert expected is not None and expected[0] == "RingAxiomError"
+    for make in (lambda: table_ring(add, mul),
+                 lambda: FiniteRing(n, add=add, mul=mul, zero=zero, one=one)):
+        assert _axiom_outcome(lambda _: make(), None) == expected
 
 
 def _relabelled_tables(size: int, add, mul, seed: int) -> tuple:
@@ -1086,12 +1159,17 @@ def _check_units_against_scan(ring):
             unit_inverse(ring, non_unit)
 
 
-@pytest.mark.parametrize("a, b", [(17, 17), (2, 300)])
-def test_units_of_a_closure_backed_product_match_the_element_scan(a, b):
-    # read off the factors' units, against the scan of every element; the
-    # factor Z300 is closure-backed itself
-    ring = product_ring(cyclic_ring(a), cyclic_ring(b))
-    assert ring.tables is None
+@pytest.mark.parametrize("build", [
+    lambda: _small_product(17, 17), lambda: _small_product(2, 300),
+    lambda: _small_product(6, 10), lambda: _small_product(2, 3, 4),
+    lambda: _small_product(1, 7),
+], ids=["17-17", "2-300", "Z6xZ10", "(Z2xZ3)xZ4", "Z1xZ7"])
+def test_units_of_a_closure_backed_product_match_the_element_scan(build):
+    # read off the factors' units, against the scan of every element, for
+    # products above the table limit and below it alike; the factor Z300 is
+    # closure-backed itself
+    ring = build()
+    assert len(ring._parts) == 2
     assert units(ring) == sorted(units_by_scan(ring))
 
 
