@@ -37,6 +37,7 @@ from .ideals import (
     is_right_s_unital,
     left_annihilator,
     left_ideal_generated,
+    orbit_ideal,
     right_annihilator,
 )
 from .monoids import OrderedMonoid, UnsupportedOrderError, make_monoid
@@ -69,10 +70,8 @@ from .theorems import (
     app_equivalence_check,
     check_coefficientwise_annihilation,
     coefficientwise_harness,
-    element_orbit_annihilator,
     preset_by_name,
     run_preset,
-    set_orbit_annihilator,
     witness_paths_agree,
 )
 
@@ -602,14 +601,15 @@ def _replay_one(check: str, witness: dict, built: tuple) -> bool:
     if check in ("orbit_condition",) + PRESET_CHECKS:
         if check in PRESET_CHECKS:
             _, action = preset_by_name(check).build(ring, *images)
-        subset = counter["subset"]
-        ann = set_orbit_annihilator(subset, action)
+        # recomputed from the ring, as l(Ra) is above, not read off the
+        # action's orbit record that the verdict came from
+        ann = left_annihilator(orbit_ideal(counter["subset"], action).members, ring)
         return (_recorded(ann, counter["annihilator"])
                 and not is_right_s_unital(ann).holds)
     if check in ("obstructions", "app_equivalence"):
         pairs = witness.get("obstructions", [])
         for obs in pairs:
-            ann = element_orbit_annihilator(obs["element"], action)
+            ann = left_annihilator(orbit_ideal((obs["element"],), action).members, ring)
             if not _recorded(ann, obs["annihilator"]):
                 return False
             b = obs["blocked"]

@@ -30,13 +30,16 @@ _SPECIAL_BUILDERS = {
 
 @lru_cache(maxsize=None)
 def gallery_ring(name: str) -> FiniteRing:
-    """Look up a built-in ring: Z1..Z64, M2F2, T2F2, F2xF2, F2xF3."""
+    """Look up a built-in ring by a name ``gallery_names()`` lists: Z1..Z64,
+    written without leading zeros, M2F2, T2F2, F2xF2, F2xF3.  Any other
+    name raises KeyError, so each ring has one name and one cached
+    instance."""
     if name in _SPECIAL_BUILDERS:
         return _SPECIAL_BUILDERS[name]()
-    m = re.fullmatch(r"Z(\d+)", name)
+    m = re.fullmatch(r"Z([1-9][0-9]*)", name)
     if m:
         n = int(m.group(1))
-        if 1 <= n <= MAX_CYCLIC:
+        if n <= MAX_CYCLIC:
             return cyclic_ring(n)
         raise KeyError(f"cyclic gallery rings stop at Z{MAX_CYCLIC}")
     raise KeyError(f"unknown gallery ring: {name}")

@@ -1,40 +1,47 @@
 """Finite unital rings on element indices, with automorphism machinery.
 
 A ring is a set of element indices ``0..size-1`` together with addition and
-multiplication maps, in one of two representations:
+multiplication maps.  There are two ways to make one, and every
+``FiniteRing`` a caller can hold has passed ``validate_ring`` on the way:
 
+- a table: the public constructor ``FiniteRing(size, add, mul, zero=None,
+  one=None, name="ring")``, which ``table_ring`` calls, takes the two
+  operation tables, or functions it tabulates on at most ``TABLE_LIMIT``
+  elements, and decides the ring from its rows.  Its negatives are read
+  off the addition table, so a + (-a) is zero by construction.
 - a factory ring, built by ``cyclic_ring``, ``product_ring``,
-  ``matrix_ring`` or ``upper_triangular_ring``, at any size: it names in
-  ``parts`` the rings it is built from, () for Z_n, (a, b) for a product,
-  (base,) for a matrix or triangular ring, and takes its negatives from
-  them.
-- a table: a ``table_ring``, or a ``FiniteRing`` given without parts.
+  ``matrix_ring`` or ``upper_triangular_ring`` at any size through the
+  private ``_factory_ring``, the only constructor that takes negatives and
+  ``parts``, the rings a ring is built from: () for Z_n, (a, b) for a
+  product, (base,) for a matrix or triangular ring.  It is decided from
+  its parts.
 
 Either keeps its arithmetic as its own rows of both operation tables, entry
 ``row[b]``, up to ``TABLE_LIMIT`` = 256 elements, as ``bytes``, where every
 element fits in a byte.  Above it a table keeps 16-bit ``array('H')`` rows
 and a factory ring functions for + and *.
 
-Rows reach ``FiniteRing`` by one path, once per table: the size cap and
-the shape check; the rows packed and range-checked in C, each entry an
-integer 0..n-1, stored as an int (a bool too), the first that is not named,
-row-major, the addition table first; zero, one and the negatives found when
-not given.  The factories build their tabled rows in C: slices of
-``bytes(range(n))`` repeated for Z_n, blocks of translated component rows for
-products, and for matrix and triangular rings the digitwise sum table plus
-four tables of partial products between the high-digit and the low-digit
-parts of two elements, from which every row follows by translating through
-the sum table; a one-cell matrix or triangular ring is its base under
-another name.  Larger matrix and triangular rings add through two
-half-digit tables and multiply through the partial products, kept as lists.
+A table's rows reach ``FiniteRing`` by one path, once per table: the size
+cap and the shape check; the rows packed and range-checked in C, each entry
+an integer 0..n-1, stored as an int (a bool too), the first that is not
+named, row-major, the addition table first; zero and one found when not
+given; the negatives.  The factories build their tabled rows in C, and
+``_factory_ring`` keeps them as built: slices of ``bytes(range(n))``
+repeated for Z_n, blocks of translated component rows for products, and
+for matrix and triangular rings the digitwise sum table plus four tables
+of partial products between the high-digit and the low-digit parts of two
+elements, from which every row follows by translating through the sum
+table; a one-cell matrix or triangular ring is its base under another
+name.  Larger matrix and triangular rings add through two half-digit
+tables and multiply through the partial products, kept as lists.
 
-Every ring is validated at construction, by one rule per representation
-at every size, and no rule calls the ring's ``add`` or ``mul``: a factory
-ring from its parts alone, never its rows; a table from its own rows,
-exactly up to ``TABLE_LIMIT``, and above it its identity, inverse and
-commutativity laws exactly, by whole-row compares in C, and its triple
-axioms only on a seeded random sample of triples.  ``FiniteRing`` refuses
-functions above ``TABLE_LIMIT`` without ``neg`` and parts.
+Validation has one rule per representation at every size, and no rule
+calls the ring's ``add`` or ``mul``: a factory ring from its parts alone,
+never its rows; a table from its own rows, exactly up to ``TABLE_LIMIT``,
+and above it its identity and commutativity laws exactly, by whole-row
+compares in C, and its triple axioms only on a seeded random sample of
+triples.  ``FiniteRing`` refuses functions above ``TABLE_LIMIT``: a ring
+on functions is a factory's.
 
 Every whole-row reader takes its rows from ``FiniteRing.add_row``/``mul_row``:
 the unit search (a unit is an element whose row of the product holds 1),
@@ -53,7 +60,7 @@ import sys
 from array import array
 from itertools import islice, product, repeat
 from math import prod
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 # Table rows are bytes up to this size and array('H') above it, where the
 # factories compute through functions instead.
@@ -76,21 +83,24 @@ class RingAxiomError(ValueError):
 
 
 class FiniteRing:
-    """A finite unital ring over element indices 0..size-1.
+    """A finite unital ring over element indices 0..size-1, validated as it
+    is built.
 
-    ``add`` and ``mul`` are lists of rows, or functions of two indices,
-    tabulated on at most ``TABLE_LIMIT`` elements.  ``_own_tables`` makes
-    the rows the ring's own, read directly by ``add``, ``mul``, ``add_row``
-    and ``mul_row``, and finds ``zero`` and ``one`` when not given; without
-    ``neg`` each negative is looked up in the addition table.  Functions
-    above ``TABLE_LIMIT`` are kept, and without ``neg`` and ``parts`` raise
-    RingAxiomError naming the factories.
+    ``FiniteRing(size, add, mul, zero=None, one=None, name="ring")`` makes a
+    table: ``add`` and ``mul`` are lists of rows, or functions of two indices
+    tabulated on at most ``TABLE_LIMIT`` elements; functions on more raise
+    RingAxiomError naming the factories.  ``_own_tables`` makes the rows the
+    ring's own, read directly by ``add``, ``mul``, ``add_row`` and
+    ``mul_row``, and finds ``zero`` and ``one`` when not given; each negative
+    is read off the addition table.  ``validate_ring`` then decides the ring
+    from its rows.
 
-    ``parts``, the tuple of ``FiniteRing``s a factory built the ring from,
-    is kept at every size: the factory's promise, trusted by
-    ``validate_ring``, that the ring's arithmetic and negatives are those
-    the parts determine.  A ring without parts (``_parts`` None) is a
-    table, decided from its rows.
+    The factories build their rings through ``_factory_ring`` instead, from
+    their rows or functions, negatives, zero, one and ``parts``, the tuple of
+    rings they are built from, kept at every size; ``validate_ring`` decides
+    such a ring from its parts.  A ring without parts (``_parts`` None) is a
+    table.  No public name takes parts, negatives or a skipped validation,
+    so every ``FiniteRing`` a caller holds has passed ``validate_ring``.
 
     A ``zero`` or ``one`` that is not an element, an int 0..size-1 and not
     a bool, raises RingAxiomError.  Instances are immutable after
@@ -104,37 +114,35 @@ class FiniteRing:
                  "_additive_coords", "_ideal_bits", "_parts")
 
     def __init__(self, size: int, add, mul, zero: int | None = None,
-                 one: int | None = None, name: str = "ring", neg=None,
-                 element_repr=None, validate: bool = True, parts=None):
-        if callable(add) and size <= TABLE_LIMIT:
-            if size < 1:
-                raise RingAxiomError("empty ring: size must be at least 1")
+                 one: int | None = None, name: str = "ring"):
+        self._fill_table(size, add, mul, zero, one, name)
+        validate_ring(self)
+
+    def _fill_table(self, size: int, add, mul, zero, one, name: str) -> "FiniteRing":
+        """Fill this ring as the table on ``add`` and ``mul``, unvalidated."""
+        if callable(add):
+            if size > TABLE_LIMIT:
+                raise RingAxiomError(
+                    f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
+                    "product_ring, matrix_ring, upper_triangular_ring or table_ring")
             add, mul = ([[op(a, b) for b in range(size)] for a in range(size)]
                         for op in (add, mul))
+        add, mul, zero, one = _own_tables(size, add, mul, zero, one)
+        return self._fill(size, add, mul, _negatives(add, zero), zero, one, name, None, None)
+
+    def _fill(self, size: int, add, mul, negs: list[int], zero: int, one: int, name: str,
+              parts, element_repr) -> "FiniteRing":
+        """Set every slot: ``add`` and ``mul`` are the ring's rows, or
+        functions above ``TABLE_LIMIT``, and ``negs`` the list of negatives."""
+        self.size, self.zero, self.one, self.name = size, zero, one, name
         tabled = not callable(add)
-        if tabled:
-            add, mul, zero, one = _own_tables(size, add, mul, zero, one)
-        elif parts is None or neg is None:
-            raise RingAxiomError(
-                f"a ring of {size} > {TABLE_LIMIT} elements is built by cyclic_ring, "
-                "product_ring, matrix_ring, upper_triangular_ring or table_ring")
-        for label, e in (("zero", zero), ("one", one)):
-            if not (type(e) is int and 0 <= e < size):
-                raise RingAxiomError(f"{label} {e!r} is not an element 0..{size - 1}")
-        self.size = size
-        self.zero = zero
-        self.one = one
-        self.name = name
-        self._repr_fn = element_repr
         self._add_rows, self._mul_rows = (add, mul) if tabled else (None, None)
         self._add, self._mul = (None, None) if tabled else (add, mul)
-        self._neg_row = _negatives(add, zero) if neg is None else list(map(neg, range(size)))
-        self._additive_gens = None
-        self._additive_coords = None
-        self._ideal_bits = None
+        self._neg_row = negs
+        self._repr_fn = element_repr
+        self._additive_gens = self._additive_coords = self._ideal_bits = None
         self._parts = parts
-        if validate:
-            validate_ring(self)
+        return self
 
     def add(self, a: int, b: int) -> int:
         if self._add_rows is not None:
@@ -198,7 +206,8 @@ def _own_tables(n: int, add_table, mul_table, zero, one) -> tuple:
     packed into the ring's own rows and range-checked, by ``_byte_rows`` up
     to ``TABLE_LIMIT`` and ``_wide_rows`` above it; ``zero`` and ``one``
     are found when None, as the first row equal to 0..n-1 and the first
-    element whose row and column both are, compared whole in C."""
+    element whose row and column both are, compared whole in C; a given or
+    found ``zero`` or ``one`` that is not an element is named."""
     if n > DEFAULT_SIZE_CAP:
         raise RingAxiomError(f"size cap exceeded: {n} > {DEFAULT_SIZE_CAP}")
     if n < 1 or len(add_table) != n or any(len(row) != n for row in add_table) or \
@@ -215,6 +224,9 @@ def _own_tables(n: int, add_table, mul_table, zero, one) -> tuple:
         one = next((e for e in range(n) if _is_identity(M, e, ident)), None)
         if one is None:
             raise RingAxiomError("no multiplicative identity found in table")
+    for label, e in (("zero", zero), ("one", one)):
+        if not (type(e) is int and 0 <= e < n):
+            raise RingAxiomError(f"{label} {e!r} is not an element 0..{n - 1}")
     return A, M, zero, one
 
 
@@ -298,40 +310,41 @@ def _columns(rows) -> list:
 def validate_ring(ring: FiniteRing) -> None:
     """Check the ring axioms, raising RingAxiomError on the first violation.
 
-    One rule per representation, at every size.  A factory ring is decided
-    by its parts alone, tabled or not: () for Z_n, whose + and * are mod n;
-    (a, b) for a product, a ring exactly when both factors are; (base,) for
-    a matrix or triangular ring, a ring exactly when its base is (see
-    ``_cell_ring``).  Each part is validated in turn, and nothing else: the
-    ring's zero, one and negatives are those the parts give, so a broken
-    part raises its own message, with its own indices.
+    Every ring is validated as it is built, by ``FiniteRing`` or by
+    ``_factory_ring``, so a caller never needs to call this.  One rule per
+    representation, at every size.  A factory ring is decided by its parts
+    alone, tabled or not: () for Z_n, whose + and * are mod n; (a, b) for a
+    product, a ring exactly when both factors are; (base,) for a matrix or
+    triangular ring, a ring exactly when its base is (see ``_cell_ring``).
+    Each part is validated in turn, and nothing else: the ring's zero, one
+    and negatives are those the parts give, so a broken part raises its own
+    message, with its own indices.
 
-    A table is checked from its own rows, whose entries ``FiniteRing`` has
-    already checked to be elements.  The identity, inverse and
-    commutativity laws are whole-row and whole-column compares in C
-    (``_identities_hold``); only when one fails does the element-by-element
-    scan run, to name the first failure.  Up to ``TABLE_LIMIT`` the
-    triple-quantified axioms (associativity of both operations and both
-    distributive laws) are checked exactly, from a generating set of the
-    additive group (``_triple_axioms_hold``), and a table that fails them is
-    reported at its first failing triple in lexicographic order, with its
-    first failing axiom (``_check_blocks``).  Above it they are checked on
-    ``VALIDATION_SAMPLES`` triples drawn from seed ``VALIDATION_SEED``, a
-    sample, not a proof.  No rule calls the ring's ``add`` or ``mul``.
+    A table is checked from its own rows, whose entries, zero and one
+    ``FiniteRing`` has already checked to be elements, and whose negatives
+    it read off the addition table, so that a + (-a) is zero by
+    construction.  The identity and commutativity laws are whole-row and
+    whole-column compares in C; only when an identity law fails does the
+    element-by-element scan run, to name the first failure.  Up to
+    ``TABLE_LIMIT`` the triple-quantified axioms (associativity of both
+    operations and both distributive laws) are checked exactly, from a
+    generating set of the additive group (``_triple_axioms_hold``), and a
+    table that fails them is reported at its first failing triple in
+    lexicographic order, with its first failing axiom (``_check_blocks``).
+    Above it they are checked on ``VALIDATION_SAMPLES`` triples drawn from
+    seed ``VALIDATION_SEED``, a sample, not a proof.  No rule calls the
+    ring's ``add`` or ``mul``.
     """
     if ring._parts is not None:
         for part in ring._parts:
             validate_ring(part)
         return
-    n, A, M = ring.size, ring._add_rows, ring._mul_rows
-    acol = _columns(A)
-    if not _identities_hold(ring, A, M, acol):
-        zero, one = ring.zero, ring.one
-        for a, neg in enumerate(ring._neg_row):
+    n, A, M, zero, one = ring.size, ring._add_rows, ring._mul_rows, ring.zero, ring.one
+    acol, ident = _columns(A), _identity_row(A)
+    if not (A[zero] == acol[zero] == ident and _is_identity(M, one, ident)):
+        for a in range(n):
             if A[zero][a] != a or A[a][zero] != a:
                 raise RingAxiomError(f"additive identity fails at {a}")
-            if A[a][neg] != zero:
-                raise RingAxiomError(f"additive inverse fails at {a}")
             if M[one][a] != a or M[a][one] != a:
                 raise RingAxiomError(f"multiplicative identity fails at {a}")
     if acol != A:
@@ -342,23 +355,6 @@ def validate_ring(ring: FiniteRing) -> None:
     tables = _byte_tables(A, M)
     if not _triple_axioms_hold(tables, _additive_generators(ring)):
         _check_blocks(tables)
-
-
-def _identities_hold(ring: FiniteRing, A, M, acol) -> bool:
-    """Whether the additive identity, inverse and multiplicative identity
-    laws hold, given the rows of both tables and the columns of the first;
-    each law is one compare of whole rows or columns in C.  An index that is
-    not an element gives False, and the scan in ``validate_ring`` then meets
-    it in the order it always has."""
-    zero, one = ring.zero, ring.one
-    try:
-        ident = _identity_row(A)
-        return (A[zero] == acol[zero] == ident
-                # entry (a, -a) of every row a
-                and list(map(getitem, A, ring._neg_row)) == [zero] * ring.size
-                and _is_identity(M, one, ident))
-    except (IndexError, TypeError):
-        return False
 
 
 def _identity_row(rows):
@@ -477,6 +473,19 @@ def _check_triples(A, M, triples) -> None:
 # ---------------------------------------------------------------------------
 # factories
 
+def _factory_ring(size: int, add, mul, negs: list[int], zero: int, one: int, name: str,
+                  parts: tuple, element_repr=None) -> FiniteRing:
+    """The one constructor of the factories' rings: ``add`` and ``mul`` are
+    their rows, kept as built, or functions above ``TABLE_LIMIT``; ``negs``
+    lists the negatives and ``parts`` the rings the ring is built from.  The
+    ring is validated from its parts, which are trusted to determine its
+    arithmetic, negatives, zero and one; ``element_repr`` prints an element."""
+    ring = FiniteRing.__new__(FiniteRing)._fill(size, add, mul, negs, zero, one, name,
+                                                parts, element_repr)
+    validate_ring(ring)
+    return ring
+
+
 def cyclic_ring(n: int) -> FiniteRing:
     """The ring of integers modulo n.  n=1 gives the zero ring.
 
@@ -502,10 +511,7 @@ def cyclic_ring(n: int) -> FiniteRing:
         def mul(a, b):
             return (a * b) % n
 
-    def neg(a):
-        return (-a) % n
-    return FiniteRing(n, add=add, mul=mul, neg=neg, zero=0, one=1 % n, name=f"Z{n}",
-                      parts=())
+    return _factory_ring(n, add, mul, [0, *range(n - 1, 0, -1)], 0, 1 % n, f"Z{n}", ())
 
 
 def _product_rows(P, Q) -> list[bytes]:
@@ -542,17 +548,9 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         def mul(x, y):
             return enc(a.mul(x // bs, y // bs), b.mul(x % bs, y % bs))
     negs = [i * bs + j for i in a._neg_row for j in b._neg_row]
-    return FiniteRing(
-        size,
-        add=add,
-        mul=mul,
-        neg=negs.__getitem__,
-        zero=enc(a.zero, b.zero),
-        one=enc(a.one, b.one),
-        name=f"{a.name}x{b.name}",
-        element_repr=lambda x: f"({a.element_repr(x // bs)},{b.element_repr(x % bs)})",
-        parts=(a, b),
-    )
+    return _factory_ring(
+        size, add, mul, negs, enc(a.zero, b.zero), enc(a.one, b.one), f"{a.name}x{b.name}",
+        (a, b), lambda x: f"({a.element_repr(x // bs)},{b.element_repr(x % bs)})")
 
 
 def _digits(x: int, base: int, count: int) -> list[int]:
@@ -605,9 +603,10 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
     that product, x*y being bilinear when B is a ring.
 
     One cell is the base itself: the ring keeps the base's rows, or its
-    functions, negatives and parts, with the base's indices, zero and one,
-    and prints an element x as [[x]].  With two or more cells the ring
-    has at most 4096 elements, so the base has at most 64 and is tabled.
+    functions, and its negatives, with the base's indices, zero and one,
+    names ``parts=(base,)`` like every other cell ring, and prints an
+    element x as [[x]].  With two or more cells the ring has at most 4096
+    elements, so the base has at most 64 and is tabled.
     """
     if type(k) is not int:
         raise RingAxiomError(f"a matrix ring needs an int k, got {k!r}")
@@ -624,10 +623,9 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
     cells = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
     name = f"{'T' if triangular else 'M'}{k}({base.name})"
     if ncells == 1:
-        return FiniteRing(bs, add=base._add_rows or base._add, mul=base._mul_rows or base._mul,
-                          neg=base.neg, zero=base.zero, one=base.one, name=name,
-                          element_repr=lambda x: f"[[{base.element_repr(x)}]]",
-                          parts=base._parts)
+        return _factory_ring(bs, base._add_rows or base._add, base._mul_rows or base._mul,
+                             base._neg_row, base.zero, base.one, name, (base,),
+                             lambda x: f"[[{base.element_repr(x)}]]")
     pos = {c: t for t, c in enumerate(cells)}
     terms = [[(pos[i, t], pos[t, j]) for t in range(k) if (i, t) in pos and (t, j) in pos]
              for i, j in cells]
@@ -697,8 +695,8 @@ def _cell_ring(base: FiniteRing, k: int, triangular: bool) -> FiniteRing:
             for i in range(k)) + "]"
 
     one = _undigits([base.one if i == j else base.zero for i, j in cells], bs)
-    return FiniteRing(size, add=add, mul=mul, neg=negs.__getitem__, zero=zero_hi + zero_lo,
-                      one=one, name=name, element_repr=element_repr, parts=(base,))
+    return _factory_ring(size, add, mul, negs, zero_hi + zero_lo, one, name, (base,),
+                         element_repr)
 
 
 def matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -730,8 +728,8 @@ def _check_entries(table, n: int, label: str) -> None:
 def table_ring(add_table, mul_table, zero: int | None = None,
                one: int | None = None, name: str = "table") -> FiniteRing:
     """Build a ring from explicit operation tables, validated as it is
-    built: ``FiniteRing``'s table path (``_own_tables``) on
-    n = ``len(add_table)`` elements.
+    built: the public ``FiniteRing`` constructor on n = ``len(add_table)``
+    elements, which every ring that is not a factory's goes through.
 
     More than ``DEFAULT_SIZE_CAP`` rows, or tables that are not both
     n-by-n, are refused before any entry is read.  Every entry must be an
@@ -741,13 +739,23 @@ def table_ring(add_table, mul_table, zero: int | None = None,
     ``TABLE_LIMIT``, above it ``array('H')`` rows, each packed from the
     caller's row in C and range-checked on its bytes.  ``zero`` and ``one``
     are found when not given, and a given one that is not an element raises
-    RingAxiomError.  Up to ``TABLE_LIMIT`` every axiom is checked exactly.
-    Above it every law but the triple axioms is, and those only on
-    ``VALIDATION_SAMPLES`` seeded triples, so a table that breaks
-    associativity or distributivity on a few triples may pass.
+    RingAxiomError.  Each negative is the first index of zero in its row of
+    the sum table; a row without one raises RingAxiomError.  Up to
+    ``TABLE_LIMIT`` every axiom is checked exactly.  Above it every law but
+    the triple axioms is, and those only on ``VALIDATION_SAMPLES`` seeded
+    triples, so a table that breaks associativity or distributivity on a
+    few triples may pass.
     """
     return FiniteRing(len(add_table), add=add_table, mul=mul_table, zero=zero, one=one,
                       name=name)
+
+
+def _unvalidated_table(size: int, add, mul, zero: int | None = None,
+                       one: int | None = None) -> FiniteRing:
+    """The table ``FiniteRing(size, add, mul, zero, one)`` builds, with its
+    negatives read off its rows, before ``validate_ring`` runs: the tests
+    hand the checks tables that break an axiom through it."""
+    return FiniteRing.__new__(FiniteRing)._fill_table(size, add, mul, zero, one, "ring")
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +775,14 @@ def units(ring: FiniteRing) -> list[int]:
     onto, so v*w == 1 for some w, and w == u*v*w == u; so v*u == 1.  The
     units of a factory product, at every size, are the pairs of the
     factors' units, index u_a*|b| + u_b, listed in ascending order without
-    a product of the ring.
+    a product of the ring; those of a one-cell matrix or triangular ring
+    are its base's.
     """
-    if ring._parts is not None and len(ring._parts) == 2:
-        a, b = ring._parts
+    parts = ring._parts or ()
+    if len(parts) == 1 and parts[0].size == ring.size:
+        return units(parts[0])
+    if len(parts) == 2:
+        a, b = parts
         of_b = units(b)
         return [u * b.size + v for u in units(a) for v in of_b]
     return [u for u in ring.elements() if ring.one in ring.mul_row(u)]

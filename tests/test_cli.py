@@ -797,6 +797,25 @@ def test_replay_refuses_an_obstruction_outside_its_annihilator(tmp_path, check):
     assert buf.getvalue() == f"replay {check}: counterexample NOT REPRODUCED\n"
 
 
+@pytest.mark.parametrize("check", ["orbit_condition", "skew_power_series", "obstructions",
+                                   "app_equivalence"])
+def test_replay_recomputes_a_wrong_orbit_annihilator(tmp_path, monkeypatch, check):
+    # an orbit kernel that drops 4 from every annihilator on Z8 makes the
+    # verdict name l(O(4)) = {0, 2, 6}; the replay recomputes the true
+    # {0, 2, 4, 6} from the ring, not from the same kernel, and refuses it
+    import skewseries.ideals as ideals
+    kernel = ideals._orbit_annihilator
+    monkeypatch.setattr(ideals, "_orbit_annihilator",
+                        lambda action, a: kernel(action, a) & ~(1 << 4))
+    code, out, _ = run_to_file(
+        f"ring.kind = cyclic\nring.n = 8\nmonoid.kind = NatAdd\nchecks = {check}\n", tmp_path)
+    assert code == 1
+    assert '"annihilator": [0, 2, 6]' in json.dumps(json.loads(out.read_text()))
+    buf = io.StringIO()
+    assert replay(str(out), stream=buf) == 2
+    assert buf.getvalue() == f"replay {check}: counterexample NOT REPRODUCED\n"
+
+
 @pytest.mark.parametrize("ring_lines, message", [
     ("ring.kind = gallery\nring.name = M2F2\naction.alpha = inner:16",
      "action: 16 is not an element of M2(Z2) (0..15)"),

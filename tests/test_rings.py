@@ -29,8 +29,8 @@ from skewseries.rings import (
     upper_triangular_ring,
     validate_ring,
 )
-from skewseries.rings import (_additive_generators, _byte_tables, _sample_triples,
-                              _triple_axioms_hold)
+from skewseries.rings import (_additive_generators, _byte_tables, _factory_ring,
+                              _sample_triples, _triple_axioms_hold, _unvalidated_table)
 from skewseries.gallery import gallery_names, gallery_ring
 from skewseries.ideals import FL, FR, ZL, ZR, _bits, _members
 
@@ -318,11 +318,10 @@ def _axiom_outcome(check, ring, **options):
 
 
 def _corrupted(data, rings, values):
-    """A builder of a ring of ``rings`` with up to three table entries
-    overwritten by ``values(n)``, unvalidated, and its tables.  Sums are
+    """The tables of a ring of ``rings``, as lists, with up to three entries
+    overwritten by ``values(n)``, and the ring's zero and one.  Sums are
     corrupted in symmetric pairs so that commutativity, checked first, does
-    not catch every change.  The builder raises RingAxiomError when an entry
-    is not an element, as the rows are converted to bytes."""
+    not catch every change."""
     base = data.draw(st.sampled_from(rings), label="ring")
     n = base.size
     add, mul = closure_tables(n, base.add, base.mul)
@@ -333,14 +332,11 @@ def _corrupted(data, rings, values):
             add[a][b] = add[b][a] = v
         else:
             mul[a][b] = v
-    def build():
-        return FiniteRing(n, add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
-                          zero=base.zero, one=base.one, neg=base.neg, validate=False)
-    return build, add, mul
+    return add, mul, base.zero, base.one
 
 
-# Exhaustive oracle outcomes by table contents: the uncorrupted tables of
-# the larger rings come up again and again.
+# Oracle outcomes by table contents: the uncorrupted tables of the larger
+# rings come up again and again.
 _EXHAUSTIVE_OUTCOMES: dict = {}
 
 
@@ -362,20 +358,16 @@ def _entry_outcome(add, mul):
 def test_validate_ring_matches_scalar_oracle_on_corrupted_tables(data):
     # Mostly entries in range; -1 and n are named as entries that are not
     # elements.
-    build, add, mul = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
+    add, mul, zero, one = _corrupted(data, CORRUPTIBLE, lambda n: st.one_of(
         st.integers(0, n - 1), st.sampled_from([-1, n])))
     # A table with entries in range is checked exactly, at every size: the
-    # first failing triple of all.  An entry out of range is named when the
-    # ring is built.
-    expected = _entry_outcome(add, mul)
-    if expected is None:
-        key = repr((add, mul))
-        if key not in _EXHAUSTIVE_OUTCOMES:
-            ring = build()
-            _EXHAUSTIVE_OUTCOMES[key] = _axiom_outcome(
-                validate_ring_oracle, ring, exhaustive_cap=ring.size)
-        expected = _EXHAUSTIVE_OUTCOMES[key]
-    assert _axiom_outcome(lambda _: validate_ring(build()), None) == expected
+    # first failing triple of all.  An entry out of range is named, and a
+    # row of sums without zero refused, when the ring is built.
+    key = repr((add, mul))
+    if key not in _EXHAUSTIVE_OUTCOMES:
+        _EXHAUSTIVE_OUTCOMES[key] = _table_ring_by_scans(add, mul, zero, one)
+    assert _axiom_outcome(lambda _: validate_ring(
+        _unvalidated_table(len(add), add, mul, zero, one)), None) == _EXHAUSTIVE_OUTCOMES[key]
 
 
 def test_tables_above_64_elements_are_checked_on_every_triple():
@@ -383,7 +375,7 @@ def test_tables_above_64_elements_are_checked_on_every_triple():
     Z = cyclic_ring(200)
     add, mul = closure_tables(200, Z.add, Z.mul)
     mul[150][151] = (mul[150][151] + 100) % 200
-    ring = FiniteRing(200, add=add, mul=mul, zero=0, one=1, validate=False)
+    ring = _unvalidated_table(200, add, mul, 0, 1)
     assert _axiom_outcome(validate_ring_oracle, ring) is None
     expected = ("RingAxiomError", "right distributivity fails at (1,149,151)")
     assert _axiom_outcome(validate_ring_oracle, ring, exhaustive_cap=200) == expected
@@ -397,7 +389,7 @@ def test_tables_above_64_elements_report_their_first_failing_triple():
     Z = cyclic_ring(100)
     add, mul = closure_tables(100, Z.add, Z.mul)
     mul[90] = [(x + (c != 1)) % 100 for c, x in enumerate(mul[90])]
-    ring = FiniteRing(100, add=add, mul=mul, zero=0, one=1, validate=False)
+    ring = _unvalidated_table(100, add, mul, 0, 1)
     assert _axiom_outcome(validate_ring_oracle, ring) == \
         ("RingAxiomError", "multiplication not associative at (68,90,77)")
     expected = ("RingAxiomError", "right distributivity fails at (1,89,0)")
@@ -412,8 +404,8 @@ def test_validate_ring_names_the_first_entry_that_is_not_an_element(bad):
     # the addition table is scanned first, row by row
     mul[1][2], add[2][1], add[2][2] = bad, bad, bad
     # named as the rows are converted to bytes, when the ring is built
-    assert _axiom_outcome(lambda _: validate_ring(FiniteRing(
-        3, add=add, mul=mul, zero=0, one=1, neg=Z3.neg, validate=False)), None) == \
+    assert _axiom_outcome(lambda _: validate_ring(_unvalidated_table(3, add, mul, 0, 1)),
+                          None) == \
         ("RingAxiomError", f"add table entry {bad!r} at (2,1) is not an element 0..2")
 
 
@@ -457,9 +449,12 @@ DIFFERENTIAL_RINGS = [
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_exact_triple_check_matches_triple_scan_on_corrupted_tables(data):
-    build, add, mul = _corrupted(data, DIFFERENTIAL_RINGS,
-                                 lambda n: st.integers(0, n - 1))
-    ring = build()
+    add, mul, zero, one = _corrupted(data, DIFFERENTIAL_RINGS,
+                                     lambda n: st.integers(0, n - 1))
+    # a row of sums without zero, refused as the ring is built, breaks a law
+    # checked before the triple axioms
+    assume(all(zero in row for row in add))
+    ring = _unvalidated_table(len(add), add, mul, zero, one)
     expected = _triple_laws_outcome(ring)
     assume(expected is not None)
     assert _fast_outcome(ring, add, mul) == expected
@@ -497,7 +492,7 @@ def test_table_ring_commutativity_above_the_table_limit_matches_oracle(pair):
     ring = _scalar_ring(add_t, mul_t, neg, zero, one)
     assert _axiom_outcome(validate_ring_oracle, ring) == expected
     # the same tables as a FiniteRing, built without validation
-    ring = FiniteRing(n, add=add_t, mul=mul_t, neg=neg, zero=zero, one=one, validate=False)
+    ring = _unvalidated_table(n, add_t, mul_t, zero, one)
     assert _axiom_outcome(validate_ring, ring) == expected
     assert _axiom_outcome(lambda _: table_ring(add_t, mul_t), None) == expected
 
@@ -507,14 +502,14 @@ def test_tabled_commutativity_matches_oracle(pair):
     # a tabled add table is compared with its columns whole; one asymmetric
     # entry, in either order of the pair, names the pair as a scan does
     n = 200
-    add, mul, neg, zero, one = cyclic_ops(n)
+    add, mul, _, zero, one = cyclic_ops(n)
     add_t, mul_t = closure_tables(n, add, mul)
     if pair is not None:
         a, b = pair
         add_t[a][b] = (a + b + 1) % n
     expected = None if pair is None else \
         ("RingAxiomError", f"addition not commutative at ({min(pair)},{max(pair)})")
-    ring = FiniteRing(n, add=add_t, mul=mul_t, neg=neg, zero=zero, one=one, validate=False)
+    ring = _unvalidated_table(n, add_t, mul_t, zero, one)
     assert ring.tables is not None
     assert _axiom_outcome(validate_ring_oracle, ring) == expected
     assert _axiom_outcome(validate_ring, ring) == expected
@@ -534,8 +529,7 @@ def _near_ring(k: int, opposite: bool) -> FiniteRing:
     mul = [[index[tuple(f[x] for x in g)] for g in maps] for f in maps]
     if opposite:
         mul = [list(col) for col in zip(*mul)]
-    return FiniteRing(len(maps), add=lambda a, b: add[a][b], mul=lambda a, b: mul[a][b],
-                      zero=index[(0,) * k], one=index[tuple(range(k))], validate=False)
+    return _unvalidated_table(len(maps), add, mul, index[(0,) * k], index[tuple(range(k))])
 
 
 @pytest.mark.parametrize("k", [3, 4])  # 27 and 256 elements
@@ -568,7 +562,7 @@ def _unital_algebra(p: int, constants) -> FiniteRing:
     add = [[pack([u + v for u, v in zip(dx, dy)]) for dy in digits] for dx in digits]
     mul = [[pack([sum(dx[i] * dy[j] * basis[i][j][t] for i in range(d) for j in range(d))
                   for t in range(d)]) for dy in digits] for dx in digits]
-    return FiniteRing(n, add=add, mul=mul, zero=0, one=1, validate=False)
+    return _unvalidated_table(n, add, mul, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -745,14 +739,14 @@ def _broken_cyclic(n: int) -> FiniteRing:
     but 0 and 1 still act as they should."""
     add, mul = ([list(row) for row in table] for table in cyclic_ring(n).tables)
     mul[2][2] = 2
-    return FiniteRing(n, add=add, mul=mul, zero=0, one=1, validate=False)
+    return _unvalidated_table(n, add, mul, 0, 1)
 
 
 def _broken_sum_z3() -> FiniteRing:
     """Z3 with 0 + 1 = 1 + 0 = 2, built without validation."""
     add, mul = ([list(row) for row in table] for table in cyclic_ring(3).tables)
     add[0][1] = add[1][0] = 2
-    return FiniteRing(3, add=add, mul=mul, zero=0, one=1, validate=False)
+    return _unvalidated_table(3, add, mul, 0, 1)
 
 
 @pytest.mark.parametrize("broken, build", [
@@ -811,14 +805,14 @@ def test_the_generator_search_refuses_a_zero_that_is_no_identity():
                          ids=["Z6xZ10", "M2(Z3)", "T3(Z2)"])
 def test_a_corrupted_factory_table_is_checked_from_its_rows(build):
     # a factory's parts are its own promise: the same rows with one product
-    # changed, given to table_ring or to FiniteRing without parts, are
-    # decided from the rows, at the oracle's first failing triple
+    # changed, given to table_ring or to FiniteRing, are decided from the
+    # rows, at the oracle's first failing triple
     ring = build()
     n, zero, one = ring.size, ring.zero, ring.one
     add, mul = table_lists(ring.tables)
     mul[n - 1][n - 1] = add[mul[n - 1][n - 1]][one]
-    expected = _axiom_outcome(validate_ring_oracle, FiniteRing(
-        n, add=add, mul=mul, zero=zero, one=one, validate=False), exhaustive_cap=n)
+    expected = _axiom_outcome(validate_ring_oracle, _unvalidated_table(n, add, mul, zero, one),
+                              exhaustive_cap=n)
     assert expected is not None and expected[0] == "RingAxiomError"
     for make in (lambda: table_ring(add, mul),
                  lambda: FiniteRing(n, add=add, mul=mul, zero=zero, one=one)):
@@ -877,16 +871,54 @@ def test_factory_rings_are_validated_without_their_own_operations(build, table):
     assert calls == []
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_functions_above_the_table_limit_need_their_parts(validate):
-    # without parts, or with parts but without the negatives they give
+@pytest.mark.parametrize("keywords", [True, False])
+def test_functions_above_the_table_limit_need_their_parts(keywords):
+    # a ring on functions above the limit is a factory's, which names its
+    # parts and negatives through _factory_ring; FiniteRing refuses such
+    # functions, and takes no parts, negatives, printer or skipped check
     n = TABLE_LIMIT + 1
-    for only in ({"neg": lambda a: -a % n}, {"parts": ()}):
-        with pytest.raises(RingAxiomError, match=(
-                r"^a ring of 257 > 256 elements is built by cyclic_ring, product_ring, "
-                r"matrix_ring, upper_triangular_ring or table_ring$")):
-            FiniteRing(n, add=lambda a, b: (a + b) % n, mul=lambda a, b: a * b % n,
-                       zero=0, one=1, validate=validate, **only)
+    ops = {"add": lambda a, b: (a + b) % n, "mul": lambda a, b: a * b % n, "zero": 0, "one": 1}
+    if keywords:
+        for keyword in ({"neg": lambda a: -a % n}, {"parts": ()}, {"validate": False},
+                        {"element_repr": str}):
+            with pytest.raises(TypeError, match=rf"unexpected keyword argument '{[*keyword][0]}'"):
+                FiniteRing(n, **ops, **keyword)
+        return
+    with pytest.raises(RingAxiomError, match=(
+            r"^a ring of 257 > 256 elements is built by cyclic_ring, product_ring, "
+            r"matrix_ring, upper_triangular_ring or table_ring$")):
+        FiniteRing(n, **ops)
+    ring = _factory_ring(n, ops["add"], ops["mul"], [-a % n for a in range(n)], 0, 1, "Z257",
+                         ())
+    assert (ring.tables, ring.add(200, 100), ring.mul(20, 20), ring.neg(1)) == \
+        (None, 43, 143, 256)
+
+
+def _z6_tables() -> tuple:
+    """The sum and product tables of Z6, as lists."""
+    return closure_tables(6, *cyclic_ops(6)[:2])
+
+
+def test_a_table_with_a_broken_product_is_refused_from_its_rows():
+    # Z6 with 5*5 set to 0 is no ring, and a caller cannot vouch for it by
+    # naming parts: its rows decide it, at the oracle's first failing triple
+    add, mul = _z6_tables()
+    mul[5][5] = 0
+    expected = _axiom_outcome(validate_ring_oracle, _unvalidated_table(6, add, mul, 0, 1),
+                              exhaustive_cap=6)
+    assert expected == ("RingAxiomError", "right distributivity fails at (1,4,5)")
+    assert _axiom_outcome(lambda _: FiniteRing(6, add, mul, zero=0, one=1), None) == expected
+    with pytest.raises(TypeError, match="unexpected keyword argument 'parts'"):
+        FiniteRing(6, add, mul, zero=0, one=1, parts=())
+
+
+def test_a_table_takes_its_units_from_its_rows_not_from_named_parts():
+    # Z6's own tables with Z2 and Z3 named as parts would read units off
+    # the parts' index pairs, [4, 5]; the rows give 1 and 5
+    add, mul = _z6_tables()
+    assert units(FiniteRing(6, add, mul)) == [1, 5] == sorted(units_by_scan(cyclic_ring(6)))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'parts'"):
+        FiniteRing(6, add, mul, parts=(cyclic_ring(2), cyclic_ring(3)))
 
 
 def test_table_ring_size_cap():
@@ -922,6 +954,17 @@ def test_additive_generators_are_those_of_the_span_search(build):
     # FACTORY_CASES includes Z1, whose one is its zero.
     ring = build()
     assert _additive_generators(ring) == additive_generators_by_span(ring)
+
+
+@pytest.mark.parametrize("name", ["Z0", "Z007", "Z01", "Z\u0663", "z7", "Z7 ", "M2F2x"])
+def test_gallery_accepts_only_the_names_it_lists(name):
+    # none is a listed name: Z007, Z01 and Z with an Arabic-Indic three
+    # would be second cache keys, and second instances, of Z7, Z1 and Z3
+    with pytest.raises(KeyError, match=rf"^'unknown gallery ring: {re.escape(name)}'$"):
+        gallery_ring(name)
+    with pytest.raises(KeyError, match=r"^'cyclic gallery rings stop at Z64'$"):
+        gallery_ring("Z65")
+    assert [gallery_ring(name).size for name in gallery_names()[:64]] == list(range(1, 65))
 
 
 def _relabelled_cyclic(b: int, perm: list[int]):
@@ -987,12 +1030,13 @@ def test_table_ring_owns_copies_of_its_rows(n):
 
 
 def _table_ring_by_scans(add, mul, zero=None, one=None):
-    """What ``table_ring`` must give on list tables above TABLE_LIMIT, by
-    scalar scans: the first entry that is not an element, the first row
-    that is the identity of + and the first element that is the identity of
-    * on both sides, the first index of zero in each row of the addition
-    table, then ``validate_ring_oracle`` on those, with its 2000 triples of
-    seed 0.  None, or the error's type and text."""
+    """What ``table_ring`` must give on list tables, by scalar scans: the
+    first entry that is not an element, the first row that is the identity
+    of + and the first element that is the identity of * on both sides, the
+    first index of zero in each row of the addition table, then
+    ``validate_ring_oracle`` on those, on every triple up to TABLE_LIMIT
+    and above it on its 2000 triples of seed 0.  None, or the error's type
+    and text."""
     n = len(add)
     outcome = _entry_outcome(add, mul)
     if outcome is not None:
@@ -1011,7 +1055,8 @@ def _table_ring_by_scans(add, mul, zero=None, one=None):
             return "RingAxiomError", f"element {a} has no additive inverse"
     neg = [row.index(zero) for row in add]
     return _axiom_outcome(validate_ring_oracle,
-                          _scalar_ring(add, mul, neg.__getitem__, zero, one))
+                          _scalar_ring(add, mul, neg.__getitem__, zero, one),
+                          exhaustive_cap=TABLE_LIMIT)
 
 
 # Z12xZ25 relabelled, a 300-element table ring, with its zero, one and negatives
@@ -1175,10 +1220,13 @@ def test_units_of_a_closure_backed_product_match_the_element_scan(build):
 
 @pytest.mark.parametrize("build", [lambda: cyclic_ring(300),
                                    lambda: matrix_ring(cyclic_ring(300), 1),
-                                   lambda: upper_triangular_ring(cyclic_ring(7), 2)],
-                         ids=["Z300", "M1(Z300)", "T2(Z7)"])
+                                   lambda: upper_triangular_ring(cyclic_ring(7), 2),
+                                   lambda: matrix_ring(_small_product(2, 300), 1)],
+                         ids=["Z300", "M1(Z300)", "T2(Z7)", "M1(Z2xZ300)"])
 def test_units_of_closure_backed_rings_that_are_not_products_match_the_scan(build):
-    # the row rule on closure rows: u is a unit when its row holds 1
+    # the row rule on closure rows: u is a unit when its row holds 1; a
+    # one-cell ring takes its base's units, by the factors' rule over a
+    # product
     ring = build()
     assert ring.tables is None and len(ring._parts) < 2
     _check_units_against_scan(ring)
@@ -1339,9 +1387,8 @@ def test_automorphism_validation_reads_only_the_generator_rows():
             return op(a, b)
         return call
 
-    ring = FiniteRing(base.size, add=counted(base.add, "add"), mul=counted(base.mul, "mul"),
-                      neg=base.neg, zero=base.zero, one=base.one, validate=False,
-                      parts=base._parts)
+    ring = _factory_ring(base.size, counted(base.add, "add"), counted(base.mul, "mul"),
+                         base._neg_row, base.zero, base.one, base.name, base._parts)
     n, gens = ring.size, _additive_generators(ring)
     calls.update(add=0, mul=0)
     RingAut(ring, swap_automorphism(base).perm).validate()
