@@ -252,7 +252,7 @@ def _resolve_automorphism(ring: FiniteRing, spec: str) -> RingAut:
     if spec.startswith("images:"):
         try:
             perm = [int(x) for x in spec[len("images:"):].split(",")]
-            return RingAut(ring, perm, validate=True)
+            return RingAut(ring, perm)
         except (ValueError, RingAxiomError) as exc:
             raise JobSpecError(f"action: bad image list: {exc}")
     try:

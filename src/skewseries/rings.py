@@ -2,7 +2,7 @@
 
 A ring is a set of element indices ``0..size-1`` together with addition and
 multiplication maps.  There are two ways to make one, and every
-``FiniteRing`` a caller can hold has passed ``validate_ring`` on the way:
+``FiniteRing`` a caller can hold was checked once, where it was made:
 
 - a table: the public constructor ``FiniteRing(size, add, mul, zero=None,
   one=None, name="ring")``, which ``table_ring`` calls, takes the two
@@ -13,8 +13,9 @@ multiplication maps.  There are two ways to make one, and every
   ``matrix_ring`` or ``upper_triangular_ring`` at any size through the
   private ``_factory_ring``, the only constructor that takes negatives and
   ``parts``, the rings a ring is built from: () for Z_n, (a, b) for a
-  product, (base,) for a matrix or triangular ring.  It is decided from
-  its parts.
+  product, (base,) for a matrix or triangular ring.  It is a ring by
+  construction: its parts were checked when they were made, and they
+  determine its arithmetic, so nothing checks it again.
 
 Either keeps its arithmetic as its own rows of both operation tables, entry
 ``row[b]``, up to ``TABLE_LIMIT`` = 256 elements, as ``bytes``, where every
@@ -35,13 +36,12 @@ table; a one-cell matrix or triangular ring is its base under another
 name.  Larger matrix and triangular rings add through two half-digit
 tables and multiply through the partial products, kept as lists.
 
-Validation has one rule per representation at every size, and no rule
-calls the ring's ``add`` or ``mul``: a factory ring from its parts alone,
-never its rows; a table from its own rows, exactly up to ``TABLE_LIMIT``,
-and above it its identity and commutativity laws exactly, by whole-row
-compares in C, and its triple axioms only on a seeded random sample of
-triples.  ``FiniteRing`` refuses functions above ``TABLE_LIMIT``: a ring
-on functions is a factory's.
+``validate_ring`` decides a table from its own rows and never calls the
+ring's ``add`` or ``mul``: exactly up to ``TABLE_LIMIT``, and above it its
+identity and commutativity laws exactly, by whole-row compares in C, and
+its triple axioms only on a seeded random sample of triples.
+``FiniteRing`` refuses functions above ``TABLE_LIMIT``: a ring on
+functions is a factory's.
 
 Every whole-row reader takes its rows from ``FiniteRing.add_row``/``mul_row``:
 the unit search (a unit is an element whose row of the product holds 1),
@@ -49,7 +49,11 @@ the unit search (a unit is an element whose row of the product holds 1),
 A ring map is an automorphism when it respects + and * on the rows of an
 additive generating set: the elements whose rows it respects are closed
 under +.  ``RingAut.validate`` and ``automorphisms`` use that argument, so
-a ring on functions costs |G|*n products, not n^2.
+a ring on functions costs |G|*n products, not n^2.  Every ``RingAut`` a
+caller can hold is an automorphism, checked once: the public constructor
+always validates, and only maps that are automorphisms by construction
+(the identity, compositions and inverses, inner automorphisms and the maps
+``automorphisms`` finds) skip the check, through ``RingAut._trusted``.
 """
 
 from __future__ import annotations
@@ -97,10 +101,11 @@ class FiniteRing:
 
     The factories build their rings through ``_factory_ring`` instead, from
     their rows or functions, negatives, zero, one and ``parts``, the tuple of
-    rings they are built from, kept at every size; ``validate_ring`` decides
-    such a ring from its parts.  A ring without parts (``_parts`` None) is a
+    rings they are built from, kept at every size; such a ring is a ring
+    because its parts are.  A ring without parts (``_parts`` None) is a
     table.  No public name takes parts, negatives or a skipped validation,
-    so every ``FiniteRing`` a caller holds has passed ``validate_ring``.
+    so every ``FiniteRing`` a caller holds was checked once, where it was
+    made: a table by ``validate_ring``, a factory ring through its parts.
 
     A ``zero`` or ``one`` that is not an element, an int 0..size-1 and not
     a bool, raises RingAxiomError.  Instances are immutable after
@@ -308,17 +313,15 @@ def _columns(rows) -> list:
 
 
 def validate_ring(ring: FiniteRing) -> None:
-    """Check the ring axioms, raising RingAxiomError on the first violation.
+    """Check the ring axioms of a table, raising RingAxiomError on the first
+    violation.
 
-    Every ring is validated as it is built, by ``FiniteRing`` or by
-    ``_factory_ring``, so a caller never needs to call this.  One rule per
-    representation, at every size.  A factory ring is decided by its parts
-    alone, tabled or not: () for Z_n, whose + and * are mod n; (a, b) for a
+    ``FiniteRing`` runs this on every table it builds, so a caller never
+    needs to.  A factory ring passes at once, tabled or not: it is a ring
+    because its parts are, and each part was checked when it was made.
+    Its parts are () for Z_n, whose + and * are mod n; (a, b) for a
     product, a ring exactly when both factors are; (base,) for a matrix or
     triangular ring, a ring exactly when its base is (see ``_cell_ring``).
-    Each part is validated in turn, and nothing else: the ring's zero, one
-    and negatives are those the parts give, so a broken part raises its own
-    message, with its own indices.
 
     A table is checked from its own rows, whose entries, zero and one
     ``FiniteRing`` has already checked to be elements, and whose negatives
@@ -336,8 +339,6 @@ def validate_ring(ring: FiniteRing) -> None:
     ring's ``add`` or ``mul``.
     """
     if ring._parts is not None:
-        for part in ring._parts:
-            validate_ring(part)
         return
     n, A, M, zero, one = ring.size, ring._add_rows, ring._mul_rows, ring.zero, ring.one
     acol, ident = _columns(A), _identity_row(A)
@@ -477,13 +478,12 @@ def _factory_ring(size: int, add, mul, negs: list[int], zero: int, one: int, nam
                   parts: tuple, element_repr=None) -> FiniteRing:
     """The one constructor of the factories' rings: ``add`` and ``mul`` are
     their rows, kept as built, or functions above ``TABLE_LIMIT``; ``negs``
-    lists the negatives and ``parts`` the rings the ring is built from.  The
-    ring is validated from its parts, which are trusted to determine its
-    arithmetic, negatives, zero and one; ``element_repr`` prints an element."""
-    ring = FiniteRing.__new__(FiniteRing)._fill(size, add, mul, negs, zero, one, name,
-                                                parts, element_repr)
-    validate_ring(ring)
-    return ring
+    lists the negatives and ``parts`` the rings the ring is built from.  It
+    checks nothing: the parts were checked when they were made, and they
+    determine the ring's arithmetic, negatives, zero and one, so the ring is
+    valid by construction; ``element_repr`` prints an element."""
+    return FiniteRing.__new__(FiniteRing)._fill(size, add, mul, negs, zero, one, name, parts,
+                                                element_repr)
 
 
 def cyclic_ring(n: int) -> FiniteRing:
@@ -803,35 +803,51 @@ def unit_inverse(ring: FiniteRing, u: int) -> int:
 # automorphisms
 
 class RingAut:
-    """A ring automorphism stored as the image array of every element."""
+    """A ring automorphism stored as the image array of every element.
+
+    ``RingAut(ring, perm)`` always validates ``perm`` and raises
+    RingAxiomError unless it is an automorphism of ``ring``.  The private
+    ``RingAut._trusted`` skips the check, for maps that are automorphisms by
+    construction: ``identity_automorphism``, ``compose`` and ``inverse``,
+    ``inner_automorphism`` and the maps ``automorphisms`` finds.  So every
+    ``RingAut`` a caller holds was checked once, where it was made.
+    """
 
     __slots__ = ("ring", "perm")
 
-    def __init__(self, ring: FiniteRing, perm, validate: bool = False):
+    def __init__(self, ring: FiniteRing, perm):
         self.ring = ring
         self.perm = tuple(perm)
-        if validate:
-            self.validate()
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, ring: FiniteRing, perm) -> "RingAut":
+        """The map ``perm`` of ``ring``, unchecked: it must be an
+        automorphism by construction."""
+        aut = object.__new__(cls)
+        aut.ring, aut.perm = ring, tuple(perm)
+        return aut
 
     def validate(self) -> None:
         """Raise RingAxiomError unless ``perm`` is a ring automorphism.
 
-        Row a holds when perm carries row a of each table onto the row of
-        perm[a], permuted by perm: phi(a+b) == phi(a)+phi(b) and
-        phi(ab) == phi(a)phi(b) for every b.  Only the rows a in
-        G = ``_additive_generators(ring)`` are tested, which is exact: the a
-        whose additive row holds are closed under + and contain G, so they
-        are all of R; given additivity, so are the a whose multiplicative
-        row holds.  The rows come from ``add_row``/``mul_row``, compared in
-        C on a tabled ring: |G|*n pairs instead of n^2.  Only when a
-        generator row fails are the rows scanned in order, and the first
-        failing row pair by pair, so the message names the first failing
-        pair (a, b) and law, as a plain scan does; that failure path costs
-        the n^2 it always has.
+        ``perm`` is a bijection when it lists every element index once, each
+        an int (not a bool, nor a float equal to one).  Row a holds when
+        perm carries row a of each table onto the row of perm[a], permuted
+        by perm: phi(a+b) == phi(a)+phi(b) and phi(ab) == phi(a)phi(b) for
+        every b.  Only the rows a in G = ``_additive_generators(ring)`` are
+        tested, which is exact: the a whose additive row holds are closed
+        under + and contain G, so they are all of R; given additivity, so
+        are the a whose multiplicative row holds.  The rows come from
+        ``add_row``/``mul_row``, compared in C on a tabled ring: |G|*n pairs
+        instead of n^2.  Only when a generator row fails are the rows
+        scanned in order, and the first failing row pair by pair, so the
+        message names the first failing pair (a, b) and law, as a plain scan
+        does; that failure path costs the n^2 it always has.
         """
         ring, perm = self.ring, self.perm
         n = ring.size
-        if len(perm) != n or set(perm) != set(range(n)):
+        if len(perm) != n or set(map(type, perm)) != {int} or set(perm) != set(range(n)):
             raise RingAxiomError("automorphism image array is not a bijection")
         if perm[ring.one] != ring.one:
             raise RingAxiomError("automorphism does not fix 1")
@@ -856,14 +872,17 @@ class RingAut:
         return self.perm[a]
 
     def compose(self, other: "RingAut") -> "RingAut":
-        # (self @ other)(x) = self(other(x))
-        return RingAut(self.ring, tuple(self.perm[p] for p in other.perm))
+        """x -> self(other(x)); ValueError when ``other`` is not an
+        automorphism of the same ring."""
+        if other.ring is not self.ring:
+            raise ValueError("cannot compose automorphisms of different rings")
+        return RingAut._trusted(self.ring, map(self.perm.__getitem__, other.perm))
 
     def inverse(self) -> "RingAut":
         inv = [0] * len(self.perm)
         for i, p in enumerate(self.perm):
             inv[p] = i
-        return RingAut(self.ring, tuple(inv))
+        return RingAut._trusted(self.ring, inv)
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
@@ -879,7 +898,7 @@ class RingAut:
 
 
 def identity_automorphism(ring: FiniteRing) -> RingAut:
-    return RingAut(ring, tuple(range(ring.size)))
+    return RingAut._trusted(ring, range(ring.size))
 
 
 def swap_automorphism(ring: FiniteRing) -> RingAut:
@@ -892,14 +911,15 @@ def swap_automorphism(ring: FiniteRing) -> RingAut:
     if bs * bs != n:
         raise RingAxiomError(f"{ring.name} is not a square product; swap undefined")
     perm = [(x % bs) * bs + (x // bs) for x in range(n)]
-    return RingAut(ring, perm, validate=True)
+    return RingAut(ring, perm)
 
 
 def inner_automorphism(ring: FiniteRing, u: int) -> RingAut:
-    """Conjugation x -> u*x*u^-1 by the unit ``u``."""
+    """Conjugation x -> u*x*u^-1 by the unit ``u``, an automorphism since
+    ``unit_inverse`` checks that u is a unit."""
     ui = unit_inverse(ring, u)
     perm = [ring.mul(ring.mul(u, x), ui) for x in range(ring.size)]
-    return RingAut(ring, perm)
+    return RingAut._trusted(ring, perm)
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
@@ -1021,8 +1041,9 @@ def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
     generators, idempotents to idempotents.  It is exact: a map consistent
     on every such edge is additive, since the y with
     phi(x + y) = phi(x) + phi(y) for all x contain G and are closed under +,
-    and then multiplicative by the same argument for products.  A ring of
-    more than ``cap`` elements raises ValueError.
+    and then multiplicative by the same argument for products, so the maps
+    it finds are not checked again.  A ring of more than ``cap`` elements
+    raises ValueError.
     """
     if ring.size > cap:
         raise ValueError(f"{ring.name} has {ring.size} elements; raise cap")
@@ -1065,5 +1086,5 @@ def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
     assign(phi, taken, ring.one, ring.one)
     search(phi, taken)
     ident = tuple(range(n))
-    return [RingAut(ring, p) for p in [ident] + sorted(p for p in found if p != ident)]
+    return [RingAut._trusted(ring, p) for p in [ident] + sorted(p for p in found if p != ident)]
 

@@ -88,7 +88,9 @@ class OmegaAction:
                          which must commute
       NatMulDirichlet    neither (the identity on every exponent)
 
-    An image that does not fit the kind raises ValueError.
+    An image that does not fit the kind, or is not a ``RingAut`` of
+    ``ring``, raises ValueError.  Images are not validated again: every
+    ``RingAut`` was checked once, where it was made.
 
     Evaluations are memoized; since the automorphism group is finite the set
     of values {w_s} is finite and has concrete exponent representatives.
@@ -110,9 +112,6 @@ class OmegaAction:
         for aut in (alpha, beta):
             if not isinstance(aut, RingAut) or aut.ring is not ring:
                 raise ValueError("generator images must be automorphisms of the same ring")
-            # the identity map is an automorphism of every ring
-            if aut.perm != ident.perm:
-                aut.validate()
         kind = monoid.kind
         if monoid._pair:
             if alpha.compose(beta) != beta.compose(alpha):

@@ -302,7 +302,7 @@ def ring_aut_validate_oracle(aut) -> None:
 
     ring, perm = aut.ring, aut.perm
     n = ring.size
-    if len(perm) != n or set(perm) != set(range(n)):
+    if len(perm) != n or any(type(p) is not int for p in perm) or set(perm) != set(range(n)):
         raise RingAxiomError("automorphism image array is not a bijection")
     if perm[ring.one] != ring.one:
         raise RingAxiomError("automorphism does not fix 1")

@@ -30,6 +30,7 @@ from skewseries.rings import (
     _additive_generators,
     automorphisms,
     cyclic_ring,
+    identity_automorphism,
     inner_automorphism,
     product_ring,
     table_ring,
@@ -67,9 +68,10 @@ from oracles import (
     orbit_condition_by_scan,
     quasi_baer_by_scan,
     right_pp_by_scan,
+    ring_aut_validate_oracle,
     table_lists,
 )
-from strategies import cell_rings, rings
+from strategies import cell_rings, matrix_subrings, rings
 
 # deterministic draws, so a failure reproduces and tier-1 time stays fixed
 RANDOM = settings(deadline=None, derandomize=True)
@@ -210,6 +212,33 @@ def test_first_failure_tests_each_generator_once_per_representative(ring_name, a
 def test_automorphisms_match_the_additive_extension_search(ring):
     assert [aut.perm for aut in automorphisms(ring)] == \
         automorphism_perms_by_additive_extension(ring)
+
+
+@settings(RANDOM, max_examples=40)
+@given(st.one_of(matrix_subrings(),
+                 st.tuples(rings(max_size=8), rings(max_size=8)).map(
+                     lambda pair: product_ring(*pair)),
+                 cell_rings(max_size=64).map(lambda drawn: drawn[0])))
+def test_automorphisms_built_unchecked_pass_the_pair_scan(ring):
+    # identity_automorphism, inner_automorphism, automorphisms, compose and
+    # inverse build their maps without RingAut.validate, and OmegaAction
+    # checks no image, so the scan of every pair checks each distinct map
+    # they give, and every value of a single and a pair action's closure
+    found = automorphisms(ring)
+    maps = [identity_automorphism(ring), *(inner_automorphism(ring, u) for u in units(ring)),
+            *found]
+    inverses = [a.inverse() for a in maps]
+    assert all(a.compose(b).is_identity() and b.compose(a).is_identity()
+               for a, b in zip(maps, inverses))
+    maps += inverses + [a.compose(b) for a in found for b in found]
+    nat, pair = make_monoid("NatAdd"), make_monoid("NatPairLex")
+    commuting = [(a, b) for a in found for b in found if a.compose(b) == b.compose(a)]
+    actions = [OmegaAction(nat, ring, a) for a in {a.perm: a for a in maps}.values()]
+    actions.append(OmegaAction(pair, ring, *commuting[-1]))
+    maps += [aut for action in actions for _, aut in action.closure()]
+    assert all(aut.ring is ring for aut in maps)
+    for aut in {aut.perm: aut for aut in maps}.values():
+        ring_aut_validate_oracle(aut)
 
 
 @settings(RANDOM, max_examples=30)

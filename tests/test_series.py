@@ -195,21 +195,28 @@ def test_the_forwards_build_what_the_constructor_builds(kind):
             lambda: OmegaAction(monoid, F22, SWAP, beta))
 
 
-def test_only_images_other_than_the_identity_are_validated(monkeypatch):
+def test_the_action_validates_no_image(monkeypatch):
+    # every RingAut was checked once, where it was made, so no action checks
+    # its images again: not a single image, not a pair, not the identity
     validated = []
     original = RingAut.validate
     monkeypatch.setattr(RingAut, "validate",
                         lambda aut: validated.append(aut.perm) or original(aut))
-    OmegaAction(make_monoid("NatAdd"), F22, RingAut(F22, range(4)))
+    images = [RingAut(F22, range(4)), RingAut(F22, SWAP.perm)]
+    assert validated == [tuple(range(4)), SWAP.perm]
+    validated.clear()
+    OmegaAction(make_monoid("NatAdd"), F22, images[1])
+    OmegaAction(make_monoid("NatPairLex"), F22, *images)
+    OmegaAction(make_monoid("NatPairLex"), F22, SWAP, SWAP)
+    OmegaAction(make_monoid("NatMulDirichlet"), F22, images[0])
     assert validated == []
-    OmegaAction(make_monoid("NatAdd"), F22, SWAP)
-    assert validated == [SWAP.perm]
 
 
 @pytest.mark.parametrize("perm", [range(3), range(5), [0, 1, 2, 2], [1, 0, 2, 3]])
 def test_identity_like_images_of_the_wrong_shape_are_rejected(perm):
     # identity prefixes and extensions, a non-bijection, and a bijection that
-    # moves zero: none is the identity of F2xF2, so each is validated
+    # moves zero: none is the identity of F2xF2, so the constructor refuses
+    # each
     with pytest.raises(RingAxiomError):
         OmegaAction(make_monoid("NatAdd"), F22, RingAut(F22, perm))
 
