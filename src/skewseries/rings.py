@@ -811,6 +811,9 @@ class RingAut:
     construction: ``identity_automorphism``, ``compose`` and ``inverse``,
     ``inner_automorphism`` and the maps ``automorphisms`` finds.  So every
     ``RingAut`` a caller holds was checked once, where it was made.
+
+    Two maps are equal when they are maps of one ring instance with the same
+    image array; maps of two rings are never equal.
     """
 
     __slots__ = ("ring", "perm")
@@ -888,10 +891,10 @@ class RingAut:
         return all(p == i for i, p in enumerate(self.perm))
 
     def __eq__(self, other):
-        return isinstance(other, RingAut) and self.perm == other.perm
+        return isinstance(other, RingAut) and self.ring is other.ring and self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.perm)
+        return hash((id(self.ring), self.perm))
 
     def __repr__(self):
         return f"RingAut({self.ring.name}, {self.perm})"

@@ -96,8 +96,11 @@ class OmegaAction:
     of values {w_s} is finite and has concrete exponent representatives.
 
     An action also keeps, once computed, ``_orbit``, the orbit record of
-    ``ideals``, and ``_pair_draw``, what ``theorems.random_annihilating_pair``
-    draws from.
+    ``ideals``, ``_pair_draw``, what ``theorems.random_annihilating_pair``
+    draws from, and ``_classes``, the term classes the pair checks of
+    ``theorems`` have decided: (g(u), w_u.perm, f(v)) -> the first (s, r)
+    with g(u) * w_u(r * w_s(f(v))) != 0, or None.  A fresh action starts
+    with none decided.
 
     Cache inserts are idempotent, so concurrent readers are safe as long as
     writes come from one thread at a time.
@@ -130,6 +133,7 @@ class OmegaAction:
         self._closure: tuple | None = None
         self._orbit: tuple | None = None
         self._pair_draw: tuple | None = None
+        self._classes: dict = {}
 
     def automorphism(self, s) -> RingAut:
         """The automorphism at exponent s."""

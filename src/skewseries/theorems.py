@@ -20,7 +20,10 @@ The central facts being checked, stated operationally:
 
 Every quantifier over middles r x^s and over the r of the coefficientwise
 conclusion is ``series._first_failure``: decided on the additive generators
-of R, with all of R scanned only to name the first failure.  An
+of R, with all of R scanned only to name the first failure.  The pair checks
+of the harnesses decide term classes: a term g(u) * w_u(r * w_s(f(v)))
+depends on (u, v) only through (g(u), w_u, f(v)), and each such class is
+decided once per action (``_term_failure``).  An
 obstruction's claim, b in I and no x in I with b*x == b, is ``_is_blocked``,
 which ``cli`` replays too.
 
@@ -62,7 +65,6 @@ from .series import (
     _first_failure,
     _middle_test,
     annihilates_via_all_middles,
-    convolve,
     zero_series,
 )
 
@@ -118,8 +120,8 @@ def check_coefficientwise_annihilation(g: SkewSeries, f: SkewSeries) -> Property
     (``"conclusion"``), since only the latter contradicts the statement.
     ``products_checked`` counts the products the conclusion covers,
     |supp g| * |supp f| * |exponent representatives| * |R|, although each
-    distinct (g(u), w_u, f(v)) is tested only once, on the additive
-    generators of R (``series._first_failure``).
+    distinct (g(u), w_u, f(v)) is decided only once per action, on the
+    additive generators of R (``_term_failure``).
     """
     g._require_same_context(f)
     ring = g.action.ring
@@ -140,31 +142,53 @@ def _coefficientwise_conclusion(g: SkewSeries, f: SkewSeries) -> PropertyReport:
     pair whose hypotheses hold."""
     action = g.action
     ring = action.ring
-    # g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through the class
-    # (g(u), w_u) and the value f(v): decide each (class, value) once.
-    mul, zero, automorphism = ring.mul, ring.zero, action.automorphism
-    twists = {u: action.automorphism(u).perm for u in g.coeffs}
-    values = set(f.coeffs.values())
-    violations = {}
-    for gu, twist_u in {(gu, twists[u]) for u, gu in g.coeffs.items()}:
-        for fv in values:
-            hit = _first_failure(
-                action, lambda s, r: mul(gu, twist_u[mul(r, automorphism(s).perm[fv])]) != zero)
-            if hit is not None:
-                violations[gu, twist_u, fv] = hit
-    if violations:
+    if not _terms_vanish(g, f):
         # The first violation in (u, v, s, r) order lies in the first failing
-        # (u, v) pair, at that pair's first failing (s, r).
-        u, v = next((u, v) for u, gu in g.coeffs.items() for v, fv in f.coeffs.items()
-                    if (gu, twists[u], fv) in violations)
-        s, r = violations[g.coeffs[u], twists[u], f.coeffs[v]]
-        return PropertyReport(
-            ring.name, "coefficientwise_annihilation", False,
-            {"failure": "conclusion",
-             "violation": {"u": repr(u), "v": repr(v), "s": repr(s), "r": r}})
+        # (u, v) pair, at the first failing (s, r) of that pair's term class.
+        for u, gu in g.coeffs.items():
+            twist_u = action.automorphism(u).perm
+            for v, fv in f.coeffs.items():
+                hit = _term_failure(action, gu, twist_u, fv)
+                if hit is not None:
+                    s, r = hit
+                    return PropertyReport(
+                        ring.name, "coefficientwise_annihilation", False,
+                        {"failure": "conclusion",
+                         "violation": {"u": repr(u), "v": repr(v), "s": repr(s), "r": r}})
     checked = len(g.coeffs) * len(f.coeffs) * len(action.representatives()) * ring.size
     return PropertyReport(ring.name, "coefficientwise_annihilation", True,
                           {"products_checked": checked})
+
+
+def _term_failure(action: OmegaAction, gu: int, twist: tuple, fv: int):
+    """The first (s, r) of ``_first_failure`` with gu * twist[r * w_s(fv)]
+    != 0, or None.
+
+    A term g(u) * w_u(r * w_s(f(v))) depends on (u, v) only through its
+    class (g(u), w_u.perm, f(v)), so each class is decided once per action
+    and kept in ``action._classes``.
+    """
+    classes = action._classes
+    key = (gu, twist, fv)
+    try:
+        return classes[key]
+    except KeyError:
+        mul, zero, automorphism = action.ring.mul, action.ring.zero, action.automorphism
+        hit = classes[key] = _first_failure(
+            action, lambda s, r: mul(gu, twist[mul(r, automorphism(s).perm[fv])]) != zero)
+        return hit
+
+
+def _terms_vanish(g: SkewSeries, f: SkewSeries) -> bool:
+    """Whether every term g(u) * w_u(r * w_s(f(v))) is zero.  Each
+    coefficient of g * (r x^s) * f is a sum of such terms, so this is enough
+    for g * T * f == 0, though not necessary."""
+    action = g.action
+    # each distinct class once: long series repeat few (g(u), w_u) and f(v)
+    twisted = {(gu, action.automorphism(u).perm) for u, gu in g.coeffs.items()}
+    values = set(f.coeffs.values())
+    return all(_term_failure(action, gu, twist, fv) is None
+               for gu, twist in twisted for fv in values)
 
 
 def extract_cascade_witnesses(g: SkewSeries, f: SkewSeries, w) -> list[int]:
@@ -291,17 +315,28 @@ def _build_witness(g: SkewSeries, f: SkewSeries, paths) -> list[WitnessOutcome]:
                         f"witness {witness} fails to reproduce twisted coefficient {y}")
             c_e = SkewSeries._trusted(
                 action, {} if witness == ring.zero else {action.monoid.zero: witness})
-            failure = _first_failure(action, _middle_test(c_e, f))
-            if failure is not None:
-                s, r = failure
+            # c_e has one term, so c_e * (r x^s) * f has one term at each
+            # s + v, which are distinct: it is zero exactly when its terms vanish
+            if not _terms_vanish(c_e, f):
+                # name the first failing middle of the scan over every r
+                s, r = _first_failure(action, _middle_test(c_e, f))
                 raise CoherenceAlarm(
                     f"witness constant fails to annihilate f through middle "
                     f"(r={r}, s={s!r})")
-            if convolve(g, c_e) != g:
+            if not _reproduces(g, witness):
                 raise CoherenceAlarm(f"g * c_e differs from g for witness {witness}")
         outcomes.append(WitnessOutcome(witness, sorted(set(targets)), sorted(set(selected)),
                                        _members(ann)))
     return outcomes
+
+
+def _reproduces(g: SkewSeries, e: int) -> bool:
+    """Whether g * c_e == g, for c_e the constant e: the product is
+    g(u) * w_u(e) at each u of supp g, since u times the neutral exponent is
+    u, and zero elsewhere."""
+    action = g.action
+    mul = action.ring.mul
+    return all(mul(gu, action.automorphism(u).perm[e]) == gu for u, gu in g.coeffs.items())
 
 
 def _minimal_annihilator_subset(ring: FiniteRing, targets: list[int]) -> list[int]:
@@ -343,6 +378,13 @@ def random_annihilating_pair(action: OmegaAction,
     The zero ring has no nonzero element: its only pair is (0, 0), returned
     without a draw.  The exponent pool, the nonzero elements and the number
     of draws of f depend on the action alone, so they are kept in it.
+
+    Every draw goes through one ``below(n)`` over ``rng.getrandbits``, which
+    makes the calls ``randint``, ``sample`` and ``choice`` make on CPython
+    3.10 to 3.13: a support is
+    ``sample(pool, min(randint(1, _PAIR_TERMS), len(pool)))`` and each
+    coefficient a ``choice``.  So the stream, and every pair, is
+    that of those calls.
     """
     ring = action.ring
     if action._pair_draw is None:
@@ -354,20 +396,46 @@ def random_annihilating_pair(action: OmegaAction,
     if not nonzero:
         return zero_series(action), zero_series(action)
 
+    getrandbits, size = rng.getrandbits, len(pool)
+
+    def below(n):
+        # random.Random._randbelow: n.bit_length() bits, drawn again while >= n
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
     def draw_support():
-        k = rng.randint(1, _PAIR_TERMS)
-        return rng.sample(pool, min(k, len(pool)))
+        # rng.sample(pool, min(rng.randint(1, _PAIR_TERMS), size)); sample
+        # takes its pool branch up to 21 entries, as for any k <= 5
+        k = min(1 + below(_PAIR_TERMS), size)
+        if size <= 21:
+            left, out = list(pool), []
+            for i in range(k):
+                j = below(size - i)
+                out.append(left[j])
+                left[j] = left[size - i - 1]
+            return out
+        picked = []
+        for _ in range(k):
+            j = below(size)
+            while j in picked:
+                j = below(size)
+            picked.append(j)
+        return [pool[j] for j in picked]
 
     f, ann = None, 0
-    for _ in range(draws):
-        f = SkewSeries._trusted(action, {s: rng.choice(nonzero) for s in draw_support()})
+    for _ in range(draws):  # rng.choice(nonzero) for each coefficient
+        f = SkewSeries._trusted(
+            action, {s: nonzero[below(len(nonzero))] for s in draw_support()})
         ann = _set_orbit_annihilator(action, f.coeffs.values())
         if ann & (ann - 1):  # more than one member
             break
     choices = [b for b in _members(ann) if b != ring.zero] or [ring.zero]
     g_coeffs = {}
     for u in draw_support():
-        b = rng.choice(choices)
+        b = choices[below(len(choices))]  # rng.choice(choices)
         if b != ring.zero:
             g_coeffs[u] = action.automorphism(u).perm[b]
     return SkewSeries._trusted(action, g_coeffs), f
@@ -379,11 +447,14 @@ def random_annihilating_pair(action: OmegaAction,
 def _vetted_pairs(action: OmegaAction, count: int, seed: int):
     """``count`` pairs from ``random_annihilating_pair`` on
     ``random.Random(seed)``, each checked to annihilate through all middles;
-    a constructed pair that does not is an internal fault."""
+    a constructed pair that does not is an internal fault.  The check first
+    asks whether every term vanishes, from the action's decided term
+    classes, which a constructed pair always passes; only a pair that fails
+    it has its middles tested."""
     rng = random.Random(seed)
     for i in range(count):
         g, f = random_annihilating_pair(action, rng)
-        if not annihilates_via_all_middles(g, f):
+        if not (_terms_vanish(g, f) or annihilates_via_all_middles(g, f)):
             raise CoherenceAlarm(f"constructed pair {i} fails to annihilate through middles")
         yield g, f
 

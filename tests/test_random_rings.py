@@ -51,6 +51,8 @@ from skewseries.series import (
 )
 from skewseries.theorems import (
     _coefficientwise_conclusion,
+    _reproduces,
+    _terms_vanish,
     annihilator_obstructions,
     random_annihilating_pair,
 )
@@ -192,6 +194,86 @@ def test_middles_and_the_coefficientwise_conclusion_match_the_scans(ring, data):
             report = _coefficientwise_conclusion(g, f)
             assert report.witnesses == coefficientwise_by_scan(g, f)
             assert report.verdict == ("products_checked" in report.witnesses)
+
+
+def _assert_class_decisions_match_the_pair_code(action, constructed, arbitrary):
+    """The term-class decisions of the harnesses against the per-pair code
+    they replace: "every term vanishes" implies the middles (and equals the
+    scan of every term) on every pair, holds on every constructed pair, and
+    for every witness e the class checks agree with c_e's middle test and
+    with g * c_e == g."""
+    ring = action.ring
+    for g, f in constructed:
+        assert _terms_vanish(g, f)
+    for g, f in constructed + arbitrary:
+        vanish = _terms_vanish(g, f)
+        assert _coefficientwise_conclusion(g, f).witnesses == coefficientwise_by_scan(g, f)
+        assert vanish == _coefficientwise_conclusion(g, f).verdict
+        assert not vanish or annihilates_via_all_middles(g, f)
+        for e in ring.elements():
+            c_e = constant(action, e)
+            assert _terms_vanish(c_e, f) == (_first_failure(action, _middle_test(c_e, f)) is None)
+            assert _reproduces(g, e) == (convolve(g, c_e) == g)
+
+
+def _arbitrary_pairs(action, rng, count: int):
+    """``count`` pairs of series with at most 2 terms each, over exponents of
+    ``sample_pool`` and any coefficients, zero included."""
+    pool = sample_pool(action.monoid, 3)
+    return [tuple(SkewSeries(action, {s: rng.randrange(action.ring.size)
+                                      for s in rng.sample(pool, rng.randint(1, 2))})
+                  for _ in range(2)) for _ in range(count)]
+
+
+@settings(RANDOM, max_examples=20)
+@given(rings(max_size=16), st.data())
+def test_term_classes_match_the_pair_code_on_drawn_rings(ring, data):
+    u = data.draw(st.sampled_from(units(ring)), label="unit")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="pair seed"))
+    nat = make_monoid("NatAdd")
+    for alpha in (None, inner_automorphism(ring, u)):
+        action = OmegaAction(nat, ring, alpha)
+        constructed = [random_annihilating_pair(action, rng) for _ in range(3)]
+        _assert_class_decisions_match_the_pair_code(
+            action, constructed, _arbitrary_pairs(action, rng, 3))
+
+
+@pytest.mark.parametrize("ring_name, aut_name", [("F2xF2", "swap"), ("M2F2", "inner:6")])
+def test_term_classes_name_the_failure_of_their_own_twist(ring_name, aut_name):
+    # whether a term class vanishes does not depend on w_u, which maps the
+    # orbit ideal of f(v) onto itself, but its first failing (s, r) does:
+    # one action decides every (g(u), w_u, f(v)) and names each failure as
+    # the scan of that single term does
+    ring = gallery_ring(ring_name)
+    action = OmegaAction(make_monoid("NatAdd"), ring, named_automorphism(ring, aut_name))
+    nonzero = [r for r in ring.elements() if r != ring.zero]
+    for gu in nonzero:
+        for fv in nonzero:
+            f = constant(action, fv)
+            for u in action.representatives():
+                g = SkewSeries(action, {u: gu})
+                assert _coefficientwise_conclusion(g, f).witnesses == \
+                    coefficientwise_by_scan(g, f)
+
+
+# the contexts of the series_harness benchmark workload
+HARNESS_CONTEXTS = (("M2F2", "inner:6"), ("T2F2", "inner:7"), ("F2xF2", "swap"),
+                    ("F2xF3", "identity"), ("Z5", "identity"), ("Z7", "identity"),
+                    ("Z12", "identity"))
+
+
+@pytest.mark.parametrize("kind", ["NatAdd", "IntAdd", "NatPairLex", "IntPairRevLex",
+                                  "NatMulDirichlet"])
+@pytest.mark.parametrize("ring_name, aut_name", HARNESS_CONTEXTS)
+def test_term_classes_match_the_pair_code_on_the_harness_contexts(ring_name, aut_name, kind):
+    ring = gallery_ring(ring_name)
+    monoid = make_monoid(kind)
+    aut = None if monoid._mul else named_automorphism(ring, aut_name)
+    action = OmegaAction(monoid, ring, aut, aut if monoid._pair else None)
+    rng = random.Random(f"{ring_name}/{aut_name}:{kind}")
+    constructed = [random_annihilating_pair(action, rng) for _ in range(4)]
+    _assert_class_decisions_match_the_pair_code(
+        action, constructed, _arbitrary_pairs(action, rng, 4))
 
 
 @pytest.mark.parametrize("ring_name, aut_name",

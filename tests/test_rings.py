@@ -1411,3 +1411,14 @@ def test_compose_refuses_an_automorphism_of_another_ring():
     with pytest.raises(ValueError, match="different rings"):
         other.compose(swap)
     assert swap.compose(swap) == identity_automorphism(F22)
+
+
+def test_automorphisms_of_different_rings_are_not_equal():
+    # the identities of Z4 and F2xF2 have one perm; they used to compare
+    # equal and to collapse to one member of a set
+    z4, f22 = cyclic_ring(4), product_ring(cyclic_ring(2), cyclic_ring(2))
+    a, b = identity_automorphism(z4), identity_automorphism(f22)
+    assert a.perm == b.perm and a != b and len({a, b}) == 2
+    # another instance of the same table is another ring
+    assert identity_automorphism(cyclic_ring(4)) != a
+    assert identity_automorphism(z4) == a and hash(identity_automorphism(z4)) == hash(a)

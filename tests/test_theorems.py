@@ -369,12 +369,12 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_witness_paths_verify_each_distinct_witness_once(monkeypatch):
+def test_a_chain_witness_that_differs_is_verified_on_its_own(monkeypatch):
     ring = gallery_ring("T2F2")
-    middle_checks = _counting(monkeypatch, "_middle_test")
+    verified = _counting(monkeypatch, "_reproduces")
     report = witness_paths_agree(ring, nat_action(ring), instances=20, seed=1)
-    # the two paths agree on every pair: c_e's middles are checked once each
-    assert report.witnesses["witness_disagreements"] == 0 and len(middle_checks) == 20
+    # the two paths agree on every pair: one witness verified per pair
+    assert report.witnesses["witness_disagreements"] == 0 and len(verified) == 20
 
     # a chain path that picks the highest common witness instead of the
     # lowest, still a valid one, is verified on its own wherever it differs
@@ -389,10 +389,32 @@ def test_witness_paths_verify_each_distinct_witness_once(monkeypatch):
                    and all(ring.mul(y, e) == y for y in selected))
 
     monkeypatch.setattr(theorems, "_lowest_common", highest_after_a_chain_search)
-    middle_checks.clear()
+    verified.clear()
     report = witness_paths_agree(ring, nat_action(ring), instances=20, seed=1)
     differing = report.witnesses["witness_disagreements"]
-    assert 0 < differing < 20 and len(middle_checks) == 20 + differing
+    assert 0 < differing < 20 and len(verified) == 20 + differing
+
+
+def test_a_chain_witness_that_fails_raises_the_middles_alarm(monkeypatch):
+    # the full-set witness is the lowest, and verifies; the chain path's 1
+    # reproduces every twisted coefficient but does not annihilate f
+    chain_searches = _counting(monkeypatch, "_minimal_annihilator_subset")
+    lowest = theorems._lowest_common
+    monkeypatch.setattr(theorems, "_lowest_common",
+                        lambda ring, ann, selected, kind:
+                        ring.one if chain_searches else lowest(ring, ann, selected, kind))
+    pairs = []
+    real = theorems.random_annihilating_pair
+    monkeypatch.setattr(theorems, "random_annihilating_pair",
+                        lambda action, rng: pairs.append(real(action, rng)) or pairs[-1])
+    act = nat_action(Z6)
+    with pytest.raises(theorems.CoherenceAlarm) as alarm:
+        witness_paths_agree(Z6, act, instances=50, seed=2)
+    g, f = pairs[-1]
+    assert not f.is_zero() and len(chain_searches) == 1
+    s, r = first_failing_middle_by_scan(constant(act, Z6.one), f)
+    assert str(alarm.value) == (f"witness constant fails to annihilate f "
+                                f"through middle (r={r}, s={s!r})")
 
 
 def test_witness_paths_raise_the_full_set_alarm_before_the_chain_path_runs(monkeypatch):
@@ -564,13 +586,37 @@ def test_app_equivalence_alarm_catches_a_corrupt_kernel():
 
 @pytest.mark.parametrize("harness", [coefficientwise_harness, app_equivalence_check,
                                      witness_paths_agree], ids=lambda h: h.__name__)
-def test_harnesses_check_the_middles_once_per_pair(harness, monkeypatch):
-    calls = []
-    real = theorems.annihilates_via_all_middles
-    monkeypatch.setattr(theorems, "annihilates_via_all_middles",
-                        lambda g, f: calls.append(1) or real(g, f))
+@pytest.mark.parametrize("ring_name, aut_name", [("F2xF3", "identity"), ("T2F2", "inner:7")])
+def test_harnesses_decide_each_term_class_once_per_action(harness, ring_name, aut_name,
+                                                         monkeypatch):
+    # two contexts where the orbit condition holds and many pairs are nonzero
+    ring = gallery_ring(ring_name)
+    decided = _counting(monkeypatch, "_first_failure")
+    terms = _counting(monkeypatch, "_term_failure")
+    act = nat_action(ring, named_automorphism(ring, aut_name))
+    assert act._classes == {}
+    assert harness(ring, act, 40, 3).verdict
+    # one _first_failure per class, none failing, far fewer than the terms
+    assert len(decided) == len(act._classes) > 0
+    assert set(act._classes.values()) == {None} and len(decided) < len(terms)
+    # the same action decides nothing again; a fresh one starts empty
+    decided.clear()
+    assert harness(ring, act, 40, 3).verdict and decided == []
+    fresh = nat_action(ring, named_automorphism(ring, aut_name))
+    assert fresh._classes == {}
+    assert harness(ring, fresh, 40, 3).verdict
+    assert fresh._classes == act._classes and len(decided) == len(act._classes)
+
+
+def test_a_long_pair_reads_each_distinct_class_once(monkeypatch):
+    # 200 terms each over Z6, g in {2, 4} and f in {3}: two classes, where
+    # reading one class per term pair would make 40000 lookups
     act = nat_action(Z6)
-    assert harness(Z6, act, 7, 1).verdict and len(calls) == 7
+    rng = random.Random(4)
+    g = SkewSeries(act, {u: rng.choice((2, 4)) for u in rng.sample(range(1000), 200)})
+    f = SkewSeries(act, dict.fromkeys(rng.sample(range(1000), 200), 3))
+    reads = _counting(monkeypatch, "_term_failure")
+    assert check_coefficientwise_annihilation(g, f).verdict and len(reads) == 2
 
 
 def test_witness_paths_refuse_a_pair_outside_the_middles(monkeypatch):
