@@ -8,6 +8,7 @@ p.q.-Baer, quasi-Baer, PP, right s-unital ideals) with replayable evidence.
 __version__ = "0.1.0"
 
 from .rings import (
+    AutomorphismBudgetError,
     FiniteRing,
     RingAut,
     RingAxiomError,

@@ -63,7 +63,7 @@ import struct
 import sys
 from array import array
 from itertools import islice, product, repeat
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 # Table rows are bytes up to this size and array('H') above it, where the
@@ -78,12 +78,20 @@ DEFAULT_SIZE_CAP = 4096
 VALIDATION_SAMPLES = 2000
 VALIDATION_SEED = 0
 
+# automorphisms lists at most this many maps; |GL4(F2)| = 20160 is admitted.
+_AUT_LIST_BOUND = 100_000
+
 # The offset of the low byte of a 16-bit entry in the bytes of an array('H').
 _LOW_BYTE = 0 if sys.byteorder == "little" else 1
 
 
 class RingAxiomError(ValueError):
     """A ring axiom failed; the message carries the first failing triple."""
+
+
+class AutomorphismBudgetError(ValueError):
+    """Aut(R) has more elements than ``automorphisms`` lists; the message
+    names the group's order."""
 
 
 class FiniteRing:
@@ -1033,29 +1041,77 @@ def additive_closure(ring: FiniteRing, seed) -> frozenset[int]:
     return frozenset(span)
 
 
-def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
-    """The full automorphism group, identity first.
+def _element_invariants(ring: FiniteRing, M) -> list[tuple]:
+    """Per element x: (additive order, x*x == x, x*x == 0,
+    |{y : x*y = 0}|, |{y : y*x = 0}|), which every automorphism preserves.
+    All but the order are read off ``M``, the rows of the multiplication
+    table.  The orders take one sum per multiple of each element not reached
+    before, since kx has order d / gcd(k, d) when x has order d."""
+    n, zero, add = ring.size, ring.zero, ring.add
+    order = [0] * n
+    order[zero] = 1
+    for x in range(n):
+        if not order[x]:
+            multiples = [x]
+            while (m := add(multiples[-1], x)) != zero:
+                multiples.append(m)
+            d = len(multiples) + 1
+            for k, m in enumerate(multiples, 1):
+                if not order[m]:
+                    order[m] = d // gcd(k, d)
+    row_zeros = [row.count(zero) for row in M]
+    column_zeros = [column.count(zero) for column in zip(*M)]
+    return [(order[x], M[x][x] == x, M[x][x] == zero, row_zeros[x], column_zeros[x])
+            for x in range(n)]
 
-    Up to ``cap`` elements a closure-extension search grows a partial map
-    phi from phi(1) = 1.  Setting phi(x) = y forces phi(x + g) = y + phi(g)
-    and phi(x * g) = y * phi(g) for every mapped g of an additive generating
-    set G, and fails at the first image that differs from one already set or
-    is already taken.  The search branches only on the images of unmapped
-    generators, idempotents to idempotents.  It is exact: a map consistent
-    on every such edge is additive, since the y with
-    phi(x + y) = phi(x) + phi(y) for all x contain G and are closed under +,
-    and then multiplicative by the same argument for products, so the maps
-    it finds are not checked again.  A ring of more than ``cap`` elements
-    raises ValueError.
+
+def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
+    """The full automorphism group, identity first, then the rest sorted.
+
+    A ring of more than ``cap`` elements raises ValueError, and a group of
+    more than ``_AUT_LIST_BOUND`` = 100000 maps (|GL4(F2)| = 20160 is
+    admitted) raises AutomorphismBudgetError, naming the group's order,
+    before any map is listed.
+
+    *Invariants.*  ``_element_invariants`` gives each element its additive
+    order, whether x*x is x, whether x*x is 0, and the zeros in its row and
+    in its column of the product table.  Every automorphism preserves them,
+    so a generator's image is drawn only from the elements that share its
+    invariants.
+
+    *Extension.*  A partial map phi grows from phi(1) = 1.  Setting
+    phi(x) = y forces phi(x + g) = y + phi(g) and phi(x * g) = y * phi(g)
+    for every mapped g of the additive generating set G, and fails at the
+    first forced image that differs from one already set, is already taken
+    or differs from its preimage in invariants.  A map consistent on every
+    such edge is additive, since the y with phi(x + y) = phi(x) + phi(y) for
+    all x contain G and are closed under +, and then multiplicative by the
+    same argument for products; so the maps found are not checked again.
+
+    *Chain.*  The generators g_1..g_k of G that phi(1) = 1 leaves unmapped,
+    in ``_additive_generators`` order, are the base of a stabilizer chain
+    (Sims).  At level i, with g_1..g_{i-1} fixed, each candidate y is tried
+    as phi(g_i), and the first full extension found, if any, is kept as the
+    transversal element t_{i,y}; the identity serves y = g_i.  The y that
+    extend are the orbit of g_i under the stabilizer of g_1..g_{i-1}, so
+    |Aut(R)| is the product of the orbit lengths, known before any map is
+    listed.  Every automorphism is then exactly one product
+    t_1 o t_2 o ... o t_k of one transversal element per level.
     """
     if ring.size > cap:
         raise ValueError(f"{ring.name} has {ring.size} elements; raise cap")
 
     n = ring.size
-    A, M = ([row(a) for a in range(n)] for row in (ring.add_row, ring.mul_row))
+    M = [ring.mul_row(a) for a in range(n)]
     gens = _additive_generators(ring)
-    idempotent = [M[x][x] == x for x in range(n)]
-    found: list[tuple[int, ...]] = []
+    invariant = _element_invariants(ring, M)
+    candidates = {g: [y for y in range(n) if invariant[y] == invariant[g]] for g in gens}
+    # assign reads only the sums z + g and w + phi(g), so only the sum rows of
+    # the generators and of their candidate images are listed; above
+    # TABLE_LIMIT each row costs n sums through the factory's functions
+    A = [None] * n
+    for y in {y for ys in candidates.values() for y in ys}:
+        A[y] = ring.add_row(y)
 
     def assign(phi: list, taken: list, x: int, y: int) -> bool:
         """Set phi(x) = y and every image it forces; False on a clash."""
@@ -1064,30 +1120,45 @@ def automorphisms(ring: FiniteRing, cap: int = 64) -> list[RingAut]:
             x, y = todo.pop()
             if phi[x] == y:
                 continue
-            if phi[x] is not None or taken[y]:
+            if phi[x] is not None or taken[y] or invariant[x] != invariant[y]:
                 return False
             phi[x], taken[y] = y, True
             edges = [(g, phi[g], x, y) for g in gens if phi[g] is not None]
             if x in gens:
                 edges += [(x, y, z, w) for z, w in enumerate(phi) if w is not None]
             for g, h, z, w in edges:
-                todo += ((A[z][g], A[w][h]), (M[z][g], M[w][h]))
+                todo += ((A[g][z], A[h][w]), (M[z][g], M[w][h]))
         return True
 
-    def search(phi: list, taken: list) -> None:
+    def extension(phi: list, taken: list, x: int, y: int) -> tuple | None:
+        """The first full map that extends phi with phi(x) = y, or None."""
+        phi, taken = phi.copy(), taken.copy()
+        if not assign(phi, taken, x, y):
+            return None
         g = next((g for g in gens if phi[g] is None), None)
         if g is None:
-            found.append(tuple(phi))
-            return
-        for y in range(n):
-            if not taken[y] and idempotent[y] == idempotent[g]:
-                branch, branch_taken = phi.copy(), taken.copy()
-                if assign(branch, branch_taken, g, y):
-                    search(branch, branch_taken)
+            return tuple(phi)
+        for z in candidates[g]:
+            if not taken[z] and (found := extension(phi, taken, g, z)) is not None:
+                return found
+        return None
 
-    phi, taken = [None] * n, [False] * n
-    assign(phi, taken, ring.one, ring.one)
-    search(phi, taken)
     ident = tuple(range(n))
-    return [RingAut._trusted(ring, p) for p in [ident] + sorted(p for p in found if p != ident)]
-
+    phi, taken = [None] * n, [False] * n
+    transversals, fixed = [], ring.one
+    for g in gens:
+        assign(phi, taken, fixed, fixed)
+        if phi[g] is None:
+            transversals.append([ident] + [
+                t for y in candidates[g] if y != g and not taken[y]
+                if (t := extension(phi, taken, g, y)) is not None])
+            fixed = g
+    order = prod(map(len, transversals))
+    if order > _AUT_LIST_BOUND:
+        raise AutomorphismBudgetError(
+            f"{ring.name} has {order} automorphisms; automorphisms lists at most "
+            f"{_AUT_LIST_BOUND}")
+    perms = [ident]
+    for level in reversed(transversals):
+        perms = [tuple(map(t.__getitem__, h)) for t in level for h in perms]
+    return [RingAut._trusted(ring, p) for p in [ident] + sorted(p for p in perms if p != ident)]

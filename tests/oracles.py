@@ -54,8 +54,9 @@ def automorphism_perms_by_additive_extension(ring) -> list:
     the span of 1 is fixed pointwise, each further additive generator g gets
     every image y with m*y equal to the forced image of m*g (m the first
     multiple of g already mapped), the map is extended additively over the
-    cosets of g, and the product law is checked on generator pairs only
-    once every generator is mapped.
+    cosets of g, and the product law is checked on each pair of mapped
+    generators whose product the map reaches, and on every pair once every
+    generator is mapped.
     """
     from skewseries.rings import _additive_generators
 
@@ -63,11 +64,12 @@ def automorphism_perms_by_additive_extension(ring) -> list:
     found = []
 
     def extend(idx, phi, used):
+        for ga in gens[:idx]:
+            for gb in gens[:idx]:
+                prod_ab = ring.mul(ga, gb)
+                if prod_ab in phi and phi[prod_ab] != ring.mul(phi[ga], phi[gb]):
+                    return
         if idx == len(gens):
-            for ga in gens:
-                for gb in gens:
-                    if phi[ring.mul(ga, gb)] != ring.mul(phi[ga], phi[gb]):
-                        return
             found.append(tuple(phi[a] for a in ring.elements()))
             return
         g = gens[idx]
@@ -110,6 +112,22 @@ def automorphism_perms_by_additive_extension(ring) -> list:
         extend(1, base, set(base))
     ident = tuple(range(ring.size))
     return [ident] + [p for p in sorted(set(found)) if p != ident]
+
+
+def element_invariants_by_scan(ring) -> list:
+    """Per element x: (additive order, x*x == x, x*x == 0,
+    |{y : x*y = 0}|, |{y : y*x = 0}|), by repeated sums and a full scan."""
+    out = []
+    for x in ring.elements():
+        order, acc = 1, x
+        while acc != ring.zero:
+            acc = ring.add(acc, x)
+            order += 1
+        square = ring.mul(x, x)
+        out.append((order, square == x, square == ring.zero,
+                    sum(ring.mul(x, y) == ring.zero for y in ring.elements()),
+                    sum(ring.mul(y, x) == ring.zero for y in ring.elements())))
+    return out
 
 
 def smallest_left_ideal_containing(ring, gens) -> frozenset:

@@ -28,6 +28,7 @@ from skewseries.rings import (
     RingAxiomError,
     _additive_coordinates,
     _additive_generators,
+    _element_invariants,
     automorphisms,
     cyclic_ring,
     identity_automorphism,
@@ -64,6 +65,7 @@ from oracles import (
     cell_ring_tables_by_digits,
     coefficientwise_by_scan,
     convolve_by_terms,
+    element_invariants_by_scan,
     first_failing_middle_by_scan,
     left_app_by_scan,
     left_pq_baer_by_scan,
@@ -289,11 +291,21 @@ def test_first_failure_tests_each_generator_once_per_representative(ring_name, a
     assert len(tested) < len(action.representatives()) * (ring.size - 1)
 
 
-@settings(RANDOM, max_examples=25)
-@given(rings(max_size=32))
+@settings(RANDOM, max_examples=60)
+@given(st.one_of(st.tuples(rings(max_size=8), rings(max_size=8)).map(
+                     lambda pair: product_ring(*pair)),
+                 cell_rings(max_size=64).map(lambda drawn: drawn[0]),
+                 matrix_subrings()))
 def test_automorphisms_match_the_additive_extension_search(ring):
-    assert [aut.perm for aut in automorphisms(ring)] == \
-        automorphism_perms_by_additive_extension(ring)
+    # the stabilizer chain lists products of transversal elements, its
+    # images drawn by invariants; the oracle extends every generator image
+    # additively and uses no invariants
+    found = [aut.perm for aut in automorphisms(ring)]
+    assert found == automorphism_perms_by_additive_extension(ring)
+    invariants = element_invariants_by_scan(ring)
+    assert _element_invariants(ring, [ring.mul_row(a) for a in range(ring.size)]) == invariants
+    for perm in found:
+        assert [invariants[y] for y in perm] == invariants
 
 
 @settings(RANDOM, max_examples=40)

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from array import array
 from itertools import product
 from math import factorial, gcd
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import skewseries
 from skewseries.rings import (
     DEFAULT_SIZE_CAP,
     TABLE_LIMIT,
+    AutomorphismBudgetError,
     FiniteRing,
     RingAut,
     RingAxiomError,
@@ -1282,6 +1285,48 @@ def test_automorphisms_match_the_additive_extension_search(ring):
 ])
 def test_automorphism_group_orders_of_64_and_32_element_rings(build, order):
     assert len(automorphisms(build())) == order
+
+
+def _f2_square_zero(k):
+    """F2[x1..xk]/(x1..xk)^2, with a + b1*x1 + ... + bk*xk stored as the
+    bits bk..b1a.
+
+    An automorphism fixes 1 and maps the ideal (x1..xk), whose products all
+    vanish, onto itself by any invertible linear map, so Aut is GL_k(F2).
+    """
+    def mul(u, v):
+        out = u & v & 1
+        if u & 1:
+            out ^= v & ~1
+        if v & 1:
+            out ^= u & ~1
+        return out
+    n = 2 << k
+    return table_ring([[u ^ v for v in range(n)] for u in range(n)],
+                      [[mul(u, v) for v in range(n)] for u in range(n)],
+                      name=f"F2[x1..x{k}]/(x)^2")
+
+
+def test_automorphisms_of_f2_x1_to_x4_mod_squares_are_gl4_f2():
+    ring = _f2_square_zero(4)
+    auts = automorphisms(ring)
+    perms = [aut.perm for aut in auts]
+    assert len(set(perms)) == len(perms) == 20160
+    assert perms[0] == tuple(range(ring.size)) and perms[1:] == sorted(perms[1:])
+    for aut in random.Random(0).sample(auts, 60):
+        aut.validate()
+
+
+def test_automorphisms_of_f2_x1_to_x5_mod_squares_exceed_the_budget():
+    # |GL5(F2)| = 9999360: the chain gives the order before listing a map
+    ring = _f2_square_zero(5)
+    assert ring.size == 64
+    start = time.perf_counter()
+    with pytest.raises(AutomorphismBudgetError, match="9999360"):
+        automorphisms(ring)
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(AutomorphismBudgetError, ValueError)
+    assert skewseries.AutomorphismBudgetError is AutomorphismBudgetError
 
 
 def test_automorphisms_of_z257_search_closure_rows():
